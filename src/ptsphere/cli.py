@@ -37,7 +37,12 @@ def _frac(text: str) -> Fraction:
 
 def _build_masa(args):
     if getattr(args, "masa", None):
-        return load_masa_file(args.masa)
+        try:
+            return load_masa_file(args.masa)
+        except KeyError as exc:
+            raise ConfigError(f"MASA file {args.masa!r} has no field {exc}") from exc
+        except (OSError, ValueError, TypeError, PtsphereError) as exc:
+            raise ConfigError(f"cannot load MASA file {args.masa!r}: {exc}") from exc
     model = getattr(args, "model", None)
     if model is None:
         raise ConfigError("either --model or --masa is required")

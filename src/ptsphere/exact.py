@@ -43,10 +43,6 @@ def _mul_radicals(d1: int, d2: int) -> tuple[int, int]:
     return g, (d1 // g) * (d2 // g)
 
 
-def _as_pair(x) -> tuple[Fraction, Fraction]:
-    return (Fraction(x), Fraction(0))
-
-
 class Exact:
     """Immutable exact complex scalar over Q(i)[sqrt(d1), sqrt(d2), ...]."""
 

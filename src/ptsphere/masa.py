@@ -295,9 +295,15 @@ def save_masa_file(m: MasaSpec, path: str) -> None:
 
 
 def load_masa_file(path: str) -> MasaSpec:
+    """Read a MASA written by save_masa_file; a catalog model's name is
+    refused, because the catalog models carry parameters a file does not."""
     with open(path) as fh:
         doc = json.load(fh)
     n = int(doc["n"])
+    if doc.get("name") in CATALOG_NAMES:
+        raise ValueError(
+            f"name {doc['name']!r} belongs to a catalog model; use --model {doc['name']}"
+        )
     if doc.get("basis") not in (None, f"u{n}"):
         raise BadBasisIndex(f"basis {doc['basis']!r} inconsistent with n={n}")
     rows = [

@@ -91,11 +91,6 @@ class ExactMatrix:
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self == self.transpose()
 
-    def apply_vector(self, v: Sequence) -> list:
-        if len(v) != self.cols:
-            raise DimensionMismatch("vector length mismatch")
-        return [sum((a * x for a, x in zip(row, v)), ZERO) for row in self.entries]
-
     def commutator(self, other: "ExactMatrix") -> "ExactMatrix":
         """AB - BA, exactly."""
         self._same_shape(other)

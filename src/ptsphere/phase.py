@@ -5,6 +5,10 @@ Variables for ambient dimension n are ordered s_1..s_n, p_1..p_n, k_1..k_n
 is a matter of exact zero checks.  Conservation-type identities are decided
 by evaluation at exact rational points of the constraint variety
 (s.s = 1, s.p = 0), sampled through the rational stereographic map.
+Every such check, here and in reduction.py, takes its points from the one
+sampling path pole_free_values: it draws sample_vals points from a seeded
+stream, drops a point where the evaluation divides by zero, and raises
+SamplingExhausted after MAX_RESAMPLES (100) poles in a row.
 
 PhasePoly.eval accepts only real rational coordinates (the sampled points
 and couplings are such).  It sums the terms in plain int arithmetic over the
@@ -17,8 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .exact import Exact, ONE, ZERO, rat
 from .errors import DimensionMismatch, SamplingExhausted
@@ -34,8 +39,8 @@ __all__ = [
     "dirac_bracket_at",
     "sample_constraint_point",
     "sample_vals",
-    "vanishes_on_constraint",
-    "rationals_agree_on_constraint",
+    "pole_free_values",
+    "func_vanishes_on_constraint",
 ]
 
 MAX_RESAMPLES = 100
@@ -202,6 +207,19 @@ class PhasePoly:
                 acc[1] += im.numerator * (L // im.denominator) * t
         LD = L * D
         return Exact({d: (Fraction(r, LD), Fraction(s, LD)) for d, (r, s) in sums.items()})
+
+    def eval_complex(self, vals: Sequence[complex]) -> complex:
+        """Float value at a point: each term's Exact.to_complex times its powers."""
+        if len(vals) != 3 * self.n:
+            raise DimensionMismatch("value vector has wrong length")
+        acc = 0j
+        for e, c in self.terms.items():
+            t = c.to_complex()
+            for i, x in enumerate(e):
+                if x:
+                    t *= complex(vals[i]) ** x
+            acc += t
+        return acc
 
     def apply_pt(self, parity: "SignedPermutation") -> "PhasePoly":
         """PT image: conjugate coefficients, signed-permute s and p variables."""
@@ -553,49 +571,39 @@ def vals_from_point(pt: ConstraintPoint, kvals: Sequence) -> list[Exact]:
     )
 
 
-def _evaluate_avoiding_poles(
-    func: Callable[[Sequence[Exact]], Exact], rng: random.Random, n: int
-) -> Exact:
-    for _ in range(MAX_RESAMPLES):
+def pole_free_values(
+    func: Callable[[list[Exact]], Any], n: int, rng: random.Random | int
+) -> Iterator[Any]:
+    """func at one sample_vals point after another, skipping poles.
+
+    A point where func raises ZeroDivisionError is dropped and the next one
+    drawn; MAX_RESAMPLES poles in a row raise SamplingExhausted.  Points are
+    drawn only on demand, so a caller that stops early leaves rng where it
+    stopped.
+    """
+    if isinstance(rng, int):
+        rng = random.Random(rng)
+    poles = 0
+    while True:
         vals = sample_vals(rng, n)
         try:
-            return func(vals)
+            value = func(vals)
         except ZeroDivisionError:
+            poles += 1
+            if poles >= MAX_RESAMPLES:
+                raise SamplingExhausted(f"no pole-free sample in {MAX_RESAMPLES} tries")
             continue
-    raise SamplingExhausted(f"no pole-free sample in {MAX_RESAMPLES} tries")
-
-
-def vanishes_on_constraint(
-    f: PhaseRational, trials: int, seed: int = 20230411
-) -> bool:
-    """Exact polynomial identity test on the constraint variety.
-
-    trials should be at least max(20, 1 + total numerator degree); points
-    that hit a denominator zero are resampled.
-    """
-    rng = random.Random(seed)
-    for _ in range(trials):
-        v = _evaluate_avoiding_poles(f.eval, rng, f.n)
-        if not v.is_zero():
-            return False
-    return True
+        poles = 0
+        yield value
 
 
 def func_vanishes_on_constraint(
     func: Callable[[Sequence[Exact]], Exact], n: int, trials: int, seed: int = 20230411
 ) -> bool:
-    """Same convention as vanishes_on_constraint for point-wise evaluators."""
-    rng = random.Random(seed)
-    for _ in range(trials):
-        v = _evaluate_avoiding_poles(func, rng, n)
-        if not v.is_zero():
-            return False
-    return True
+    """Exact identity test on the constraint variety: func is zero at trials
+    pole-free sampled points.
 
-
-def rationals_agree_on_constraint(
-    f: PhaseRational, g: PhaseRational, trials: int = 25, seed: int = 20230411
-) -> bool:
-    return func_vanishes_on_constraint(
-        lambda vals: f.eval(vals) - g.eval(vals), f.n, trials, seed
-    )
+    For a rational identity trials should be at least max(20, 1 + total
+    numerator degree).
+    """
+    return all(v.is_zero() for v in islice(pole_free_values(func, n, seed), trials))

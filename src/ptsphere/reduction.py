@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -24,20 +25,19 @@ from .errors import (
     FitUnderdetermined,
     ParamOutOfRange,
     RelationFailed,
-    SamplingExhausted,
     UnknownName,
 )
 from .lie import EnvElement, build_generators, casimir_element
-from .masa import MasaSpec, catalog_masa
+from .masa import CATALOG_NAMES, MasaSpec, catalog_masa
 from .matrices import ExactMatrix, mat_exp_numeric
 from .phase import (
     PhasePoly,
     PhaseRational,
     dirac_bracket_at,
     func_vanishes_on_constraint,
+    poisson_bracket,
     poisson_bracket_at,
-    sample_vals,
-    vanishes_on_constraint,
+    pole_free_values,
 )
 
 __all__ = [
@@ -328,7 +328,6 @@ def _lambda_env_integrals(lam2: Fraction):
     lam2e = rat(lam2)
     il = I * lam
     disc = rat(1 - 2 * lam2)
-    X = [EnvElement.gen(i) for i in range(9)]
 
     def lin(coeffs: dict[int, Exact]) -> EnvElement:
         return EnvElement.linear(coeffs)
@@ -379,7 +378,6 @@ def _cartan_od_potential(a: Exact, b: Exact) -> PhaseRational:
     n = 3
     s1, s2, s3 = (PhasePoly.s(n, i) for i in range(3))
     k1, k2, k3 = (PhasePoly.k(n, i) for i in range(3))
-    i2b = rat(0, 2) * b
     den2 = s2 * s3.scale(a) - (s2 * s2 - s3 * s3).scale(I * b)
     num2 = (s2 * s2 + s3 * s3) * (
         k2 * k2 + (k3 * k3).scale(a * a - rat(4) * b * b)
@@ -582,14 +580,7 @@ def build_hamiltonian(masa: MasaSpec) -> ReducedSystem:
         V = build_potential(masa)
     H = _ambient_p_squared(masa.n) + V
     sys = ReducedSystem(masa, V, H)
-    if masa.name in (
-        "su2ab",
-        "lambda",
-        "cartan_od",
-        "nilpotent",
-        "degenerate_plus",
-        "degenerate_minus",
-    ):
+    if masa.name in CATALOG_NAMES:
         if masa.name == "su2ab":
             sys.integrals = [("H", H)]
         else:
@@ -620,17 +611,15 @@ def verify_sum_relation(masa: MasaSpec) -> RelationReport:
     H = sysr.hamiltonian
     ks = [PhaseRational(PhasePoly.k(n, i)) for i in range(n)]
     k1, k2, k3 = (ks + [None])[:3]
+    T = dict(sysr.integrals)
     if name == "lambda":
         lam2 = masa.params[0]
-        T = dict(integrals_catalog(masa))
         lhs = T["T1"] + T["T2"] + T["T3"]
         rhs = H.scale(rat(1 - 2 * lam2)) - _sq(k1 - k2 - k3)
     elif name == "cartan_od":
-        T = dict(integrals_catalog(masa))
         lhs = T["T1"] + T["T2"]
         rhs = H + (k1 * k3).scale(rat(2)) - _sq(k1)
     elif name == "nilpotent":
-        T = dict(integrals_catalog(masa))
         lhs = T["T1"] + T["T2"]
         rhs = H + (_sq(k1) + _sq(k2).scale(rat(2))).scale(rat(Fraction(1, 3)))
     elif name == "su2ab":
@@ -683,20 +672,10 @@ def casimir_projection_report(
             )
     names = tuple(name for name, _ in funcs)
     npts = npoints or (2 * len(funcs) + 6)
-    rng = random.Random(seed)
-    rows, rhs = [], []
-    attempts = 0
-    while len(rows) < npts:
-        attempts += 1
-        if attempts > 40 * npts:
-            raise SamplingExhausted("could not sample enough regular points")
-        vals = sample_vals(rng, n)
-        try:
-            rows.append([f.eval(vals) for _, f in funcs])
-            rhs.append(cas.eval(vals))
-        except ZeroDivisionError:
-            continue
-    coeffs = _fit_exact(rows, rhs, names)
+    samples = pole_free_values(
+        lambda vals: [f.eval(vals) for _, f in funcs] + [cas.eval(vals)], n, seed
+    )
+    coeffs = _fit_exact(list(islice(samples, npts)), names)
     detail = " + ".join(
         f"({c}) {name}" for name, c in coeffs.items() if not c.is_zero()
     )
@@ -709,24 +688,16 @@ def verify_conservation(masa: MasaSpec, trials: int | None = None) -> RelationRe
     sysr = build_hamiltonian(masa)
     H = sysr.hamiltonian
     n = masa.n
+    used = 0
     for tname, T in sysr.integrals:
         t = trials or max(20, (_degree_bound(H, T) + 1) // 2)
+        used = max(used, t)
         ok = func_vanishes_on_constraint(
             lambda vals: dirac_bracket_at(H, T, vals), n, t
         )
         if not ok:
             raise RelationFailed(f"{{H, {tname}}}_D nonzero for {masa.name}")
-    return RelationReport(f"conservation[{masa.name}]", True, trials or 0)
-
-
-def _dk_at(f: PhaseRational, n: int, mu: int, vals) -> Exact:
-    """d f / d k_mu at a point, by the quotient rule."""
-    kvar = 2 * n + mu
-    dnum = f.num.deriv(kvar)
-    dden = f.den.deriv(kvar)
-    nval = f.num.eval(vals)
-    dval = f.den.eval(vals)
-    return (dnum.eval(vals) * dval - nval * dden.eval(vals)) / (dval * dval)
+    return RelationReport(f"conservation[{masa.name}]", True, used)
 
 
 def verify_homomorphism(
@@ -763,43 +734,36 @@ def verify_homomorphism(
         for i in range(basis.size)
         for mu in range(n)
     }
-    rng = random.Random(seed)
-    done = 0
-    attempts = 0
-    while done < npoints:
-        attempts += 1
-        if attempts > 20 * npoints:
-            raise SamplingExhausted("could not find enough regular points")
-        vals = sample_vals(rng, n)
-        try:
-            # one gradient per map per point; pairs then combine values only
-            at = [f.grad_at(vals) for f in maps]
-            dk = {}
-            for (i, mu), (dnum, dden) in dk_polys.items():
-                _, nval, dval = at[i]
-                dk[(i, mu)] = (
-                    dnum.eval(vals) * dval - nval * dden.eval(vals)
-                ) / (dval * dval)
-            corr_vals = {
-                (i, mu): corr[i][mu].eval(vals)
-                for i in range(basis.size)
-                for mu in range(n)
-            }
-            for (i, j), rhs in comm_maps.items():
-                gf, gg = at[i][0], at[j][0]
-                lhs = ZERO
-                for mu in range(n):
-                    lhs = lhs + gf[mu] * gg[n + mu] - gf[n + mu] * gg[mu]
-                for mu in range(n):
-                    lhs = lhs + corr_vals[(i, mu)] * dk[(j, mu)]
-                    lhs = lhs - corr_vals[(j, mu)] * dk[(i, mu)]
-                if not (lhs - rhs.eval(vals)).is_zero():
-                    raise RelationFailed(
-                        f"bracket image mismatch for pair ({i},{j}) in {masa.name}"
-                    )
-        except ZeroDivisionError:
-            continue
-        done += 1
+
+    def check_point(vals):
+        # one gradient per map per point; pairs then combine values only
+        at = [f.grad_at(vals) for f in maps]
+        dk = {}
+        for (i, mu), (dnum, dden) in dk_polys.items():
+            _, nval, dval = at[i]
+            dk[(i, mu)] = (
+                dnum.eval(vals) * dval - nval * dden.eval(vals)
+            ) / (dval * dval)
+        corr_vals = {
+            (i, mu): corr[i][mu].eval(vals)
+            for i in range(basis.size)
+            for mu in range(n)
+        }
+        for (i, j), rhs in comm_maps.items():
+            gf, gg = at[i][0], at[j][0]
+            lhs = ZERO
+            for mu in range(n):
+                lhs = lhs + gf[mu] * gg[n + mu] - gf[n + mu] * gg[mu]
+            for mu in range(n):
+                lhs = lhs + corr_vals[(i, mu)] * dk[(j, mu)]
+                lhs = lhs - corr_vals[(j, mu)] * dk[(i, mu)]
+            if not (lhs - rhs.eval(vals)).is_zero():
+                raise RelationFailed(
+                    f"bracket image mismatch for pair ({i},{j}) in {masa.name}"
+                )
+
+    for _ in islice(pole_free_values(check_point, n, seed), npoints):
+        pass
     return RelationReport(f"homomorphism[{masa.name}]", True, npoints)
 
 
@@ -812,10 +776,10 @@ class RacahReport:
     basis_names: tuple
 
 
-def _fit_exact(rows: list[list[Exact]], rhs: list[Exact], names: Sequence[str]):
-    """Solve an overdetermined exact linear system; raise if inconsistent."""
-    m, ncol = len(rows), len(names)
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+def _fit_exact(aug: list[list[Exact]], names: Sequence[str]):
+    """Solve an overdetermined exact linear system given as augmented rows
+    (one value per name, then the right-hand side); raise if inconsistent."""
+    m, ncol = len(aug), len(names)
     rr = 0
     piv_cols = []
     for c in range(ncol):
@@ -880,35 +844,22 @@ def racah_structure_report(
         return RacahReport(ok, trials, {}, kfix, names)
 
     # nested brackets at fixed couplings; T12 assembled once symbolically
-    from .phase import poisson_bracket
-
     T12 = poisson_bracket(T1, T2)
+    kvals = [Exact.from_rational(kv) for kv in kfix]
+
+    def fit_sample(vals, target):
+        vals[2 * n :] = kvals
+        t1 = T1.eval(vals)
+        t2 = T2.eval(vals)
+        t3 = T3.eval(vals)
+        b = poisson_bracket_at(T12, target, vals)
+        return [t1 * t2, t1 * t3, t2 * t3, t1 * t1, t2 * t2, t3 * t3, t1, t2, t3, ONE, b]
+
     rng = random.Random(seed + 7)
     fits = {}
     for target_name, target in (("[T12,T1]", T1), ("[T12,T2]", T2)):
-        rows, rhs = [], []
-        got = 0
-        attempts = 0
-        while got < npoints and attempts < 40 * npoints:
-            attempts += 1
-            vals = sample_vals(rng, n)
-            for i, kv in enumerate(kfix):
-                vals[2 * n + i] = Exact.from_rational(kv)
-            try:
-                t1 = T1.eval(vals)
-                t2 = T2.eval(vals)
-                t3 = T3.eval(vals)
-                b = poisson_bracket_at(T12, target, vals)
-            except ZeroDivisionError:
-                continue
-            rows.append(
-                [t1 * t2, t1 * t3, t2 * t3, t1 * t1, t2 * t2, t3 * t3, t1, t2, t3, ONE]
-            )
-            rhs.append(b)
-            got += 1
-        if got < npoints:
-            raise FitUnderdetermined("could not collect enough pole-free samples")
-        fits[target_name] = _fit_exact(rows, rhs, names)
+        samples = pole_free_values(lambda vals: fit_sample(vals, target), n, rng)
+        fits[target_name] = _fit_exact(list(islice(samples, npoints)), names)
     return RacahReport(ok, trials, fits, kfix, names)
 
 
@@ -962,18 +913,7 @@ def verify_coordinate_map(
 
 def _potential_float(V: PhaseRational, s, kvals):
     vals = list(s) + [0.0, 0.0, 0.0] + list(kvals)
-
-    def ev(poly: PhasePoly):
-        acc = 0j
-        for e, c in poly.terms.items():
-            t = c.to_complex()
-            for i, x in enumerate(e):
-                if x:
-                    t *= complex(vals[i]) ** x
-            acc += t
-        return acc
-
-    return ev(V.num) / ev(V.den)
+    return V.num.eval_complex(vals) / V.den.eval_complex(vals)
 
 
 def _separable_float(lam2, s, kvals):
@@ -1027,19 +967,8 @@ def jacobian_check(masa: MasaSpec, x: Sequence[float], s: Sequence[float]) -> Ja
         ]
     )
     # exact V matrix evaluated at s for the defining-identity residual
-    Vexact = build_V_matrix(masa)
-    vals = [Exact.from_rational(0)] * (3 * n)
-    Vex = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            acc = 0j
-            for e, c in Vexact[i][j].terms.items():
-                t = c.to_complex()
-                for idx, xdeg in enumerate(e):
-                    if xdeg:
-                        t *= complex(sv[idx]) ** xdeg
-                acc += t
-            Vex[i, j] = acc
+    vals = list(sv) + [0.0] * (2 * n)
+    Vex = np.array([[f.eval_complex(vals) for f in row] for row in build_V_matrix(masa)])
     res = {
         "inverse": float(np.max(np.abs(J @ Jinv - np.eye(2 * n)))),
         "block": float(np.max(np.abs(lhs - rhs))),

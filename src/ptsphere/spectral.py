@@ -247,27 +247,21 @@ def fourier_matrix(a, b, k1, k2, N: int):
     M = N // 2
     modes = np.arange(M, -M - 1, -1)
     dim = 2 * M + 1
-    H = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(H, modes.astype(float) ** 2)
-    coeff = {}
+    # H[i, j] = c_{m_i - m_j} = c_{j - i}: a Toeplitz matrix whose first
+    # column holds c_0, c_{-1}, ... and whose first row holds c_0, c_1, ...
     if a == b:
-        coeff[-2] = 2 * k1 * k2 / a
-        coeff[-4] = -k2 * k2 / (a * a)
+        col = np.zeros(dim + 4, dtype=complex)  # room for c_{-4} when dim < 5
+        col[2] = 2 * k1 * k2 / a
+        col[4] = -k2 * k2 / (a * a)
+        H = scipy.linalg.toeplitz(col[:dim], np.zeros(dim, dtype=complex))
     else:
         Ns = 8 * M
         phis = 2 * np.pi * np.arange(Ns) / Ns
         vals = _circle_potential_phi(a, b, k1, k2, phis)
         fc = np.fft.fft(vals) / Ns
-        for k in range(-2 * M, 2 * M + 1):
-            coeff[k] = fc[k % Ns]
-    for i, mi in enumerate(modes):
-        for j, mj in enumerate(modes):
-            k = mi - mj
-            if k == 0:
-                continue
-            c = coeff.get(int(k), 0.0)
-            if c != 0.0:
-                H[i, j] += c
+        d = np.arange(dim)
+        H = scipy.linalg.toeplitz(fc[-d % Ns], fc[d])
+    np.fill_diagonal(H, modes.astype(float) ** 2)
     return H, modes
 
 
@@ -323,21 +317,14 @@ def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K, tol_real: float =
 # -- finite-difference solvers on (0, pi/2) -------------------------------------
 
 
-def _dirichlet_fd(potential_vals, h, k_lowest, complex_mode=False):
+def _dirichlet_fd(potential_vals, h, k_lowest):
     n = len(potential_vals)
-    if not complex_mode:
-        d = 2.0 / h**2 + np.real(potential_vals)
-        e = np.full(n - 1, -1.0 / h**2)
-        vals = scipy.linalg.eigh_tridiagonal(
-            d, e, select="i", select_range=(0, min(k_lowest, n) - 1), eigvals_only=True
-        )
-        return vals.astype(complex)
-    H = (
-        np.diag(2.0 / h**2 + np.asarray(potential_vals, dtype=complex))
-        + np.diag(np.full(n - 1, -1.0 / h**2), 1)
-        + np.diag(np.full(n - 1, -1.0 / h**2), -1)
+    d = 2.0 / h**2 + np.real(potential_vals)
+    e = np.full(n - 1, -1.0 / h**2)
+    vals = scipy.linalg.eigh_tridiagonal(
+        d, e, select="i", select_range=(0, min(k_lowest, n) - 1), eigvals_only=True
     )
-    return eig_dense(H)
+    return vals.astype(complex)
 
 
 def solve_poschl_teller(gm, gp, N: int, K: int = LOWEST_K, tol_real: float = 1e-6) -> SpectrumReport:

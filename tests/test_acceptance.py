@@ -190,7 +190,7 @@ def test_criterion_11_phase_scan():
             resid = float(note.split("=")[-1])
             ok = ok and resid <= 1e-10
         else:
-            ok = ok and rep.phase in ("broken", "complex-coupling")
+            ok = ok and rep.phase == "complex-coupling"
     _report(
         f"criterion 11 phase scan, boundary residual {resid:.1e}", ok, t0, 120
     )

@@ -23,6 +23,18 @@ BAD_MASA = {
 }
 
 
+# su2ab with a = 2, b = 1, as save_masa_file writes it: a valid MASA
+SU2AB_MASA = {
+    "n": 2,
+    "basis": "u2",
+    "generators": [
+        [{"re": "1", "im": "0"}, {"re": "0", "im": "0"}, {"re": "0", "im": "0"}],
+        [{"re": "0", "im": "0"}, {"re": "0", "im": "-1"}, {"re": "2", "im": "0"}],
+    ],
+    "parity": [1, -2],
+}
+
+
 def _run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -47,6 +59,28 @@ def test_validate_bad_masa_file_exits_1(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["masa_valid"] is False
     assert doc["failures"]
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("validate", None),  # no such file
+        ("validate", "not json"),
+        ("validate", json.dumps({k: v for k, v in BAD_MASA.items() if k != "generators"})),
+        # a catalog name would send build_hamiltonian to the catalog integrals
+        ("reduce", json.dumps(dict(SU2AB_MASA, name="lambda"))),
+    ],
+    ids=["missing", "not_json", "no_generators", "catalog_name"],
+)
+def test_bad_masa_file_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "masa.json"
+    if content is not None:
+        path.write_text(content)
+    code = main([command, "--masa", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_model_exits_2(capsys):

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptsphere.errors import DimensionMismatch, SamplingExhausted
 from ptsphere.exact import ZERO, Exact, rat
 from ptsphere.phase import (
+    MAX_RESAMPLES,
+    ConstraintPoint,
     PhasePoly,
     PhaseRational,
     SignedPermutation,
@@ -15,10 +19,10 @@ from ptsphere.phase import (
     point_from_chart,
     poisson_bracket,
     poisson_bracket_at,
+    pole_free_values,
     sample_constraint_point,
     sample_vals,
     vals_from_point,
-    vanishes_on_constraint,
 )
 
 N = 3
@@ -126,9 +130,57 @@ def test_sample_vals_satisfy_constraints(seed=11):
 
 
 def test_point_from_chart_rejects_off_sphere():
-    with pytest.raises(Exception):
+    # the chart always lands on the sphere; the point type itself refuses s
+    # off it, and the chart refuses a w of the wrong length
+    with pytest.raises(ValueError, match="unit sphere"):
+        ConstraintPoint((Fraction(1), Fraction(1), Fraction(0)), (Fraction(0),) * 3)
+    with pytest.raises(DimensionMismatch):
         point_from_chart([Fraction(1), Fraction(1), Fraction(1)],
                          [Fraction(0), Fraction(0), Fraction(0)])
+
+
+def test_pole_free_values_gives_up_after_max_resamples():
+    draws = []
+
+    def always_pole(vals):
+        draws.append(vals)
+        raise ZeroDivisionError
+
+    with pytest.raises(SamplingExhausted):
+        next(pole_free_values(always_pole, N, 1))
+    assert len(draws) == MAX_RESAMPLES
+
+
+def test_pole_free_values_skips_a_pole():
+    draws = []
+
+    def first_is_pole(vals):
+        draws.append(vals)
+        if len(draws) == 1:
+            raise ZeroDivisionError
+        return vals
+
+    rng = random.Random(4)
+    sample_vals(rng, N)
+    second = sample_vals(rng, N)
+    assert next(pole_free_values(first_is_pole, N, 4)) == second
+    assert len(draws) == 2
+
+
+def test_pole_free_values_counts_poles_in_a_row():
+    # every other point is a pole: more poles than MAX_RESAMPLES in total,
+    # never two in a row
+    draws = []
+
+    def alternate(vals):
+        draws.append(vals)
+        if len(draws) % 2:
+            raise ZeroDivisionError
+        return ZERO
+
+    vals = list(islice(pole_free_values(alternate, 2, random.Random(6)), MAX_RESAMPLES))
+    assert len(vals) == MAX_RESAMPLES
+    assert len(draws) == 2 * MAX_RESAMPLES
 
 
 def test_constraints_are_dirac_casimirs():
@@ -141,7 +193,7 @@ def test_constraints_are_dirac_casimirs():
     for c in (c1, c2):
         for f in test_funcs:
             db = dirac_bracket(c, f)
-            assert vanishes_on_constraint(db, trials=8, seed=3)
+            assert func_vanishes_on_constraint(db.eval, N, 8, 3)
 
 
 def test_dirac_vs_poisson_at_points():

@@ -7,8 +7,8 @@ from ptsphere.exact import Exact, I, ONE, rat
 from ptsphere.masa import catalog_masa
 from ptsphere.phase import (
     dirac_bracket,
+    func_vanishes_on_constraint,
     sample_vals,
-    vanishes_on_constraint,
 )
 from ptsphere.reduction import (
     build_hamiltonian,
@@ -18,6 +18,7 @@ from ptsphere.reduction import (
     degenerate_potential,
     jacobian_check,
     momentum_map,
+    racah_structure_report,
     verify_conservation,
     verify_coordinate_map,
     verify_homomorphism,
@@ -42,6 +43,12 @@ def test_masa_generators_reduce_to_couplings(name, kw):
 def test_integrals_commute_with_hamiltonian(name, kw):
     rep = verify_conservation(catalog_masa(name, **kw))
     assert rep.passed, rep.detail
+
+
+def test_conservation_reports_trials_used():
+    masa = catalog_masa("su2ab", a=Fraction(2), b=Fraction(1))
+    assert verify_conservation(masa).trials == 20
+    assert verify_conservation(masa, trials=7).trials == 7
 
 
 def test_bracket_homomorphism_su2ab():
@@ -72,6 +79,18 @@ def test_casimir_projection_nilpotent():
     rep = casimir_projection_report(catalog_masa("nilpotent"))
     assert rep.passed
     assert "(3) H" in rep.detail and "k1k1" in rep.detail
+
+
+def test_racah_fits_cartan_od():
+    rep = racah_structure_report(
+        catalog_masa("cartan_od", a=Fraction(1), b=Fraction(1, 2)),
+        with_fits=True,
+        npoints=12,
+    )
+    assert set(rep.bracket_fits) == {"[T12,T1]", "[T12,T2]"}
+    for fit in rep.bracket_fits.values():
+        assert set(fit) == set(rep.basis_names)
+        assert all(c.is_zero() for c in fit.values()), fit
 
 
 def test_su2ab_potential_on_circle():
@@ -114,7 +133,7 @@ def test_momentum_map_closes_brackets_with_constraints():
     g = momentum_map(masa.matrices[1], masa)
     # commuting generators must have weakly vanishing Dirac bracket
     db = dirac_bracket(f, g)
-    assert vanishes_on_constraint(db, trials=8, seed=2)
+    assert func_vanishes_on_constraint(db.eval, 3, 8, 2)
 
 
 def test_build_hamiltonian_structure():

@@ -11,6 +11,7 @@ from ptsphere.errors import (
     PoleInC,
     ResidualTooLarge,
     SingularPotential,
+    UnknownName,
 )
 from ptsphere.spectral import (
     bessel_ode_residual,
@@ -88,7 +89,7 @@ def test_solve_periodic_rejects_singular():
 def test_solve_periodic_complex_coupling_phase():
     # b > a makes the inverse coupling map complex; the report must say so
     rep = solve_periodic_s1(1, 2, 1.0, 0.5, 128)
-    assert rep.phase in ("complex-coupling", "broken", "exact")
+    assert rep.phase == "complex-coupling"
 
 
 def test_poschl_teller_fd():
@@ -173,7 +174,7 @@ def test_phase_scan_labels():
     assert reps[0].phase == "exact"
     assert reps[1].phase == "degenerate"
     assert any("bessel" in n.lower() for n in reps[1].notes)
-    assert reps[2].phase in ("broken", "complex-coupling")
+    assert reps[2].phase == "complex-coupling"
 
 
 def test_metamorphosis_morse():
@@ -189,5 +190,5 @@ def test_metamorphosis_degenerate():
 
 
 def test_metamorphosis_bad_case():
-    with pytest.raises(Exception):
+    with pytest.raises(UnknownName):
         metamorphosis_check("no-such-case")
