@@ -48,15 +48,12 @@ def _build_masa(args):
         raise ConfigError("either --model or --masa is required")
     if model not in CATALOG_NAMES:
         raise ConfigError(f"unknown model {model!r}; choose from {CATALOG_NAMES}")
-    params = {}
-    if model == "su2ab":
-        params["a"] = _frac(args.a or "1")
-        params["b"] = _frac(args.b or "0")
-    elif model == "lambda":
-        params["lambda2"] = _frac(args.lambda2 or "1/4")
-    elif model == "cartan_od":
-        params["a"] = _frac(args.a or "1")
-        params["b"] = _frac(args.b or "1/2")
+    # only the parameters given; catalog_masa holds the defaults
+    params = {
+        name: _frac(text)
+        for name, text in (("a", args.a), ("b", args.b), ("lambda2", args.lambda2))
+        if text is not None
+    }
     try:
         return catalog_masa(model, **params)
     except PtsphereError as exc:
@@ -125,6 +122,11 @@ def _run_identity(doc, key, fn):
 
 
 def cmd_reduce(args) -> int:
+    if args.racah and (args.masa or args.model != "lambda"):
+        # cartan_od and nilpotent are correct models on which it is false
+        raise ConfigError(
+            "--racah checks T12 = -T13 = T23, which holds only for --model lambda"
+        )
     masa = _build_masa(args)
     vrep = validate_masa(masa)
     doc = _base_report(args)
@@ -151,7 +153,7 @@ def cmd_reduce(args) -> int:
         ok &= _run_identity(
             idents, "sum_relation", lambda: reduction.verify_sum_relation(masa)
         )
-    if args.racah and masa.name in ("lambda", "cartan_od", "nilpotent"):
+    if args.racah:
         def _racah():
             r = reduction.racah_structure_report(masa, seed=args.seed, with_fits=False)
             return reduction.RelationReport(

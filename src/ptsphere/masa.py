@@ -240,7 +240,7 @@ def catalog_masa(name: str, **params) -> MasaSpec:
         par = SignedPermutation.from_signed_indices([1, 2, -3])
         return masa_from_coeffs(3, rows, name, (lam2,), par)
     if name == "cartan_od":
-        a = Exact.coerce(params.get("a", Fraction(0)))
+        a = Exact.coerce(params.get("a", Fraction(1)))
         b = Exact.coerce(params.get("b", Fraction(1, 2)))
         third = rat(Fraction(1, 3))
         rows = [

@@ -476,17 +476,18 @@ def dirac_bracket(f: PhaseRational, g: PhaseRational) -> PhaseRational:
     return pb(f, g) + correction
 
 
+def _bracket_of_gradients(a: Sequence[Exact], b: Sequence[Exact]) -> Exact:
+    """sum_mu a_s[mu] b_p[mu] - a_p[mu] b_s[mu] for two gradients over the 2n
+    phase variables (s then p)."""
+    n = len(a) // 2
+    return sum((a[mu] * b[n + mu] - a[n + mu] * b[mu] for mu in range(n)), ZERO)
+
+
 def poisson_bracket_at(f: PhaseRational, g: PhaseRational, vals: Sequence[Exact]) -> Exact:
     """Value of the canonical bracket at a point, without symbolic assembly."""
     if f.n != g.n:
         raise DimensionMismatch("ambient dimensions differ")
-    n = f.n
-    gf, _, _ = f.grad_at(vals)
-    gg, _, _ = g.grad_at(vals)
-    acc = ZERO
-    for mu in range(n):
-        acc = acc + gf[mu] * gg[n + mu] - gf[n + mu] * gg[mu]
-    return acc
+    return _bracket_of_gradients(f.grad_at(vals)[0], g.grad_at(vals)[0])
 
 
 def dirac_bracket_at(f: PhaseRational, g: PhaseRational, vals: Sequence[Exact]) -> Exact:
@@ -497,17 +498,11 @@ def dirac_bracket_at(f: PhaseRational, g: PhaseRational, vals: Sequence[Exact]) 
     pv = vals[n : 2 * n]
     ss = sum((x * x for x in sv), ZERO)
     # gradients of C1 = s.s - 1 and C2 = s.p
-    def pb_vals(a, b):
-        return sum((a[mu] * b[n + mu] - a[n + mu] * b[mu] for mu in range(n)), ZERO)
-
     gc1 = [x * rat(2) for x in sv] + [ZERO] * n
     gc2 = list(pv) + list(sv)
-    f_c1 = pb_vals(gf, gc1)
-    f_c2 = pb_vals(gf, gc2)
-    c1_g = pb_vals(gc1, gg)
-    c2_g = pb_vals(gc2, gg)
-    corr = (f_c1 * c2_g - f_c2 * c1_g) / (ss * rat(2))
-    return pb_vals(gf, gg) + corr
+    pb = _bracket_of_gradients
+    corr = (pb(gf, gc1) * pb(gc2, gg) - pb(gf, gc2) * pb(gc1, gg)) / (ss * rat(2))
+    return pb(gf, gg) + corr
 
 
 # -- constraint-point sampling -------------------------------------------------

@@ -6,6 +6,13 @@ map X -> Xhat on the constrained phase space, the named models' integrals
 of motion, and the verification reports for the conservation, sum, and
 Racah-type identities.  Float checks (Jacobian block identities, the
 coordinate change to the separable variables) live at the end.
+
+Momentum maps have one construction path: _generator_images builds A, det A
+and adj A once and returns the numerators over det A of the basis generator
+images.  The map is linear, so every other image (momentum_map of any X, the
+bracket and correction images in verify_homomorphism, the factors of
+project_env_element) is a fixed combination of those generator images, and
+every image has the same denominator det A and hence the same poles.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .matrices import ExactMatrix, mat_exp_numeric
 from .phase import (
     PhasePoly,
     PhaseRational,
+    _bracket_of_gradients,
     dirac_bracket_at,
     func_vanishes_on_constraint,
     poisson_bracket,
@@ -47,6 +55,7 @@ __all__ = [
     "build_V_matrix",
     "build_potential",
     "degenerate_potential",
+    "generator_images",
     "momentum_map",
     "project_env_element",
     "build_hamiltonian",
@@ -192,27 +201,22 @@ def build_potential(masa: MasaSpec) -> PhaseRational:
     return PhaseRational(num, det)
 
 
-def momentum_map(X: ExactMatrix, masa: MasaSpec) -> PhaseRational:
-    """The reduced phase-space image of a u(n) generator combination.
-
-    The map is defined on the real generator basis (p^T g s for antisymmetric
-    g, k^T A^{-1} g s for symmetric g) and extended complex-linearly, which
-    reproduces Zhat_rho = k_rho for every MASA generator.
-    """
+def _generator_images(masa: MasaSpec, indices) -> tuple[PhasePoly, dict[int, PhasePoly]]:
+    """det A and, for each requested basis generator g, the numerator of its
+    image over det A: p^T g s det A for antisymmetric g, k^T adj(A) g s for
+    symmetric g.  A, det A and adj A are built once."""
     n = masa.n
     basis = build_generators(n)
-    coeffs = basis.expand_in_basis(X)
     A = build_A(masa)
     det = _pm_det(A, n)
     if det.is_zero():
         raise DegenerateMasa("A matrix is identically singular")
     adj = _pm_adjugate(A, n)
-    kin = PhasePoly(n)
-    pot = PhasePoly(n)
-    for gi, c in coeffs.items():
+    nums = {}
+    for gi in indices:
         g = basis.generators[gi]
+        num = PhasePoly(n)
         if basis.symmetric_flags[gi]:
-            # k^T adj(A) g s, to be divided by det(A)
             for a in range(n):
                 for b in range(n):
                     acc = sum(
@@ -221,37 +225,49 @@ def momentum_map(X: ExactMatrix, masa: MasaSpec) -> PhaseRational:
                         PhasePoly(n),
                     )
                     if not acc.is_zero():
-                        pot = pot + (
-                            PhasePoly.k(n, a) * acc * PhasePoly.s(n, b)
-                        ).scale(c)
+                        num = num + PhasePoly.k(n, a) * acc * PhasePoly.s(n, b)
+            nums[gi] = num
         else:
             for a in range(n):
                 for b in range(n):
                     e = g.entries[a][b]
                     if not e.is_zero():
-                        kin = kin + (
-                            PhasePoly.p(n, a) * PhasePoly.s(n, b)
-                        ).scale(c * e)
-    return PhaseRational(kin * det + pot, det)
+                        num = num + (PhasePoly.p(n, a) * PhasePoly.s(n, b)).scale(e)
+            nums[gi] = num * det
+    return det, nums
+
+
+def generator_images(masa: MasaSpec) -> list[PhaseRational]:
+    """The images of the n^2 basis generators, all over the denominator det A."""
+    det, nums = _generator_images(masa, range(build_generators(masa.n).size))
+    return [PhaseRational(num, det) for num in nums.values()]
+
+
+def momentum_map(X: ExactMatrix, masa: MasaSpec) -> PhaseRational:
+    """The reduced phase-space image of a u(n) generator combination.
+
+    The map is defined on the real generator basis (p^T g s for antisymmetric
+    g, k^T A^{-1} g s for symmetric g) and extended complex-linearly, which
+    reproduces Zhat_rho = k_rho for every MASA generator: the numerators of
+    the generators X uses are summed over the shared denominator det A.
+    """
+    coeffs = build_generators(masa.n).expand_in_basis(X)
+    det, nums = _generator_images(masa, coeffs)
+    num = PhasePoly(masa.n)
+    for gi, c in coeffs.items():
+        num = num + nums[gi].scale(c)
+    return PhaseRational(num, det)
 
 
 def project_env_element(e: EnvElement, masa: MasaSpec) -> PhaseRational:
-    """Classical projection: substitute X_i -> momentum_map(X_i), products
-    commute.  Symmetrized pairs {A,B} therefore land on 2*Ahat*Bhat."""
-    n = masa.n
-    basis = build_generators(n)
-    cache: dict[int, PhaseRational] = {}
-
-    def mm(i: int) -> PhaseRational:
-        if i not in cache:
-            cache[i] = momentum_map(basis.generators[i], masa)
-        return cache[i]
-
-    out = PhaseRational.const(n, 0)
+    """Classical projection: substitute X_i -> generator_images(masa)[i],
+    products commute.  Symmetrized pairs {A,B} therefore land on 2*Ahat*Bhat."""
+    images = generator_images(masa)
+    out = PhaseRational.const(masa.n, 0)
     for word, c in e.terms.items():
-        term = PhaseRational.const(n, c)
+        term = PhaseRational.const(masa.n, c)
         for gi in word:
-            term = term * mm(gi)
+            term = term * images[gi]
         out = out + term
     return out
 
@@ -276,12 +292,12 @@ def _lambda_constants(lam2: Fraction):
     s = Exact.sqrt_rational(1 - 2 * lam2)
     lam_m = (ONE - s) / rat(2)
     lam_p = (ONE + s) / rat(2)
-    return lam, s, lam_m, lam_p
+    return lam, lam_m, lam_p
 
 
 def _lambda_denominators(lam2: Fraction):
     n = 3
-    lam, _, lam_m, lam_p = _lambda_constants(lam2)
+    lam, lam_m, lam_p = _lambda_constants(lam2)
     s1, s2, s3 = (PhasePoly.s(n, i) for i in range(3))
     il = I * lam
     w1 = s1.scale(lam_m) - s2.scale(lam_p) + s3.scale(il)
@@ -303,7 +319,7 @@ def _L(i: int) -> PhaseRational:
 
 
 def _lambda_integrals(lam2: Fraction):
-    lam, _, lam_m, lam_p = _lambda_constants(lam2)
+    lam, lam_m, lam_p = _lambda_constants(lam2)
     il = I * lam
     w1, w2, w3 = (PhaseRational(w) for w in _lambda_denominators(lam2))
     L1, L2, L3 = _L(1), _L(2), _L(3)
@@ -320,57 +336,6 @@ def _lambda_integrals(lam2: Fraction):
     T3 = _sq(L1.scale(il) - L2.scale(il) - L3) + _sq(
         k1 * w2 / w1 + k2 * w1 / w2
     )
-    return [("T1", T1), ("T2", T2), ("T3", T3)]
-
-
-def _lambda_env_integrals(lam2: Fraction):
-    lam, s, lam_m, lam_p = _lambda_constants(lam2)
-    lam2e = rat(lam2)
-    il = I * lam
-    disc = rat(1 - 2 * lam2)
-
-    def lin(coeffs: dict[int, Exact]) -> EnvElement:
-        return EnvElement.linear(coeffs)
-
-    rows = catalog_masa("lambda", lambda2=lam2).coeffs
-    idx = (0, 1, 2, 4, 6, 8)
-    Z = []
-    for row in rows:
-        Z.append(lin({gi: c for gi, c in zip(idx, row) if not c.is_zero()}))
-    inv = disc.inverse()
-    q1 = lin({7: lam_m, 5: lam_p, 3: il})
-    r1 = lin(
-        {
-            1: rat(2) * lam * lam_p,
-            2: rat(2) * lam,
-            4: -lam,
-            6: I * (lam2e + lam_p),
-            8: -I * (lam2e + lam_m),
-        }
-    )
-    T1 = q1 * q1 - (r1 * r1).scale(inv) + (Z[1] * Z[2]).scale(4)
-    q2 = lin({7: lam_p, 5: lam_m, 3: il})
-    r2 = lin(
-        {
-            1: rat(2) * lam * lam_m,
-            2: rat(2) * lam,
-            4: -lam,
-            6: I * (lam2e + lam_m),
-            8: -I * (lam2e + lam_p),
-        }
-    )
-    T2 = q2 * q2 - (r2 * r2).scale(inv) + (Z[0] * Z[2]).scale(4)
-    q3 = lin({7: il, 2: il, 3: rat(-1)})
-    r3 = lin(
-        {
-            1: lam2e,
-            2: rat(2) * lam2e,
-            4: rat(lam2 - 1),
-            6: il,
-            8: -il,
-        }
-    )
-    T3 = q3 * q3 + (r3 * r3).scale(inv)
     return [("T1", T1), ("T2", T2), ("T3", T3)]
 
 
@@ -417,18 +382,6 @@ def _cartan_od_integrals(a: Exact, b: Exact):
     return [("T1", T1), ("T2", T2), ("T3", T3)]
 
 
-def _cartan_od_env_integrals(a: Exact, b: Exact):
-    X = [EnvElement.gen(i) for i in range(9)]
-    ib = I * b
-    T1 = X[3] * X[3] + X[4] * X[4] + X[5] * X[5] + X[6] * X[6]
-    T2 = X[2] * X[2] + X[7] * X[7] + X[8] * X[8]
-    anti = lambda u, v: u * v + v * u
-    T3 = (X[3] * X[3] + X[4] * X[4]).scale(a) + (
-        anti(X[3], X[5]) + anti(X[4], X[6])
-    ).scale(ib)
-    return [("T1", T1), ("T2", T2), ("T3", T3)]
-
-
 def _nilpotent_potential() -> PhaseRational:
     n = 3
     s1 = PhaseRational(PhasePoly.s(n, 0))
@@ -471,36 +424,6 @@ def _nilpotent_integrals():
         + s1 * _sq(k2) / (w ** 3)
         - k2 * k3 / _sq(w)
         + (k3 * (k1 + k2.scale(rat(3)))).scale(third)
-    )
-    return [("T1", T1), ("T2", T2), ("T3", T3)]
-
-
-def _nilpotent_env_integrals():
-    X = [EnvElement.gen(i) for i in range(9)]
-    anti = lambda u, v: u * v + v * u
-    f13 = Fraction(1, 3)
-    T1 = (
-        (X[1] * X[1]).scale(Fraction(4, 3))
-        + (X[2] * X[2]).scale(Fraction(2, 3))
-        + (X[3] * X[3]).scale(2)
-        + X[4] * X[4]
-        + X[6] * X[6]
-        + X[7] * X[7]
-        + (X[8] * X[8]).scale(f13)
-        + anti(X[3], X[5]).scale(I)
-        - anti(X[1], X[2] + X[8].scale(rat(0, 2))).scale(Fraction(2, 3))
-    )
-    p35 = X[3] + X[5].scale(I)
-    T2 = (p35 * p35).scale(-1) + anti(
-        X[1].scale(2) + X[2], X[2] + X[8].scale(I)
-    ).scale(Fraction(2, 3))
-    minus_i6 = rat(0, -1) * rat(Fraction(1, 6))  # -i/6
-    T3 = (
-        anti(X[1].scale(2) + X[2], X[4]).scale(Fraction(-1, 6))
-        + anti(X[1].scale(2) - X[2].scale(5) - X[8].scale(rat(0, 6)), X[6]).scale(
-            minus_i6
-        )
-        + anti(X[3].scale(I) - X[5], X[7]).scale(Fraction(1, 2))
     )
     return [("T1", T1), ("T2", T2), ("T3", T3)]
 
@@ -558,19 +481,6 @@ def integrals_catalog(masa: MasaSpec):
     if name in ("degenerate_plus", "degenerate_minus"):
         return _degenerate_integrals(masa.params[0])
     raise UnknownName(f"no catalog integrals for {name!r}")
-
-
-def env_integrals_catalog(masa: MasaSpec):
-    """Enveloping-algebra (pre-reduction) forms of the integrals, where the
-    model displays them."""
-    name = masa.name
-    if name == "lambda":
-        return _lambda_env_integrals(masa.params[0])
-    if name == "cartan_od":
-        return _cartan_od_env_integrals(masa.params[0], masa.params[1])
-    if name == "nilpotent":
-        return _nilpotent_env_integrals()
-    raise UnknownName(f"no enveloping-algebra integrals for {name!r}")
 
 
 def build_hamiltonian(masa: MasaSpec) -> ReducedSystem:
@@ -713,24 +623,21 @@ def verify_homomorphism(
 
     to the plain (s, p) Poisson bracket.  Without them the relation fails
     for pairs of symmetric generators, whose maps carry no momenta.
+
+    Only the n^2 generator images are built.  The map is linear, so at each
+    point the image of [X_i, X_j] and of [X_i, Z_mu] is the combination of
+    the generator values with the coefficients of that matrix in the basis.
     """
     n = masa.n
     basis = build_generators(n)
-    maps = [momentum_map(g, masa) for g in basis.generators]
-    comm = lambda A, B: A @ B - B @ A
+    maps = generator_images(masa)
     corr = {
-        i: [momentum_map(comm(Xi, Z), masa) for Z in masa.matrices]
+        i: [basis.expand_in_basis(Xi @ Z - Z @ Xi) for Z in masa.matrices]
         for i, Xi in enumerate(basis.generators)
     }
-    comm_maps = {}
-    for i in range(basis.size):
-        for j in range(i + 1, basis.size):
-            comm_maps[(i, j)] = momentum_map(
-                comm(basis.generators[i], basis.generators[j]), masa
-            )
-    # k-derivative polynomials of each map, fixed once
+    # every map is over det A, which has no k: dXhat/dk_mu = (dnum/dk_mu) / den
     dk_polys = {
-        (i, mu): (maps[i].num.deriv(2 * n + mu), maps[i].den.deriv(2 * n + mu))
+        (i, mu): maps[i].num.deriv(2 * n + mu)
         for i in range(basis.size)
         for mu in range(n)
     }
@@ -738,29 +645,27 @@ def verify_homomorphism(
     def check_point(vals):
         # one gradient per map per point; pairs then combine values only
         at = [f.grad_at(vals) for f in maps]
-        dk = {}
-        for (i, mu), (dnum, dden) in dk_polys.items():
-            _, nval, dval = at[i]
-            dk[(i, mu)] = (
-                dnum.eval(vals) * dval - nval * dden.eval(vals)
-            ) / (dval * dval)
-        corr_vals = {
-            (i, mu): corr[i][mu].eval(vals)
-            for i in range(basis.size)
-            for mu in range(n)
+        gen_vals = [nval / dval for _, nval, dval in at]
+
+        def image(coeffs):
+            return sum((c * gen_vals[k] for k, c in coeffs.items()), ZERO)
+
+        dk = {
+            (i, mu): dnum.eval(vals) / at[i][2] for (i, mu), dnum in dk_polys.items()
         }
-        for (i, j), rhs in comm_maps.items():
-            gf, gg = at[i][0], at[j][0]
-            lhs = ZERO
-            for mu in range(n):
-                lhs = lhs + gf[mu] * gg[n + mu] - gf[n + mu] * gg[mu]
-            for mu in range(n):
-                lhs = lhs + corr_vals[(i, mu)] * dk[(j, mu)]
-                lhs = lhs - corr_vals[(j, mu)] * dk[(i, mu)]
-            if not (lhs - rhs.eval(vals)).is_zero():
-                raise RelationFailed(
-                    f"bracket image mismatch for pair ({i},{j}) in {masa.name}"
-                )
+        corr_vals = {
+            (i, mu): image(corr[i][mu]) for i in range(basis.size) for mu in range(n)
+        }
+        for i in range(basis.size):
+            for j in range(i + 1, basis.size):
+                lhs = _bracket_of_gradients(at[i][0], at[j][0])
+                for mu in range(n):
+                    lhs = lhs + corr_vals[(i, mu)] * dk[(j, mu)]
+                    lhs = lhs - corr_vals[(j, mu)] * dk[(i, mu)]
+                if not (lhs - image(basis.bracket_coeffs(i, j))).is_zero():
+                    raise RelationFailed(
+                        f"bracket image mismatch for pair ({i},{j}) in {masa.name}"
+                    )
 
     for _ in islice(pole_free_values(check_point, n, seed), npoints):
         pass
@@ -826,11 +731,15 @@ def racah_structure_report(
 
     trials = max(20, (_degree_bound(T1, T2) + _degree_bound(T3) + 1) // 2)
 
+    pb = _bracket_of_gradients
+
     def anti1(vals):
-        return poisson_bracket_at(T1, T2, vals) + poisson_bracket_at(T1, T3, vals)
+        g1, g2, g3 = (T.grad_at(vals)[0] for T in (T1, T2, T3))
+        return pb(g1, g2) + pb(g1, g3)
 
     def anti2(vals):
-        return poisson_bracket_at(T1, T2, vals) - poisson_bracket_at(T2, T3, vals)
+        g1, g2, g3 = (T.grad_at(vals)[0] for T in (T1, T2, T3))
+        return pb(g1, g2) - pb(g2, g3)
 
     ok = func_vanishes_on_constraint(anti1, n, trials, seed) and (
         func_vanishes_on_constraint(anti2, n, trials, seed + 1)

@@ -105,6 +105,21 @@ def test_reduce_reports_identities(capsys):
     assert "potential" in doc and "integrals" in doc
 
 
+@pytest.mark.parametrize("model", ["cartan_od", "nilpotent", "su2ab"])
+def test_racah_outside_lambda_exits_2(capsys, model):
+    # T12 = -T13 = T23 holds for the lambda family only
+    assert main(["reduce", "--model", model, "--racah"]) == 2
+    captured = capsys.readouterr()
+    assert "lambda" in captured.err
+    assert captured.out == ""
+
+
+def test_reduce_defaults_come_from_the_catalog(capsys):
+    _, default = _run(["reduce", "--model", "cartan_od"], capsys)
+    _, explicit = _run(["reduce", "--model", "cartan_od", "--a", "1", "--b", "1/2"], capsys)
+    assert default == explicit
+
+
 def test_verify_command(capsys):
     code, out = _run(["verify", "--model", "su2ab", "--a", "2", "--b", "1"], capsys)
     assert code == 0

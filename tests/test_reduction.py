@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from ptsphere import reduction
+from ptsphere.errors import RelationFailed
 from ptsphere.exact import Exact, I, ONE, rat
+from ptsphere.lie import build_generators
 from ptsphere.masa import catalog_masa
 from ptsphere.phase import (
+    PhasePoly,
+    PhaseRational,
     dirac_bracket,
     func_vanishes_on_constraint,
     sample_vals,
@@ -16,6 +21,7 @@ from ptsphere.reduction import (
     casimir_projection_report,
     coordinate_map,
     degenerate_potential,
+    generator_images,
     jacobian_check,
     momentum_map,
     racah_structure_report,
@@ -54,6 +60,54 @@ def test_conservation_reports_trials_used():
 def test_bracket_homomorphism_su2ab():
     rep = verify_homomorphism(catalog_masa("su2ab", a=Fraction(2), b=Fraction(1)))
     assert rep.passed, rep.detail
+
+
+IMAGE_MODELS = [
+    ("su2ab", dict(a=Fraction(2), b=Fraction(1))),
+    ("cartan_od", dict(a=Fraction(1), b=Fraction(1, 2))),
+    ("nilpotent", {}),
+    ("degenerate_plus", {}),
+]
+
+
+@pytest.mark.parametrize("name,kw", IMAGE_MODELS)
+def test_generator_images_match_momentum_map(name, kw):
+    masa = catalog_masa(name, **kw)
+    basis = build_generators(masa.n)
+    images = generator_images(masa)
+    assert len(images) == basis.size
+    for g, img in zip(basis.generators, images):
+        assert img.agrees_with(momentum_map(g, masa))
+
+
+@pytest.mark.parametrize("name,kw", IMAGE_MODELS)
+def test_bracket_images_are_combinations_of_generator_images(name, kw):
+    masa = catalog_masa(name, **kw)
+    basis = build_generators(masa.n)
+    gens = basis.generators
+    images = generator_images(masa)
+    for i in range(basis.size):
+        for j in range(i + 1, basis.size):
+            lin = PhaseRational.const(masa.n, 0)
+            for k, c in basis.bracket_coeffs(i, j).items():
+                lin = lin + images[k].scale(c)
+            assert momentum_map(gens[i] @ gens[j] - gens[j] @ gens[i], masa).agrees_with(lin)
+
+
+@pytest.mark.parametrize("name,kw", IMAGE_MODELS[:2])
+def test_homomorphism_rejects_a_perturbed_generator_image(name, kw, monkeypatch):
+    # adding s_1 to one generator image breaks {Xhat_i, Xhat_j} = hat([X_i, X_j])
+    masa = catalog_masa(name, **kw)
+    original = reduction.generator_images
+
+    def perturbed(m):
+        images = original(m)
+        images[1] = images[1] + PhaseRational(PhasePoly.s(m.n, 0))
+        return images
+
+    monkeypatch.setattr(reduction, "generator_images", perturbed)
+    with pytest.raises(RelationFailed):
+        reduction.verify_homomorphism(masa, npoints=3)
 
 
 @pytest.mark.parametrize(
