@@ -22,6 +22,10 @@ from . import reduction
 from . import spectral
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
+# largest |numerator| and denominator of a rational parameter: radicals of
+# the parameters are factored by trial division, so larger ones can run for
+# minutes before any check starts
+MAX_PARAM_INT = 10**6
 
 
 class ConfigError(Exception):
@@ -30,9 +34,15 @@ class ConfigError(Exception):
 
 def _frac(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"not an exact rational: {text!r}") from exc
+    if abs(q.numerator) > MAX_PARAM_INT or q.denominator > MAX_PARAM_INT:
+        raise ConfigError(
+            f"{text!r}: numerator and denominator must be at most {MAX_PARAM_INT}"
+            " in absolute value"
+        )
+    return q
 
 
 def _build_masa(args):
@@ -151,7 +161,9 @@ def cmd_reduce(args) -> int:
             lambda: reduction.casimir_projection_report(masa, seed=args.seed),
         )
         ok &= _run_identity(
-            idents, "sum_relation", lambda: reduction.verify_sum_relation(masa)
+            idents,
+            "sum_relation",
+            lambda: reduction.verify_sum_relation(masa, seed=args.seed),
         )
     if args.racah:
         def _racah():
@@ -171,7 +183,7 @@ def cmd_verify(args) -> int:
     doc = _base_report(args)
     ok = True
     ok &= _run_identity(
-        doc, "conservation", lambda: reduction.verify_conservation(masa)
+        doc, "conservation", lambda: reduction.verify_conservation(masa, seed=args.seed)
     )
     ok &= _run_identity(
         doc,

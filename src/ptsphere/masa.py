@@ -41,14 +41,16 @@ __all__ = [
 # symmetric generators, in the fixed basis order used by coefficient rows
 SYM_INDICES = {2: (0, 1, 3), 3: (0, 1, 2, 4, 6, 8)}
 
-CATALOG_NAMES = (
-    "su2ab",
-    "lambda",
-    "cartan_od",
-    "nilpotent",
-    "degenerate_plus",
-    "degenerate_minus",
-)
+# the keyword parameters catalog_masa takes for each catalog model
+_CATALOG_PARAMS = {
+    "su2ab": ("a", "b"),
+    "lambda": ("lambda2",),
+    "cartan_od": ("a", "b"),
+    "nilpotent": (),
+    "degenerate_plus": (),
+    "degenerate_minus": (),
+}
+CATALOG_NAMES = tuple(_CATALOG_PARAMS)
 
 
 def symmetric_basis_indices(n: int) -> tuple[int, ...]:
@@ -225,7 +227,18 @@ def catalog_masa(name: str, **params) -> MasaSpec:
     cartan_od(a, b): u(3) two-parameter family.
     nilpotent(): u(3) family with nilpotent Z2, Z3.
     degenerate_plus/minus(): rescaled lambda2 = 1/2 limit.
+
+    A parameter the named model does not take raises UnknownName.
     """
+    if name not in _CATALOG_PARAMS:
+        raise UnknownName(f"unknown catalog MASA {name!r}")
+    extra = sorted(set(params) - set(_CATALOG_PARAMS[name]))
+    if extra:
+        takes = ", ".join(_CATALOG_PARAMS[name]) or "none"
+        raise UnknownName(
+            f"model {name!r} takes no parameter {', '.join(map(repr, extra))}"
+            f" (it takes: {takes})"
+        )
     if name == "su2ab":
         a = Exact.coerce(params.get("a", Fraction(1)))
         b = Exact.coerce(params.get("b", Fraction(0)))
@@ -258,12 +271,11 @@ def catalog_masa(name: str, **params) -> MasaSpec:
         ]
         par = SignedPermutation.from_signed_indices([1, 2, -3])
         return masa_from_coeffs(3, rows, name, (), par)
-    if name in ("degenerate_plus", "degenerate_minus"):
-        sign = 1 if name.endswith("plus") else -1
-        rows = _degenerate_rows(sign)
-        par = SignedPermutation.from_signed_indices([1, 2, -3])
-        return masa_from_coeffs(3, rows, name, (sign,), par)
-    raise UnknownName(f"unknown catalog MASA {name!r}")
+    # degenerate_plus or degenerate_minus
+    sign = 1 if name.endswith("plus") else -1
+    rows = _degenerate_rows(sign)
+    par = SignedPermutation.from_signed_indices([1, 2, -3])
+    return masa_from_coeffs(3, rows, name, (sign,), par)
 
 
 # -- JSON file format -----------------------------------------------------------

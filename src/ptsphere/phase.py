@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
+from operator import add
 from typing import Any, Callable, Iterator, Sequence
 
 from .exact import Exact, ONE, ZERO, rat
@@ -136,7 +137,7 @@ class PhasePoly:
         out: dict[tuple[int, ...], Exact] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 prev = out.get(e)
                 out[e] = c1 * c2 if prev is None else prev + c1 * c2
         return PhasePoly(self.n, out)
@@ -191,22 +192,20 @@ class PhasePoly:
             a, b, m = qs[i].numerator, qs[i].denominator, maxe[i]
             mono[i] = [a ** x * b ** (m - x) for x in range(m + 1)]
             D *= b ** m
-        L = lcm(
-            *(q.denominator for c in self.terms.values() for _, pair in c.parts() for q in pair)
-        )
+        coeffs = [(e, *c.int_parts()) for e, c in self.terms.items()]
+        L = lcm(*(den for _, _, den in coeffs))
         sums: dict[int, list[int]] = {}
-        for e, c in self.terms.items():
-            t = 1
+        for e, parts, den in coeffs:
+            t = L // den
             for i in used:
                 t *= mono[i][e[i]]
-            for d, (re, im) in c.parts():
+            for d, (re, im) in parts:
                 acc = sums.get(d)
                 if acc is None:
                     acc = sums[d] = [0, 0]
-                acc[0] += re.numerator * (L // re.denominator) * t
-                acc[1] += im.numerator * (L // im.denominator) * t
-        LD = L * D
-        return Exact({d: (Fraction(r, LD), Fraction(s, LD)) for d, (r, s) in sums.items()})
+                acc[0] += re * t
+                acc[1] += im * t
+        return Exact(sums, L * D)
 
     def eval_complex(self, vals: Sequence[complex]) -> complex:
         """Float value at a point: each term's Exact.to_complex times its powers."""

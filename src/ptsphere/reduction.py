@@ -513,7 +513,7 @@ def _degree_bound(*fs: PhaseRational) -> int:
     return sum(f.num.total_degree() + f.den.total_degree() for f in fs)
 
 
-def verify_sum_relation(masa: MasaSpec) -> RelationReport:
+def verify_sum_relation(masa: MasaSpec, seed: int = 20230411) -> RelationReport:
     """The displayed over-completeness relation of the named model."""
     name = masa.name
     n = masa.n
@@ -542,7 +542,7 @@ def verify_sum_relation(masa: MasaSpec) -> RelationReport:
         raise UnknownName(f"no sum relation for {name!r}")
     trials = max(20, _degree_bound(lhs, rhs) + 1)
     diff = lambda vals: lhs.eval(vals) - rhs.eval(vals)
-    ok = func_vanishes_on_constraint(diff, n, trials)
+    ok = func_vanishes_on_constraint(diff, n, trials, seed)
     if not ok:
         raise RelationFailed(f"sum relation for {name} fails at a sampled point")
     return RelationReport(f"sum_relation[{name}]", True, trials)
@@ -592,7 +592,9 @@ def casimir_projection_report(
     return RelationReport(f"casimir_projection[{masa.name}]", True, npts, detail)
 
 
-def verify_conservation(masa: MasaSpec, trials: int | None = None) -> RelationReport:
+def verify_conservation(
+    masa: MasaSpec, trials: int | None = None, seed: int = 20230411
+) -> RelationReport:
     """{H, T}_Dirac vanishes on the constraint surface for every catalog
     integral, tested pointwise with exact arithmetic."""
     sysr = build_hamiltonian(masa)
@@ -603,7 +605,7 @@ def verify_conservation(masa: MasaSpec, trials: int | None = None) -> RelationRe
         t = trials or max(20, (_degree_bound(H, T) + 1) // 2)
         used = max(used, t)
         ok = func_vanishes_on_constraint(
-            lambda vals: dirac_bracket_at(H, T, vals), n, t
+            lambda vals: dirac_bracket_at(H, T, vals), n, t, seed
         )
         if not ok:
             raise RelationFailed(f"{{H, {tname}}}_D nonzero for {masa.name}")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ptsphere import reduction
 from ptsphere.cli import main
 
 BAD_MASA = {
@@ -112,6 +113,52 @@ def test_racah_outside_lambda_exits_2(capsys, model):
     captured = capsys.readouterr()
     assert "lambda" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # lambda2 = 9/10 would also be out of range for lambda
+        ["--model", "nilpotent", "--a", "5", "--lambda2", "9/10"],
+        ["--model", "su2ab", "--lambda2", "1/4"],
+        ["--model", "lambda", "--b", "1"],
+    ],
+)
+def test_flag_the_model_does_not_take_exits_2(capsys, argv):
+    assert main(["validate", *argv]) == 2
+    captured = capsys.readouterr()
+    assert argv[1] in captured.err
+    for flag in argv[2::2]:
+        assert repr(flag.lstrip("-")) in captured.err
+    assert captured.out == ""
+
+
+def test_oversized_rational_parameter_exits_2(capsys):
+    # without the bound, factoring the radicals of this value runs past 10 s
+    argv = ["validate", "--model", "lambda", "--lambda2", "1000000000039/3000000000091"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "1000000000039/3000000000091" in captured.err
+    assert captured.out == ""
+    # the bound itself is accepted
+    assert main(["validate", "--model", "lambda", "--lambda2", "1/1000000"]) == 0
+
+
+def test_seed_reaches_sum_relation_and_conservation(capsys, monkeypatch):
+    seeds = []
+    real = reduction.func_vanishes_on_constraint
+
+    def recording(func, n, trials, *seed):
+        seeds.append(seed)
+        return real(func, n, trials, *seed)
+
+    monkeypatch.setattr(reduction, "func_vanishes_on_constraint", recording)
+    su2ab = ["--model", "su2ab", "--a", "2", "--b", "1"]
+    assert main(["reduce", *su2ab, "--seed", "5"]) == 0
+    assert seeds == [(5,)]  # the sum relation
+    seeds.clear()
+    assert main(["verify", *su2ab, "--seed", "7"]) == 0
+    assert seeds and set(seeds) == {(7,)}  # one call per conserved integral
 
 
 def test_reduce_defaults_come_from_the_catalog(capsys):

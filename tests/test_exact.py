@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,14 @@ from ptsphere.exact import Exact, I, ONE, ZERO, rat
 rationals = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**6
 )
-exacts = st.builds(lambda a, b: rat(a, b), rationals, rationals)
+gaussians = st.builds(lambda a, b: rat(a, b), rationals, rationals)
+# sqrt(2) * sqrt(3) = sqrt(6) and sqrt(2) * sqrt(6) = 2 sqrt(3) exercise the
+# radical product rule; each part is zero about half the time
+RADICALS = [ONE] + [Exact.sqrt_rational(d) for d in (2, 3, 6)]
+exacts = st.builds(
+    lambda cs: sum((c * r for c, r in zip(cs, RADICALS)), ZERO),
+    st.lists(st.one_of(st.just(ZERO), gaussians), min_size=4, max_size=4),
+)
 
 
 def test_basic_arithmetic():
@@ -71,3 +79,43 @@ def test_distributivity_and_conjugation(a, b):
     c = rat(Fraction(7, 3))
     assert (a + b) * c == a * c + b * c
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+
+
+def _canonical(x):
+    parts, den = x.int_parts()
+    parts = dict(parts)
+    return (
+        den > 0
+        and all(re or im for re, im in parts.values())
+        and gcd(den, *(v for c in parts.values() for v in c)) == 1
+        and (parts or den == 1)
+    )
+
+
+def test_equal_values_from_different_routes_compare_and_hash_equal():
+    r2 = Exact.sqrt_rational(2)
+    x = rat(Fraction(3, 4), -2) + r2 * rat(Fraction(5, 6)) + Exact.sqrt_rational(3)
+    y = rat(Fraction(2, 9), Fraction(1, 7)) * Exact.sqrt_rational(6) + rat(1)
+    pairs = [
+        (rat(Fraction(2, 4)), ONE / rat(2)),
+        ((x * y) / y, x),
+        (Exact.sqrt_rational(8) / 2, r2),
+        (Exact.sqrt_rational(Fraction(2, 9)), r2 / 3),
+        (x - x, ZERO),
+        (Exact({1: (6, -4), 2: (0, 0)}, -8), rat(Fraction(-3, 4), Fraction(1, 2))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert _canonical(a) and _canonical(b)
+    assert (x - x).is_zero() and not (x - x) and (x - x).int_parts()[1] == 1
+
+
+@given(exacts, exacts)
+@settings(max_examples=200, deadline=None)
+def test_results_are_canonical(a, b):
+    for v in (a + b, a - b, a * b, a.conjugate(), -a):
+        assert _canonical(v)
+    if not b.is_zero():
+        q = a / b
+        assert _canonical(q)
+        assert q * b == a and hash(q * b) == hash(a)

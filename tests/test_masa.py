@@ -46,6 +46,8 @@ def test_catalog_models_pt_compatible(name, kw):
 def test_catalog_rejects_unknown_name():
     with pytest.raises(UnknownName):
         catalog_masa("not-a-model")
+    with pytest.raises(UnknownName):
+        catalog_masa("nilpotent", a=Fraction(5))
     assert "su2ab" in CATALOG_NAMES and "lambda" in CATALOG_NAMES
 
 
