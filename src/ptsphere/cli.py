@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import PtsphereError, RelationFailed
+from .errors import PtsphereError, RelationFailed, SingularPotential
 from .masa import CATALOG_NAMES, catalog_masa, classify_pt, load_masa_file, validate_masa
 from . import reduction
 from . import spectral
@@ -26,6 +26,8 @@ EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
 # the parameters are factored by trial division, so larger ones can run for
 # minutes before any check starts
 MAX_PARAM_INT = 10**6
+# accepted --N range of spectrum and scan
+MAX_GRID_N = 65536
 
 
 class ConfigError(Exception):
@@ -43,6 +45,11 @@ def _frac(text: str) -> Fraction:
             " in absolute value"
         )
     return q
+
+
+def _check_grid(N: int):
+    if not 2 <= N <= MAX_GRID_N:
+        raise ConfigError(f"--N must be between 2 and {MAX_GRID_N}, got {N}")
 
 
 def _build_masa(args):
@@ -233,6 +240,7 @@ def _spectrum_rows(rep, tol_match):
 
 
 def cmd_spectrum(args) -> int:
+    _check_grid(args.N)
     doc = _base_report(args)
     header = ["index", "re_E", "im_E", "closed_form", "deviation"]
     if args.model == "s1":
@@ -245,9 +253,10 @@ def cmd_spectrum(args) -> int:
             )
         else:
             raise ConfigError("s1 spectrum needs --k1/--k2 or --gminus/--gplus")
-        rep = spectral.solve_periodic_s1(
-            float(a), float(b), k1, k2, args.N, args.K, args.tol_real
-        )
+        try:
+            rep = spectral.solve_periodic_s1(float(a), float(b), k1, k2, args.N, args.K)
+        except SingularPotential as exc:
+            raise ConfigError(f"a = {a}, b = {b}: {exc}") from exc
         tol_match = args.tol_match or 1e-6
     elif args.model == "poschl_teller":
         if args.gminus is None or args.gplus is None:
@@ -305,6 +314,7 @@ def _parse_grid(text: str):
 def cmd_scan(args) -> int:
     if args.model != "lambda":
         raise ConfigError("scan currently supports --model lambda")
+    _check_grid(args.N)
     grid = _parse_grid(args.lambda2 or "0.05:0.7:0.05")
     ks = (
         float(_frac(args.k1 or "1")),

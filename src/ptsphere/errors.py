@@ -9,10 +9,6 @@ class SingularMatrix(PtsphereError):
     pass
 
 
-class NoConvergence(PtsphereError):
-    pass
-
-
 class DimensionMismatch(PtsphereError):
     pass
 

@@ -1,8 +1,8 @@
-"""Exact complex matrices and float dense linear algebra.
+"""Exact complex matrices and the float matrix exponential.
 
 ExactMatrix entries are Exact scalars; equality is entrywise and exact.
-FloatMatrix wraps a dense complex128 array and provides the nonsymmetric
-eigensolver and matrix exponential used by the spectral layer.
+mat_exp_numeric exponentiates a dense complex array for the float Jacobian
+checks of the reduction layer.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import numpy as np
 import scipy.linalg
 
 from .exact import Exact, ONE, ZERO
-from .errors import DimensionMismatch, NoConvergence, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix
 
-__all__ = ["ExactMatrix", "FloatMatrix", "eig_dense", "mat_exp_numeric", "exact_inverse"]
+__all__ = ["ExactMatrix", "mat_exp_numeric", "exact_inverse"]
 
 
 class ExactMatrix:
@@ -195,51 +195,9 @@ def exact_inverse(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix([row[n:] for row in a])
 
 
-class FloatMatrix:
-    """Dense complex128 matrix; all entries must be finite on construction."""
-
-    __slots__ = ("array",)
-
-    MAX_EIG_DIM = 4096
-
-    def __init__(self, array):
-        arr = np.asarray(array, dtype=complex)
-        if arr.ndim != 2:
-            raise DimensionMismatch("expected a 2-d array")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValueError("non-finite entries in FloatMatrix")
-        self.array = arr
-        self.array.setflags(write=False)
-
-    @property
-    def rows(self):
-        return self.array.shape[0]
-
-    @property
-    def cols(self):
-        return self.array.shape[1]
-
-
-def eig_dense(m: FloatMatrix | np.ndarray) -> np.ndarray:
-    """All eigenvalues of a dense general complex matrix.
-
-    Delegates to LAPACK's balanced Hessenberg + implicitly shifted QR path
-    (zgeev); dimensions are capped at 4096.
-    """
-    arr = m.array if isinstance(m, FloatMatrix) else np.asarray(m, dtype=complex)
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch("eigenvalues need a square matrix")
-    if arr.shape[0] > FloatMatrix.MAX_EIG_DIM:
-        raise DimensionMismatch(f"dimension {arr.shape[0]} exceeds {FloatMatrix.MAX_EIG_DIM}")
-    try:
-        return np.linalg.eigvals(arr)
-    except np.linalg.LinAlgError as exc:  # QR sweep budget exceeded
-        raise NoConvergence(str(exc)) from exc
-
-
-def mat_exp_numeric(m: FloatMatrix | np.ndarray) -> np.ndarray:
+def mat_exp_numeric(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with Pade approximants."""
-    arr = m.array if isinstance(m, FloatMatrix) else np.asarray(m, dtype=complex)
+    arr = np.asarray(m, dtype=complex)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch("exponential needs a square matrix")
     if not np.all(np.isfinite(arr)):

@@ -1,6 +1,7 @@
 """Spectral verification of the reduced models.
 
-Non-Hermitian discretizations for the circle Hamiltonian and for the two
+The periodic spectrum of the circle Hamiltonian, read off its triangular
+momentum matrix (kept as a reference), finite-difference solvers for the two
 separated sphere equations, coupling reparametrizations, closed-form energy
 families, terminating hypergeometric and Bessel-series eigenfunctions,
 PT-parity checks, the phase scan over the deformation parameter, and the two
@@ -28,7 +29,6 @@ from .errors import (
     SingularPotential,
     UnknownName,
 )
-from .matrices import eig_dense
 
 __all__ = [
     "CouplingMap",
@@ -153,14 +153,16 @@ def closed_form_energies(
     ell=None,
     m: float = 0,
     count: int = 8,
-    branches=(1, 2),
+    branches=(1, 2, 3),
     half_integer: bool = False,
 ) -> list[float]:
     """Energy families of the displayed bound-state formulas.
 
     s1: branch 1 gives (2n + g_- + g_+)^2 with integer n >= 0; branch 2 is the
     (cos)^(1-g_+) solution, reached at half-integer n, giving
-    (2j + g_- - g_+ + 1)^2 with integer j >= 0.  sphere_xi: (l1 + l2 + 2m)^2.
+    (2j + g_- - g_+ + 1)^2 with integer j >= 0; branch 3 is its mirror, the
+    (sin)^(1-g_-) solution, giving (2j + g_+ - g_- + 1)^2, which is the
+    lower tower when g_- > g_+.  sphere_xi: (l1 + l2 + 2m)^2.
     sphere_chi: the product formula at fixed m over integer and half-integer n.
     """
     out: set[float] = set()
@@ -172,6 +174,8 @@ def closed_form_energies(
             out.update((j + gm + gp) ** 2 for j in range(0, 2 * count, step))
         if 2 in branches:
             out.update((j + gm + 1 - gp) ** 2 for j in range(0, 2 * count, step))
+        if 3 in branches:
+            out.update((j + gp + 1 - gm) ** 2 for j in range(0, 2 * count, step))
     elif model == "sphere_xi":
         l1, l2 = _require_real(ell[:2])
         out.update((l1 + l2 + 2 * mm) ** 2 for mm in range(count))
@@ -232,6 +236,17 @@ def _circle_potential_phi(a, b, k1, k2, phi):
     return num / den
 
 
+def _require_regular_circle(a: complex, b: complex):
+    # b cos 2phi - i a sin 2phi vanishes at a real phi exactly when
+    # Re(a conj(b)) = 0, i.e. when |b - a| = |b + a|
+    if (
+        abs(a) < REAL_TOL
+        or abs(b) < REAL_TOL
+        or abs((a * b.conjugate()).real) <= REAL_TOL * abs(a) * abs(b)
+    ):
+        raise SingularPotential("the denominator vanishes on the real circle")
+
+
 def fourier_matrix(a, b, k1, k2, N: int):
     """Momentum-basis matrix of -d^2/dphi^2 + V_{a,b} with modes ordered
     descending from +N/2 to -N/2.
@@ -239,11 +254,12 @@ def fourier_matrix(a, b, k1, k2, N: int):
     For a = b the potential has only the e^{-2i phi} and e^{-4i phi} modes, so
     the matrix is exactly lower triangular in this ordering; the two nonzero
     coefficients are then filled in analytically rather than via the FFT.
+    solve_periodic_s1 does not build this matrix; the tests use it as the
+    reference for the structural spectrum.
     """
     a, b = complex(a), complex(b)
     k1, k2 = complex(k1), complex(k2)
-    if abs(a) < REAL_TOL or abs(b) < REAL_TOL:
-        raise SingularPotential("the denominator vanishes on the real circle")
+    _require_regular_circle(a, b)
     M = N // 2
     modes = np.arange(M, -M - 1, -1)
     dim = 2 * M + 1
@@ -265,39 +281,36 @@ def fourier_matrix(a, b, k1, k2, N: int):
     return H, modes
 
 
-def _average_defective_clusters(eig, scale):
-    """Replace eigenvalue clusters closer than the QR resolution limit by their
-    arithmetic mean.
+def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K) -> SpectrumReport:
+    """Periodic spectrum of the circle Hamiltonian, read off its structure.
 
-    A defective (Jordan) eigenvalue of multiplicity two is only computed to
-    O(sqrt(eps * |H|)) by a backward-stable QR sweep and splits into a spurious
-    conjugate pair; the cluster mean is again accurate to O(eps * |H|).
+    The denominator of V is b cos 2phi - i a sin 2phi =
+    ((b - a) e^{2i phi} + (b + a) e^{-2i phi}) / 2.  Off the singular set
+    Re(a conj(b)) = 0 one term dominates on the whole circle, so V has Fourier
+    modes of one sign only and no constant mode.  The momentum matrix of
+    fourier_matrix is then triangular with diagonal m^2, and the periodic
+    spectrum is exactly {m^2 : |m| <= N // 2}, each m != 0 a double
+    eigenvalue (Gasymov, Funct. Anal. Appl. 14 (1980) 11).  The closed-form
+    matches therefore refer to this periodic operator; for a^2 = b^2 (Morse)
+    the candidates are the squares themselves.
     """
-    thresh = 64 * math.sqrt(np.finfo(float).eps * max(1.0, scale))
-    eig = sorted(eig, key=lambda z: (z.real, z.imag))
-    out, i = [], 0
-    while i < len(eig):
-        j = i + 1
-        while j < len(eig) and abs(eig[j] - eig[j - 1]) < thresh:
-            j += 1
-        mean = sum(eig[i:j]) / (j - i)
-        out.extend([mean] * (j - i))
-        i = j
-    return out
-
-
-def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K, tol_real: float = 1e-8) -> SpectrumReport:
-    """Fourier discretization of the circle Hamiltonian; dense eigensolve."""
-    H, _ = fourier_matrix(a, b, k1, k2, N)
-    eig = _average_defective_clusters(
-        [complex(z) for z in eig_dense(H)], float(np.abs(np.diag(H)).max())
+    a, b = complex(a), complex(b)
+    _require_regular_circle(a, b)
+    M = N // 2
+    eig = [complex(m * m) for m in range(-M, M + 1)]
+    rep = SpectrumReport("s1", dict(a=a, b=b, k1=k1, k2=k2, K=K), N)
+    rep.notes.append(
+        "one-sided potential: triangular momentum matrix, periodic spectrum"
+        f" {{m^2 : |m| <= {M}}}, each m != 0 a double eigenvalue"
     )
-    rep = SpectrumReport("s1", dict(a=a, b=b, k1=k1, k2=k2, K=K, tol_real=tol_real), N)
+    rep.notes.append(
+        "closed-form matches refer to the periodic operator:"
+        " only branch energies that are integer squares can match"
+    )
     candidates = []
-    if complex(a) == complex(b):
-        M = N // 2
-        candidates = sorted({float(m * m) for m in range(-M, M + 1)})
-        rep.notes.append("Morse case: triangular momentum matrix, spectrum {n^2}")
+    if abs(a * a - b * b) < REAL_TOL:
+        candidates = sorted({float(m * m) for m in range(M + 1)})
+        rep.notes.append("Morse case a^2 = b^2: the candidates are {m^2}")
     else:
         cm = coupling_maps("s1", a=a, b=b, k1=k1, k2=k2)
         if cm.is_real:
@@ -311,7 +324,7 @@ def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K, tol_real: float =
         else:
             rep.phase = "complex-coupling"
             rep.notes.append(f"g_- = {cm.g_minus}, g_+ = {cm.g_plus}")
-    return _finish_report(rep, eig, K, tol_real, candidates)
+    return _finish_report(rep, eig, K, 0.0, candidates)  # every m^2 is real
 
 
 # -- finite-difference solvers on (0, pi/2) -------------------------------------

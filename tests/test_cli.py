@@ -191,6 +191,60 @@ def test_spectrum_s1_from_g_parameters(capsys):
         assert row[4] <= 1e-6
 
 
+@pytest.mark.parametrize("gminus, gplus", [("3", "2"), ("4", "3")])
+def test_spectrum_s1_swapped_couplings(capsys, gminus, gplus):
+    argv = ["spectrum", "--model", "s1", "--a", "2", "--b", "1",
+            "--gminus", gminus, "--gplus", gplus, "--N", "256"]
+    code, out = _run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["phase"] == "exact"
+
+
+def test_spectrum_s1_non_integer_pair_misses_the_periodic_spectrum(capsys):
+    # the periodic spectrum is {m^2}; the branch energies here are
+    # (j + 1/5)^2, (j + 9/5)^2, (j + 17/5)^2, none an integer square
+    argv = ["spectrum", "--model", "s1", "--a", "2", "--b", "1",
+            "--gminus", "13/10", "--gplus", "21/10", "--N", "256"]
+    code, out = _run(argv, capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert [row[1] for row in doc["rows"][:3]] == [0.0, 1.0, 1.0]
+    assert abs(doc["rows"][0][3] - 0.04) < 1e-9
+    assert any("{m^2" in n and "double eigenvalue" in n for n in doc["notes"])
+    assert any("periodic operator" in n and "integer squares" in n for n in doc["notes"])
+
+
+def test_spectrum_singular_circle_exits_2(capsys):
+    argv = ["spectrum", "--model", "s1", "--a", "0", "--gminus", "2", "--gplus", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "real circle" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("N", ["0", "1", "65537"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--model", "s1", "--gminus", "2", "--gplus", "3"],
+        ["spectrum", "--model", "poschl_teller", "--gminus", "2", "--gplus", "3"],
+        ["scan", "--model", "lambda"],
+    ],
+    ids=["s1", "poschl_teller", "scan"],
+)
+def test_grid_size_out_of_range_exits_2(capsys, argv, N):
+    assert main([*argv, "--N", N]) == 2
+    captured = capsys.readouterr()
+    assert "--N" in captured.err and "65536" in captured.err
+    assert captured.out == ""
+
+
+def test_grid_size_bounds_are_accepted(capsys):
+    s1 = ["spectrum", "--model", "s1", "--gminus", "2", "--gplus", "3"]
+    assert main([*s1, "--N", "2"]) == 0
+    assert main([*s1, "--N", "65536"]) == 0
+
+
 def test_spectrum_csv_output(tmp_path, capsys):
     out_path = tmp_path / "spec.csv"
     code = main(

@@ -7,13 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ptsphere.errors import DimensionMismatch, SingularMatrix
 from ptsphere.exact import I, rat
-from ptsphere.matrices import (
-    ExactMatrix,
-    FloatMatrix,
-    eig_dense,
-    exact_inverse,
-    mat_exp_numeric,
-)
+from ptsphere.matrices import ExactMatrix, exact_inverse, mat_exp_numeric
 
 
 def _rand_matrix(rng, n):
@@ -77,21 +71,6 @@ def test_random_inverse_roundtrip(seed):
             exact_inverse(m)
     else:
         assert m @ exact_inverse(m) == ExactMatrix.identity(3)
-
-
-def test_eig_dense_nonsymmetric():
-    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    w = eig_dense(a)
-    assert np.allclose(sorted(w, key=lambda z: z.imag), [-1j, 1j])
-
-
-def test_eig_dense_similarity_invariance():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    s = rng.normal(size=(6, 6)) + np.eye(6) * 10
-    w1 = np.sort_complex(eig_dense(FloatMatrix(a)))
-    w2 = np.sort_complex(eig_dense(np.linalg.solve(s, a @ s)))
-    assert np.allclose(w1, w2, atol=1e-9)
 
 
 def test_mat_exp_rotation():

@@ -86,6 +86,38 @@ def test_solve_periodic_rejects_singular():
         solve_periodic_s1(0, 1, 1, 1, 64)
 
 
+@pytest.mark.parametrize("a, b", [(2, 0.5j), (1j, 3), (1 + 1j, 1 - 1j)])
+def test_singular_circle_rejected(a, b):
+    # Re(a conj(b)) = 0: b cos 2phi - i a sin 2phi has a zero on the real circle
+    with pytest.raises(SingularPotential):
+        fourier_matrix(a, b, 1.0, 0.7, 64)
+    with pytest.raises(SingularPotential):
+        solve_periodic_s1(a, b, 1.0, 0.7, 64)
+
+
+@pytest.mark.parametrize(
+    "a, b", [(2, 1), (1, 2), (1, -2), (-2, 1), (1 + 0.5j, 2 - 0.3j), (1, 1), (1, -1)]
+)
+def test_periodic_spectrum_is_the_triangular_diagonal(a, b):
+    # the dense momentum matrix is the reference: one triangle vanishes, so
+    # its diagonal is the whole spectrum, m^2 twice for every m != 0
+    H, _ = fourier_matrix(a, b, 1.3, 0.7, 64)
+    scale = np.abs(H).max()
+    assert min(np.abs(np.triu(H, 1)).max(), np.abs(np.tril(H, -1)).max()) <= 1e-12 * scale
+    rep = solve_periodic_s1(a, b, 1.3, 0.7, 64)
+    assert rep.eigenvalues == sorted(np.diag(H).real)
+    assert rep.max_imag == 0.0 and rep.phase != "broken"
+    assert any("triangular" in n for n in rep.notes)
+
+
+def test_s1_mirror_branch():
+    # branch 3, (2j + g_+ - g_- + 1)^2, is the lower tower when g_- > g_+
+    assert closed_form_energies("s1", g_minus=3, g_plus=2, branches=(3,), count=2) == [
+        0.0, 4.0
+    ]
+    assert 1.0 in closed_form_energies("s1", g_minus=3, g_plus=2, half_integer=True)
+
+
 def test_solve_periodic_complex_coupling_phase():
     # b > a makes the inverse coupling map complex; the report must say so
     rep = solve_periodic_s1(1, 2, 1.0, 0.5, 128)
