@@ -125,9 +125,6 @@ class Exact:
     def is_rational(self) -> bool:
         return set(self._num) <= {1}
 
-    def is_real(self) -> bool:
-        return all(c[1] == 0 for c in self._num.values())
-
     @property
     def re(self) -> Fraction:
         """Rational real part; raises if the value carries radicals."""

@@ -12,14 +12,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import Exact, ONE, ZERO, I, rat
-from .errors import UnsupportedOrder, UnsupportedRank, WordTooLong
-from .matrices import ExactMatrix
+from .errors import DimensionMismatch, UnsupportedOrder, UnsupportedRank, WordTooLong
+from .matrices import ExactMatrix, exact_inverse
 
 __all__ = [
     "GeneratorBasis",
     "EnvElement",
     "build_generators",
-    "commutator_matrix",
     "verify_structure_constants",
     "pbw_normal_form",
     "env_commutator",
@@ -93,6 +92,9 @@ class GeneratorBasis:
     symmetric_flags: tuple[bool, ...]
     # structure[(i, j)] for i < j: dict {k: Exact}; [X_i, X_j] = sum c_k X_k
     structure: dict[tuple[int, int], dict[int, Exact]] = field(hash=False)
+    # row k holds the nonzero (j, entry) of row k of the inverse of the
+    # n^2 x n^2 matrix whose columns are vec(X_0), vec(X_1), ...
+    coordinate_rows: tuple[tuple[tuple[int, Exact], ...], ...] = field(hash=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -106,45 +108,24 @@ class GeneratorBasis:
         return {k: -c for k, c in self.structure[(j, i)].items()}
 
     def expand_in_basis(self, m: ExactMatrix) -> dict[int, Exact]:
-        """Write m as a linear combination of the generators, exactly."""
-        g = self.size
-        dim = self.n * self.n
-        cols = []
-        for X in self.generators:
-            cols.append([X.entries[r][c] for r in range(self.n) for c in range(self.n)])
-        rhs = [m.entries[r][c] for r in range(self.n) for c in range(self.n)]
-        # solve the (dim x g) least-structure system; generators are independent
-        A = ExactMatrix(list(zip(*cols)))  # dim x g
-        # Gaussian elimination on the augmented rectangular system
-        rowsaug = [list(A.entries[r]) + [rhs[r]] for r in range(dim)]
-        pivots = []
-        rr = 0
-        for c in range(g):
-            piv = next((r for r in range(rr, dim) if not rowsaug[r][c].is_zero()), None)
-            if piv is None:
-                continue
-            rowsaug[rr], rowsaug[piv] = rowsaug[piv], rowsaug[rr]
-            inv = rowsaug[rr][c].inverse()
-            rowsaug[rr] = [x * inv for x in rowsaug[rr]]
-            for r in range(dim):
-                if r != rr and not rowsaug[r][c].is_zero():
-                    f = rowsaug[r][c]
-                    rowsaug[r] = [x - f * y for x, y in zip(rowsaug[r], rowsaug[rr])]
-            pivots.append(c)
-            rr += 1
-        for r in range(rr, dim):
-            if not rowsaug[r][g].is_zero():
-                raise ValueError("matrix is not in the span of the generators")
+        """Write the n x n matrix m as a combination of the generators, exactly.
+
+        The n^2 generators span every complex n x n matrix, so the
+        coefficients are the product of the inverse generator-column matrix
+        (computed once per basis, nonzero entries only) with vec(m).  Only
+        the nonzero coefficients are returned, in generator order.
+        """
+        if (m.rows, m.cols) != (self.n, self.n):
+            raise DimensionMismatch(
+                f"expected a {self.n}x{self.n} matrix, got {m.rows}x{m.cols}"
+            )
+        vec = [x for row in m.entries for x in row]
         out = {}
-        for r, c in enumerate(pivots):
-            if not rowsaug[r][g].is_zero():
-                out[c] = rowsaug[r][g]
+        for k, row in enumerate(self.coordinate_rows):
+            c = sum((a * vec[j] for j, a in row), ZERO)
+            if not c.is_zero():
+                out[k] = c
         return out
-
-
-def commutator_matrix(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """[a, b] = ab - ba, exactly."""
-    return a.commutator(b)
 
 
 @lru_cache(maxsize=None)
@@ -156,10 +137,15 @@ def build_generators(n: int) -> GeneratorBasis:
         mats, flags = _u3_matrices(), U3_SYMMETRIC
     else:
         raise UnsupportedRank(f"no generator table for u({n})")
-    basis = GeneratorBasis(n, tuple(mats), flags, {})
+    columns = ExactMatrix([[x for row in X.entries for x in row] for X in mats]).transpose()
+    coordinate_rows = tuple(
+        tuple((j, a) for j, a in enumerate(row) if not a.is_zero())
+        for row in exact_inverse(columns).entries
+    )
+    basis = GeneratorBasis(n, tuple(mats), flags, {}, coordinate_rows)
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            comm = commutator_matrix(mats[i], mats[j])
+            comm = mats[i].commutator(mats[j])
             basis.structure[(i, j)] = (
                 {} if comm.is_zero() else basis.expand_in_basis(comm)
             )
@@ -181,7 +167,7 @@ def verify_structure_constants(basis: GeneratorBasis) -> StructureReport:
     table = U2_TABLE if basis.n == 2 else U3_TABLE
     mismatches = []
     for (i, j), coeffs in table.items():
-        lhs = commutator_matrix(basis.generators[i], basis.generators[j])
+        lhs = basis.generators[i].commutator(basis.generators[j])
         rhs = ExactMatrix.zero(basis.n, basis.n)
         for k, c in coeffs.items():
             rhs = rhs + basis.generators[k].scale(c)
@@ -189,7 +175,7 @@ def verify_structure_constants(basis: GeneratorBasis) -> StructureReport:
             mismatches.append((i, j))
     # central element and Cartan pairs commute even though absent from the table
     for i in range(basis.size):
-        if not commutator_matrix(basis.generators[0], basis.generators[i]).is_zero():
+        if not basis.generators[0].commutator(basis.generators[i]).is_zero():
             mismatches.append((0, i))
     return StructureReport(checked=len(table) + basis.size, mismatches=mismatches)
 

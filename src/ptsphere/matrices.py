@@ -1,8 +1,11 @@
-"""Exact complex matrices and the float matrix exponential.
+"""Exact complex matrices, exact row reduction and the float matrix exponential.
 
 ExactMatrix entries are Exact scalars; equality is entrywise and exact.
-mat_exp_numeric exponentiates a dense complex array for the float Jacobian
-checks of the reduction layer.
+row_reduce is the one exact Gauss-Jordan elimination of the package: it
+serves ExactMatrix.rank, exact_inverse, the u(n) basis expansion (through
+the inverse cached by lie.build_generators) and the exact linear fits of
+the reduction layer.  mat_exp_numeric exponentiates a dense complex array
+for the float Jacobian checks of the reduction layer.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import scipy.linalg
 from .exact import Exact, ONE, ZERO
 from .errors import DimensionMismatch, SingularMatrix
 
-__all__ = ["ExactMatrix", "mat_exp_numeric", "exact_inverse"]
+__all__ = ["ExactMatrix", "mat_exp_numeric", "exact_inverse", "row_reduce"]
 
 
 class ExactMatrix:
@@ -98,66 +101,8 @@ class ExactMatrix:
             raise DimensionMismatch("commutator needs square matrices")
         return self @ other - other @ self
 
-    def det(self) -> Exact:
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant needs a square matrix")
-        a = [list(row) for row in self.entries]
-        n = self.rows
-        det = ONE
-        for c in range(n):
-            piv = next((r for r in range(c, n) if not a[r][c].is_zero()), None)
-            if piv is None:
-                return ZERO
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                det = -det
-            det = det * a[c][c]
-            inv = a[c][c].inverse()
-            for r in range(c + 1, n):
-                if a[r][c].is_zero():
-                    continue
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-        return det
-
     def rank(self) -> int:
-        a = [list(row) for row in self.entries]
-        rank, row = 0, 0
-        for c in range(self.cols):
-            piv = next((r for r in range(row, self.rows) if not a[r][c].is_zero()), None)
-            if piv is None:
-                continue
-            a[row], a[piv] = a[piv], a[row]
-            inv = a[row][c].inverse()
-            for r in range(self.rows):
-                if r != row and not a[r][c].is_zero():
-                    f = a[r][c] * inv
-                    a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-            row += 1
-            rank += 1
-        return rank
-
-    def inverse(self) -> "ExactMatrix":
-        return exact_inverse(self)
-
-    def solve(self, rhs: Sequence) -> list:
-        """Solve self @ x = rhs exactly (square, nonsingular)."""
-        n = self.rows
-        if self.rows != self.cols or len(rhs) != n:
-            raise DimensionMismatch("solve needs a square system")
-        a = [list(row) + [Exact.coerce(rhs[i])] for i, row in enumerate(self.entries)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if not a[r][c].is_zero()), None)
-            if piv is None:
-                raise SingularMatrix("singular system")
-            a[c], a[piv] = a[piv], a[c]
-            inv = a[c][c].inverse()
-            a[c] = [x * inv for x in a[c]]
-            for r in range(n):
-                if r != c and not a[r][c].is_zero():
-                    f = a[r][c]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-        return [a[r][n] for r in range(n)]
+        return len(row_reduce(self.entries, self.cols)[1])
 
     def to_numpy(self) -> np.ndarray:
         return np.array(
@@ -175,23 +120,43 @@ class ExactMatrix:
         return f"ExactMatrix[{body}]"
 
 
+def row_reduce(
+    rows: Sequence[Sequence[Exact]], ncols: int
+) -> tuple[list[list[Exact]], list[int]]:
+    """Gauss-Jordan elimination on the first ncols columns, exactly.
+
+    Returns (rows, pivot_cols): the rows in reduced row-echelon form, each
+    pivot scaled to a leading 1 and its column cleared in every other row,
+    and the pivot columns in order.  Columns past ncols are carried along,
+    as the right-hand sides of an augmented system.
+    """
+    a = [list(row) for row in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(a)) if not a[r][c].is_zero()), None)
+        if piv is None:
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        inv = a[top][c].inverse()
+        a[top] = [x * inv for x in a[top]]
+        for r in range(len(a)):
+            if r != top and not a[r][c].is_zero():
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[top])]
+        pivots.append(c)
+    return a, pivots
+
+
 def exact_inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan elimination with exact division."""
+    """Exact inverse: row-reduce [m | I]."""
     if m.rows != m.cols:
         raise DimensionMismatch("inverse needs a square matrix")
     n = m.rows
-    a = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m.entries)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not a[r][c].is_zero()), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv = a[c][c].inverse()
-        a[c] = [x * inv for x in a[c]]
-        for r in range(n):
-            if r != c and not a[r][c].is_zero():
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m.entries)]
+    a, pivots = row_reduce(aug, n)
+    if len(pivots) < n:
+        raise SingularMatrix("matrix is singular")
     return ExactMatrix([row[n:] for row in a])
 
 

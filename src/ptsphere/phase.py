@@ -316,10 +316,6 @@ class PhaseRational:
         return self.num.n
 
     @classmethod
-    def from_poly(cls, p: PhasePoly) -> "PhaseRational":
-        return cls(p)
-
-    @classmethod
     def const(cls, n: int, c) -> "PhaseRational":
         return cls(PhasePoly.const(n, c))
 

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .lie import EnvElement, build_generators, casimir_element
 from .masa import CATALOG_NAMES, MasaSpec, catalog_masa
-from .matrices import ExactMatrix, mat_exp_numeric
+from .matrices import ExactMatrix, mat_exp_numeric, row_reduce
 from .phase import (
     PhasePoly,
     PhaseRational,
@@ -47,6 +47,7 @@ from .phase import (
     poisson_bracket_at,
     pole_free_values,
 )
+from .spectral import _xi_chi_from_sphere
 
 __all__ = [
     "ReducedSystem",
@@ -686,33 +687,15 @@ class RacahReport:
 def _fit_exact(aug: list[list[Exact]], names: Sequence[str]):
     """Solve an overdetermined exact linear system given as augmented rows
     (one value per name, then the right-hand side); raise if inconsistent."""
-    m, ncol = len(aug), len(names)
-    rr = 0
-    piv_cols = []
-    for c in range(ncol):
-        piv = next((r for r in range(rr, m) if not aug[r][c].is_zero()), None)
-        if piv is None:
-            continue
-        aug[rr], aug[piv] = aug[piv], aug[rr]
-        inv = aug[rr][c].inverse()
-        aug[rr] = [x * inv for x in aug[rr]]
-        for r in range(m):
-            if r != rr and not aug[r][c].is_zero():
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rr])]
-        piv_cols.append(c)
-        rr += 1
-    for r in range(rr, m):
-        if not aug[r][ncol].is_zero():
-            raise FitUnderdetermined("sampled system is inconsistent with the basis")
+    ncol = len(names)
+    rows, piv_cols = row_reduce(aug, ncol)
+    if any(not row[ncol].is_zero() for row in rows[len(piv_cols):]):
+        raise FitUnderdetermined("sampled system is inconsistent with the basis")
     if len(piv_cols) < ncol:
         raise FitUnderdetermined(
             f"fit basis is rank deficient on the samples ({len(piv_cols)}/{ncol})"
         )
-    sol = [ZERO] * ncol
-    for r, c in enumerate(piv_cols):
-        sol[c] = aug[r][ncol]
-    return {nm: sol[i] for i, nm in enumerate(names)}
+    return {names[c]: rows[r][ncol] for r, c in enumerate(piv_cols)}
 
 
 def racah_structure_report(
@@ -782,15 +765,7 @@ def coordinate_map(lam2, s: Sequence[float]):
     lam2 = float(lam2)
     if not 0 <= lam2 < 0.5:
         raise ParamOutOfRange("lambda2 must lie in [0, 1/2)")
-    lam = lam2 ** 0.5
-    root = (1 - 2 * lam2) ** 0.5
-    lm, lp = (1 - root) / 2, (1 + root) / 2
-    s1, s2, s3 = (complex(x) for x in s)
-    w1 = lm * s1 - lp * s2 + 1j * lam * s3
-    w2 = lp * s1 - lm * s2 + 1j * lam * s3
-    cos2xi = (w1 ** 2 - w2 ** 2) / (w1 ** 2 + w2 ** 2)
-    coschi = (1j * lam * (s1 - s2) - s3) / root
-    return cos2xi, coschi
+    return _xi_chi_from_sphere(lam2, s)
 
 
 @dataclass

@@ -251,9 +251,10 @@ def fourier_matrix(a, b, k1, k2, N: int):
     """Momentum-basis matrix of -d^2/dphi^2 + V_{a,b} with modes ordered
     descending from +N/2 to -N/2.
 
-    For a = b the potential has only the e^{-2i phi} and e^{-4i phi} modes, so
-    the matrix is exactly lower triangular in this ordering; the two nonzero
-    coefficients are then filled in analytically rather than via the FFT.
+    For a = b the potential is (2 k1 k2 / a) e^{2i phi} - (k2 / a)^2 e^{4i phi},
+    with only the e^{2i phi} and e^{4i phi} modes, so the matrix is exactly
+    upper triangular in this ordering; the two nonzero coefficients are then
+    filled in analytically rather than via the FFT.
     solve_periodic_s1 does not build this matrix; the tests use it as the
     reference for the structural spectrum.
     """
@@ -266,10 +267,10 @@ def fourier_matrix(a, b, k1, k2, N: int):
     # H[i, j] = c_{m_i - m_j} = c_{j - i}: a Toeplitz matrix whose first
     # column holds c_0, c_{-1}, ... and whose first row holds c_0, c_1, ...
     if a == b:
-        col = np.zeros(dim + 4, dtype=complex)  # room for c_{-4} when dim < 5
-        col[2] = 2 * k1 * k2 / a
-        col[4] = -k2 * k2 / (a * a)
-        H = scipy.linalg.toeplitz(col[:dim], np.zeros(dim, dtype=complex))
+        row = np.zeros(dim + 4, dtype=complex)  # room for c_4 when dim < 5
+        row[2] = 2 * k1 * k2 / a
+        row[4] = -k2 * k2 / (a * a)
+        H = scipy.linalg.toeplitz(np.zeros(dim, dtype=complex), row[:dim])
     else:
         Ns = 8 * M
         phis = 2 * np.pi * np.arange(Ns) / Ns

@@ -144,7 +144,7 @@ def test_criterion_08_circle_spectrum():
 def test_criterion_09_morse_triangular_tower():
     t0 = time.perf_counter()
     H, _ = fourier_matrix(1, 1, 1, 1, 512)
-    triangular = np.max(np.abs(np.triu(H, 1))) == 0.0
+    triangular = np.max(np.abs(np.tril(H, -1))) == 0.0
     rep = solve_periodic_s1(1, 1, 1, 1, 512)
     ok = triangular
     for z, cand, dev, rel in rep.matches[:8]:

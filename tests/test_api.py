@@ -11,7 +11,8 @@ import pytest
 import ptsphere
 
 MODULES = [m.name for m in pkgutil.iter_modules(ptsphere.__path__)]
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -53,4 +54,31 @@ def test_workload_references_exist():
         f"{mod}.{attr}" for mod, attr in refs
         if not hasattr(importlib.import_module(mod), attr)
     ]
+    assert not missing, missing
+
+
+def _tracing_aliases():
+    """The keys of perfbench/tracing.py's ALIASES, read without importing it."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "ALIASES" for t in node.targets
+        ):
+            return sorted(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/tracing.py defines no ALIASES")
+
+
+def test_tracing_aliases_resolve():
+    # each key is "<module>.<attribute path>"; one that no longer resolves
+    # would silently read 0 in its per-layer metric
+    keys = _tracing_aliases()
+    assert keys
+    missing = []
+    for key in keys:
+        mod, *path = key.split(".")
+        obj = importlib.import_module(f"ptsphere.{mod}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(key)
     assert not missing, missing

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ptsphere.errors import UnsupportedOrder, UnsupportedRank
-from ptsphere.exact import rat
+from ptsphere.errors import DimensionMismatch, UnsupportedOrder, UnsupportedRank
+from ptsphere.exact import I, Exact, rat
 from ptsphere.lie import (
     EnvElement,
     U2_SYMMETRIC,
@@ -11,11 +12,11 @@ from ptsphere.lie import (
     anticommutator,
     build_generators,
     casimir_element,
-    commutator_matrix,
     env_commutator,
     pbw_normal_form,
     verify_structure_constants,
 )
+from ptsphere.matrices import ExactMatrix
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +56,7 @@ def test_brackets_close_in_basis(u2, u3):
         for i in range(n):
             for j in range(n):
                 coeffs = basis.bracket_coeffs(i, j)
-                m = commutator_matrix(basis.generators[i], basis.generators[j])
+                m = basis.generators[i].commutator(basis.generators[j])
                 acc = None
                 for idx, c in coeffs.items():
                     term = basis.generators[idx].scale(c)
@@ -64,6 +65,36 @@ def test_brackets_close_in_basis(u2, u3):
                     assert m.is_zero()
                 else:
                     assert (m - acc).is_zero()
+
+
+_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+_entries = st.tuples(_rationals, _rationals, _rationals).map(
+    lambda t: rat(t[0]) + I * rat(t[1]) + Exact.sqrt_rational(2) * rat(t[2])
+)
+_square = st.sampled_from([2, 3]).flatmap(
+    lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@given(_square)
+@settings(max_examples=100, deadline=None)
+def test_expand_in_basis_round_trip(rows):
+    # Gaussian-rational plus sqrt(2) entries: sum_k c_k X_k rebuilds m, and
+    # only nonzero coefficients are stored
+    m = ExactMatrix(rows)
+    basis = build_generators(m.rows)
+    coeffs = basis.expand_in_basis(m)
+    assert not any(c.is_zero() for c in coeffs.values())
+    acc = ExactMatrix.zero(m.rows, m.rows)
+    for k, c in coeffs.items():
+        acc = acc + basis.generators[k].scale(c)
+    assert acc == m
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_expand_in_basis_rejects_a_matrix_of_another_size(u3, n):
+    with pytest.raises(DimensionMismatch):
+        u3.expand_in_basis(ExactMatrix.identity(n))
 
 
 def test_pbw_normal_form_sorts_words(u2):

@@ -29,15 +29,15 @@ N = 3
 
 
 def _s(mu):
-    return PhaseRational.from_poly(PhasePoly.s(N, mu))
+    return PhaseRational(PhasePoly.s(N, mu))
 
 
 def _p(mu):
-    return PhaseRational.from_poly(PhasePoly.p(N, mu))
+    return PhaseRational(PhasePoly.p(N, mu))
 
 
 def _k(mu):
-    return PhaseRational.from_poly(PhasePoly.k(N, mu))
+    return PhaseRational(PhasePoly.k(N, mu))
 
 
 def test_canonical_pairs():

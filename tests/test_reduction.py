@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ptsphere import reduction
-from ptsphere.errors import RelationFailed
+from ptsphere.errors import FitUnderdetermined, RelationFailed
 from ptsphere.exact import Exact, I, ONE, rat
 from ptsphere.lie import build_generators
 from ptsphere.masa import catalog_masa
@@ -133,6 +133,21 @@ def test_casimir_projection_nilpotent():
     rep = casimir_projection_report(catalog_masa("nilpotent"))
     assert rep.passed
     assert "(3) H" in rep.detail and "k1k1" in rep.detail
+
+
+@pytest.mark.parametrize("name", ["degenerate_plus", "degenerate_minus"])
+def test_casimir_projection_inconsistent_on_degenerate_models(name):
+    # the projected Casimir is not a combination of H, 1 and k_i k_j there
+    with pytest.raises(FitUnderdetermined, match="inconsistent"):
+        casimir_projection_report(catalog_masa(name))
+
+
+def test_fit_exact_rejects_a_rank_deficient_basis():
+    # the second column is twice the first on every sample: consistent, but
+    # the two coefficients are not determined
+    aug = [[rat(t), rat(2 * t), rat(3 * t)] for t in (1, 2, 5)]
+    with pytest.raises(FitUnderdetermined, match=r"rank deficient on the samples \(1/2\)"):
+        reduction._fit_exact(aug, ("a", "b"))
 
 
 def test_racah_fits_cartan_od():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ptsphere.errors import (
     BadCouplings,
@@ -14,6 +15,7 @@ from ptsphere.errors import (
     UnknownName,
 )
 from ptsphere.spectral import (
+    _circle_potential_phi,
     bessel_ode_residual,
     bessel_series_psi,
     circle_energy,
@@ -67,11 +69,29 @@ def test_closed_form_families_are_sorted_and_real():
 def test_fourier_matrix_morse_triangular():
     m, modes = fourier_matrix(1, 1, 1, 1, 32)
     assert modes[0] > modes[-1]
-    upper = np.triu(m, 1)
-    assert np.max(np.abs(upper)) == 0.0
+    lower = np.tril(m, -1)
+    assert np.max(np.abs(lower)) == 0.0
     # diagonal carries the free spectrum n^2
     diag = np.sort(np.real(np.diag(m)))
     assert diag[0] == 0.0 and 1.0 in diag and 4.0 in diag
+
+
+@pytest.mark.parametrize(
+    "a, b, k1, k2, N",
+    [(1, 1, 1, 1, 2), (1, 1, 1, 1, 4), (1, 1, 1, 1, 32), (2, 2, 1.3, 0.7, 64)],
+)
+def test_morse_matrix_matches_the_fft_construction(a, b, k1, k2, N):
+    # reference: the FFT construction fourier_matrix uses for a != b, applied
+    # to the same potential; it puts c_{+2} and c_{+4} in the upper triangle
+    M = N // 2
+    dim, Ns = 2 * M + 1, 8 * M
+    phis = 2 * np.pi * np.arange(Ns) / Ns
+    fc = np.fft.fft(_circle_potential_phi(a, b, k1, k2, phis)) / Ns
+    d = np.arange(dim)
+    ref = scipy.linalg.toeplitz(fc[-d % Ns], fc[d])
+    np.fill_diagonal(ref, np.arange(M, -M - 1, -1).astype(float) ** 2)
+    H, _ = fourier_matrix(a, b, k1, k2, N)
+    assert np.abs(H - ref).max() <= 1e-14
 
 
 def test_solve_periodic_morse_spectrum():
