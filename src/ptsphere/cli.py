@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -26,8 +27,12 @@ EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
 # the parameters are factored by trial division, so larger ones can run for
 # minutes before any check starts
 MAX_PARAM_INT = 10**6
-# accepted --N range of spectrum and scan
+# accepted --N range of spectrum and scan (--K: 1..MAX_GRID_N)
 MAX_GRID_N = 65536
+# most points a scan --lambda2 grid may have (the default grid has 14)
+MAX_SCAN_POINTS = 1000
+# largest spectrum --q: math.gamma overflows past it in the 30-term Bessel series
+MAX_BESSEL_Q = 140
 
 
 class ConfigError(Exception):
@@ -47,9 +52,10 @@ def _frac(text: str) -> Fraction:
     return q
 
 
-def _check_grid(N: int):
-    if not 2 <= N <= MAX_GRID_N:
-        raise ConfigError(f"--N must be between 2 and {MAX_GRID_N}, got {N}")
+def _check_grid(args):
+    for flag, value, low in (("--N", args.N, 2), ("--K", args.K, 1)):
+        if not low <= value <= MAX_GRID_N:
+            raise ConfigError(f"{flag} must be between {low} and {MAX_GRID_N}, got {value}")
 
 
 def _build_masa(args):
@@ -139,12 +145,12 @@ def _run_identity(doc, key, fn):
 
 
 def cmd_reduce(args) -> int:
-    if args.racah and (args.masa or args.model != "lambda"):
-        # cartan_od and nilpotent are correct models on which it is false
-        raise ConfigError(
-            "--racah checks T12 = -T13 = T23, which holds only for --model lambda"
-        )
     masa = _build_masa(args)
+    # keyed on the MASA built: a --masa file has no entry, whatever --model says
+    model = reduction.MODELS.get(masa.name)
+    if args.racah and not (model and model.racah):
+        holds = ", ".join(name for name, m in reduction.MODELS.items() if m.racah)
+        raise ConfigError(f"--racah checks T12 = -T13 = T23, which holds only for --model {holds}")
     vrep = validate_masa(masa)
     doc = _base_report(args)
     doc["masa_valid"] = vrep.passed
@@ -161,7 +167,7 @@ def cmd_reduce(args) -> int:
     doc["integrals"] = [name for name, _ in sysr.integrals]
     idents = {}
     ok &= _run_identity(idents, "zhat_eq_k", lambda: reduction.verify_masa_reduction(masa))
-    if masa.name in ("su2ab", "lambda", "cartan_od", "nilpotent"):
+    if model and model.sum_relation:
         ok &= _run_identity(
             idents,
             "casimir_projection",
@@ -240,7 +246,7 @@ def _spectrum_rows(rep, tol_match):
 
 
 def cmd_spectrum(args) -> int:
-    _check_grid(args.N)
+    _check_grid(args)
     doc = _base_report(args)
     header = ["index", "re_E", "im_E", "closed_form", "deviation"]
     if args.model == "s1":
@@ -276,6 +282,8 @@ def cmd_spectrum(args) -> int:
         if args.alpha is None or args.q is None:
             raise ConfigError("degenerate needs --alpha and --q")
         alpha, q = float(_frac(args.alpha)), int(args.q)
+        if not 0 <= q <= MAX_BESSEL_Q:
+            raise ConfigError(f"--q must be between 0 and {MAX_BESSEL_Q}, got {q}")
         resid = spectral.bessel_ode_residual(alpha, q, 0.5)
         E = q * (q + 1)
         doc["model"] = "degenerate"
@@ -301,9 +309,14 @@ def _parse_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError("grid must be start:stop:step")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0:
-        raise ConfigError("grid step must be positive")
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError as exc:
+        raise ConfigError(f"grid {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0:
+        raise ConfigError(f"grid {text!r} needs finite bounds and a positive finite step")
+    if (stop - start) / step >= MAX_SCAN_POINTS:
+        raise ConfigError(f"grid {text!r} has more than {MAX_SCAN_POINTS} points")
     out, v = [], start
     while v <= stop + 1e-12:
         out.append(round(v, 12))
@@ -314,7 +327,7 @@ def _parse_grid(text: str):
 def cmd_scan(args) -> int:
     if args.model != "lambda":
         raise ConfigError("scan currently supports --model lambda")
-    _check_grid(args.N)
+    _check_grid(args)
     grid = _parse_grid(args.lambda2 or "0.05:0.7:0.05")
     ks = (
         float(_frac(args.k1 or "1")),

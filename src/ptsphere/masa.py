@@ -41,14 +41,15 @@ __all__ = [
 # symmetric generators, in the fixed basis order used by coefficient rows
 SYM_INDICES = {2: (0, 1, 3), 3: (0, 1, 2, 4, 6, 8)}
 
-# the keyword parameters catalog_masa takes for each catalog model
+# the keyword parameters catalog_masa takes for each catalog model, with
+# their defaults
 _CATALOG_PARAMS = {
-    "su2ab": ("a", "b"),
-    "lambda": ("lambda2",),
-    "cartan_od": ("a", "b"),
-    "nilpotent": (),
-    "degenerate_plus": (),
-    "degenerate_minus": (),
+    "su2ab": {"a": Fraction(1), "b": Fraction(0)},
+    "lambda": {"lambda2": Fraction(1, 4)},
+    "cartan_od": {"a": Fraction(1), "b": Fraction(1, 2)},
+    "nilpotent": {},
+    "degenerate_plus": {},
+    "degenerate_minus": {},
 }
 CATALOG_NAMES = tuple(_CATALOG_PARAMS)
 
@@ -239,43 +240,38 @@ def catalog_masa(name: str, **params) -> MasaSpec:
             f"model {name!r} takes no parameter {', '.join(map(repr, extra))}"
             f" (it takes: {takes})"
         )
+    params = {**_CATALOG_PARAMS[name], **params}
     if name == "su2ab":
-        a = Exact.coerce(params.get("a", Fraction(1)))
-        b = Exact.coerce(params.get("b", Fraction(0)))
+        a, b = Exact.coerce(params["a"]), Exact.coerce(params["b"])
         if a.is_zero() and b.is_zero():
             raise ParamOutOfRange("a and b cannot both vanish")
         rows = [[ONE, ZERO, ZERO], [ZERO, -I * b, a]]
         par = SignedPermutation.from_signed_indices([1, -2])
         return masa_from_coeffs(2, rows, name, (a, b), par)
     if name == "lambda":
-        lam2 = Fraction(params.get("lambda2", Fraction(1, 4)))
-        rows = _lambda_rows(lam2)
-        par = SignedPermutation.from_signed_indices([1, 2, -3])
-        return masa_from_coeffs(3, rows, name, (lam2,), par)
-    if name == "cartan_od":
-        a = Exact.coerce(params.get("a", Fraction(1)))
-        b = Exact.coerce(params.get("b", Fraction(1, 2)))
+        lam2 = Fraction(params["lambda2"])
+        rows, values = _lambda_rows(lam2), (lam2,)
+    elif name == "cartan_od":
+        a, b = Exact.coerce(params["a"]), Exact.coerce(params["b"])
         third = rat(Fraction(1, 3))
         rows = [
             [third, third * rat(2), third, ZERO, ZERO, ZERO],
             [ZERO, ZERO, a, ZERO, ZERO, rat(0, 2) * b],
             [third * rat(2), -third * rat(2), -third, ZERO, ZERO, ZERO],
         ]
-        par = SignedPermutation.from_signed_indices([1, 2, -3])
-        return masa_from_coeffs(3, rows, name, (a, b), par)
-    if name == "nilpotent":
+        values = (a, b)
+    elif name == "nilpotent":
         rows = [
             [ONE, ZERO, ZERO, ZERO, ZERO, ZERO],
             [ZERO, ZERO, ONE, ZERO, ZERO, I],
             [ZERO, ZERO, ZERO, ONE, I, ZERO],
         ]
-        par = SignedPermutation.from_signed_indices([1, 2, -3])
-        return masa_from_coeffs(3, rows, name, (), par)
-    # degenerate_plus or degenerate_minus
-    sign = 1 if name.endswith("plus") else -1
-    rows = _degenerate_rows(sign)
+        values = ()
+    else:  # degenerate_plus or degenerate_minus
+        sign = 1 if name.endswith("plus") else -1
+        rows, values = _degenerate_rows(sign), (sign,)
     par = SignedPermutation.from_signed_indices([1, 2, -3])
-    return masa_from_coeffs(3, rows, name, (sign,), par)
+    return masa_from_coeffs(3, rows, name, values, par)
 
 
 # -- JSON file format -----------------------------------------------------------

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .errors import (
     UnknownName,
 )
 from .lie import EnvElement, build_generators, casimir_element
-from .masa import CATALOG_NAMES, MasaSpec, catalog_masa
+from .masa import MasaSpec, catalog_masa
 from .matrices import ExactMatrix, mat_exp_numeric, row_reduce
 from .phase import (
     PhasePoly,
@@ -51,6 +51,8 @@ from .spectral import _xi_chi_from_sphere
 
 __all__ = [
     "ReducedSystem",
+    "Model",
+    "MODELS",
     "JacobianCheck",
     "build_A",
     "build_V_matrix",
@@ -288,25 +290,6 @@ class ReducedSystem:
         return self.masa.n
 
 
-def _lambda_constants(lam2: Fraction):
-    lam = Exact.sqrt_rational(lam2)
-    s = Exact.sqrt_rational(1 - 2 * lam2)
-    lam_m = (ONE - s) / rat(2)
-    lam_p = (ONE + s) / rat(2)
-    return lam, lam_m, lam_p
-
-
-def _lambda_denominators(lam2: Fraction):
-    n = 3
-    lam, lam_m, lam_p = _lambda_constants(lam2)
-    s1, s2, s3 = (PhasePoly.s(n, i) for i in range(3))
-    il = I * lam
-    w1 = s1.scale(lam_m) - s2.scale(lam_p) + s3.scale(il)
-    w2 = s1.scale(lam_p) - s2.scale(lam_m) + s3.scale(il)
-    w3 = (s1 - s2).scale(il) - s3
-    return w1, w2, w3
-
-
 def _sq(f: PhaseRational) -> PhaseRational:
     return f * f
 
@@ -320,9 +303,15 @@ def _L(i: int) -> PhaseRational:
 
 
 def _lambda_integrals(lam2: Fraction):
-    lam, lam_m, lam_p = _lambda_constants(lam2)
-    il = I * lam
-    w1, w2, w3 = (PhaseRational(w) for w in _lambda_denominators(lam2))
+    il = I * Exact.sqrt_rational(lam2)
+    root = Exact.sqrt_rational(1 - 2 * lam2)
+    lam_m, lam_p = (ONE - root) / rat(2), (ONE + root) / rat(2)
+    s1, s2, s3 = (PhasePoly.s(3, i) for i in range(3))
+    w1, w2, w3 = (PhaseRational(w) for w in (
+        s1.scale(lam_m) - s2.scale(lam_p) + s3.scale(il),
+        s1.scale(lam_p) - s2.scale(lam_m) + s3.scale(il),
+        (s1 - s2).scale(il) - s3,
+    ))
     L1, L2, L3 = _L(1), _L(2), _L(3)
     k1, k2, k3 = _kP(0), _kP(1), _kP(2)
     # relative minus: fixed by the over-completeness relation; the opposite
@@ -356,12 +345,9 @@ def _cartan_od_potential(a: Exact, b: Exact) -> PhaseRational:
 
 
 def _cartan_od_integrals(a: Exact, b: Exact):
-    n = 3
     V = _cartan_od_potential(a, b)
-    s1 = PhaseRational(PhasePoly.s(n, 0))
-    s2 = PhaseRational(PhasePoly.s(n, 1))
-    s3 = PhaseRational(PhasePoly.s(n, 2))
-    one = PhaseRational.const(n, 1)
+    s1, s2, s3 = (PhaseRational(PhasePoly.s(3, i)) for i in range(3))
+    one = PhaseRational.const(3, 1)
     L1, L2, L3 = _L(1), _L(2), _L(3)
     k1, k2, k3 = _kP(0), _kP(1), _kP(2)
     k1s = _sq(k1) / _sq(s1)
@@ -397,11 +383,9 @@ def _nilpotent_potential() -> PhaseRational:
 
 
 def _nilpotent_integrals():
-    n = 3
     VN = _nilpotent_potential()
-    s1 = PhaseRational(PhasePoly.s(n, 0))
-    s2 = PhaseRational(PhasePoly.s(n, 1))
-    w = PhaseRational(PhasePoly.s(n, 1) + PhasePoly.s(n, 2).scale(I))
+    s1, s2 = (PhaseRational(PhasePoly.s(3, i)) for i in range(2))
+    w = PhaseRational(PhasePoly.s(3, 1) + PhasePoly.s(3, 2).scale(I))
     L1, L2, L3 = _L(1), _L(2), _L(3)
     k1, k2, k3 = _kP(0), _kP(1), _kP(2)
     third = rat(Fraction(1, 3))
@@ -457,10 +441,6 @@ def _degenerate_integrals(sign: int):
     return [("T", T)]
 
 
-def _su2ab_integrals(masa: MasaSpec):
-    return [("H", build_hamiltonian(masa).hamiltonian)]
-
-
 def _ambient_p_squared(n: int) -> PhaseRational:
     acc = PhasePoly(n)
     for mu in range(n):
@@ -468,34 +448,62 @@ def _ambient_p_squared(n: int) -> PhaseRational:
     return PhaseRational(acc)
 
 
+@dataclass(frozen=True)
+class Model:
+    """What the reduction knows of one catalog model.
+
+    integrals(*masa.params) builds its integrals; None: its one integral is
+    H.  sum_relation(masa, H, T) gives the two sides of its
+    over-completeness relation (T: the integrals by name); the projected
+    Casimir fits {H, 1, k_i k_j} on exactly the models that have one.
+    racah: T12 = -T13 = T23 holds.  potential(*masa.params), when set,
+    replaces k^T Vmat^{-1} k.
+    """
+
+    integrals: Callable | None
+    sum_relation: Callable | None = None
+    racah: bool = False
+    potential: Callable | None = None
+
+
+MODELS = {
+    # the su(2) quadratic Casimir reduces to twice the Hamiltonian in the
+    # normalization of casimir_element
+    "su2ab": Model(None, lambda m, H, T: (
+        project_env_element(casimir_element(2, build_generators(2)), m), H.scale(rat(2))
+    )),
+    "lambda": Model(_lambda_integrals, lambda m, H, T: (
+        T["T1"] + T["T2"] + T["T3"],
+        H.scale(rat(1 - 2 * m.params[0])) - _sq(_kP(0) - _kP(1) - _kP(2)),
+    ), racah=True),
+    "cartan_od": Model(_cartan_od_integrals, lambda m, H, T: (
+        T["T1"] + T["T2"], H + (_kP(0) * _kP(2)).scale(rat(2)) - _sq(_kP(0))
+    )),
+    "nilpotent": Model(_nilpotent_integrals, lambda m, H, T: (
+        T["T1"] + T["T2"],
+        H + (_sq(_kP(0)) + _sq(_kP(1)).scale(rat(2))).scale(rat(Fraction(1, 3))),
+    )),
+    # no sum relation: the projected Casimir fit over {H, 1, k_i k_j} is inconsistent
+    "degenerate_plus": Model(_degenerate_integrals, potential=degenerate_potential),
+    "degenerate_minus": Model(_degenerate_integrals, potential=degenerate_potential),
+}
+
+
 def integrals_catalog(masa: MasaSpec):
     """The displayed phase-space integrals for a named catalog model."""
-    name = masa.name
-    if name == "su2ab":
-        return _su2ab_integrals(masa)
-    if name == "lambda":
-        return _lambda_integrals(masa.params[0])
-    if name == "cartan_od":
-        return _cartan_od_integrals(masa.params[0], masa.params[1])
-    if name == "nilpotent":
-        return _nilpotent_integrals()
-    if name in ("degenerate_plus", "degenerate_minus"):
-        return _degenerate_integrals(masa.params[0])
-    raise UnknownName(f"no catalog integrals for {name!r}")
+    if masa.name not in MODELS:
+        raise UnknownName(f"no catalog integrals for {masa.name!r}")
+    build = MODELS[masa.name].integrals
+    return build(*masa.params) if build else build_hamiltonian(masa).integrals
 
 
 def build_hamiltonian(masa: MasaSpec) -> ReducedSystem:
-    if masa.name in ("degenerate_plus", "degenerate_minus"):
-        V = degenerate_potential(masa.params[0])
-    else:
-        V = build_potential(masa)
+    model = MODELS.get(masa.name)
+    V = model.potential(*masa.params) if model and model.potential else build_potential(masa)
     H = _ambient_p_squared(masa.n) + V
     sys = ReducedSystem(masa, V, H)
-    if masa.name in CATALOG_NAMES:
-        if masa.name == "su2ab":
-            sys.integrals = [("H", H)]
-        else:
-            sys.integrals = integrals_catalog(masa)
+    if model:
+        sys.integrals = model.integrals(*masa.params) if model.integrals else [("H", H)]
     return sys
 
 
@@ -516,37 +524,17 @@ def _degree_bound(*fs: PhaseRational) -> int:
 
 def verify_sum_relation(masa: MasaSpec, seed: int = 20230411) -> RelationReport:
     """The displayed over-completeness relation of the named model."""
-    name = masa.name
-    n = masa.n
+    relation = getattr(MODELS.get(masa.name), "sum_relation", None)
+    if relation is None:
+        raise UnknownName(f"no sum relation for {masa.name!r}")
     sysr = build_hamiltonian(masa)
-    H = sysr.hamiltonian
-    ks = [PhaseRational(PhasePoly.k(n, i)) for i in range(n)]
-    k1, k2, k3 = (ks + [None])[:3]
-    T = dict(sysr.integrals)
-    if name == "lambda":
-        lam2 = masa.params[0]
-        lhs = T["T1"] + T["T2"] + T["T3"]
-        rhs = H.scale(rat(1 - 2 * lam2)) - _sq(k1 - k2 - k3)
-    elif name == "cartan_od":
-        lhs = T["T1"] + T["T2"]
-        rhs = H + (k1 * k3).scale(rat(2)) - _sq(k1)
-    elif name == "nilpotent":
-        lhs = T["T1"] + T["T2"]
-        rhs = H + (_sq(k1) + _sq(k2).scale(rat(2))).scale(rat(Fraction(1, 3)))
-    elif name == "su2ab":
-        # su(2) quadratic Casimir reduces to twice the Hamiltonian in the
-        # normalization of casimir_element
-        basis = build_generators(2)
-        cas = casimir_element(2, basis)
-        lhs, rhs = project_env_element(cas, masa), H.scale(rat(2))
-    else:
-        raise UnknownName(f"no sum relation for {name!r}")
+    lhs, rhs = relation(masa, sysr.hamiltonian, dict(sysr.integrals))
     trials = max(20, _degree_bound(lhs, rhs) + 1)
     diff = lambda vals: lhs.eval(vals) - rhs.eval(vals)
-    ok = func_vanishes_on_constraint(diff, n, trials, seed)
+    ok = func_vanishes_on_constraint(diff, masa.n, trials, seed)
     if not ok:
-        raise RelationFailed(f"sum relation for {name} fails at a sampled point")
-    return RelationReport(f"sum_relation[{name}]", True, trials)
+        raise RelationFailed(f"sum relation for {masa.name} fails at a sampled point")
+    return RelationReport(f"sum_relation[{masa.name}]", True, trials)
 
 
 def verify_masa_reduction(masa: MasaSpec) -> RelationReport:
@@ -597,7 +585,8 @@ def verify_conservation(
     masa: MasaSpec, trials: int | None = None, seed: int = 20230411
 ) -> RelationReport:
     """{H, T}_Dirac vanishes on the constraint surface for every catalog
-    integral, tested pointwise with exact arithmetic."""
+    integral, tested pointwise with exact arithmetic.  A MASA outside the
+    catalog has no integrals, and the detail then says nothing was checked."""
     sysr = build_hamiltonian(masa)
     H = sysr.hamiltonian
     n = masa.n
@@ -610,7 +599,8 @@ def verify_conservation(
         )
         if not ok:
             raise RelationFailed(f"{{H, {tname}}}_D nonzero for {masa.name}")
-    return RelationReport(f"conservation[{masa.name}]", True, used)
+    detail = "" if sysr.integrals else "no integral checked: the MASA has no catalog integrals"
+    return RelationReport(f"conservation[{masa.name}]", True, used, detail)
 
 
 def verify_homomorphism(
@@ -701,17 +691,18 @@ def _fit_exact(aug: list[list[Exact]], names: Sequence[str]):
 def racah_structure_report(
     masa: MasaSpec, seed: int = 20230411, npoints: int = 40, with_fits: bool = True
 ) -> RacahReport:
-    """Classical Racah-type structure of the three quadratic integrals.
+    """Classical Racah-type structure of the integrals T1, T2 and T3 of a
+    catalog model that has them.
 
     Checks T12 = -T13 = T23 on the constraint surface, then (with_fits)
     solves exactly for the expansion of {T12, T1} and {T12, T2} over
     products of integrals at fixed rational couplings.  The coefficients
     are reported as computed.
     """
-    if masa.name not in ("lambda", "cartan_od", "nilpotent"):
-        raise UnknownName("Racah report needs a model with three integrals")
     n = masa.n
     T = dict(integrals_catalog(masa))
+    if not {"T1", "T2", "T3"} <= T.keys():
+        raise UnknownName("Racah report needs a model with integrals T1, T2 and T3")
     T1, T2, T3 = T["T1"], T["T2"], T["T3"]
 
     trials = max(20, (_degree_bound(T1, T2) + _degree_bound(T3) + 1) // 2)

@@ -6,14 +6,12 @@ doubles as a runnable report; tolerances and budgets are stated inline.
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ptsphere.errors import NoDefiniteParity
 from ptsphere.lie import build_generators, verify_structure_constants
-from ptsphere.masa import catalog_masa
 from ptsphere.reduction import (
     casimir_projection_report,
     jacobian_check,
@@ -33,16 +31,7 @@ from ptsphere.spectral import (
     solve_poschl_teller,
 )
 
-ALL_MODELS = [
-    ("su2ab", dict(a=Fraction(2), b=Fraction(1))),
-    ("lambda", dict(lambda2=Fraction(1, 4))),
-    ("cartan_od", dict(a=Fraction(1), b=Fraction(1, 2))),
-    ("nilpotent", {}),
-    ("degenerate_plus", {}),
-    ("degenerate_minus", {}),
-]
-
-THREE_INTEGRAL_MODELS = ["lambda", "cartan_od", "nilpotent"]
+from catalog_models import PARAMS, RACAH_MODELS, SUM_RELATION_MODELS, build_masa
 
 
 def _report(label, ok, t0, budget):
@@ -53,7 +42,7 @@ def _report(label, ok, t0, budget):
 
 
 def _models():
-    return [(name, catalog_masa(name, **kw)) for name, kw in ALL_MODELS]
+    return [(name, build_masa(name)) for name in PARAMS]
 
 
 def test_criterion_01_structure_constants():
@@ -87,24 +76,24 @@ def test_criterion_04_conservation():
 def test_criterion_05_sum_relations_and_casimir():
     t0 = time.perf_counter()
     ok = True
-    for name, m in _models():
-        if name in THREE_INTEGRAL_MODELS or name == "su2ab":
-            ok = ok and verify_sum_relation(m).passed
-    rep = casimir_projection_report(catalog_masa("su2ab", a=Fraction(2), b=Fraction(1)))
-    ok = ok and rep.passed and rep.detail == "(2) H"
-    for name in THREE_INTEGRAL_MODELS:
-        kw = dict(ALL_MODELS)[name]
-        ok = ok and casimir_projection_report(catalog_masa(name, **kw)).passed
+    details = {}
+    for name in SUM_RELATION_MODELS:
+        m = build_masa(name)
+        rep = casimir_projection_report(m)
+        ok = ok and verify_sum_relation(m).passed and rep.passed
+        details[name] = rep.detail
+    ok = ok and details["su2ab"] == "(2) H"
     _report("criterion 05 sum relations and Casimir projections", ok, t0, 60)
 
 
 def test_criterion_06_racah_antisymmetry():
     t0 = time.perf_counter()
     # the T12 = -T13 = T23 relation is a property of the lambda family
-    rep = racah_structure_report(
-        catalog_masa("lambda", lambda2=Fraction(1, 4)), with_fits=False
+    ok = bool(RACAH_MODELS) and all(
+        racah_structure_report(build_masa(name), with_fits=False).antisymmetry_ok
+        for name in RACAH_MODELS
     )
-    _report("criterion 06 Racah antisymmetry", rep.antisymmetry_ok, t0, 60)
+    _report("criterion 06 Racah antisymmetry", ok, t0, 60)
 
 
 def test_criterion_07_block_identity_residuals():

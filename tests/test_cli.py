@@ -3,7 +3,9 @@ import json
 import pytest
 
 from ptsphere import reduction
-from ptsphere.cli import main
+from ptsphere.cli import ConfigError, _parse_grid, main
+
+from catalog_models import PARAMS, RACAH_MODELS
 
 BAD_MASA = {
     "n": 2,
@@ -104,15 +106,31 @@ def test_reduce_reports_identities(capsys):
     assert doc["identities"]["casimir_projection"]["passed"] is True
     assert doc["identities"]["sum_relation"]["passed"] is True
     assert "potential" in doc and "integrals" in doc
+    # a model without a sum relation gets neither it nor the Casimir fit
+    code, out = _run(["reduce", "--model", "degenerate_plus"], capsys)
+    assert code == 0 and list(json.loads(out)["identities"]) == ["zhat_eq_k"]
 
 
-@pytest.mark.parametrize("model", ["cartan_od", "nilpotent", "su2ab"])
+@pytest.mark.parametrize("model", [name for name in PARAMS if name not in RACAH_MODELS])
 def test_racah_outside_lambda_exits_2(capsys, model):
     # T12 = -T13 = T23 holds for the lambda family only
     assert main(["reduce", "--model", model, "--racah"]) == 2
     captured = capsys.readouterr()
     assert "lambda" in captured.err
     assert captured.out == ""
+
+
+def test_masa_file_gets_no_catalog_check(tmp_path, capsys):
+    path = tmp_path / "su2ab.json"
+    path.write_text(json.dumps(SU2AB_MASA))
+    # the file has no model table entry, so --model beside it adds no check
+    code, out = _run(["reduce", "--masa", str(path), "--model", "su2ab"], capsys)
+    assert code == 0 and list(json.loads(out)["identities"]) == ["zhat_eq_k"]
+    code, out = _run(["verify", "--masa", str(path)], capsys)
+    assert code == 0 and json.loads(out)["conservation"] == {
+        "passed": True, "trials": 0,
+        "detail": "no integral checked: the MASA has no catalog integrals",
+    }
 
 
 @pytest.mark.parametrize(
@@ -239,10 +257,36 @@ def test_grid_size_out_of_range_exits_2(capsys, argv, N):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        ("spectrum --model s1 --gminus 2 --gplus 3 --K 0", "--K"),
+        ("spectrum --model poschl_teller --gminus 2 --gplus 3 --K 65537", "--K"),
+        ("scan --model lambda --K -1", "--K"),
+        ("spectrum --model degenerate --alpha 2 --q -2", "--q"),
+        ("spectrum --model degenerate --alpha 2 --q 141", "--q"),  # math.gamma overflow
+        ("scan --model lambda --lambda2 0:inf:0.1", "0:inf:0.1"),  # never returned
+        ("scan --model lambda --lambda2 0:0.4:1e-7", "1000 points"),
+        ("scan --model lambda --lambda2 a:b:c", "a:b:c"),
+        ("scan --model lambda --lambda2 0.1:0.2:nan", "0.1:0.2:nan"),  # was one point
+    ],
+)
+def test_spectral_input_out_of_range_exits_2(capsys, argv, text):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and text in captured.err
+    assert captured.out == ""
+
+
 def test_grid_size_bounds_are_accepted(capsys):
     s1 = ["spectrum", "--model", "s1", "--gminus", "2", "--gplus", "3"]
     assert main([*s1, "--N", "2"]) == 0
     assert main([*s1, "--N", "65536"]) == 0
+    assert main([*s1, "--K", "1"]) == 0
+    assert main(["spectrum", "--model", "degenerate", "--alpha", "2", "--q", "140"]) == 0
+    assert len(_parse_grid("0:0.999:0.001")) == 1000
+    with pytest.raises(ConfigError, match="more than 1000 points"):
+        _parse_grid("0:1:0.001")
 
 
 def test_spectrum_csv_output(tmp_path, capsys):

@@ -126,12 +126,12 @@ def test_anticommutator_symmetric(u2):
     )
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_quadratic_casimir_is_central(n):
+@pytest.mark.parametrize("n, order", [(2, 2), (3, 2), (3, 3)], ids=["2", "3", "3-cubic"])
+def test_quadratic_casimir_is_central(n, order):
     basis = build_generators(n)
-    c2 = casimir_element(2, basis)
+    c = casimir_element(order, basis)
     for i in range(basis.size):
-        comm = env_commutator(c2, EnvElement.gen(i), basis)
+        comm = env_commutator(c, EnvElement.gen(i), basis)
         assert pbw_normal_form(comm, basis).is_zero()
 
 

@@ -8,7 +8,6 @@ from ptsphere.errors import (
     UnknownName,
 )
 from ptsphere.masa import (
-    CATALOG_NAMES,
     catalog_masa,
     classify_pt,
     load_masa_file,
@@ -18,17 +17,10 @@ from ptsphere.masa import (
     validate_masa,
 )
 
-ALL_MODELS = [
-    ("su2ab", dict(a=Fraction(2), b=Fraction(1))),
-    ("lambda", dict(lambda2=Fraction(1, 4))),
-    ("cartan_od", dict(a=Fraction(1), b=Fraction(1, 2))),
-    ("nilpotent", {}),
-    ("degenerate_plus", {}),
-    ("degenerate_minus", {}),
-]
+from catalog_models import models
 
 
-@pytest.mark.parametrize("name,kw", ALL_MODELS)
+@pytest.mark.parametrize("name,kw", models())
 def test_catalog_models_validate(name, kw):
     m = catalog_masa(name, **kw)
     rep = validate_masa(m)
@@ -36,7 +28,7 @@ def test_catalog_models_validate(name, kw):
     assert rep.failures == []
 
 
-@pytest.mark.parametrize("name,kw", ALL_MODELS)
+@pytest.mark.parametrize("name,kw", models())
 def test_catalog_models_pt_compatible(name, kw):
     m = catalog_masa(name, **kw)
     signs = classify_pt(m, m.parity)
@@ -48,7 +40,6 @@ def test_catalog_rejects_unknown_name():
         catalog_masa("not-a-model")
     with pytest.raises(UnknownName):
         catalog_masa("nilpotent", a=Fraction(5))
-    assert "su2ab" in CATALOG_NAMES and "lambda" in CATALOG_NAMES
 
 
 def test_lambda_parameter_range():

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from ptsphere import reduction
-from ptsphere.errors import FitUnderdetermined, RelationFailed
+from ptsphere.errors import FitUnderdetermined, RelationFailed, UnknownName
 from ptsphere.exact import Exact, I, ONE, rat
 from ptsphere.lie import build_generators
-from ptsphere.masa import catalog_masa
+from ptsphere.masa import CATALOG_NAMES, catalog_masa
 from ptsphere.phase import (
     PhasePoly,
     PhaseRational,
@@ -27,16 +27,18 @@ from ptsphere.reduction import (
     racah_structure_report,
     verify_conservation,
     verify_coordinate_map,
-    verify_homomorphism,
     verify_masa_reduction,
     verify_sum_relation,
 )
 
-FAST_MODELS = [
-    ("su2ab", dict(a=Fraction(2), b=Fraction(1))),
-    ("cartan_od", dict(a=Fraction(1), b=Fraction(1, 2))),
-    ("degenerate_plus", {}),
-]
+from catalog_models import PARAMS, SUM_RELATION_MODELS, build_masa, models
+
+FAST_MODELS = models("su2ab", "cartan_od", "degenerate_plus")
+
+
+def test_model_table_covers_the_catalog():
+    assert tuple(reduction.MODELS) == CATALOG_NAMES
+    assert tuple(PARAMS) == CATALOG_NAMES
 
 
 @pytest.mark.parametrize("name,kw", FAST_MODELS)
@@ -52,22 +54,12 @@ def test_integrals_commute_with_hamiltonian(name, kw):
 
 
 def test_conservation_reports_trials_used():
-    masa = catalog_masa("su2ab", a=Fraction(2), b=Fraction(1))
+    masa = build_masa("su2ab")
     assert verify_conservation(masa).trials == 20
     assert verify_conservation(masa, trials=7).trials == 7
 
 
-def test_bracket_homomorphism_su2ab():
-    rep = verify_homomorphism(catalog_masa("su2ab", a=Fraction(2), b=Fraction(1)))
-    assert rep.passed, rep.detail
-
-
-IMAGE_MODELS = [
-    ("su2ab", dict(a=Fraction(2), b=Fraction(1))),
-    ("cartan_od", dict(a=Fraction(1), b=Fraction(1, 2))),
-    ("nilpotent", {}),
-    ("degenerate_plus", {}),
-]
+IMAGE_MODELS = models("su2ab", "cartan_od", "nilpotent", "degenerate_plus")
 
 
 @pytest.mark.parametrize("name,kw", IMAGE_MODELS)
@@ -110,23 +102,11 @@ def test_homomorphism_rejects_a_perturbed_generator_image(name, kw, monkeypatch)
         reduction.verify_homomorphism(masa, npoints=3)
 
 
-@pytest.mark.parametrize(
-    "name,kw",
-    [
-        ("su2ab", dict(a=Fraction(2), b=Fraction(1))),
-        ("cartan_od", dict(a=Fraction(1), b=Fraction(1, 2))),
-        ("nilpotent", {}),
-    ],
-)
+# lambda's relation (0.4 s) runs in acceptance criterion 05
+@pytest.mark.parametrize("name,kw", models("su2ab", "cartan_od", "nilpotent"))
 def test_sum_relation(name, kw):
     rep = verify_sum_relation(catalog_masa(name, **kw))
     assert rep.passed, rep.detail
-
-
-def test_casimir_projection_su2ab_gives_twice_h():
-    rep = casimir_projection_report(catalog_masa("su2ab", a=Fraction(2), b=Fraction(1)))
-    assert rep.passed
-    assert rep.detail == "(2) H"
 
 
 def test_casimir_projection_nilpotent():
@@ -135,11 +115,14 @@ def test_casimir_projection_nilpotent():
     assert "(3) H" in rep.detail and "k1k1" in rep.detail
 
 
-@pytest.mark.parametrize("name", ["degenerate_plus", "degenerate_minus"])
+@pytest.mark.parametrize("name", [n for n in PARAMS if n not in SUM_RELATION_MODELS])
 def test_casimir_projection_inconsistent_on_degenerate_models(name):
-    # the projected Casimir is not a combination of H, 1 and k_i k_j there
+    # the models the table gives no sum relation: the projected Casimir is
+    # not a combination of H, 1 and k_i k_j there
     with pytest.raises(FitUnderdetermined, match="inconsistent"):
-        casimir_projection_report(catalog_masa(name))
+        casimir_projection_report(build_masa(name))
+    with pytest.raises(UnknownName, match="no sum relation"):
+        verify_sum_relation(build_masa(name))
 
 
 def test_fit_exact_rejects_a_rank_deficient_basis():
@@ -151,11 +134,7 @@ def test_fit_exact_rejects_a_rank_deficient_basis():
 
 
 def test_racah_fits_cartan_od():
-    rep = racah_structure_report(
-        catalog_masa("cartan_od", a=Fraction(1), b=Fraction(1, 2)),
-        with_fits=True,
-        npoints=12,
-    )
+    rep = racah_structure_report(build_masa("cartan_od"), with_fits=True, npoints=12)
     assert set(rep.bracket_fits) == {"[T12,T1]", "[T12,T2]"}
     for fit in rep.bracket_fits.values():
         assert set(fit) == set(rep.basis_names)
@@ -169,8 +148,7 @@ def test_su2ab_potential_on_circle():
 
     from ptsphere.spectral import _circle_potential_phi
 
-    masa = catalog_masa("su2ab", a=Fraction(2), b=Fraction(1))
-    V = build_potential(masa)
+    V = build_potential(build_masa("su2ab"))
     for t in (Fraction(1, 3), Fraction(2, 5), Fraction(-3, 4)):
         den = 1 + t * t
         s1, s2 = rat((1 - t * t) / den), rat(2 * t / den)
@@ -197,7 +175,7 @@ def test_degenerate_potential_closed_form():
 
 
 def test_momentum_map_closes_brackets_with_constraints():
-    masa = catalog_masa("cartan_od", a=Fraction(1), b=Fraction(1, 2))
+    masa = build_masa("cartan_od")
     f = momentum_map(masa.matrices[0], masa)
     g = momentum_map(masa.matrices[1], masa)
     # commuting generators must have weakly vanishing Dirac bracket
@@ -241,7 +219,6 @@ def test_coordinate_map_returns_finite_values():
 
 
 def test_jacobian_residuals_small():
-    masa = catalog_masa("su2ab", a=Fraction(2), b=Fraction(1))
-    jc = jacobian_check(masa, [0.21, -0.35], [0.6, 0.8])
+    jc = jacobian_check(build_masa("su2ab"), [0.21, -0.35], [0.6, 0.8])
     for key, val in jc.residuals.items():
         assert val < 1e-9, (key, val)
