@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import PtsphereError, RelationFailed, SingularPotential
+from .errors import ParamOutOfRange, PtsphereError, RelationFailed, SingularPotential
 from .masa import CATALOG_NAMES, catalog_masa, classify_pt, load_masa_file, validate_masa
 from . import reduction
 from . import spectral
@@ -31,8 +31,6 @@ MAX_PARAM_INT = 10**6
 MAX_GRID_N = 65536
 # most points a scan --lambda2 grid may have (the default grid has 14)
 MAX_SCAN_POINTS = 1000
-# largest spectrum --q: math.gamma overflows past it in the 30-term Bessel series
-MAX_BESSEL_Q = 140
 
 
 class ConfigError(Exception):
@@ -56,6 +54,9 @@ def _check_grid(args):
     for flag, value, low in (("--N", args.N, 2), ("--K", args.K, 1)):
         if not low <= value <= MAX_GRID_N:
             raise ConfigError(f"{flag} must be between {low} and {MAX_GRID_N}, got {value}")
+    for flag, value in (("--tol-real", args.tol_real), ("--tol-match", args.tol_match)):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{flag} must be finite and non-negative, got {value}")
 
 
 def _build_masa(args):
@@ -207,7 +208,7 @@ def cmd_verify(args) -> int:
         sysr = reduction.build_hamiltonian(masa)
         V = sysr.potential
         img = V.apply_pt(masa.parity)
-        inv = (V.num * img.den - img.num * V.den).is_zero()
+        inv = V.agrees_with(img)
         doc["pt_invariance"] = {"passed": inv}
         ok &= inv
     if args.appendix:
@@ -263,28 +264,29 @@ def cmd_spectrum(args) -> int:
             rep = spectral.solve_periodic_s1(float(a), float(b), k1, k2, args.N, args.K)
         except SingularPotential as exc:
             raise ConfigError(f"a = {a}, b = {b}: {exc}") from exc
-        tol_match = args.tol_match or 1e-6
+        tol_match = 1e-6
     elif args.model == "poschl_teller":
         if args.gminus is None or args.gplus is None:
             raise ConfigError("poschl_teller needs --gminus and --gplus")
         rep = spectral.solve_poschl_teller(
             float(_frac(args.gminus)), float(_frac(args.gplus)), args.N, args.K
         )
-        tol_match = args.tol_match or 1e-3
+        tol_match = 1e-3
     elif args.model == "chi":
         if args.ell3 is None or args.composite is None:
             raise ConfigError("chi needs --ell3 and --composite")
         rep = spectral.solve_chi_equation(
             float(_frac(args.ell3)), float(_frac(args.composite)), args.N, args.K
         )
-        tol_match = args.tol_match or 1e-3
+        tol_match = 1e-3
     elif args.model == "degenerate":
         if args.alpha is None or args.q is None:
             raise ConfigError("degenerate needs --alpha and --q")
         alpha, q = float(_frac(args.alpha)), int(args.q)
-        if not 0 <= q <= MAX_BESSEL_Q:
-            raise ConfigError(f"--q must be between 0 and {MAX_BESSEL_Q}, got {q}")
-        resid = spectral.bessel_ode_residual(alpha, q, 0.5)
+        try:
+            resid = spectral.bessel_ode_residual(alpha, q, 0.5)
+        except ParamOutOfRange as exc:
+            raise ConfigError(f"--q {q}: {exc}") from exc
         E = q * (q + 1)
         doc["model"] = "degenerate"
         doc["phase"] = "degenerate"
@@ -295,7 +297,7 @@ def cmd_spectrum(args) -> int:
         return EXIT_OK if resid <= 1e-10 else EXIT_FAIL
     else:
         raise ConfigError(f"unknown spectrum model {args.model!r}")
-    rows, ok = _spectrum_rows(rep, tol_match)
+    rows, ok = _spectrum_rows(rep, tol_match if args.tol_match is None else args.tol_match)
     doc["model"] = rep.model
     doc["phase"] = rep.phase
     doc["max_imag"] = rep.max_imag

@@ -541,9 +541,7 @@ def verify_masa_reduction(masa: MasaSpec) -> RelationReport:
     """Zhat_rho = k_rho as an exact rational-function identity, every rho."""
     n = masa.n
     for rho, Z in enumerate(masa.matrices):
-        zh = momentum_map(Z, masa)
-        kr = PhaseRational(PhasePoly.k(n, rho))
-        if not (zh.num * kr.den - kr.num * zh.den).is_zero():
+        if not momentum_map(Z, masa).agrees_with(PhasePoly.k(n, rho)):
             raise RelationFailed(
                 f"Zhat_{rho + 1} != k_{rho + 1} for {masa.name or 'masa'}"
             )

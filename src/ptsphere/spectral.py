@@ -1,15 +1,23 @@
 """Spectral verification of the reduced models.
 
-The periodic spectrum of the circle Hamiltonian, read off its triangular
-momentum matrix (kept as a reference), finite-difference solvers for the two
-separated sphere equations, coupling reparametrizations, closed-form energy
-families, terminating hypergeometric and Bessel-series eigenfunctions,
-PT-parity checks, the phase scan over the deformation parameter, and the two
-coupling-constant-metamorphosis identities.
+The circle, the sphere xi equation and the chi equation are each, on
+(0, pi/2), the Poschl-Teller operator -d^2 + g_-(g_- - 1)/sin^2 +
+g_+(g_+ - 1)/cos^2: xi at (g_-, g_+) = (l2, l1), chi at (M + 1/2, l3) less
+1/4 after its (sin chi)^(-1/2) similarity, M = l1 + l2 + 2m (Levai & Znojil,
+J. Phys. A 33 (2000) 7165).  One level list, one Dirichlet finite-difference
+solver and one eigenfunction formula serve all three.  Beside them: the
+periodic circle spectrum read off its triangular momentum matrix (kept as a
+reference), coupling reparametrizations, PT-parity checks, the phase scan over
+the deformation parameter, Bessel-series solutions of the degenerate model and
+the two coupling-constant-metamorphosis identities.
+
+Inputs a routine cannot take raise ParamOutOfRange, a configuration error
+(exit 2) on the command line; e.g. a Bessel order with q + terms > 170.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -37,8 +45,6 @@ __all__ = [
     "coupling_maps",
     "invert_circle_couplings",
     "closed_form_energies",
-    "circle_energy",
-    "sphere_energy",
     "fourier_matrix",
     "solve_periodic_s1",
     "solve_poschl_teller",
@@ -128,16 +134,6 @@ def invert_circle_couplings(a, b, g_minus, g_plus) -> tuple[complex, complex]:
 # -- closed-form energies -------------------------------------------------------
 
 
-def circle_energy(g_minus, g_plus, n):
-    return (2 * n + g_minus + g_plus) ** 2
-
-
-def sphere_energy(ell, m, n):
-    l1, l2, l3 = ell
-    x = l1 + l2 - l3 + 2 * m - 2 * n
-    return (x - 1) * x
-
-
 def _require_real(vals):
     for v in vals:
         if abs(complex(v).imag) > 1e-10:
@@ -146,48 +142,27 @@ def _require_real(vals):
 
 
 def closed_form_energies(
-    model: str,
-    *,
-    g_minus=None,
-    g_plus=None,
-    ell=None,
-    m: float = 0,
-    count: int = 8,
-    branches=(1, 2, 3),
-    half_integer: bool = False,
+    g_minus, g_plus, *, count: int = 8, branches=(1, 2, 3), half_integer: bool = False
 ) -> list[float]:
-    """Energy families of the displayed bound-state formulas.
+    """Sorted Poschl-Teller levels of -d^2 + g_-(g_- - 1)/sin^2 + g_+(g_+ - 1)/cos^2.
 
-    s1: branch 1 gives (2n + g_- + g_+)^2 with integer n >= 0; branch 2 is the
+    Branch 1 gives (2n + g_- + g_+)^2 with integer n >= 0; branch 2 is the
     (cos)^(1-g_+) solution, reached at half-integer n, giving
     (2j + g_- - g_+ + 1)^2 with integer j >= 0; branch 3 is its mirror, the
     (sin)^(1-g_-) solution, giving (2j + g_+ - g_- + 1)^2, which is the
-    lower tower when g_- > g_+.  sphere_xi: (l1 + l2 + 2m)^2.
-    sphere_chi: the product formula at fixed m over integer and half-integer n.
+    lower tower when g_- > g_+.  The sphere xi levels are branch 1 at
+    (l2, l1); the chi levels are branch 1 at (M + 1/2, l3), less 1/4.
     """
+    gm, gp = _require_real([g_minus, g_plus])
+    # half-integer n reaches the other single-valued branch of each family
+    step = 1 if half_integer else 2
     out: set[float] = set()
-    if model == "s1":
-        gm, gp = _require_real([g_minus, g_plus])
-        # half-integer n reaches the other single-valued branch of each family
-        step = 1 if half_integer else 2
-        if 1 in branches:
-            out.update((j + gm + gp) ** 2 for j in range(0, 2 * count, step))
-        if 2 in branches:
-            out.update((j + gm + 1 - gp) ** 2 for j in range(0, 2 * count, step))
-        if 3 in branches:
-            out.update((j + gp + 1 - gm) ** 2 for j in range(0, 2 * count, step))
-    elif model == "sphere_xi":
-        l1, l2 = _require_real(ell[:2])
-        out.update((l1 + l2 + 2 * mm) ** 2 for mm in range(count))
-    elif model == "sphere_chi":
-        l1, l2, l3 = _require_real(ell)
-        # n runs over integers and half-integers (branch choice), both signs
-        for twice_n in range(-2 * count, 2 * count + 1):
-            e = sphere_energy((l1, l2, l3), m, twice_n / 2)
-            if e >= -REAL_TOL:
-                out.add(e)
-    else:
-        raise UnknownName(f"unknown spectrum model {model!r}")
+    if 1 in branches:
+        out.update((j + gm + gp) ** 2 for j in range(0, 2 * count, step))
+    if 2 in branches:
+        out.update((j + gm + 1 - gp) ** 2 for j in range(0, 2 * count, step))
+    if 3 in branches:
+        out.update((j + gp + 1 - gm) ** 2 for j in range(0, 2 * count, step))
     return sorted(out)
 
 
@@ -210,6 +185,12 @@ class SpectrumReport:
         return self.eigenvalues[: min(LOWEST_K, len(self.eigenvalues))]
 
 
+def _nearest(candidates, x: float) -> float:
+    """The sorted candidate closest to x, the lower one on a tie."""
+    i = bisect.bisect_left(candidates, x)
+    return min(candidates[max(i - 1, 0) : i + 1], key=lambda e: abs(x - e))
+
+
 def _finish_report(rep: SpectrumReport, eig, K: int, tol_real: float, candidates):
     eig = sorted(eig, key=lambda z: (complex(z).real, complex(z).imag))
     rep.eigenvalues = [complex(z) for z in eig]
@@ -219,7 +200,7 @@ def _finish_report(rep: SpectrumReport, eig, K: int, tol_real: float, candidates
         rep.phase = "exact" if rep.max_imag <= tol_real else "broken"
     if candidates:
         for z in low:
-            cand = min(candidates, key=lambda e: abs(z.real - e))
+            cand = _nearest(candidates, z.real)
             dev = abs(z - cand)
             rel = dev / max(abs(cand), 1.0)
             rep.matches.append((z, cand, dev, rel))
@@ -316,11 +297,7 @@ def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K) -> SpectrumReport
         cm = coupling_maps("s1", a=a, b=b, k1=k1, k2=k2)
         if cm.is_real:
             candidates = closed_form_energies(
-                "s1",
-                g_minus=cm.g_minus.real,
-                g_plus=cm.g_plus.real,
-                count=2 * K,
-                half_integer=True,
+                cm.g_minus.real, cm.g_plus.real, count=2 * K, half_integer=True
             )
         else:
             rep.phase = "complex-coupling"
@@ -331,12 +308,18 @@ def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K) -> SpectrumReport
 # -- finite-difference solvers on (0, pi/2) -------------------------------------
 
 
-def _dirichlet_fd(potential_vals, h, k_lowest):
-    n = len(potential_vals)
-    d = 2.0 / h**2 + np.real(potential_vals)
-    e = np.full(n - 1, -1.0 / h**2)
+def _dirichlet_pt(gm: float, gp: float, N: int, K: int, shift: float) -> np.ndarray:
+    """Lowest min(2K, N) eigenvalues of the Poschl-Teller operator plus shift,
+    Dirichlet finite differences on N interior points of (0, pi/2)."""
+    h = (np.pi / 2) / (N + 1)
+    x = h * np.arange(1, N + 1)
+    V = gm * (gm - 1) / np.sin(x) ** 2 + gp * (gp - 1) / np.cos(x) ** 2 + shift
     vals = scipy.linalg.eigh_tridiagonal(
-        d, e, select="i", select_range=(0, min(k_lowest, n) - 1), eigvals_only=True
+        2.0 / h**2 + V,
+        np.full(N - 1, -1.0 / h**2),
+        select="i",
+        select_range=(0, min(2 * K, N) - 1),
+        eigvals_only=True,
     )
     return vals.astype(complex)
 
@@ -347,12 +330,9 @@ def solve_poschl_teller(gm, gp, N: int, K: int = LOWEST_K, tol_real: float = 1e-
     gm, gp = float(gm), float(gp)
     if gm < 1 or gp < 1:
         raise BadCouplings("Dirichlet selection needs g_-, g_+ >= 1")
-    h = (np.pi / 2) / (N + 1)
-    xi = h * np.arange(1, N + 1)
-    V = gm * (gm - 1) / np.sin(xi) ** 2 + gp * (gp - 1) / np.cos(xi) ** 2
-    eig = _dirichlet_fd(V, h, max(K, 2 * K))
+    eig = _dirichlet_pt(gm, gp, N, K, 0.0)
     rep = SpectrumReport("poschl_teller", dict(g_minus=gm, g_plus=gp, K=K), N)
-    candidates = [(2 * n + gm + gp) ** 2 for n in range(4 * K)]
+    candidates = closed_form_energies(gm, gp, count=4 * K, branches=(1,))
     return _finish_report(rep, eig, K, tol_real, candidates)
 
 
@@ -362,24 +342,17 @@ def solve_chi_equation(ell3, composite, N: int, K: int = LOWEST_K, tol_real: flo
     The similarity Psi = (sin chi)^(-1/2) PsiTilde turns
     -Psi'' - cot(chi) Psi' + [l3(l3-1)/cos^2 + M^2/sin^2] Psi = E Psi into
     -PsiTilde'' + [l3(l3-1)/cos^2 + (M^2 - 1/4)/sin^2 - 1/4] PsiTilde
-    = E PsiTilde, discretized with Dirichlet ends on (0, pi/2); the interior
-    cos^2 singularity at pi/2 bounds the domain.
+    = E PsiTilde, the Poschl-Teller operator at (g_-, g_+) = (M + 1/2, l3)
+    shifted by -1/4, discretized with Dirichlet ends on (0, pi/2); the
+    interior cos^2 singularity at pi/2 bounds the domain.  M < 1/2 is allowed.
     """
     l3, comp = float(ell3), float(composite)
     if l3 < 1:
         raise BadCouplings("Dirichlet selection needs ell3 >= 1")
-    h = (np.pi / 2) / (N + 1)
-    chi = h * np.arange(1, N + 1)
-    V = (
-        l3 * (l3 - 1) / np.cos(chi) ** 2
-        + (comp * comp - 0.25) / np.sin(chi) ** 2
-        - 0.25
-    )
-    eig = _dirichlet_fd(V, h, max(K, 2 * K))
+    eig = _dirichlet_pt(comp + 0.5, l3, N, K, -0.25)
     rep = SpectrumReport("chi", dict(ell3=l3, composite=comp, K=K), N)
-    # shifted Poschl-Teller levels (2n + comp + 1/2 + l3)^2 - 1/4
-    candidates = [(2 * n + comp + 0.5 + l3) ** 2 - 0.25 for n in range(4 * K)]
-    return _finish_report(rep, eig, K, tol_real, candidates)
+    levels = closed_form_energies(comp + 0.5, l3, count=4 * K, branches=(1,))
+    return _finish_report(rep, eig, K, tol_real, [e - 0.25 for e in levels])
 
 
 # -- eigenfunctions -------------------------------------------------------------
@@ -420,64 +393,46 @@ def hyp2f1_terminating(a, b, c, x):
     return total
 
 
-def _check_integer_exponents(exps):
-    for e in exps:
-        ec = complex(e)
-        if abs(ec.imag) > 1e-9 or abs(ec.real - round(ec.real)) > 1e-9:
-            raise MultiValuedConfiguration(f"exponent {e} is not an integer")
+# (g_-, g_+, e) of each model's Poschl-Teller form; its solution carries
+# sin^(g_- + e), and e = -1/2 undoes the (sin chi)^(-1/2) similarity of chi
+_PT_FORMS = {
+    "s1": lambda p: (p["g_minus"], p["g_plus"], 0),
+    "sphere_xi": lambda p: (p["ell"][1], p["ell"][0], 0),
+    "sphere_chi": lambda p: (
+        Fraction(1, 2) - p["ell"][0] - p["ell"][1] - 2 * p["m"],
+        p["ell"][2],
+        Fraction(-1, 2),
+    ),
+}
 
 
 def eigenfunction_eval(model: str, branch: int, qn, point, **params) -> complex:
     """Displayed product-of-powers times terminating-hypergeometric solutions.
 
-    Models take the squared-cosine of the separated variable as the evaluation
-    point is the angle itself: point is xi (or chi), u = cos^2(point).
-    s1: qn = n with couplings g_minus, g_plus.  sphere_xi: qn = m with ell.
-    sphere_chi: qn = n with ell and the separation index m.
+    The evaluation point is the angle itself, xi (or chi), with
+    u = cos^2(point).  s1: qn = n with couplings g_minus, g_plus.  sphere_xi:
+    qn = m with ell.  sphere_chi: qn = n with ell and the separation index m.
+    Branch 1 is sin^(g_- + e) cos^(g_+) 2F1(-n, g_- + g_+ + n; 1/2 + g_+; u);
+    branch 2 is sin^(g_- + e) cos^(1 - g_+)
+    2F1(1/2 - n - g_+, 1/2 + n + g_-; 3/2 - g_+; u), in the couplings of
+    _PT_FORMS.
     """
+    if model not in _PT_FORMS:
+        raise UnknownName(f"unknown eigenfunction model {model!r}")
+    gm, gp, e = _PT_FORMS[model](params)
+    half = Fraction(1, 2)
+    if branch == 1:
+        cos_exp, a, b, c = gp, -qn, gm + gp + qn, half + gp
+    else:
+        cos_exp, a, b, c = 1 - gp, half - qn - gp, half + qn + gm, Fraction(3, 2) - gp
+    sin_exp = gm + e
+    for p in (sin_exp, cos_exp):
+        pc = complex(p)
+        if abs(pc.imag) > 1e-9 or abs(pc.real - round(pc.real)) > 1e-9:
+            raise MultiValuedConfiguration(f"exponent {p} is not an integer")
     u = np.cos(complex(point)) ** 2
     su, cu = (1 - u) ** 0.5, u**0.5  # principal branches of sin, cos powers
-    if model == "s1":
-        gm, gp = params["g_minus"], params["g_plus"]
-        n = qn
-        if branch == 1:
-            _check_integer_exponents([gm, gp])
-            f = hyp2f1_terminating(-n, gm + gp + n, Fraction(1, 2) + gp, u)
-            return su**gm * cu**gp * complex(f)
-        _check_integer_exponents([gm, 1 - gp])
-        f = hyp2f1_terminating(
-            Fraction(1, 2) - n - gp, Fraction(1, 2) + n + gm, Fraction(3, 2) - gp, u
-        )
-        return su**gm * cu ** (1 - gp) * complex(f)
-    if model == "sphere_xi":
-        l1, l2 = params["ell"][:2]
-        m = qn
-        if branch == 1:
-            _check_integer_exponents([l1, l2])
-            f = hyp2f1_terminating(-m, l1 + l2 + m, Fraction(1, 2) + l1, u)
-            return su**l2 * cu**l1 * complex(f)
-        _check_integer_exponents([1 - l1, l2])
-        f = hyp2f1_terminating(
-            Fraction(1, 2) - m - l1, Fraction(1, 2) + m + l2, Fraction(3, 2) - l1, u
-        )
-        return su**l2 * cu ** (1 - l1) * complex(f)
-    if model == "sphere_chi":
-        l1, l2, l3 = params["ell"]
-        m = params["m"]
-        n = qn
-        pref_exp = -l1 - l2 - 2 * m
-        if branch == 1:
-            _check_integer_exponents([pref_exp, l3])
-            f = hyp2f1_terminating(
-                -n, Fraction(1, 2) - l1 - l2 + l3 - 2 * m + n, Fraction(1, 2) + l3, u
-            )
-            return su**pref_exp * cu**l3 * complex(f)
-        _check_integer_exponents([pref_exp, 1 - l3])
-        f = hyp2f1_terminating(
-            Fraction(1, 2) - n - l3, 1 - l1 - l2 - 2 * m + n, Fraction(3, 2) - l3, u
-        )
-        return su**pref_exp * cu ** (1 - l3) * complex(f)
-    raise UnknownName(f"unknown eigenfunction model {model!r}")
+    return su**sin_exp * cu**cos_exp * complex(hyp2f1_terminating(a, b, c, u))
 
 
 # -- PT parity ------------------------------------------------------------------
@@ -501,48 +456,37 @@ def pt_parity_check(model: str, branch: int = 1, qn=0, npoints: int = 12, tol: f
     Returns +1 or -1 when the ratio is the same definite sign at every sample
     point; raises NoDefiniteParity otherwise (e.g. lambda^2 > 1/2).
     """
-    ratios = []
     if model == "s1":
-        a, b = params["a"], params["b"]
-        gm, gp = params["g_minus"], params["g_plus"]
-        c = cmath.sqrt(complex(a) ** 2 - complex(b) ** 2)
-        for j in range(npoints):
-            phi = 0.17 + 2.9 * j / npoints
-            vals = []
-            for sgn in (1, -1):
-                cos2xi = (complex(a) * math.cos(2 * sgn * phi)
-                          + 1j * complex(b) * math.sin(2 * sgn * phi)) / c
-                xi = cmath.acos(cos2xi) / 2
-                vals.append(
-                    eigenfunction_eval("s1", branch, qn, xi, g_minus=gm, g_plus=gp)
-                )
-            if abs(vals[0]) < 1e-12:
-                continue
-            ratios.append(vals[1].conjugate() / vals[0])
+        a, b = complex(params["a"]), complex(params["b"])
+        c = cmath.sqrt(a**2 - b**2)
+
+        def angle(phi):  # xi at the circle point phi
+            return cmath.acos((a * math.cos(2 * phi) + 1j * b * math.sin(2 * phi)) / c) / 2
+
+        phis = [0.17 + 2.9 * j / npoints for j in range(npoints)]
+        pairs = [(angle(phi), angle(-phi)) for phi in phis]
     elif model in ("sphere_xi", "sphere_chi"):
         lam2 = complex(params["lambda2"])
-        ell = params["ell"]
-        kw = dict(ell=ell)
-        if model == "sphere_chi":
-            kw["m"] = params.get("m", 0)
+        params.setdefault("m", 0)
+
+        def angle(s):
+            cos2xi, coschi = _xi_chi_from_sphere(lam2, s)
+            return cmath.acos(cos2xi) / 2 if model == "sphere_xi" else cmath.acos(coschi)
+
+        pairs = []
         for j in range(npoints):
             th = 0.4 + 2.2 * j / npoints
             ph = 0.3 + 5.5 * j / npoints
             s = (math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th))
-            sP = (s[0], s[1], -s[2])
-            vals = []
-            for pt in (s, sP):
-                cos2xi, coschi = _xi_chi_from_sphere(lam2, pt)
-                if model == "sphere_xi":
-                    ang = cmath.acos(cos2xi) / 2
-                else:
-                    ang = cmath.acos(coschi)
-                vals.append(eigenfunction_eval(model, branch, qn, ang, **kw))
-            if abs(vals[0]) < 1e-12:
-                continue
-            ratios.append(vals[1].conjugate() / vals[0])
+            pairs.append((angle(s), angle((s[0], s[1], -s[2]))))
     else:
         raise UnknownName(f"unknown parity model {model!r}")
+    ratios = []
+    for ang, ang_pt in pairs:
+        val = eigenfunction_eval(model, branch, qn, ang, **params)
+        if abs(val) < 1e-12:
+            continue
+        ratios.append(eigenfunction_eval(model, branch, qn, ang_pt, **params).conjugate() / val)
     if not ratios:
         raise NoDefiniteParity("no usable sample points")
     for sign in (1, -1):
@@ -558,12 +502,15 @@ def bessel_series_psi(alpha, q: int, z, terms: int = 30):
     """Truncated series sum_j (-1)^j / (j! Gamma(j+q+3/2)) (alpha z / 2)^(2j+q+1).
 
     Returns (value, tail_bound) where the bound is the first dropped term
-    estimated through the ratio test.
+    estimated through the ratio test.  math.gamma overflows past
+    q + terms = 170.
     """
     if terms < 1:
         raise ParamOutOfRange("terms must be >= 1")
     if q < 0 or q != int(q):
         raise ParamOutOfRange("q must be a non-negative integer")
+    if q + terms > 170:
+        raise ParamOutOfRange(f"q + terms = {q + terms} > 170 overflows math.gamma")
     w = complex(alpha) * complex(z) / 2
     total = 0j
     term_pow = w ** (q + 1)

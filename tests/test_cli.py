@@ -269,6 +269,11 @@ def test_grid_size_out_of_range_exits_2(capsys, argv, N):
         ("scan --model lambda --lambda2 0:0.4:1e-7", "1000 points"),
         ("scan --model lambda --lambda2 a:b:c", "a:b:c"),
         ("scan --model lambda --lambda2 0.1:0.2:nan", "0.1:0.2:nan"),  # was one point
+        ("spectrum --model poschl_teller --gminus 2 --gplus 3 --tol-match -1", "--tol-match"),
+        ("spectrum --model chi --ell3 2 --composite 5 --tol-match nan", "--tol-match"),
+        ("spectrum --model s1 --gminus 2 --gplus 3 --tol-match inf", "--tol-match"),
+        ("spectrum --model poschl_teller --gminus 2 --gplus 3 --tol-real -0.5", "--tol-real"),
+        ("scan --model lambda --tol-real nan", "--tol-real"),
     ],
 )
 def test_spectral_input_out_of_range_exits_2(capsys, argv, text):
@@ -287,6 +292,17 @@ def test_grid_size_bounds_are_accepted(capsys):
     assert len(_parse_grid("0:0.999:0.001")) == 1000
     with pytest.raises(ConfigError, match="more than 1000 points"):
         _parse_grid("0:1:0.001")
+
+
+def test_tol_match_zero_is_used_not_replaced(capsys):
+    # every finite-difference level deviates from its closed form, so a zero
+    # tolerance fails; it used to fall back to the model default and pass
+    argv = ["spectrum", "--model", "poschl_teller", "--gminus", "2", "--gplus", "3",
+            "--N", "4096", "--tol-match"]
+    code, out = _run([*argv, "0"], capsys)
+    assert code == 1 and json.loads(out)["tol_match"] == 0.0
+    assert main([*argv, "1e-300"]) == 1
+    assert main([*argv, "1e-3"]) == 0
 
 
 def test_spectrum_csv_output(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,16 +10,18 @@ from ptsphere.errors import (
     BadCouplings,
     ComplexCouplings,
     NoDefiniteParity,
+    ParamOutOfRange,
     PoleInC,
     ResidualTooLarge,
     SingularPotential,
     UnknownName,
 )
 from ptsphere.spectral import (
+    _cauchy_derivative,
     _circle_potential_phi,
+    _nearest,
     bessel_ode_residual,
     bessel_series_psi,
-    circle_energy,
     closed_form_energies,
     coupling_maps,
     eigenfunction_eval,
@@ -31,7 +34,6 @@ from ptsphere.spectral import (
     solve_chi_equation,
     solve_periodic_s1,
     solve_poschl_teller,
-    sphere_energy,
 )
 
 
@@ -51,17 +53,8 @@ def test_coupling_map_criterion_point():
     assert abs(cm.g_minus - 2) < 1e-10 and abs(cm.g_plus - 3) < 1e-10
 
 
-def test_closed_form_energy_formulas():
-    assert circle_energy(2, 3, 0) == 25
-    assert circle_energy(2, 3, 1) == 49
-    # sphere tower: (X-1) X
-    e = sphere_energy((2, 3, 1), 1, 0)
-    x = 2 + 3 - 1 + 2
-    assert e == (x - 1) * x
-
-
 def test_closed_form_families_are_sorted_and_real():
-    es = closed_form_energies("s1", g_minus=2, g_plus=3, ell=None, count=6)
+    es = closed_form_energies(2, 3, count=6)
     assert all(e.imag == 0 for e in es)
     assert list(es) == sorted(es, key=lambda z: z.real)
 
@@ -131,11 +124,21 @@ def test_periodic_spectrum_is_the_triangular_diagonal(a, b):
 
 
 def test_s1_mirror_branch():
-    # branch 3, (2j + g_+ - g_- + 1)^2, is the lower tower when g_- > g_+
-    assert closed_form_energies("s1", g_minus=3, g_plus=2, branches=(3,), count=2) == [
-        0.0, 4.0
-    ]
-    assert 1.0 in closed_form_energies("s1", g_minus=3, g_plus=2, half_integer=True)
+    # branch 3, (2j + g_+ - g_- + 1)^2, is the lower tower when g_- > g_+;
+    # branch 1 is (2n + g_- + g_+)^2
+    for gm, gp, branch, tower in ((3, 2, 3, [0.0, 4.0]), (2, 3, 1, [25.0, 49.0])):
+        assert closed_form_energies(gm, gp, branches=(branch,), count=2) == tower
+    assert 1.0 in closed_form_energies(3, 2, half_integer=True)
+
+
+def test_nearest_candidate_matches_the_linear_minimum():
+    # integer candidates with repeats and half-integer points make exact ties,
+    # where the lower candidate wins, as the first minimum of a linear scan
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        cands = sorted(int(v) for v in rng.integers(-20, 20, size=rng.integers(1, 12)))
+        for x in rng.integers(-50, 50, size=8) / 2:
+            assert _nearest(cands, x) == min(cands, key=lambda e: abs(x - e))
 
 
 def test_solve_periodic_complex_coupling_phase():
@@ -162,6 +165,16 @@ def test_chi_equation_fd():
     got = [m[1] for m in rep.matches[: len(expected)]]
     for g, e in zip(got, expected):
         assert abs(g - e) < 1e-9
+
+
+@pytest.mark.parametrize("ell3, composite", [(2, 5), (1.5, 3.5), (2.3, 4.7), (1, 0.5)])
+def test_chi_equation_is_the_shifted_poschl_teller_equation(ell3, composite):
+    # chi is the Poschl-Teller operator at (M + 1/2, l3), shifted by -1/4
+    chi = solve_chi_equation(ell3, composite, 1024).eigenvalues
+    pt = solve_poschl_teller(composite + 0.5, ell3, 1024).eigenvalues
+    assert len(chi) == len(pt) == 16
+    for z, w in zip(chi, pt):
+        assert abs(z - (w - 0.25)) <= 1e-12 * abs(z)
 
 
 def test_fd_second_order_convergence():
@@ -197,6 +210,43 @@ def test_hyp2f1_second_term():
     assert hyp2f1_terminating(a, b, c, x) == t0 + t1 + t2
 
 
+def _pt(gm, gp):
+    """The Poschl-Teller potential at (g_-, g_+)."""
+    return lambda x: gm * (gm - 1) / cmath.sin(x) ** 2 + gp * (gp - 1) / cmath.cos(x) ** 2
+
+
+@pytest.mark.parametrize(
+    "model, branch, qn, params, potential, energy, cot",
+    [
+        # s1 at its branch-1 level and, at half-integer n, its branch-2 level
+        ("s1", 1, 1, dict(g_minus=2, g_plus=3), _pt(2, 3), 49, False),
+        ("s1", 2, Fraction(1, 2), dict(g_minus=2, g_plus=3), _pt(2, 3), 36, False),
+        ("s1", 1, 2, dict(g_minus=3, g_plus=2), _pt(3, 2), 81, False),
+        # sphere xi: Poschl-Teller in (l2, l1) at (l1 + l2 + 2m)^2
+        ("sphere_xi", 1, 1, dict(ell=(2, 3)), _pt(3, 2), 49, False),
+        ("sphere_xi", 2, Fraction(1, 2), dict(ell=(2, 3)), _pt(3, 2), 36, False),
+        # sphere chi with its cot term: l3(l3-1)/cos^2 + M^2/sin^2, M = 5, at
+        # the g_- = 1/2 - M level (2n + l3 + 1/2 - M)^2 - 1/4
+        ("sphere_chi", 1, 2, dict(ell=(2, 3, 2), m=0),
+         lambda x: 2 / cmath.cos(x) ** 2 + 25 / cmath.sin(x) ** 2, 2, True),
+        ("sphere_chi", 2, Fraction(1, 2), dict(ell=(2, 3, 2), m=0),
+         lambda x: 2 / cmath.cos(x) ** 2 + 25 / cmath.sin(x) ** 2, 2, True),
+        ("sphere_chi", 1, 1, dict(ell=(1, 2, 3), m=1),
+         lambda x: 6 / cmath.cos(x) ** 2 + 25 / cmath.sin(x) ** 2, 0, True),
+    ],
+    ids=["s1-1", "s1-2", "s1-1-mirror", "xi-1", "xi-2", "chi-1", "chi-2", "chi-1-m1"],
+)
+def test_eigenfunction_solves_its_separated_equation(
+    model, branch, qn, params, potential, energy, cot
+):
+    f = lambda x: eigenfunction_eval(model, branch, qn, x, **params)
+    for x in (0.7, 0.9, 1.1):
+        d2 = _cauchy_derivative(f, x, 2)
+        d1 = _cauchy_derivative(f, x, 1) / math.tan(x) if cot else 0
+        resid = -d2 - d1 + (potential(x) - energy) * f(x)
+        assert abs(resid) <= 1e-10
+
+
 def test_eigenfunction_single_valued():
     val = eigenfunction_eval("s1", 1, 0, 0.7, a=2, b=1, g_minus=2, g_plus=3)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
@@ -219,6 +269,16 @@ def test_bessel_series_converges():
     assert tail < 1e-12 * max(1.0, abs(val))
     resid = bessel_ode_residual(2.0, 1.0, 0.8)
     assert resid < 1e-10
+
+
+def test_bessel_series_refuses_gamma_overflow():
+    # math.gamma(j + q + 3/2) overflows past q + terms = 170
+    assert math.isfinite(abs(bessel_series_psi(1.0, 140, 0.5)[0]))
+    assert math.isfinite(abs(bessel_series_psi(1.0, 165, 0.5, terms=5)[0]))
+    with pytest.raises(ParamOutOfRange):
+        bessel_series_psi(1.0, 141, 0.5)
+    with pytest.raises(ParamOutOfRange):
+        bessel_ode_residual(1.0, 166, 0.5, terms=5)
 
 
 def test_phase_scan_labels():
