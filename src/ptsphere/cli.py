@@ -18,15 +18,18 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import ParamOutOfRange, PtsphereError, RelationFailed, SingularPotential
-from .masa import CATALOG_NAMES, catalog_masa, classify_pt, load_masa_file, validate_masa
+from .masa import (
+    CATALOG_NAMES,
+    MAX_PARAM_INT,
+    catalog_masa,
+    classify_pt,
+    load_masa_file,
+    validate_masa,
+)
 from . import reduction
 from . import spectral
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
-# largest |numerator| and denominator of a rational parameter: radicals of
-# the parameters are factored by trial division, so larger ones can run for
-# minutes before any check starts
-MAX_PARAM_INT = 10**6
 # accepted --N range of spectrum and scan (--K: 1..MAX_GRID_N)
 MAX_GRID_N = 65536
 # most points a scan --lambda2 grid may have (the default grid has 14)
@@ -38,6 +41,8 @@ class ConfigError(Exception):
 
 
 def _frac(text: str) -> Fraction:
+    # catalog_masa bounds its own parameters; the spectral flags need the
+    # bound here
     try:
         q = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -229,20 +234,22 @@ def cmd_verify(args) -> int:
 
 
 def _spectrum_rows(rep, tol_match):
-    rows, ok = [], True
-    for i, z in enumerate(rep.eigenvalues[: max(len(rep.matches), 8)]):
-        m = None
-        for zz, c, d, r in rep.matches:
-            if zz == z:
-                m = (c, d, r)
-                break
-        if m is None:
-            rows.append([i, z.real, z.imag, "", ""])
+    # the matches are those of the lowest eigenvalues, in order; a row past
+    # them that repeats the last matched value (a double eigenvalue cut by
+    # --K) shares its match
+    rows, ok, matches = [], True, rep.matches
+    for i, z in enumerate(rep.eigenvalues[: max(len(matches), 8)]):
+        if i < len(matches):
+            m = matches[i]
+        elif matches and matches[-1][0] == z:
+            m = matches[-1]
         else:
-            c, d, r = m
-            rows.append([i, z.real, z.imag, c, d])
-            if r > tol_match:
-                ok = False
+            rows.append([i, z.real, z.imag, "", ""])
+            continue
+        _, c, d, r = m
+        rows.append([i, z.real, z.imag, c, d])
+        if r > tol_match:
+            ok = False
     return rows, ok
 
 

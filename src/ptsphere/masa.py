@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
 from .exact import Exact, I, ONE, ZERO, rat
@@ -36,6 +37,7 @@ __all__ = [
     "load_masa_file",
     "save_masa_file",
     "CATALOG_NAMES",
+    "MAX_PARAM_INT",
 ]
 
 # symmetric generators, in the fixed basis order used by coefficient rows
@@ -52,6 +54,10 @@ _CATALOG_PARAMS = {
     "degenerate_minus": {},
 }
 CATALOG_NAMES = tuple(_CATALOG_PARAMS)
+# largest |numerator| and denominator of a rational catalog parameter:
+# radicals of the parameters are factored by trial division, so larger ones
+# can run for minutes before any check starts
+MAX_PARAM_INT = 10**6
 
 
 def symmetric_basis_indices(n: int) -> tuple[int, ...]:
@@ -220,6 +226,16 @@ def _degenerate_rows(sign: int) -> list[list[Exact]]:
     return [z1, z2, z3]
 
 
+def _bounded(key: str, value):
+    """value, unless it is a rational past MAX_PARAM_INT (ParamOutOfRange)."""
+    if isinstance(value, Rational) and max(abs(value.numerator), value.denominator) > MAX_PARAM_INT:
+        raise ParamOutOfRange(
+            f"{key} = {value}: numerator and denominator must be at most"
+            f" {MAX_PARAM_INT} in absolute value"
+        )
+    return value
+
+
 def catalog_masa(name: str, **params) -> MasaSpec:
     """Named MASA families with exact parameters.
 
@@ -229,7 +245,8 @@ def catalog_masa(name: str, **params) -> MasaSpec:
     nilpotent(): u(3) family with nilpotent Z2, Z3.
     degenerate_plus/minus(): rescaled lambda2 = 1/2 limit.
 
-    A parameter the named model does not take raises UnknownName.
+    A parameter the named model does not take raises UnknownName; a
+    rational one past MAX_PARAM_INT raises ParamOutOfRange.
     """
     if name not in _CATALOG_PARAMS:
         raise UnknownName(f"unknown catalog MASA {name!r}")
@@ -242,17 +259,17 @@ def catalog_masa(name: str, **params) -> MasaSpec:
         )
     params = {**_CATALOG_PARAMS[name], **params}
     if name == "su2ab":
-        a, b = Exact.coerce(params["a"]), Exact.coerce(params["b"])
+        a, b = (Exact.coerce(_bounded(k, params[k])) for k in "ab")
         if a.is_zero() and b.is_zero():
             raise ParamOutOfRange("a and b cannot both vanish")
         rows = [[ONE, ZERO, ZERO], [ZERO, -I * b, a]]
         par = SignedPermutation.from_signed_indices([1, -2])
         return masa_from_coeffs(2, rows, name, (a, b), par)
     if name == "lambda":
-        lam2 = Fraction(params["lambda2"])
+        lam2 = _bounded("lambda2", Fraction(params["lambda2"]))
         rows, values = _lambda_rows(lam2), (lam2,)
     elif name == "cartan_od":
-        a, b = Exact.coerce(params["a"]), Exact.coerce(params["b"])
+        a, b = (Exact.coerce(_bounded(k, params[k])) for k in "ab")
         third = rat(Fraction(1, 3))
         rows = [
             [third, third * rat(2), third, ZERO, ZERO, ZERO],

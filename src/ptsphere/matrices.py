@@ -6,14 +6,15 @@ serves ExactMatrix.rank, exact_inverse, the u(n) basis expansion (through
 the inverse cached by lie.build_generators) and the exact linear fits of
 the reduction layer.  mat_exp_numeric exponentiates a dense complex array
 for the float Jacobian checks of the reduction layer.
+
+numpy and scipy are imported inside to_numpy and mat_exp_numeric, the only
+array code here, so the exact commands (reduce, validate, verify without
+--appendix) never load them: the import is most of their start-up time.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-import numpy as np
-import scipy.linalg
 
 from .exact import Exact, ONE, ZERO
 from .errors import DimensionMismatch, SingularMatrix
@@ -105,6 +106,8 @@ class ExactMatrix:
         return len(row_reduce(self.entries, self.cols)[1])
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [[a.to_complex() for a in row] for row in self.entries], dtype=complex
         )
@@ -162,6 +165,9 @@ def exact_inverse(m: ExactMatrix) -> ExactMatrix:
 
 def mat_exp_numeric(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with Pade approximants."""
+    import numpy as np
+    import scipy.linalg
+
     arr = np.asarray(m, dtype=complex)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch("exponential needs a square matrix")

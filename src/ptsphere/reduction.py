@@ -5,7 +5,8 @@ engine produces the reduced potential V = k^T V_mat^{-1} k, the momentum
 map X -> Xhat on the constrained phase space, the named models' integrals
 of motion, and the verification reports for the conservation, sum, and
 Racah-type identities.  Float checks (Jacobian block identities, the
-coordinate change to the separable variables) live at the end.
+coordinate change to the separable variables) live at the end and import
+numpy in their bodies, so the exact checks run without it.
 
 Momentum maps have one construction path: _generator_images builds A, det A
 and adj A once and returns the numerators over det A of the basis generator
@@ -22,8 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .exact import Exact, I, ONE, ZERO, rat
 from .errors import (
@@ -767,6 +766,8 @@ def verify_coordinate_map(
     lam2, kvals=(0.3, 0.7, 0.4), trials: int = 20, seed: int = 5, tol: float = 1e-10
 ) -> MapReport:
     """Compare V_lambda(s) with the separable-coordinate potential."""
+    import numpy as np
+
     lam2 = Fraction(lam2)
     masa = catalog_masa("lambda", lambda2=lam2)
     V = build_potential(masa)
@@ -819,6 +820,8 @@ def jacobian_check(masa: MasaSpec, x: Sequence[float], s: Sequence[float]) -> Ja
       x_indep      |(-A^T (B^{-2}) A)(x) - Vmat(0)|
       v_def        |Vmat(0) + A(0)^T A(0)|, A(0) evaluated from the exact build
     """
+    import numpy as np
+
     n = masa.n
     Zs = [Z.to_numpy() for Z in masa.matrices]
     x = np.asarray(x, dtype=float)

@@ -13,6 +13,14 @@ the two coupling-constant-metamorphosis identities.
 
 Inputs a routine cannot take raise ParamOutOfRange, a configuration error
 (exit 2) on the command line; e.g. a Bessel order with q + terms > 170.
+
+numpy and scipy are imported only inside the array routines: the
+finite-difference solver _dirichlet_pt, fourier_matrix (with its potential
+sampler) and _cauchy_derivative.  The periodic circle spectrum, the closed
+forms, the eigenfunctions and the coupling maps are scalar code, so
+`spectrum --model s1` and the reduction layer, which imports this module,
+start without paying for that import; a float solve pays it once, on its
+first call.
 """
 
 from __future__ import annotations
@@ -22,9 +30,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadCouplings,
@@ -211,6 +216,8 @@ def _finish_report(rep: SpectrumReport, eig, K: int, tol_real: float, candidates
 
 
 def _circle_potential_phi(a, b, k1, k2, phi):
+    import numpy as np
+
     c2, s2 = np.cos(2 * phi), np.sin(2 * phi)
     num = 2 * k1 * k2 * (a * c2 - 1j * b * s2) - k1 * k1 * (a * a - b * b) - k2 * k2
     den = (b * c2 - 1j * a * s2) ** 2
@@ -239,6 +246,9 @@ def fourier_matrix(a, b, k1, k2, N: int):
     solve_periodic_s1 does not build this matrix; the tests use it as the
     reference for the structural spectrum.
     """
+    import numpy as np
+    import scipy.linalg
+
     a, b = complex(a), complex(b)
     k1, k2 = complex(k1), complex(k2)
     _require_regular_circle(a, b)
@@ -311,15 +321,19 @@ def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K) -> SpectrumReport
 def _dirichlet_pt(gm: float, gp: float, N: int, K: int, shift: float) -> np.ndarray:
     """Lowest min(2K, N) eigenvalues of the Poschl-Teller operator plus shift,
     Dirichlet finite differences on N interior points of (0, pi/2)."""
+    import numpy as np
+    import scipy.linalg
+
     h = (np.pi / 2) / (N + 1)
     x = h * np.arange(1, N + 1)
     V = gm * (gm - 1) / np.sin(x) ** 2 + gp * (gp - 1) / np.cos(x) ** 2 + shift
+    count = min(2 * K, N)
+    # index selection bisects for each eigenvalue, quadratic when all N are
+    # asked for; the full-spectrum driver returns the same sorted list, equal
+    # to about 1e-12 relative
+    select = {"select": "a"} if count == N else {"select": "i", "select_range": (0, count - 1)}
     vals = scipy.linalg.eigh_tridiagonal(
-        2.0 / h**2 + V,
-        np.full(N - 1, -1.0 / h**2),
-        select="i",
-        select_range=(0, min(2 * K, N) - 1),
-        eigvals_only=True,
+        2.0 / h**2 + V, np.full(N - 1, -1.0 / h**2), eigvals_only=True, **select
     )
     return vals.astype(complex)
 
@@ -430,7 +444,7 @@ def eigenfunction_eval(model: str, branch: int, qn, point, **params) -> complex:
         pc = complex(p)
         if abs(pc.imag) > 1e-9 or abs(pc.real - round(pc.real)) > 1e-9:
             raise MultiValuedConfiguration(f"exponent {p} is not an integer")
-    u = np.cos(complex(point)) ** 2
+    u = cmath.cos(complex(point)) ** 2
     su, cu = (1 - u) ** 0.5, u**0.5  # principal branches of sin, cos powers
     return su**sin_exp * cu**cos_exp * complex(hyp2f1_terminating(a, b, c, u))
 
@@ -524,6 +538,8 @@ def bessel_series_psi(alpha, q: int, z, terms: int = 30):
 
 def _cauchy_derivative(f, t0, order: int, radius: float = 0.2, nodes: int = 64):
     """order-th derivative of an analytic function by contour quadrature."""
+    import numpy as np
+
     ks = np.arange(nodes)
     ts = t0 + radius * np.exp(2j * np.pi * ks / nodes)
     vals = np.array([f(t) for t in ts])

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ptsphere
 from ptsphere import reduction
 from ptsphere.cli import ConfigError, _parse_grid, main
 
@@ -209,6 +213,18 @@ def test_spectrum_s1_from_g_parameters(capsys):
         assert row[4] <= 1e-6
 
 
+def test_rows_past_the_matches_share_a_double_eigenvalue_match(capsys):
+    # --K 2 matches 0 and the first 1; the second 1 is the same double
+    # eigenvalue and carries the match, the 4 after it does not
+    argv = ["spectrum", "--model", "s1", "--a", "2", "--b", "1",
+            "--gminus", "2", "--gplus", "3", "--K", "2", "--N", "64"]
+    code, out = _run(argv, capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row[1] for row in rows[:4]] == [0.0, 1.0, 1.0, 4.0]
+    assert [row[3] for row in rows[:4]] == [0.0, 1.0, 1.0, ""]
+
+
 @pytest.mark.parametrize("gminus, gplus", [("3", "2"), ("4", "3")])
 def test_spectrum_s1_swapped_couplings(capsys, gminus, gplus):
     argv = ["spectrum", "--model", "s1", "--a", "2", "--b", "1",
@@ -348,3 +364,30 @@ def test_reports_are_deterministic(capsys):
     _, out1 = _run(["validate", "--model", "nilpotent"], capsys)
     _, out2 = _run(["validate", "--model", "nilpotent"], capsys)
     assert out1 == out2
+
+
+EXACT_IMPORTS_PROBE = """
+import contextlib, io, sys
+from ptsphere import cli, reduction, spectral
+runs = [
+    ["reduce", "--model", "su2ab", "--a", "2", "--b", "1"],
+    ["verify", "--model", "cartan_od"],
+    ["validate", "--model", "lambda"],
+    ["spectrum", "--model", "s1", "--a", "2", "--b", "1", "--gminus", "2", "--gplus", "3"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+    loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+    float_code = cli.main(["spectrum", "--model", "poschl_teller", "--gminus", "2",
+                           "--gplus", "3", "--N", "256"])
+print(codes, loaded, float_code)
+"""
+
+
+def test_exact_commands_load_no_numpy_or_scipy():
+    # a fresh interpreter: this one has numpy loaded by the other tests
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ptsphere.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", EXACT_IMPORTS_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[0, 0, 0, 0] [] 0"

@@ -52,6 +52,16 @@ def test_lambda_parameter_range():
         catalog_masa("lambda", lambda2=Fraction(1, 2))
 
 
+def test_oversized_rational_parameter_raises_at_once():
+    # without the bound, factoring the radicals of this value runs for minutes
+    with pytest.raises(ParamOutOfRange, match="lambda2 = 1000000000039/3000000000091"):
+        catalog_masa("lambda", lambda2=Fraction(1000000000039, 3000000000091))
+    with pytest.raises(ParamOutOfRange, match="b = 1/1000001"):
+        catalog_masa("cartan_od", b=Fraction(1, 10**6 + 1))
+    # the bound itself is accepted
+    assert catalog_masa("lambda", lambda2=Fraction(1, 10**6)).name == "lambda"
+
+
 def test_su2ab_degenerate_guard():
     with pytest.raises(ParamOutOfRange):
         catalog_masa("su2ab", a=Fraction(0), b=Fraction(0))

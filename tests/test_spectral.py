@@ -19,6 +19,7 @@ from ptsphere.errors import (
 from ptsphere.spectral import (
     _cauchy_derivative,
     _circle_potential_phi,
+    _dirichlet_pt,
     _nearest,
     bessel_ode_residual,
     bessel_series_psi,
@@ -152,6 +153,22 @@ def test_poschl_teller_fd():
     for z, cand, dev, rel in rep.matches[:4]:
         assert rel < 1e-3
     assert rep.matches[0][1] == 25.0
+
+
+def test_full_spectrum_driver_matches_index_bisection():
+    # N = 64, K = 32 asks for every eigenvalue, which _dirichlet_pt takes
+    # from the full-spectrum driver instead of bisection
+    N, K = 64, 32
+    got = _dirichlet_pt(2.0, 3.0, N, K, 0.0)
+    h = (np.pi / 2) / (N + 1)
+    x = h * np.arange(1, N + 1)
+    diag = 2.0 / h**2 + 2.0 / np.sin(x) ** 2 + 6.0 / np.cos(x) ** 2
+    ref = scipy.linalg.eigh_tridiagonal(
+        diag, np.full(N - 1, -1.0 / h**2), select="i", select_range=(0, N - 1),
+        eigvals_only=True,
+    )
+    assert len(got) == N
+    assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref))
 
 
 def test_poschl_teller_bad_couplings():
