@@ -40,6 +40,28 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return m, r * n
 
 
+def _add_products(out: dict, parts1, parts2) -> dict:
+    """Add every product of an int part (d1, (a1, b1)) of parts1 with one
+    (d2, (a2, b2)) of parts2 into out, a {d: (re, im)} dict, and return out.
+    For squarefree d1, d2: sqrt(d1)*sqrt(d2) = g*sqrt(r), g = gcd(d1, d2)."""
+    for d1, (a1, b1) in parts1:
+        for d2, (a2, b2) in parts2:
+            re = a1 * a2 - b1 * b2
+            im = a1 * b2 + b1 * a2
+            if d1 == 1:
+                r = d2
+            elif d2 == 1:
+                r = d1
+            else:
+                g = gcd(d1, d2)
+                r = (d1 // g) * (d2 // g)
+                re *= g
+                im *= g
+            c = out.get(r)
+            out[r] = (c[0] + re, c[1] + im) if c else (re, im)
+    return out
+
+
 def _new(num: dict, den: int) -> "Exact":
     """An Exact from parts already in canonical form (no check)."""
     x = object.__new__(Exact)
@@ -109,7 +131,8 @@ class Exact:
         if isinstance(x, Rational):
             return Exact.from_rational(x)
         if isinstance(x, complex):
-            if x.real != int(x.real) or x.imag != int(x.imag):
+            # is_integer() is False for inf and nan too
+            if not (x.real.is_integer() and x.imag.is_integer()):
                 raise TypeError("only exact (integer-valued) complex literals coerce")
             return Exact.from_rational(int(x.real), int(x.imag))
         raise TypeError(f"cannot coerce {type(x).__name__} to Exact")
@@ -213,24 +236,7 @@ class Exact:
         n1, n2 = self._num, other._num
         if not n1 or not n2:
             return ZERO
-        out: dict[int, tuple[int, int]] = {}
-        for d1, (a1, b1) in n1.items():
-            for d2, (a2, b2) in n2.items():
-                re = a1 * a2 - b1 * b2
-                im = a1 * b2 + b1 * a2
-                # sqrt(d1)*sqrt(d2) = g*sqrt(r) for squarefree d1, d2
-                if d1 == 1:
-                    r = d2
-                elif d2 == 1:
-                    r = d1
-                else:
-                    g = gcd(d1, d2)
-                    r = (d1 // g) * (d2 // g)
-                    re *= g
-                    im *= g
-                c = out.get(r)
-                out[r] = (c[0] + re, c[1] + im) if c else (re, im)
-        return _reduced(out, self._den * other._den)
+        return _reduced(_add_products({}, n1.items(), n2.items()), self._den * other._den)
 
     __rmul__ = __mul__
 

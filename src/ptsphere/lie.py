@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Exact, ONE, ZERO, I, rat
+from .exact import Exact, ONE, ZERO, I
 from .errors import DimensionMismatch, UnsupportedOrder, UnsupportedRank, WordTooLong
 from .matrices import ExactMatrix, exact_inverse
 
@@ -213,7 +213,10 @@ class EnvElement:
         return EnvElement(out)
 
     def __sub__(self, other: "EnvElement") -> "EnvElement":
-        return self + other.scale(rat(-1))
+        return self + (-other)
+
+    def __neg__(self) -> "EnvElement":
+        return EnvElement({w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "EnvElement":
         c = Exact.coerce(c)

@@ -14,6 +14,14 @@ PhasePoly.eval accepts only real rational coordinates (the sampled points
 and couplings are such).  It sums the terms in plain int arithmetic over the
 common denominator of the coordinates and coefficients and divides once at
 the end, so its value is exact and equals the term-by-term Exact sum.
+
+PhasePoly.__mul__ works the same way: with each operand's coefficients
+over its own common denominator, it sums every output monomial's int parts
+per radical (exact._add_products, the one product rule of Exact) and reduces
+each output coefficient once, not once per pair of terms.  Arithmetic
+results are built by the trusted constructor _poly, which skips the
+coercion and checks of the public PhasePoly(n, terms); only sums, which can
+cancel, drop zero terms.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from math import lcm
 from operator import add
 from typing import Any, Callable, Iterator, Sequence
 
-from .exact import Exact, ONE, ZERO, rat
+from .exact import Exact, ONE, ZERO, _add_products, _reduced, rat
 from .errors import DimensionMismatch, SamplingExhausted
 
 __all__ = [
@@ -47,6 +55,26 @@ __all__ = [
 MAX_RESAMPLES = 100
 
 
+def _poly(n: int, terms: dict[tuple[int, ...], Exact]) -> "PhasePoly":
+    """A PhasePoly from nonzero Exact coefficients on valid exponents (no check)."""
+    f = object.__new__(PhasePoly)
+    f.n = n
+    f.terms = terms
+    return f
+
+
+def _int_terms(f: "PhasePoly"):
+    """([(e, [(d, (re, im)), ...]), ...], L): the coefficients of f as int
+    parts over their common denominator L."""
+    coeffs = [(e, *c.int_parts()) for e, c in f.terms.items()]
+    L = lcm(*[den for _, _, den in coeffs])
+    out = []
+    for e, parts, den in coeffs:
+        t = L // den
+        out.append((e, parts if t == 1 else [(d, (re * t, im * t)) for d, (re, im) in parts]))
+    return out, L
+
+
 class PhasePoly:
     """Multivariate polynomial over Exact coefficients, canonical sparse form."""
 
@@ -56,10 +84,10 @@ class PhasePoly:
         self.n = n
         self.terms = {}
         for e, c in (terms or {}).items():
+            if len(e) != 3 * n:
+                raise DimensionMismatch("exponent tuple has wrong length")
             c = Exact.coerce(c)
             if not c.is_zero():
-                if len(e) != 3 * n:
-                    raise DimensionMismatch("exponent tuple has wrong length")
                 self.terms[e] = c
 
     # -- constructors --------------------------------------------------------
@@ -120,27 +148,35 @@ class PhasePoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, ZERO) + c
-        return PhasePoly(self.n, out)
+        return _poly(self.n, {e: c for e, c in out.items() if c})
 
     def __sub__(self, other: "PhasePoly") -> "PhasePoly":
-        return self + other.scale(rat(-1))
+        return self + (-other)
 
     def __neg__(self) -> "PhasePoly":
-        return self.scale(rat(-1))
+        return _poly(self.n, {e: -c for e, c in self.terms.items()})
 
     def scale(self, c) -> "PhasePoly":
         c = Exact.coerce(c)
-        return PhasePoly(self.n, {e: c * v for e, v in self.terms.items()})
+        if not c:
+            return _poly(self.n, {})
+        return _poly(self.n, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other: "PhasePoly") -> "PhasePoly":
         self._check(other)
-        out: dict[tuple[int, ...], Exact] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                prev = out.get(e)
-                out[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return PhasePoly(self.n, out)
+        if not self.terms or not other.terms:
+            return _poly(self.n, {})
+        t1, L1 = _int_terms(self)
+        t2, L2 = _int_terms(other)
+        # the int parts of each output monomial, summed over L1*L2
+        acc = {}
+        for e1, p1 in t1:
+            for e2, p2 in t2:
+                _add_products(acc.setdefault(tuple(map(add, e1, e2)), {}), p1, p2)
+        L = L1 * L2
+        for e, parts in acc.items():
+            acc[e] = _reduced(parts, L)
+        return _poly(self.n, {e: c for e, c in acc.items() if c})
 
     def __pow__(self, m: int) -> "PhasePoly":
         out = PhasePoly.const(self.n, 1)
@@ -158,11 +194,13 @@ class PhasePoly:
             if e[index]:
                 ne = list(e)
                 ne[index] -= 1
-                out[tuple(ne)] = c * rat(e[index])
-        return PhasePoly(self.n, out)
+                parts, den = c.int_parts()
+                x = e[index]
+                out[tuple(ne)] = _reduced({d: (a * x, b * x) for d, (a, b) in parts}, den)
+        return _poly(self.n, out)
 
     def conjugate(self) -> "PhasePoly":
-        return PhasePoly(self.n, {e: c.conjugate() for e, c in self.terms.items()})
+        return _poly(self.n, {e: c.conjugate() for e, c in self.terms.items()})
 
     def eval(self, vals: Sequence[Exact]) -> Exact:
         """Exact value at a point whose coordinates are real rationals.
@@ -239,7 +277,7 @@ class PhasePoly:
             key = tuple(ne)
             val = c.conjugate() if sign > 0 else -c.conjugate()
             out[key] = out.get(key, ZERO) + val
-        return PhasePoly(n, out)
+        return _poly(n, {e: c for e, c in out.items() if c})
 
     def __repr__(self):
         if not self.terms:
@@ -307,6 +345,8 @@ class PhaseRational:
             self.den = PhasePoly.const(self.n, 1)
             return
         lead = next(iter(self.den.terms.values()))
+        if lead == ONE:
+            return
         inv = lead.inverse()
         self.num = self.num.scale(inv)
         self.den = self.den.scale(inv)
@@ -339,10 +379,10 @@ class PhaseRational:
     __radd__ = __add__
 
     def __sub__(self, other: "PhaseRational") -> "PhaseRational":
-        return self + _as_rational(other, self.n).scale(rat(-1))
+        return self + (-_as_rational(other, self.n))
 
     def __neg__(self) -> "PhaseRational":
-        return self.scale(rat(-1))
+        return PhaseRational(-self.num, self.den)
 
     def scale(self, c) -> "PhaseRational":
         return PhaseRational(self.num.scale(c), self.den)

@@ -119,3 +119,12 @@ def test_results_are_canonical(a, b):
         q = a / b
         assert _canonical(q)
         assert q * b == a and hash(q * b) == hash(a)
+
+
+def test_coerce_rejects_non_finite_complex_with_type_error():
+    for x in (complex("inf"), complex("-inf"), complex("nan"), complex(1, float("inf"))):
+        with pytest.raises(TypeError, match="integer-valued"):
+            Exact.coerce(x)
+    with pytest.raises(TypeError):
+        Exact.coerce(float("inf"))
+    assert Exact.coerce(complex(3, -2)) == rat(3, -2)

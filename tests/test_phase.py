@@ -97,6 +97,103 @@ def test_poly_eval_matches_exact_reference():
     assert polys[1].eval(vals) == rat(Fraction(-3, 7), 2)
 
 
+def _reference_mul(f, g):
+    # term by term in Exact arithmetic, zero coefficients dropped at the end
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, ZERO) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _reference_add(f, g):
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        out[e] = out.get(e, ZERO) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _reference_pow(f, m):
+    # the square-and-multiply order of PhasePoly.__pow__
+    out, base = {(0,) * (3 * N): rat(1)}, f.terms
+    while m:
+        if m & 1:
+            out = _reference_mul(PhasePoly(N, out), PhasePoly(N, base))
+        base = _reference_mul(PhasePoly(N, base), PhasePoly(N, base))
+        m >>= 1
+    return out
+
+
+def _same_terms(result, reference):
+    # equal values in the same insertion order
+    assert list(result.terms) == list(reference)
+    assert all(result.terms[e] == c for e, c in reference.items())
+
+
+def test_poly_arithmetic_matches_exact_reference():
+    rng = random.Random(31)
+    r2, r3, r6 = (Exact.sqrt_rational(d) for d in (2, 3, 6))
+    q = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    def poly(nterms, radicals):
+        terms = {}
+        for _ in range(nterms):
+            e = tuple(rng.choice((0, 0, 1, 2)) for _ in range(3 * N))
+            terms[e] = sum((rat(q(), q()) * r for r in radicals), rat(q(), q()))
+        return PhasePoly(N, terms)
+
+    x, y = PhasePoly.s(N, 0), PhasePoly.p(N, 1)
+    polys = [
+        poly(6, [r2]), poly(5, [r3]), poly(4, [r6]), poly(7, [r2, r3, r6]),
+        PhasePoly.const(N, r2 + r3), PhasePoly.const(N, r2 - r3),
+        x + y.scale(r2), x - y.scale(r2), x.scale(r6) + y, PhasePoly(N),
+    ]
+    for f in polys:
+        _same_terms(-f, {e: -c for e, c in f.terms.items()})
+        for c in (r6, rat(Fraction(-2, 3), 5), ZERO):
+            _same_terms(f.scale(c), {e: c * v for e, v in f.terms.items() if c})
+        for i in (0, N + 1):
+            ref = {}
+            for e, c in f.terms.items():
+                if e[i]:
+                    ref[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * rat(e[i])
+            _same_terms(f.deriv(i), ref)
+        _same_terms(f ** 3, _reference_pow(f, 3))
+        for g in polys:
+            _same_terms(f * g, _reference_mul(f, g))
+            _same_terms(f + g, _reference_add(f, g))
+            _same_terms(f - g, _reference_add(f, PhasePoly(N, {e: -c for e, c in g.terms.items()})))
+    # products whose coefficients or monomials cancel
+    assert (polys[4] * polys[5]).terms == {(0,) * (3 * N): rat(-1)}
+    assert polys[6] * polys[7] == x * x - (y * y).scale(2)
+    assert (polys[0] * polys[-1]).is_zero() and (polys[0] - polys[0]).is_zero()
+
+
+def test_poly_product_obeys_the_radical_rule():
+    # sqrt(2)sqrt(3) = sqrt(6), sqrt(6)sqrt(6) = 6, sqrt(2)sqrt(6) = 2 sqrt(3),
+    # checked against float values, which do not use the rule
+    rng = random.Random(5)
+    r2, r3, r6 = (Exact.sqrt_rational(d) for d in (2, 3, 6))
+    f = PhasePoly.s(N, 0).scale(r2 + rat(Fraction(1, 3), 2)) + PhasePoly.k(N, 2).scale(r6)
+    g = PhasePoly.p(N, 0).scale(r3 - r6) + PhasePoly.s(N, 0).scale(r6 + rat(Fraction(-5, 4)))
+    for a, b in ((f, g), (g, g), (f, f)):
+        prod = a * b
+        for _ in range(3):
+            v = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3 * N)]
+            assert prod.eval_complex(v) == pytest.approx(a.eval_complex(v) * b.eval_complex(v), rel=1e-12)
+    c = PhasePoly.const
+    assert c(N, r2) * c(N, r3) == c(N, Exact.sqrt_rational(6))
+    assert c(N, r6) * c(N, r6) == c(N, 6)
+    assert c(N, r2) * c(N, r6) == c(N, Exact.sqrt_rational(12))
+
+
+def test_poly_constructor_checks_exponent_length_before_zero_test():
+    for c in (0, 1):
+        with pytest.raises(DimensionMismatch, match="wrong length"):
+            PhasePoly(3, {(1, 0): c})
+
+
 def test_poly_eval_rejects_radical_coordinates():
     f = PhasePoly.s(N, 0) * PhasePoly.p(N, 1)
     vals = [rat(1)] * (3 * N)
