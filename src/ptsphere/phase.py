@@ -21,7 +21,13 @@ per radical (exact._add_products, the one product rule of Exact) and reduces
 each output coefficient once, not once per pair of terms.  Arithmetic
 results are built by the trusted constructor _poly, which skips the
 coercion and checks of the public PhasePoly(n, terms); only sums, which can
-cancel, drop zero terms.
+cancel, drop zero terms.  The public constructor rejects an exponent tuple
+of the wrong length or with a negative entry.
+
+A PhaseRational is normalised so that the first term of its den as printed
+(the largest by total degree, then by exponent tuple) has coefficient 1, so
+its printed form does not depend on the order in which its terms were built.
+A zero num gets den 1.
 """
 
 from __future__ import annotations
@@ -63,6 +69,11 @@ def _poly(n: int, terms: dict[tuple[int, ...], Exact]) -> "PhasePoly":
     return f
 
 
+def _print_key(e: tuple[int, ...]):
+    """Terms print from the largest key down: total degree, then exponents."""
+    return sum(e), e
+
+
 def _int_terms(f: "PhasePoly"):
     """([(e, [(d, (re, im)), ...]), ...], L): the coefficients of f as int
     parts over their common denominator L."""
@@ -86,6 +97,8 @@ class PhasePoly:
         for e, c in (terms or {}).items():
             if len(e) != 3 * n:
                 raise DimensionMismatch("exponent tuple has wrong length")
+            if min(e) < 0:
+                raise DimensionMismatch("exponent tuple has a negative entry")
             c = Exact.coerce(c)
             if not c.is_zero():
                 self.terms[e] = c
@@ -288,7 +301,7 @@ class PhasePoly:
             + [f"k{m+1}" for m in range(self.n)]
         )
         bits = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+        for e in sorted(self.terms, key=_print_key, reverse=True):
             mon = "*".join(
                 f"{names[i]}^{x}" if x > 1 else names[i] for i, x in enumerate(e) if x
             )
@@ -340,11 +353,11 @@ class PhaseRational:
         self._strip_content()
 
     def _strip_content(self):
-        # best-effort normalization: divide num and den by a common scalar
+        # divide num and den by the coefficient of den's first printed term
         if self.num.is_zero():
             self.den = PhasePoly.const(self.n, 1)
             return
-        lead = next(iter(self.den.terms.values()))
+        lead = self.den.terms[max(self.den.terms, key=_print_key)]
         if lead == ONE:
             return
         inv = lead.inverse()

@@ -1,19 +1,27 @@
 """Symplectic reduction engine: potentials, momentum maps, integrals.
 
 Everything algebraic is exact.  The ambient data is a MASA of u(n); the
-engine produces the reduced potential V = k^T V_mat^{-1} k, the momentum
+engine produces the reduced potential V = k^T (-A^T A)^{-1} k, the momentum
 map X -> Xhat on the constrained phase space, the named models' integrals
 of motion, and the verification reports for the conservation, sum, and
 Racah-type identities.  Float checks (Jacobian block identities, the
 coordinate change to the separable variables) live at the end and import
 numpy in their bodies, so the exact checks run without it.
 
-Momentum maps have one construction path: _generator_images builds A, det A
-and adj A once and returns the numerators over det A of the basis generator
-images.  The map is linear, so every other image (momentum_map of any X, the
-bracket and correction images in verify_homomorphism, the factors of
-project_env_element) is a fixed combination of those generator images, and
-every image has the same denominator det A and hence the same poles.
+One matrix carries the reduction: A(s), with A_{mu nu} = (Z_nu s)_mu.
+_cofactors gives det A and adj A by one Laplace expansion, and _det_and_y
+turns them into det A and the vector y = adj(A)^T k.  y has two readers:
+
+- build_potential: adj(-A^T A) = (-1)^(n-1) adj(A) adj(A)^T and
+  det(-A^T A) = (-1)^n det(A)^2, so V = -sum_b y_b^2 / det(A)^2;
+- _generator_images: a symmetric generator g maps to y^T g s / det A, an
+  antisymmetric one to p^T g s.
+
+Momentum maps have this one construction path.  The map is linear, so every
+other image (momentum_map of any X, the bracket and correction images in
+verify_homomorphism, the factors of project_env_element) is a fixed
+combination of the generator images, and every image has the same
+denominator det A and hence the same poles.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from typing import Callable, Sequence
 from .exact import Exact, I, ONE, ZERO, rat
 from .errors import (
     DegenerateMasa,
-    DimensionMismatch,
     FitUnderdetermined,
     ParamOutOfRange,
     RelationFailed,
@@ -54,7 +61,6 @@ __all__ = [
     "MODELS",
     "JacobianCheck",
     "build_A",
-    "build_V_matrix",
     "build_potential",
     "degenerate_potential",
     "generator_images",
@@ -75,67 +81,6 @@ __all__ = [
 ]
 
 
-# -- small polynomial-matrix helpers ------------------------------------------
-
-
-def _pm_zero(n: int, dim: int):
-    return [[PhasePoly(dim) for _ in range(n)] for _ in range(n)]
-
-
-def _pm_mul(A, B, dim):
-    n = len(A)
-    out = _pm_zero(n, dim)
-    for i in range(n):
-        for j in range(n):
-            acc = PhasePoly(dim)
-            for t in range(n):
-                acc = acc + A[i][t] * B[t][j]
-            out[i][j] = acc
-    return out
-
-
-def _pm_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
-def _pm_neg(A):
-    return [[-x for x in row] for row in A]
-
-
-def _pm_det(A, dim) -> PhasePoly:
-    n = len(A)
-    if n == 1:
-        return A[0][0]
-    if n == 2:
-        return A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    if n == 3:
-        return (
-            A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
-            - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
-            + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0])
-        )
-    raise DimensionMismatch("polynomial determinants implemented for n <= 3")
-
-
-def _pm_adjugate(A, dim):
-    n = len(A)
-    if n == 1:
-        return [[PhasePoly.const(dim, 1)]]
-    if n == 2:
-        return [[A[1][1], -A[0][1]], [-A[1][0], A[0][0]]]
-    if n == 3:
-        C = _pm_zero(3, dim)
-        for i in range(3):
-            for j in range(3):
-                r = [x for x in range(3) if x != i]
-                c = [x for x in range(3) if x != j]
-                minor = A[r[0]][c[0]] * A[r[1]][c[1]] - A[r[0]][c[1]] * A[r[1]][c[0]]
-                sign = 1 if (i + j) % 2 == 0 else -1
-                C[j][i] = minor if sign > 0 else -minor
-        return C
-    raise DimensionMismatch("polynomial adjugates implemented for n <= 3")
-
-
 def angular_momentum(i: int) -> PhasePoly:
     """L_i = eps_ijk s_j p_k on the 2-sphere phase space (i in 1..3)."""
     n = 3
@@ -151,91 +96,82 @@ def angular_momentum(i: int) -> PhasePoly:
 def build_A(masa: MasaSpec):
     """A_{mu nu} = (Z_nu)_{mu sigma} s_sigma, a matrix of linear polynomials."""
     n = masa.n
-    A = _pm_zero(n, n)
-    for nu, Z in enumerate(masa.matrices):
-        for mu in range(n):
-            acc = PhasePoly(n)
-            for sg in range(n):
-                c = Z.entries[mu][sg]
-                if not c.is_zero():
-                    acc = acc + PhasePoly.s(n, sg).scale(c)
-            A[mu][nu] = acc
-    return A
+    s = [PhasePoly.s(n, sg) for sg in range(n)]
+    return [
+        [sum((s[sg].scale(c) for sg, c in enumerate(Z.entries[mu]) if c), PhasePoly(n))
+         for Z in masa.matrices]
+        for mu in range(n)
+    ]
 
 
-def build_V_matrix(masa: MasaSpec):
-    """The potential matrix -A^T A; also checked against its defining
-    double-contraction form entry by entry."""
+def _minor(A, rows, cols) -> PhasePoly:
+    """det of A on rows x cols, Laplace-expanded along the first row; zero
+    entries are skipped."""
+    if len(rows) == 1:
+        return A[rows[0]][cols[0]]
+    acc = PhasePoly(A[0][0].n)
+    for t, c in enumerate(cols):
+        a = A[rows[0]][c]
+        if a.terms:
+            m = a * _minor(A, rows[1:], cols[:t] + cols[t + 1:])
+            acc = acc - m if t % 2 else acc + m
+    return acc
+
+
+def _cofactors(A) -> tuple[PhasePoly, list[list[PhasePoly]]]:
+    """(det A, adj A): adj(A)_ij = (-1)^(i+j) times the minor without row j
+    and column i, and det A = sum_t A_0t adj(A)_t0."""
+    n = len(A)
+    idx = tuple(range(n))
+    adj = [[None] * n for _ in idx]
+    for i in idx:
+        for j in idx:
+            m = _minor(A, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:])
+            adj[i][j] = -m if (i + j) % 2 else m
+    det = sum((A[0][t] * adj[t][0] for t in idx if A[0][t].terms), PhasePoly(n))
+    return det, adj
+
+
+def _det_and_y(masa: MasaSpec) -> tuple[PhasePoly, list[PhasePoly]]:
+    """det A and y = adj(A)^T k, the vector both the potential and the
+    symmetric generator images are read from."""
     n = masa.n
-    A = build_A(masa)
-    V = _pm_neg(_pm_mul(_pm_transpose(A), A, n))
-    # independent assembly from -(Z_mu Z_nu) contracted with s twice
-    for mu in range(n):
-        for nu in range(n):
-            prod = masa.matrices[mu] @ masa.matrices[nu]
-            direct = PhasePoly(n)
-            for a in range(n):
-                for b in range(n):
-                    c = prod.entries[a][b]
-                    if not c.is_zero():
-                        direct = direct + (
-                            PhasePoly.s(n, a) * PhasePoly.s(n, b)
-                        ).scale(c)
-            if not (V[mu][nu] + direct).is_zero():
-                raise DegenerateMasa(
-                    f"V matrix entry ({mu},{nu}) fails the -A^T A identity"
-                )
-    return V
+    det, adj = _cofactors(build_A(masa))
+    if det.is_zero():
+        raise DegenerateMasa("A matrix is identically singular")
+    y = [
+        sum((PhasePoly.k(n, a) * adj[a][b] for a in range(n) if adj[a][b].terms), PhasePoly(n))
+        for b in range(n)
+    ]
+    return det, y
 
 
 def build_potential(masa: MasaSpec) -> PhaseRational:
-    """V(k, s) = k^T Vmat^{-1} k via the exact adjugate."""
-    n = masa.n
-    Vm = build_V_matrix(masa)
-    det = _pm_det(Vm, n)
-    if det.is_zero():
-        raise DegenerateMasa("potential matrix has identically zero determinant")
-    adj = _pm_adjugate(Vm, n)
-    num = PhasePoly(n)
-    for i in range(n):
-        for j in range(n):
-            num = num + PhasePoly.k(n, i) * adj[i][j] * PhasePoly.k(n, j)
-    return PhaseRational(num, det)
+    """V(k, s) = k^T (-A^T A)^{-1} k = -sum_b y_b^2 / det(A)^2, since
+    (-A^T A)^{-1} = -adj(A) adj(A)^T / det(A)^2."""
+    det, y = _det_and_y(masa)
+    return PhaseRational(-sum((yb * yb for yb in y), PhasePoly(masa.n)), det * det)
 
 
 def _generator_images(masa: MasaSpec, indices) -> tuple[PhasePoly, dict[int, PhasePoly]]:
     """det A and, for each requested basis generator g, the numerator of its
-    image over det A: p^T g s det A for antisymmetric g, k^T adj(A) g s for
-    symmetric g.  A, det A and adj A are built once."""
+    image over det A: p^T g s det A for antisymmetric g, y^T g s for
+    symmetric g."""
     n = masa.n
     basis = build_generators(n)
-    A = build_A(masa)
-    det = _pm_det(A, n)
-    if det.is_zero():
-        raise DegenerateMasa("A matrix is identically singular")
-    adj = _pm_adjugate(A, n)
+    det, y = _det_and_y(masa)
     nums = {}
     for gi in indices:
         g = basis.generators[gi]
+        sym = basis.symmetric_flags[gi]
+        left = y if sym else [PhasePoly.p(n, a) for a in range(n)]
         num = PhasePoly(n)
-        if basis.symmetric_flags[gi]:
-            for a in range(n):
-                for b in range(n):
-                    acc = sum(
-                        (adj[a][t].scale(g.entries[t][b]) for t in range(n)
-                         if not g.entries[t][b].is_zero()),
-                        PhasePoly(n),
-                    )
-                    if not acc.is_zero():
-                        num = num + PhasePoly.k(n, a) * acc * PhasePoly.s(n, b)
-            nums[gi] = num
-        else:
-            for a in range(n):
-                for b in range(n):
-                    e = g.entries[a][b]
-                    if not e.is_zero():
-                        num = num + (PhasePoly.p(n, a) * PhasePoly.s(n, b)).scale(e)
-            nums[gi] = num * det
+        for a in range(n):
+            for b in range(n):
+                e = g.entries[a][b]
+                if not e.is_zero():
+                    num = num + (left[a] * PhasePoly.s(n, b)).scale(e)
+        nums[gi] = num if sym else num * det
     return det, nums
 
 
@@ -416,7 +352,7 @@ def degenerate_potential(sign: int) -> PhaseRational:
     """The lambda^2 = 1/2 potential alpha^2/(s1 - s2 +- i sqrt2 s3)^2.
 
     The rescaled generators at the degenerate point no longer produce this
-    form through the generic k^T Vmat^{-1} k formula; the potential is the
+    form through the generic k^T (-A^T A)^{-1} k formula; the potential is the
     limit of the one-parameter family at fixed couplings, with
     alpha^2 = 4 k1^2 + 4 k2^2 - 2 k3^2.  No commuting symmetric triple can
     reproduce a constant coupling form over a single squared denominator
@@ -456,7 +392,7 @@ class Model:
     over-completeness relation (T: the integrals by name); the projected
     Casimir fits {H, 1, k_i k_j} on exactly the models that have one.
     racah: T12 = -T13 = T23 holds.  potential(*masa.params), when set,
-    replaces k^T Vmat^{-1} k.
+    replaces build_potential.
     """
 
     integrals: Callable | None
@@ -818,7 +754,7 @@ def jacobian_check(masa: MasaSpec, x: Sequence[float], s: Sequence[float]) -> Ja
       inverse      |J J^{-1} - 1|
       block        |J^{-1} I (J^{-1})^T - (1/2) diag(Vmat^{-1}, 1)|
       x_indep      |(-A^T (B^{-2}) A)(x) - Vmat(0)|
-      v_def        |Vmat(0) + A(0)^T A(0)|, A(0) evaluated from the exact build
+      v_def        |Vmat(0) + A(0)^T A(0)|, A(0) evaluated from the exact build_A
     """
     import numpy as np
 
@@ -844,13 +780,13 @@ def jacobian_check(masa: MasaSpec, x: Sequence[float], s: Sequence[float]) -> Ja
             [np.zeros((n, n)), np.eye(n)],
         ]
     )
-    # exact V matrix evaluated at s for the defining-identity residual
+    # the exact A evaluated at s for the defining-identity residual
     vals = list(sv) + [0.0] * (2 * n)
-    Vex = np.array([[f.eval_complex(vals) for f in row] for row in build_V_matrix(masa)])
+    Aex = np.array([[f.eval_complex(vals) for f in row] for row in build_A(masa)])
     res = {
         "inverse": float(np.max(np.abs(J @ Jinv - np.eye(2 * n)))),
         "block": float(np.max(np.abs(lhs - rhs))),
         "x_indep": float(np.max(np.abs(-A.T @ Binv @ Binv @ A - Vm))),
-        "v_def": float(np.max(np.abs(Vm - Vex))),
+        "v_def": float(np.max(np.abs(Vm + Aex.T @ Aex))),
     }
     return JacobianCheck(masa.name or "custom", tuple(x), tuple(map(complex, sv)), res)

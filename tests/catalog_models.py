@@ -16,6 +16,8 @@ PARAMS = {
 }
 SUM_RELATION_MODELS = [name for name, model in MODELS.items() if model.sum_relation]
 RACAH_MODELS = [name for name, model in MODELS.items() if model.racah]
+# the models whose potential is build_potential's k^T (-A^T A)^{-1} k
+BUILT_POTENTIAL_MODELS = [name for name, model in MODELS.items() if not model.potential]
 
 
 def models(*names):

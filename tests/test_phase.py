@@ -194,6 +194,29 @@ def test_poly_constructor_checks_exponent_length_before_zero_test():
             PhasePoly(3, {(1, 0): c})
 
 
+def test_poly_constructor_rejects_negative_exponents():
+    # eval and eval_complex would disagree on k1^-1
+    with pytest.raises(DimensionMismatch, match="negative"):
+        PhasePoly(1, {(0, 0, -1): 1})
+
+
+def test_rational_normalisation_does_not_depend_on_term_order():
+    num = PhasePoly.s(N, 0) * PhasePoly.k(N, 1)
+    s1, s2, k3 = (PhasePoly.var(N, i) for i in (0, 1, 8))
+    den_terms = [(s1 * s1).scale(5), (s1 * s2).scale(rat(0, 2)), k3.scale(-7), PhasePoly.const(N, 3)]
+    forward = sum(den_terms, PhasePoly(N))
+    backward = sum(reversed(den_terms), PhasePoly(N))
+    assert list(forward.terms) != list(backward.terms)
+    three_i = rat(0, 3)
+    forms = [
+        PhaseRational(num, forward),
+        PhaseRational(num, backward),
+        PhaseRational(num.scale(three_i), forward.scale(three_i)),
+    ]
+    assert len({repr(f) for f in forms}) == 1
+    assert repr(forms[0].den).startswith("(1)*s1^2 + ")
+
+
 def test_poly_eval_rejects_radical_coordinates():
     f = PhasePoly.s(N, 0) * PhasePoly.p(N, 1)
     vals = [rat(1)] * (3 * N)

@@ -1,18 +1,22 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from ptsphere import reduction
-from ptsphere.errors import FitUnderdetermined, RelationFailed, UnknownName
+from ptsphere.errors import DegenerateMasa, FitUnderdetermined, RelationFailed, UnknownName
 from ptsphere.exact import Exact, I, ONE, rat
 from ptsphere.lie import build_generators
-from ptsphere.masa import CATALOG_NAMES, catalog_masa
+from ptsphere.masa import CATALOG_NAMES, catalog_masa, masa_from_coeffs
+from ptsphere.matrices import ExactMatrix, exact_inverse
 from ptsphere.phase import (
     PhasePoly,
     PhaseRational,
     dirac_bracket,
     func_vanishes_on_constraint,
+    pole_free_values,
     sample_vals,
 )
 from ptsphere.reduction import (
@@ -31,7 +35,13 @@ from ptsphere.reduction import (
     verify_sum_relation,
 )
 
-from catalog_models import PARAMS, SUM_RELATION_MODELS, build_masa, models
+from catalog_models import (
+    BUILT_POTENTIAL_MODELS,
+    PARAMS,
+    SUM_RELATION_MODELS,
+    build_masa,
+    models,
+)
 
 FAST_MODELS = models("su2ab", "cartan_od", "degenerate_plus")
 
@@ -172,6 +182,109 @@ def test_degenerate_potential_closed_form():
         w = s1 - s2 + irt2 * s3
         alpha2 = rat(4) * (k1 * k1 + k2 * k2) - rat(2) * k3 * k3
         assert V.eval(vals) == alpha2 / (w * w)
+
+
+def _reference_potential(masa, vals):
+    """k^T (-A^T A)^{-1} k at a point, with A(s)_{mu nu} = (Z_nu s)_mu built
+    and inverted as an ExactMatrix."""
+    n = masa.n
+    s = ExactMatrix([[v] for v in vals[:n]])
+    k = ExactMatrix([[v] for v in vals[2 * n:]])
+    cols = [Z @ s for Z in masa.matrices]
+    A = ExactMatrix([[col[mu, 0] for col in cols] for mu in range(n)])
+    return (k.transpose() @ exact_inverse(-(A.transpose() @ A)) @ k)[0, 0]
+
+
+def test_potential_matches_exact_matrix_reference():
+    def matches_reference(masa, V):
+        # V.eval raises at a pole of V first; elsewhere A(s) is invertible
+        agree = lambda vals: V.eval(vals) == _reference_potential(masa, vals)
+        return all(islice(pole_free_values(agree, masa.n, 11), 5))
+
+    for name in BUILT_POTENTIAL_MODELS:
+        masa = build_masa(name)
+        V = build_potential(masa)
+        assert matches_reference(masa, V), name
+        assert not matches_reference(masa, -V), name
+    # the hand-written potentials the integrals are built from
+    for a, b in ((1, Fraction(1, 2)), (3, Fraction(2, 7))):
+        masa = catalog_masa("cartan_od", a=a, b=b)
+        assert reduction._cartan_od_potential(*masa.params).agrees_with(build_potential(masa))
+    # nilpotent's agrees with build_potential on the sphere s.s = 1 only
+    s1, s2, s3 = (PhasePoly.s(3, i) for i in range(3))
+    k2 = PhasePoly.k(3, 1)
+    off_sphere = PhaseRational(
+        k2 * k2 * (PhasePoly.const(3, 1) - s1 * s1 - s2 * s2 - s3 * s3),
+        (s2 + s3.scale(I)) ** 4,
+    )
+    diff = build_potential(catalog_masa("nilpotent")) - reduction._nilpotent_potential()
+    assert diff.agrees_with(off_sphere)
+
+
+@pytest.mark.parametrize("name", BUILT_POTENTIAL_MODELS)
+def test_cofactors_give_det_times_identity(name):
+    A = reduction.build_A(build_masa(name))
+    n = len(A)
+    det, adj = reduction._cofactors(A)
+    assert not det.is_zero()
+    zero = PhasePoly(n)
+    for i in range(n):
+        for j in range(n):
+            want = det if i == j else zero
+            assert sum((A[i][t] * adj[t][j] for t in range(n)), zero) == want, (i, j)
+            assert sum((adj[i][t] * A[t][j] for t in range(n)), zero) == want, (i, j)
+
+
+def test_identically_singular_masa_is_degenerate():
+    # Z_1 = Z_2, so the columns of A are equal and det A vanishes identically
+    masa = masa_from_coeffs(2, [[1, 0, 0], [1, 0, 0]])
+    for build in (
+        build_potential,
+        generator_images,
+        lambda m: momentum_map(m.matrices[0], m),
+    ):
+        with pytest.raises(DegenerateMasa, match="identically singular"):
+            build(masa)
+
+
+# sha256 of repr(potential) and repr(hamiltonian) from build_hamiltonian: the
+# printed forms (and so the reduce JSON) must not change with how they are built
+PRINTED_FORM_SHA256 = {
+    "su2ab": (
+        "52ff2cac6030741169c3672d3c5c04f26f86922ffb1fe77b9cff30f89e96a6c8",
+        "2f162560a07c5be0b1794782e086a2de497777af3252026eba534621f16c2abc",
+    ),
+    "lambda": (
+        "1a44a2c355e968c5c159e8eef79393e583b0395d9b3e9032a8612ff764f1f55f",
+        "8efa713bf5c9eba8150f48d91229df567564eaec6b3bf8d6108eeddacf6228d7",
+    ),
+    "cartan_od": (
+        "b6e9aa7d16203eab32216e3e7ee6579ab528c7dccf31631db5126d1db51ca1d3",
+        "cf8dac327c755c58095f0cf62d644fb14dff4ec8a6f97ce6c53a0d3acf3eab49",
+    ),
+    "nilpotent": (
+        "6f0260865cdeac0a803204875bc56cbfa7ca719214e4e97fcfef85fd5f743ce4",
+        "aec3542abcdbc7def5d8ade3d4683c24f067b068d446c16dac9d4c470154b1e8",
+    ),
+    "degenerate_plus": (
+        "f77d333b7d6e82add47b517b302ba3d7766a45bf1e29f931edee29d3a25994d9",
+        "fe9bfb702577ecdad78ff3a03d7ef016b5a9a8952cf0adfbed042775dff3e76c",
+    ),
+    "degenerate_minus": (
+        "f3c6d191409e8c3e0452a57dbcaa288c5ca6355da7af67c2e7533efb81de55da",
+        "5f5ae71597054725178bde0113b8eada770c336ccd6bf2550be38a736ff80e9c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PARAMS)
+def test_printed_forms_are_pinned(name):
+    sysr = build_hamiltonian(build_masa(name))
+    digests = tuple(
+        hashlib.sha256(repr(f).encode()).hexdigest()
+        for f in (sysr.potential, sysr.hamiltonian)
+    )
+    assert digests == PRINTED_FORM_SHA256[name]
 
 
 def test_momentum_map_closes_brackets_with_constraints():
