@@ -7,13 +7,15 @@ the inverse cached by lie.build_generators) and the exact linear fits of
 the reduction layer.  mat_exp_numeric exponentiates a dense complex array
 for the float Jacobian checks of the reduction layer.
 
-numpy and scipy are imported inside to_numpy and mat_exp_numeric, the only
-array code here, so the exact commands (reduce, validate, verify without
---appendix) never load them: the import is most of their start-up time.
+numpy is imported inside to_numpy and mat_exp_numeric, the only array code
+here, so the exact commands (reduce, validate, verify without --appendix)
+never load it: the import is most of their start-up time.  No code here
+imports scipy.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from .exact import Exact, ONE, ZERO
@@ -163,14 +165,34 @@ def exact_inverse(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix([row[n:] for row in a])
 
 
+EXP_TAYLOR_DEGREE = 18
+
+
 def mat_exp_numeric(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with Pade approximants."""
+    """Matrix exponential by scaling and squaring a Taylor sum.
+
+    m / 2^s has 1-norm below 1, where the degree-18 Taylor remainder,
+    at most 1.1 / 19! < 1e-17, is below the unit roundoff; the sum is
+    squared s times.  It uses numpy products only.  The matrices here are
+    2x2 and 3x3: scipy's expm solves a linear system for its Pade
+    approximant, which under a multi-threaded OpenBLAS can take
+    milliseconds for a 3x3, and importing scipy costs more start-up than
+    the whole check.
+    """
     import numpy as np
-    import scipy.linalg
 
     arr = np.asarray(m, dtype=complex)
-    if arr.shape[0] != arr.shape[1]:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch("exponential needs a square matrix")
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite entries")
-    return scipy.linalg.expm(arr)
+    # frexp puts the 1-norm in [2^(s-1), 2^s), so |m / 2^s|_1 < 1
+    s = max(0, math.frexp(float(np.abs(arr).sum(axis=0).max(initial=0.0)))[1])
+    a = arr / 2.0**s
+    eye = np.eye(arr.shape[0], dtype=complex)
+    out = eye
+    for k in range(EXP_TAYLOR_DEGREE, 0, -1):  # Horner: 1 + a (1 + a/2 (1 + ...))
+        out = eye + (a @ out) / k
+    for _ in range(s):
+        out = out @ out
+    return out

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -319,15 +320,19 @@ def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K) -> SpectrumReport
 
 
 def _dirichlet_pt(gm: float, gp: float, N: int, K: int, shift: float) -> np.ndarray:
-    """Lowest min(2K, N) eigenvalues of the Poschl-Teller operator plus shift,
-    Dirichlet finite differences on N interior points of (0, pi/2)."""
+    """Lowest min(K, N) eigenvalues of the Poschl-Teller operator plus shift,
+    Dirichlet finite differences on N interior points of (0, pi/2).
+
+    Every caller reads the lowest K levels only, so no more are bisected for;
+    each is found to stebz's absolute tolerance eps * |T|_1.
+    """
     import numpy as np
     import scipy.linalg
 
     h = (np.pi / 2) / (N + 1)
     x = h * np.arange(1, N + 1)
     V = gm * (gm - 1) / np.sin(x) ** 2 + gp * (gp - 1) / np.cos(x) ** 2 + shift
-    count = min(2 * K, N)
+    count = min(K, N)
     # index selection bisects for each eigenvalue, quadratic when all N are
     # asked for; the full-spectrum driver returns the same sorted list, equal
     # to about 1e-12 relative
@@ -512,12 +517,22 @@ def pt_parity_check(model: str, branch: int = 1, qn=0, npoints: int = 12, tol: f
 # -- Bessel-series solutions of the degenerate model ----------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def _bessel_coefficients(q: int, terms: int) -> tuple[tuple[float, ...], float]:
+    """(-1)^j / (j! Gamma(j+q+3/2)) for j < terms, and the tail denominator
+    terms! Gamma(terms+q+3/2); bessel_series_psi checks q + terms <= 170."""
+    coeffs = tuple(
+        (-1) ** j / (math.factorial(j) * math.gamma(j + q + 1.5)) for j in range(terms)
+    )
+    return coeffs, math.factorial(terms) * math.gamma(terms + q + 1.5)
+
+
 def bessel_series_psi(alpha, q: int, z, terms: int = 30):
     """Truncated series sum_j (-1)^j / (j! Gamma(j+q+3/2)) (alpha z / 2)^(2j+q+1).
 
     Returns (value, tail_bound) where the bound is the first dropped term
     estimated through the ratio test.  math.gamma overflows past
-    q + terms = 170.
+    q + terms = 170.  The coefficients are built once per (q, terms).
     """
     if terms < 1:
         raise ParamOutOfRange("terms must be >= 1")
@@ -525,15 +540,14 @@ def bessel_series_psi(alpha, q: int, z, terms: int = 30):
         raise ParamOutOfRange("q must be a non-negative integer")
     if q + terms > 170:
         raise ParamOutOfRange(f"q + terms = {q + terms} > 170 overflows math.gamma")
+    coeffs, tail_den = _bessel_coefficients(int(q), terms)
     w = complex(alpha) * complex(z) / 2
     total = 0j
     term_pow = w ** (q + 1)
-    for j in range(terms):
-        gamma = math.gamma(j + q + 1.5)
-        total += (-1) ** j / (math.factorial(j) * gamma) * term_pow
+    for c in coeffs:
+        total += c * term_pow
         term_pow = term_pow * w * w
-    tail = abs(term_pow) / (math.factorial(terms) * math.gamma(terms + q + 1.5))
-    return total, tail
+    return total, abs(term_pow) / tail_den
 
 
 def _cauchy_derivative(f, t0, order: int, radius: float = 0.2, nodes: int = 64):

@@ -378,16 +378,19 @@ runs = [
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
     loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+    appendix_code = cli.main(["verify", "--model", "cartan_od", "--appendix"])
+    appendix_loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
     float_code = cli.main(["spectrum", "--model", "poschl_teller", "--gminus", "2",
                            "--gplus", "3", "--N", "256"])
-print(codes, loaded, float_code)
+print(codes, loaded, appendix_code, appendix_loaded, float_code)
 """
 
 
 def test_exact_commands_load_no_numpy_or_scipy():
-    # a fresh interpreter: this one has numpy loaded by the other tests
+    # a fresh interpreter: this one has numpy loaded by the other tests.  The
+    # appendix's float Jacobian check loads numpy only
     src = os.path.dirname(os.path.dirname(os.path.abspath(ptsphere.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", EXACT_IMPORTS_PROBE], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[0, 0, 0, 0] [] 0"
+    assert out.stdout.strip() == "[0, 0, 0, 0] [] 0 ['numpy'] 0"

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ptsphere.errors import DimensionMismatch, SingularMatrix
 from ptsphere.exact import I, rat
 from ptsphere.matrices import ExactMatrix, exact_inverse, mat_exp_numeric
+
+from catalog_models import PARAMS, build_masa
 
 
 def _rand_matrix(rng, n):
@@ -76,3 +79,24 @@ def test_mat_exp_rotation():
         [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
     )
     assert np.allclose(r, expect)
+
+
+@pytest.mark.parametrize("name", list(PARAMS))
+def test_mat_exp_matches_scipy_on_catalog_generators(name):
+    # scipy.linalg.expm is the reference only; its Pade-5 branch serves
+    # 1-norms below about 0.25, so the norms straddle that switch
+    Zs = [Z.to_numpy() for Z in build_masa(name).matrices]
+    rng = np.random.default_rng(len(name))
+    for norm in (0.01, 0.1, 0.24, 0.26, 0.5, 1.0, 2.5, 6.0):
+        for _ in range(4):
+            g = sum(xi * Zi for xi, Zi in zip(rng.normal(size=len(Zs)), Zs))
+            g *= norm / np.abs(g).sum(axis=0).max()
+            ref = scipy.linalg.expm(g)
+            assert np.max(np.abs(mat_exp_numeric(g) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_mat_exp_rejects_non_square_and_non_finite():
+    with pytest.raises(DimensionMismatch):
+        mat_exp_numeric(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        mat_exp_numeric(np.array([[0.0, np.inf], [0.0, 0.0]]))

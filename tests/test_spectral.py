@@ -155,20 +155,46 @@ def test_poschl_teller_fd():
     assert rep.matches[0][1] == 25.0
 
 
-def test_full_spectrum_driver_matches_index_bisection():
-    # N = 64, K = 32 asks for every eigenvalue, which _dirichlet_pt takes
-    # from the full-spectrum driver instead of bisection
-    N, K = 64, 32
-    got = _dirichlet_pt(2.0, 3.0, N, K, 0.0)
+def _pt_tridiagonal(gm, gp, N, shift):
+    """Diagonal and off-diagonal of the Dirichlet Poschl-Teller matrix."""
     h = (np.pi / 2) / (N + 1)
     x = h * np.arange(1, N + 1)
-    diag = 2.0 / h**2 + 2.0 / np.sin(x) ** 2 + 6.0 / np.cos(x) ** 2
+    diag = 2.0 / h**2 + gm * (gm - 1) / np.sin(x) ** 2 + gp * (gp - 1) / np.cos(x) ** 2 + shift
+    return diag, np.full(N - 1, -1.0 / h**2)
+
+
+def test_full_spectrum_driver_matches_index_bisection():
+    # N = K = 64 asks for every eigenvalue, which _dirichlet_pt takes from
+    # the full-spectrum driver instead of bisection; a larger K asks for no more
+    N = K = 64
+    got = _dirichlet_pt(2.0, 3.0, N, K, 0.0)
+    assert np.array_equal(_dirichlet_pt(2.0, 3.0, N, 3 * K, 0.0), got)
+    diag, off = _pt_tridiagonal(2.0, 3.0, N, 0.0)
     ref = scipy.linalg.eigh_tridiagonal(
-        diag, np.full(N - 1, -1.0 / h**2), select="i", select_range=(0, N - 1),
-        eigvals_only=True,
+        diag, off, select="i", select_range=(0, N - 1), eigvals_only=True
     )
     assert len(got) == N
     assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "gm, gp, N, K, shift",
+    [(2.0, 3.0, 4096, 8, 0.0), (5.5, 2.0, 4096, 8, -0.25), (2.0, 3.0, 1024, 8, 0.0),
+     (1.0, 1.5, 512, 3, 0.0), (3.5, 2.3, 1024, 1, -0.25), (2.0, 3.0, 48, 40, 0.0)],
+)
+def test_dirichlet_pt_bisects_for_the_lowest_K_levels_only(gm, gp, N, K, shift):
+    # bisection for K levels and for 2K each stop on an interval narrower
+    # than stebz's tolerance around the same eigenvalue: eps * |T|_1 (scipy's
+    # default for tol = 0), or 2 eps |E| where that is larger, near the top
+    got = _dirichlet_pt(gm, gp, N, K, shift)
+    assert len(got) == K
+    diag, off = _pt_tridiagonal(gm, gp, N, shift)
+    ref = scipy.linalg.eigh_tridiagonal(
+        diag, off, select="i", select_range=(0, min(2 * K, N) - 1), eigvals_only=True
+    )[:K]
+    eps = np.finfo(float).eps
+    norm1 = np.max(np.abs(diag) + np.abs(np.r_[0.0, off]) + np.abs(np.r_[off, 0.0]))
+    assert np.all(np.abs(got - ref) <= np.maximum(eps * norm1, 2 * eps * np.abs(ref)))
 
 
 def test_poschl_teller_bad_couplings():
@@ -187,8 +213,8 @@ def test_chi_equation_fd():
 @pytest.mark.parametrize("ell3, composite", [(2, 5), (1.5, 3.5), (2.3, 4.7), (1, 0.5)])
 def test_chi_equation_is_the_shifted_poschl_teller_equation(ell3, composite):
     # chi is the Poschl-Teller operator at (M + 1/2, l3), shifted by -1/4
-    chi = solve_chi_equation(ell3, composite, 1024).eigenvalues
-    pt = solve_poschl_teller(composite + 0.5, ell3, 1024).eigenvalues
+    chi = solve_chi_equation(ell3, composite, 1024, K=16).eigenvalues
+    pt = solve_poschl_teller(composite + 0.5, ell3, 1024, K=16).eigenvalues
     assert len(chi) == len(pt) == 16
     for z, w in zip(chi, pt):
         assert abs(z - (w - 0.25)) <= 1e-12 * abs(z)
@@ -286,6 +312,34 @@ def test_bessel_series_converges():
     assert tail < 1e-12 * max(1.0, abs(val))
     resid = bessel_ode_residual(2.0, 1.0, 0.8)
     assert resid < 1e-10
+
+
+def _bessel_series_per_term(alpha, q, z, terms):
+    # the series with every coefficient built in the loop, as a reference
+    w = complex(alpha) * complex(z) / 2
+    total = 0j
+    term_pow = w ** (q + 1)
+    for j in range(terms):
+        gamma = math.gamma(j + q + 1.5)
+        total += (-1) ** j / (math.factorial(j) * gamma) * term_pow
+        term_pow = term_pow * w * w
+    tail = abs(term_pow) / (math.factorial(terms) * math.gamma(terms + q + 1.5))
+    return total, tail
+
+
+@pytest.mark.parametrize(
+    "alpha, q, z, terms",
+    [(1.3, 1, 0.5, 30), (2.0, 1.0, 0.8, 30), (1.3 + 0.4j, 0, 0.3 - 0.2j, 1),
+     (2.7, 4, 1.1, 30), (1.0, 140, 0.5, 30), (1.0, 165, 0.5, 5), (0.9, 0, 0.7, 170)],
+)
+def test_bessel_series_is_bit_identical_to_the_per_term_formula(alpha, q, z, terms):
+    # the cached coefficients go through the same float operations in the
+    # same order, up to q + terms = 170; a second call reads the cache
+    ref = _bessel_series_per_term(alpha, q, z, terms)
+    assert bessel_series_psi(alpha, q, z, terms) == ref
+    assert bessel_series_psi(alpha, q, z, terms) == ref
+    for zz in (z + 0.25, 1j * z):
+        assert bessel_series_psi(alpha, q, zz, terms) == _bessel_series_per_term(alpha, q, zz, terms)
 
 
 def test_bessel_series_refuses_gamma_overflow():
