@@ -171,27 +171,27 @@ def cmd_reduce(args) -> int:
     doc["potential"] = repr(sysr.potential)
     doc["hamiltonian"] = repr(sysr.hamiltonian)
     doc["integrals"] = [name for name, _ in sysr.integrals]
-    idents = {}
-    ok &= _run_identity(idents, "zhat_eq_k", lambda: reduction.verify_masa_reduction(masa))
+    seed = args.seed
+
+    def racah():
+        r = reduction.racah_structure_report(masa, seed=seed, with_fits=False)
+        return reduction.RelationReport("racah", r.antisymmetry_ok, r.trials, "T12 = -T13 = T23")
+
+    checks = [("zhat_eq_k", lambda: reduction.verify_masa_reduction(masa))]
     if model and model.sum_relation:
-        ok &= _run_identity(
-            idents,
-            "casimir_projection",
-            lambda: reduction.casimir_projection_report(masa, seed=args.seed),
-        )
-        ok &= _run_identity(
-            idents,
-            "sum_relation",
-            lambda: reduction.verify_sum_relation(masa, seed=args.seed),
+        checks += [
+            ("casimir_projection", lambda: reduction.casimir_projection_report(masa, seed=seed)),
+            ("sum_relation", lambda: reduction.verify_sum_relation(masa, seed=seed)),
+        ]
+    if model and model.separable:
+        checks.append(
+            ("separable_potential", lambda: reduction.verify_separable_potential(masa, seed=seed))
         )
     if args.racah:
-        def _racah():
-            r = reduction.racah_structure_report(masa, seed=args.seed, with_fits=False)
-            return reduction.RelationReport(
-                "racah", r.antisymmetry_ok, r.trials, "T12 = -T13 = T23"
-            )
-
-        ok &= _run_identity(idents, "racah", _racah)
+        checks.append(("racah", racah))
+    idents = {}
+    for key, fn in checks:
+        ok &= _run_identity(idents, key, fn)
     doc["identities"] = idents
     _emit(args, doc)
     return EXIT_OK if ok else EXIT_FAIL
@@ -276,14 +276,14 @@ def cmd_spectrum(args) -> int:
         if args.gminus is None or args.gplus is None:
             raise ConfigError("poschl_teller needs --gminus and --gplus")
         rep = spectral.solve_poschl_teller(
-            float(_frac(args.gminus)), float(_frac(args.gplus)), args.N, args.K
+            float(_frac(args.gminus)), float(_frac(args.gplus)), args.N, args.K, args.tol_real
         )
         tol_match = 1e-3
     elif args.model == "chi":
         if args.ell3 is None or args.composite is None:
             raise ConfigError("chi needs --ell3 and --composite")
         rep = spectral.solve_chi_equation(
-            float(_frac(args.ell3)), float(_frac(args.composite)), args.N, args.K
+            float(_frac(args.ell3)), float(_frac(args.composite)), args.N, args.K, args.tol_real
         )
         tol_match = 1e-3
     elif args.model == "degenerate":
@@ -344,15 +344,21 @@ def cmd_scan(args) -> int:
         float(_frac(args.k3 or "1/2")),
     )
     reps = spectral.pt_phase_scan(grid, ks, N=args.N, K=args.K, tol=args.tol_real)
+    tol_match = 1e-3 if args.tol_match is None else args.tol_match
     doc = _base_report(args)
     doc["k"] = list(ks)
-    rows = []
+    rows, ok = [], True
     for lam2, rep in zip(grid, reps):
-        note = "; ".join(rep.notes)
-        rows.append([lam2, rep.phase, rep.max_imag, note])
+        notes = list(rep.notes)
+        if rep.matches:
+            # the xi and chi levels against their closed forms
+            worst = max(rel for *_, rel in rep.matches)
+            ok &= worst <= tol_match
+            notes.append(f"max_rel_deviation={worst:.3e}")
+        rows.append([lam2, rep.phase, rep.max_imag, "; ".join(notes)])
     doc["rows"] = rows
     _emit(args, doc, rows, ["lambda2", "phase", "max_imag", "note"])
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 # -- parser ---------------------------------------------------------------------

@@ -8,7 +8,10 @@ by evaluation at exact rational points of the constraint variety
 Every such check, here and in reduction.py, takes its points from the one
 sampling path pole_free_values: it draws sample_vals points from a seeded
 stream, drops a point where the evaluation divides by zero, and raises
-SamplingExhausted after MAX_RESAMPLES (100) poles in a row.
+SamplingExhausted after MAX_RESAMPLES (100) poles in a row.  Every zero
+verdict is one first_nonzero_residual call, which names the first nonzero
+of the verdict's residuals; func_vanishes_on_constraint is its one-residual
+case.
 
 PhasePoly.eval accepts only real rational coordinates (the sampled points
 and couplings are such).  It sums the terms in plain int arithmetic over the
@@ -38,7 +41,7 @@ from fractions import Fraction
 from itertools import islice
 from math import lcm
 from operator import add
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .exact import Exact, ONE, ZERO, _add_products, _reduced, rat
 from .errors import DimensionMismatch, SamplingExhausted
@@ -55,6 +58,7 @@ __all__ = [
     "sample_constraint_point",
     "sample_vals",
     "pole_free_values",
+    "first_nonzero_residual",
     "func_vanishes_on_constraint",
 ]
 
@@ -539,9 +543,11 @@ def poisson_bracket_at(f: PhaseRational, g: PhaseRational, vals: Sequence[Exact]
 
 
 def dirac_bracket_at(f: PhaseRational, g: PhaseRational, vals: Sequence[Exact]) -> Exact:
-    n = f.n
-    gf, _, _ = f.grad_at(vals)
-    gg, _, _ = g.grad_at(vals)
+    return _dirac_of_gradients(f.grad_at(vals)[0], g.grad_at(vals)[0], vals)
+
+
+def _dirac_of_gradients(gf: Sequence[Exact], gg: Sequence[Exact], vals: Sequence[Exact]) -> Exact:
+    n = len(gf) // 2
     sv = vals[:n]
     pv = vals[n : 2 * n]
     ss = sum((x * x for x in sv), ZERO)
@@ -640,13 +646,25 @@ def pole_free_values(
         yield value
 
 
+def first_nonzero_residual(
+    residuals: Callable[[list[Exact]], Iterable[tuple[str, Exact]]], n: int, trials: int,
+    seed: random.Random | int,
+) -> str | None:
+    """The name of the first nonzero residual at trials pole-free sampled
+    points, in point order and then in the order residuals(vals) lists its
+    (name, value) pairs; None if all are zero.  residuals is read to the end
+    at each point, so a division by zero anywhere in it redraws the point."""
+    points = pole_free_values(lambda vals: list(residuals(vals)), n, seed)
+    for named in islice(points, trials):
+        for name, value in named:
+            if not value.is_zero():
+                return name
+    return None
+
+
 def func_vanishes_on_constraint(
     func: Callable[[Sequence[Exact]], Exact], n: int, trials: int, seed: int = 20230411
 ) -> bool:
-    """Exact identity test on the constraint variety: func is zero at trials
-    pole-free sampled points.
-
-    For a rational identity trials should be at least max(20, 1 + total
-    numerator degree).
-    """
-    return all(v.is_zero() for v in islice(pole_free_values(func, n, seed), trials))
+    """func is zero at trials pole-free sampled points of the constraint
+    variety; a rational identity wants max(20, 1 + degree) of them."""
+    return first_nonzero_residual(lambda vals: [("", func(vals))], n, trials, seed) is None

@@ -3,10 +3,12 @@
 Everything algebraic is exact.  The ambient data is a MASA of u(n); the
 engine produces the reduced potential V = k^T (-A^T A)^{-1} k, the momentum
 map X -> Xhat on the constrained phase space, the named models' integrals
-of motion, and the verification reports for the conservation, sum, and
-Racah-type identities.  Float checks (Jacobian block identities, the
-coordinate change to the separable variables) live at the end and import
-numpy in their bodies, so the exact checks run without it.
+of motion, and the verification reports for the conservation, sum,
+separable-potential and Racah-type identities.  Each sampled verdict is one
+phase.first_nonzero_residual call: all its residuals at each point, from one
+gradient per function there, and a failure names the first nonzero one.
+The one float check, the Appendix's Jacobian block identities, imports numpy
+in its body, so the exact checks run without it.
 
 One matrix carries the reduction: A(s), with A_{mu nu} = (Z_nu s)_mu.
 _cofactors gives det A and adj A by one Laplace expansion, and _det_and_y
@@ -33,27 +35,20 @@ from itertools import islice
 from typing import Callable, Sequence
 
 from .exact import Exact, I, ONE, ZERO, rat
-from .errors import (
-    DegenerateMasa,
-    FitUnderdetermined,
-    ParamOutOfRange,
-    RelationFailed,
-    UnknownName,
-)
+from .errors import DegenerateMasa, FitUnderdetermined, RelationFailed, UnknownName
 from .lie import EnvElement, build_generators, casimir_element
-from .masa import MasaSpec, catalog_masa
+from .masa import MasaSpec
 from .matrices import ExactMatrix, mat_exp_numeric, row_reduce
 from .phase import (
     PhasePoly,
     PhaseRational,
     _bracket_of_gradients,
-    dirac_bracket_at,
-    func_vanishes_on_constraint,
+    _dirac_of_gradients,
+    first_nonzero_residual,
     poisson_bracket,
     poisson_bracket_at,
     pole_free_values,
 )
-from .spectral import _xi_chi_from_sphere
 
 __all__ = [
     "ReducedSystem",
@@ -69,13 +64,12 @@ __all__ = [
     "build_hamiltonian",
     "integrals_catalog",
     "verify_sum_relation",
+    "verify_separable_potential",
     "verify_masa_reduction",
     "casimir_projection_report",
     "verify_conservation",
     "verify_homomorphism",
     "racah_structure_report",
-    "coordinate_map",
-    "verify_coordinate_map",
     "jacobian_check",
     "angular_momentum",
 ]
@@ -237,31 +231,39 @@ def _L(i: int) -> PhaseRational:
     return PhaseRational(angular_momentum(i))
 
 
-def _lambda_integrals(lam2: Fraction):
+def _lambda_frame(lam2: Fraction, fs) -> list[PhaseRational]:
+    """The orthogonal rows (lambda_-, -lambda_+, i lambda), (lambda_+,
+    -lambda_-, i lambda), (i lambda, -i lambda, -1), each of square
+    1 - 2 lambda^2, applied to fs; on (s1, s2, s3) they give w_-, w_+, w_3."""
     il = I * Exact.sqrt_rational(lam2)
     root = Exact.sqrt_rational(1 - 2 * lam2)
     lam_m, lam_p = (ONE - root) / rat(2), (ONE + root) / rat(2)
-    s1, s2, s3 = (PhasePoly.s(3, i) for i in range(3))
-    w1, w2, w3 = (PhaseRational(w) for w in (
-        s1.scale(lam_m) - s2.scale(lam_p) + s3.scale(il),
-        s1.scale(lam_p) - s2.scale(lam_m) + s3.scale(il),
-        (s1 - s2).scale(il) - s3,
-    ))
-    L1, L2, L3 = _L(1), _L(2), _L(3)
+    rows = ((lam_m, -lam_p, il), (lam_p, -lam_m, il), (il, -il, -ONE))
+    return [sum((f.scale(c) for f, c in zip(fs, row)), PhaseRational.const(3, 0)) for row in rows]
+
+
+def _lambda_ws(lam2: Fraction) -> list[PhaseRational]:
+    return _lambda_frame(lam2, [PhaseRational(PhasePoly.s(3, i)) for i in range(3)])
+
+
+def _lambda_integrals(lam2: Fraction):
+    w1, w2, w3 = _lambda_ws(lam2)
+    M1, M2, M3 = _lambda_frame(lam2, [_L(1), _L(2), _L(3)])
     k1, k2, k3 = _kP(0), _kP(1), _kP(2)
     # relative minus: fixed by the over-completeness relation; the opposite
     # sign differs only by the additive constant 4 k2 k3 and is equally
     # conserved
-    T1 = _sq(L1.scale(lam_m) - L2.scale(lam_p) + L3.scale(il)) + _sq(
-        k2 * w3 / w2 - k3 * w2 / w3
-    )
-    T2 = _sq(L1.scale(lam_p) - L2.scale(lam_m) + L3.scale(il)) + _sq(
-        k1 * w3 / w1 + k3 * w1 / w3
-    )
-    T3 = _sq(L1.scale(il) - L2.scale(il) - L3) + _sq(
-        k1 * w2 / w1 + k2 * w1 / w2
-    )
+    T1 = _sq(M1) + _sq(k2 * w3 / w2 - k3 * w2 / w3)
+    T2 = _sq(M2) + _sq(k1 * w3 / w1 + k3 * w1 / w3)
+    T3 = _sq(M3) + _sq(k1 * w2 / w1 + k2 * w1 / w2)
     return [("T1", T1), ("T2", T2), ("T3", T3)]
+
+
+def _lambda_separable_potential(lam2: Fraction) -> PhaseRational:
+    """k1^2/w_-^2 + k2^2/w_+^2 + k3^2/w_3^2, the separable Poschl-Teller form
+    (Levai & Znojil, J. Phys. A 33 (2000) 7165) of V_lambda on s.s = 1."""
+    ws = _lambda_ws(lam2)
+    return sum((_sq(_kP(i)) / _sq(w) for i, w in enumerate(ws)), PhaseRational.const(3, 0))
 
 
 def _cartan_od_potential(a: Exact, b: Exact) -> PhaseRational:
@@ -392,13 +394,15 @@ class Model:
     over-completeness relation (T: the integrals by name); the projected
     Casimir fits {H, 1, k_i k_j} on exactly the models that have one.
     racah: T12 = -T13 = T23 holds.  potential(*masa.params), when set,
-    replaces build_potential.
+    replaces build_potential.  separable(*masa.params), when set, is a
+    separated form the potential must equal on s.s = 1.
     """
 
     integrals: Callable | None
     sum_relation: Callable | None = None
     racah: bool = False
     potential: Callable | None = None
+    separable: Callable | None = None
 
 
 MODELS = {
@@ -410,7 +414,7 @@ MODELS = {
     "lambda": Model(_lambda_integrals, lambda m, H, T: (
         T["T1"] + T["T2"] + T["T3"],
         H.scale(rat(1 - 2 * m.params[0])) - _sq(_kP(0) - _kP(1) - _kP(2)),
-    ), racah=True),
+    ), racah=True, separable=_lambda_separable_potential),
     "cartan_od": Model(_cartan_od_integrals, lambda m, H, T: (
         T["T1"] + T["T2"], H + (_kP(0) * _kP(2)).scale(rat(2)) - _sq(_kP(0))
     )),
@@ -457,6 +461,25 @@ def _degree_bound(*fs: PhaseRational) -> int:
     return sum(f.num.total_degree() + f.den.total_degree() for f in fs)
 
 
+def _require_zero(residuals, n: int, trials: int, seed, failure: Callable[[str], str]):
+    name = first_nonzero_residual(residuals, n, trials, seed)
+    if name is not None:
+        raise RelationFailed(failure(name))
+
+
+def _equal_on_constraint(
+    key: str, masa: MasaSpec, lhs: PhaseRational, rhs: PhaseRational, seed
+) -> RelationReport:
+    """lhs = rhs at max(20, degree bound + 1) sampled points."""
+    trials = max(20, _degree_bound(lhs, rhs) + 1)
+    label = key.replace("_", " ")
+    _require_zero(
+        lambda vals: [(label, lhs.eval(vals) - rhs.eval(vals))], masa.n, trials, seed,
+        lambda name: f"{name} for {masa.name} fails at a sampled point",
+    )
+    return RelationReport(f"{key}[{masa.name}]", True, trials)
+
+
 def verify_sum_relation(masa: MasaSpec, seed: int = 20230411) -> RelationReport:
     """The displayed over-completeness relation of the named model."""
     relation = getattr(MODELS.get(masa.name), "sum_relation", None)
@@ -464,12 +487,16 @@ def verify_sum_relation(masa: MasaSpec, seed: int = 20230411) -> RelationReport:
         raise UnknownName(f"no sum relation for {masa.name!r}")
     sysr = build_hamiltonian(masa)
     lhs, rhs = relation(masa, sysr.hamiltonian, dict(sysr.integrals))
-    trials = max(20, _degree_bound(lhs, rhs) + 1)
-    diff = lambda vals: lhs.eval(vals) - rhs.eval(vals)
-    ok = func_vanishes_on_constraint(diff, masa.n, trials, seed)
-    if not ok:
-        raise RelationFailed(f"sum relation for {masa.name} fails at a sampled point")
-    return RelationReport(f"sum_relation[{masa.name}]", True, trials)
+    return _equal_on_constraint("sum_relation", masa, lhs, rhs, seed)
+
+
+def verify_separable_potential(masa: MasaSpec, seed: int = 20230411) -> RelationReport:
+    """The reduced potential equals the model's separated form on s.s = 1."""
+    separable = getattr(MODELS.get(masa.name), "separable", None)
+    if separable is None:
+        raise UnknownName(f"no separable form for {masa.name!r}")
+    V = build_hamiltonian(masa).potential
+    return _equal_on_constraint("separable_potential", masa, V, separable(*masa.params), seed)
 
 
 def verify_masa_reduction(masa: MasaSpec) -> RelationReport:
@@ -521,18 +548,23 @@ def verify_conservation(
     integral, tested pointwise with exact arithmetic.  A MASA outside the
     catalog has no integrals, and the detail then says nothing was checked."""
     sysr = build_hamiltonian(masa)
-    H = sysr.hamiltonian
-    n = masa.n
-    used = 0
-    for tname, T in sysr.integrals:
-        t = trials or max(20, (_degree_bound(H, T) + 1) // 2)
-        used = max(used, t)
-        ok = func_vanishes_on_constraint(
-            lambda vals: dirac_bracket_at(H, T, vals), n, t, seed
-        )
-        if not ok:
-            raise RelationFailed(f"{{H, {tname}}}_D nonzero for {masa.name}")
-    detail = "" if sysr.integrals else "no integral checked: the MASA has no catalog integrals"
+    H, integrals = sysr.hamiltonian, sysr.integrals
+    # every integral at the same points, as many as the most demanding needs
+    used = max(
+        (trials or max(20, (_degree_bound(H, T) + 1) // 2) for _, T in integrals), default=0
+    )
+
+    def residuals(vals):
+        gH = H.grad_at(vals)[0]
+        return [
+            (name, _dirac_of_gradients(gH, gH if T is H else T.grad_at(vals)[0], vals))
+            for name, T in integrals
+        ]
+
+    _require_zero(
+        residuals, masa.n, used, seed, lambda name: f"{{H, {name}}}_D nonzero for {masa.name}"
+    )
+    detail = "" if integrals else "no integral checked: the MASA has no catalog integrals"
     return RelationReport(f"conservation[{masa.name}]", True, used, detail)
 
 
@@ -568,7 +600,7 @@ def verify_homomorphism(
         for mu in range(n)
     }
 
-    def check_point(vals):
+    def residuals(vals):
         # one gradient per map per point; pairs then combine values only
         at = [f.grad_at(vals) for f in maps]
         gen_vals = [nval / dval for _, nval, dval in at]
@@ -582,19 +614,20 @@ def verify_homomorphism(
         corr_vals = {
             (i, mu): image(corr[i][mu]) for i in range(basis.size) for mu in range(n)
         }
+        out = []
         for i in range(basis.size):
             for j in range(i + 1, basis.size):
                 lhs = _bracket_of_gradients(at[i][0], at[j][0])
                 for mu in range(n):
                     lhs = lhs + corr_vals[(i, mu)] * dk[(j, mu)]
                     lhs = lhs - corr_vals[(j, mu)] * dk[(i, mu)]
-                if not (lhs - image(basis.bracket_coeffs(i, j))).is_zero():
-                    raise RelationFailed(
-                        f"bracket image mismatch for pair ({i},{j}) in {masa.name}"
-                    )
+                out.append((f"({i},{j})", lhs - image(basis.bracket_coeffs(i, j))))
+        return out
 
-    for _ in islice(pole_free_values(check_point, n, seed), npoints):
-        pass
+    _require_zero(
+        residuals, n, npoints, seed,
+        lambda pair: f"bracket image mismatch for pair {pair} in {masa.name}",
+    )
     return RelationReport(f"homomorphism[{masa.name}]", True, npoints)
 
 
@@ -642,17 +675,12 @@ def racah_structure_report(
 
     pb = _bracket_of_gradients
 
-    def anti1(vals):
+    def residuals(vals):
         g1, g2, g3 = (T.grad_at(vals)[0] for T in (T1, T2, T3))
-        return pb(g1, g2) + pb(g1, g3)
+        t12 = pb(g1, g2)
+        return [("T12 + T13", t12 + pb(g1, g3)), ("T12 - T23", t12 - pb(g2, g3))]
 
-    def anti2(vals):
-        g1, g2, g3 = (T.grad_at(vals)[0] for T in (T1, T2, T3))
-        return pb(g1, g2) - pb(g2, g3)
-
-    ok = func_vanishes_on_constraint(anti1, n, trials, seed) and (
-        func_vanishes_on_constraint(anti2, n, trials, seed + 1)
-    )
+    ok = first_nonzero_residual(residuals, n, trials, seed) is None
 
     kfix = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
     names = (
@@ -681,62 +709,7 @@ def racah_structure_report(
     return RacahReport(ok, trials, fits, kfix, names)
 
 
-# -- coordinate map and Appendix identities (float) ----------------------------
-
-
-def coordinate_map(lam2, s: Sequence[float]):
-    """(cos 2 xi, cos chi) for the one-parameter sphere model at a point."""
-    lam2 = float(lam2)
-    if not 0 <= lam2 < 0.5:
-        raise ParamOutOfRange("lambda2 must lie in [0, 1/2)")
-    return _xi_chi_from_sphere(lam2, s)
-
-
-@dataclass
-class MapReport:
-    max_residual: float
-    points: int
-
-
-def verify_coordinate_map(
-    lam2, kvals=(0.3, 0.7, 0.4), trials: int = 20, seed: int = 5, tol: float = 1e-10
-) -> MapReport:
-    """Compare V_lambda(s) with the separable-coordinate potential."""
-    import numpy as np
-
-    lam2 = Fraction(lam2)
-    masa = catalog_masa("lambda", lambda2=lam2)
-    V = build_potential(masa)
-    rng = random.Random(seed)
-    worst = 0.0
-    done = 0
-    while done < trials:
-        v = np.array([rng.gauss(0, 1) for _ in range(3)])
-        v /= np.linalg.norm(v)
-        try:
-            rhs = _potential_float(V, list(v), kvals)
-            lhs = _separable_float(lam2, list(v), kvals)
-        except (ZeroDivisionError, FloatingPointError):
-            continue
-        worst = max(worst, abs(lhs - rhs))
-        done += 1
-    return MapReport(worst, done)
-
-
-def _potential_float(V: PhaseRational, s, kvals):
-    vals = list(s) + [0.0, 0.0, 0.0] + list(kvals)
-    return V.num.eval_complex(vals) / V.den.eval_complex(vals)
-
-
-def _separable_float(lam2, s, kvals):
-    c2xi, cchi = coordinate_map(lam2, s)
-    s2chi = 1 - cchi ** 2
-    c2 = (1 + c2xi) / 2
-    s2 = (1 - c2xi) / 2
-    k1, k2, k3 = kvals
-    return ((k1 ** 2 / c2 + k2 ** 2 / s2) / s2chi + k3 ** 2 / cchi ** 2) / float(
-        1 - 2 * Fraction(lam2)
-    )
+# -- Appendix identities (float) ------------------------------------------------
 
 
 @dataclass

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import ptsphere
-from ptsphere import reduction
+from ptsphere import reduction, spectral
 from ptsphere.cli import ConfigError, _parse_grid, main
 
 from catalog_models import PARAMS, RACAH_MODELS
@@ -167,20 +167,24 @@ def test_oversized_rational_parameter_exits_2(capsys):
 
 
 def test_seed_reaches_sum_relation_and_conservation(capsys, monkeypatch):
+    # every sampled zero verdict is one first_nonzero_residual call
     seeds = []
-    real = reduction.func_vanishes_on_constraint
+    real = reduction.first_nonzero_residual
 
-    def recording(func, n, trials, *seed):
+    def recording(residuals, n, trials, seed):
         seeds.append(seed)
-        return real(func, n, trials, *seed)
+        return real(residuals, n, trials, seed)
 
-    monkeypatch.setattr(reduction, "func_vanishes_on_constraint", recording)
+    monkeypatch.setattr(reduction, "first_nonzero_residual", recording)
     su2ab = ["--model", "su2ab", "--a", "2", "--b", "1"]
     assert main(["reduce", *su2ab, "--seed", "5"]) == 0
-    assert seeds == [(5,)]  # the sum relation
+    assert seeds == [5]  # the sum relation
+    seeds.clear()
+    assert main(["reduce", "--model", "lambda", "--racah", "--seed", "5"]) == 0
+    assert seeds == [5, 5, 5]  # sum relation, separable potential, Racah
     seeds.clear()
     assert main(["verify", *su2ab, "--seed", "7"]) == 0
-    assert seeds and set(seeds) == {(7,)}  # one call per conserved integral
+    assert seeds == [7, 7]  # conservation, bracket preservation
 
 
 def test_reduce_defaults_come_from_the_catalog(capsys):
@@ -350,14 +354,47 @@ def test_scan_restricted_to_lambda_family(capsys):
 
 
 def test_scan_small_grid(capsys):
-    code, out = _run(
-        ["scan", "--model", "lambda", "--lambda2", "0.1:0.3:0.1", "--N", "128"],
-        capsys,
-    )
+    # the xi and chi levels deviate from their closed forms by 3.8e-3 at
+    # N = 128 and 2.8e-4 at N = 512, against the default --tol-match 1e-3
+    argv = ["scan", "--model", "lambda", "--lambda2", "0.1:0.3:0.1", "--N"]
+    for N, want in (("128", 1), ("512", 0)):
+        code, out = _run([*argv, N], capsys)
+        assert code == want, N
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 3 and all(len(r) == 4 and r[1] == "exact" for r in rows)
+        assert all(r[3].startswith("max_rel_deviation=") for r in rows)
+    assert main([*argv, "128", "--tol-match", "5e-3"]) == 0
+
+
+def test_scan_keeps_the_degenerate_note(capsys):
+    code, out = _run(["scan", "--model", "lambda", "--lambda2", "0.45:0.5:0.05"], capsys)
     assert code == 0
-    doc = json.loads(out)
-    assert all(r[1] == "exact" for r in doc["rows"])
-    assert len(doc["rows"]) >= 2
+    (_, _, _, exact_note), (_, phase, _, note) = json.loads(out)["rows"]
+    assert exact_note.startswith("max_rel_deviation=")
+    assert phase == "degenerate" and float(note.split("bessel_ode_residual=")[1]) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv, solver",
+    [
+        (["--model", "poschl_teller", "--gminus", "2", "--gplus", "3"], "solve_poschl_teller"),
+        (["--model", "chi", "--ell3", "2", "--composite", "5"], "solve_chi_equation"),
+    ],
+)
+def test_spectrum_tol_real_reaches_the_solver(capsys, monkeypatch, argv, solver):
+    seen = []
+    real = getattr(spectral, solver)
+
+    def recording(*args):
+        seen.append(args[4])
+        return real(*args)
+
+    monkeypatch.setattr(spectral, solver, recording)
+    code, out = _run(["spectrum", *argv, "--N", "256", "--tol-real", "0.25"], capsys)
+    assert code == 0 and json.loads(out)["tol_real"] == 0.25
+    assert seen == [0.25]
+    _run(["spectrum", *argv, "--N", "256"], capsys)
+    assert seen == [0.25, 1e-8]  # the default, as the report prints it
 
 
 def test_reports_are_deterministic(capsys):
@@ -384,6 +421,16 @@ with contextlib.redirect_stdout(io.StringIO()):
                            "--gplus", "3", "--N", "256"])
 print(codes, loaded, appendix_code, appendix_loaded, float_code)
 """
+
+
+def test_reduction_does_not_load_spectral():
+    # the exact layers stand below the spectral solvers
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ptsphere.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, ptsphere.reduction; print('ptsphere.spectral' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_exact_commands_load_no_numpy_or_scipy():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -23,15 +24,14 @@ from ptsphere.reduction import (
     build_hamiltonian,
     build_potential,
     casimir_projection_report,
-    coordinate_map,
     degenerate_potential,
     generator_images,
     jacobian_check,
     momentum_map,
     racah_structure_report,
     verify_conservation,
-    verify_coordinate_map,
     verify_masa_reduction,
+    verify_separable_potential,
     verify_sum_relation,
 )
 
@@ -108,7 +108,7 @@ def test_homomorphism_rejects_a_perturbed_generator_image(name, kw, monkeypatch)
         return images
 
     monkeypatch.setattr(reduction, "generator_images", perturbed)
-    with pytest.raises(RelationFailed):
+    with pytest.raises(RelationFailed, match=r"for pair \(\d+,\d+\) in "):
         reduction.verify_homomorphism(masa, npoints=3)
 
 
@@ -317,18 +317,101 @@ def test_build_hamiltonian_structure():
         checked += 1
 
 
-def test_coordinate_map_matches_potential():
-    rep = verify_coordinate_map(Fraction(1, 4))
-    assert rep.max_residual < 1e-10
-    assert rep.points == 20
+def _s1(n=3):
+    return PhaseRational(PhasePoly.s(n, 0))
 
 
-def test_coordinate_map_returns_finite_values():
-    # the separable coordinates are complex in general; they just have to be
-    # finite away from the singular directions
-    c2xi, cchi = coordinate_map(Fraction(1, 4), [0.6, 0.64, 0.48])
-    assert abs(complex(c2xi)) < 1e6
-    assert abs(complex(cchi)) < 1e6
+def _count_grad_at(monkeypatch):
+    calls = []
+    real = PhaseRational.grad_at
+
+    def counting(self, vals):
+        calls.append(1)
+        return real(self, vals)
+
+    monkeypatch.setattr(PhaseRational, "grad_at", counting)
+    return calls
+
+
+def test_sum_relation_rejects_a_perturbed_right_hand_side(monkeypatch):
+    model = reduction.MODELS["su2ab"]
+    relation = model.sum_relation
+
+    def perturbed(m, H, T):
+        lhs, rhs = relation(m, H, T)
+        return lhs, rhs + _s1(m.n)
+
+    monkeypatch.setitem(
+        reduction.MODELS, "su2ab", dataclasses.replace(model, sum_relation=perturbed)
+    )
+    with pytest.raises(RelationFailed, match="sum relation for su2ab fails"):
+        verify_sum_relation(build_masa("su2ab"))
+
+
+def test_conservation_names_the_perturbed_integral(monkeypatch):
+    # T1 and T3 stay conserved; the failure must name T2
+    real = reduction.build_hamiltonian
+
+    def perturbed(masa):
+        sysr = real(masa)
+        name, T = sysr.integrals[1]
+        sysr.integrals[1] = (name, T + _s1())
+        return sysr
+
+    monkeypatch.setattr(reduction, "build_hamiltonian", perturbed)
+    with pytest.raises(RelationFailed, match=r"^\{H, T2\}_D nonzero for cartan_od$"):
+        verify_conservation(build_masa("cartan_od"))
+
+
+def test_conservation_takes_each_gradient_once_per_point(monkeypatch):
+    # 20 points, one gradient of H and one of each of T1, T2, T3: 80, where
+    # a separate point stream per integral took 120
+    calls = _count_grad_at(monkeypatch)
+    rep = verify_conservation(build_masa("lambda"))
+    assert (rep.passed, rep.trials, len(calls)) == (True, 20, 80)
+
+
+def test_racah_antisymmetry_takes_both_relations_at_one_point_stream(monkeypatch):
+    # 20 points, the gradients of T1, T2, T3 once each: 60, where one stream
+    # per relation took 120
+    calls = _count_grad_at(monkeypatch)
+    rep = racah_structure_report(build_masa("lambda"), with_fits=False)
+    assert (rep.antisymmetry_ok, rep.trials, len(calls)) == (True, 20, 60)
+
+
+def test_racah_antisymmetry_fails_for_a_perturbed_T3(monkeypatch):
+    real = reduction.integrals_catalog
+
+    def perturbed(masa):
+        return [(name, T + _s1() if name == "T3" else T) for name, T in real(masa)]
+
+    monkeypatch.setattr(reduction, "integrals_catalog", perturbed)
+    assert racah_structure_report(build_masa("lambda"), with_fits=False).antisymmetry_ok is False
+
+
+@pytest.mark.parametrize("lam2", [Fraction(0), Fraction(1, 4), Fraction(9, 20)])
+def test_lambda_potential_is_separable(lam2):
+    rep = verify_separable_potential(catalog_masa("lambda", lambda2=lam2))
+    assert rep.passed and rep.trials == 25
+
+
+@pytest.mark.parametrize("lam2", [Fraction(0), Fraction(1, 4)])
+def test_separable_potential_rejects_swapped_couplings(lam2, monkeypatch):
+    # k1 <-> k2: k2^2/w_-^2 + k1^2/w_+^2 + k3^2/w_3^2
+    def swapped(lam2):
+        w1, w2, w3 = reduction._lambda_ws(lam2)
+        k1, k2, k3 = (reduction._kP(i) for i in range(3))
+        return k2 * k2 / (w1 * w1) + k1 * k1 / (w2 * w2) + k3 * k3 / (w3 * w3)
+
+    model = reduction.MODELS["lambda"]
+    monkeypatch.setitem(reduction.MODELS, "lambda", dataclasses.replace(model, separable=swapped))
+    with pytest.raises(RelationFailed, match="separable potential for lambda fails"):
+        verify_separable_potential(catalog_masa("lambda", lambda2=lam2))
+
+
+def test_only_lambda_has_a_separable_form():
+    with pytest.raises(UnknownName, match="no separable form"):
+        verify_separable_potential(build_masa("cartan_od"))
 
 
 def test_jacobian_residuals_small():
