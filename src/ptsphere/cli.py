@@ -34,6 +34,12 @@ EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
 MAX_GRID_N = 65536
 # most points a scan --lambda2 grid may have (the default grid has 14)
 MAX_SCAN_POINTS = 1000
+# the --tol-match default of each spectrum model: the s1 levels are exact
+# squares, the finite-difference levels carry an O(h^2) error, and the
+# degenerate row's deviation is its Bessel ODE residual
+SPECTRUM_TOL_MATCH = {
+    "s1": 1e-6, "poschl_teller": 1e-3, "chi": 1e-3, "degenerate": spectral.BESSEL_RESIDUAL_TOL
+}
 
 
 class ConfigError(Exception):
@@ -59,20 +65,19 @@ def _check_grid(args):
     for flag, value, low in (("--N", args.N, 2), ("--K", args.K, 1)):
         if not low <= value <= MAX_GRID_N:
             raise ConfigError(f"{flag} must be between {low} and {MAX_GRID_N}, got {value}")
-    for flag, value in (("--tol-real", args.tol_real), ("--tol-match", args.tol_match)):
-        if value is not None and not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"{flag} must be finite and non-negative, got {value}")
+    if args.tol_match is not None and not (math.isfinite(args.tol_match) and args.tol_match >= 0):
+        raise ConfigError(f"--tol-match must be finite and non-negative, got {args.tol_match}")
 
 
 def _build_masa(args):
-    if getattr(args, "masa", None):
+    if args.masa:
         try:
             return load_masa_file(args.masa)
         except KeyError as exc:
             raise ConfigError(f"MASA file {args.masa!r} has no field {exc}") from exc
         except (OSError, ValueError, TypeError, PtsphereError) as exc:
             raise ConfigError(f"cannot load MASA file {args.masa!r}: {exc}") from exc
-    model = getattr(args, "model", None)
+    model = args.model
     if model is None:
         raise ConfigError("either --model or --masa is required")
     if model not in CATALOG_NAMES:
@@ -90,20 +95,18 @@ def _build_masa(args):
 
 
 def _base_report(args) -> dict:
-    rep = {"version": __version__, "seed": args.seed}
-    for name in ("N", "K"):
-        if getattr(args, name, None) is not None:
-            rep[f"grid_{name}"] = getattr(args, name)
-    for name in ("tol_real", "tol_match"):
-        if getattr(args, name, None) is not None:
-            rep[name] = getattr(args, name)
+    # the seed and grid of the subcommands that take them; spectrum and scan
+    # add the tol_match they judged against
+    rep = {"version": __version__}
+    for key, name in (("seed", "seed"), ("grid_N", "N"), ("grid_K", "K")):
+        if hasattr(args, name):
+            rep[key] = getattr(args, name)
     return rep
 
 
 def _emit(args, doc, csv_rows=None, csv_header=None):
-    if args.format == "csv":
-        if csv_rows is None:
-            raise ConfigError("csv output is only available for spectrum and scan")
+    # csv_rows: only spectrum and scan pass them, and only they take --format
+    if csv_rows is not None and args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(csv_header)
@@ -255,7 +258,11 @@ def _spectrum_rows(rep, tol_match):
 
 def cmd_spectrum(args) -> int:
     _check_grid(args)
+    if args.model not in SPECTRUM_TOL_MATCH:
+        raise ConfigError(f"unknown spectrum model {args.model!r}")
     doc = _base_report(args)
+    tol_match = SPECTRUM_TOL_MATCH[args.model] if args.tol_match is None else args.tol_match
+    doc["tol_match"] = tol_match
     header = ["index", "re_E", "im_E", "closed_form", "deviation"]
     if args.model == "s1":
         a, b = _frac(args.a or "2"), _frac(args.b or "1")
@@ -271,22 +278,19 @@ def cmd_spectrum(args) -> int:
             rep = spectral.solve_periodic_s1(float(a), float(b), k1, k2, args.N, args.K)
         except SingularPotential as exc:
             raise ConfigError(f"a = {a}, b = {b}: {exc}") from exc
-        tol_match = 1e-6
     elif args.model == "poschl_teller":
         if args.gminus is None or args.gplus is None:
             raise ConfigError("poschl_teller needs --gminus and --gplus")
         rep = spectral.solve_poschl_teller(
-            float(_frac(args.gminus)), float(_frac(args.gplus)), args.N, args.K, args.tol_real
+            float(_frac(args.gminus)), float(_frac(args.gplus)), args.N, args.K
         )
-        tol_match = 1e-3
     elif args.model == "chi":
         if args.ell3 is None or args.composite is None:
             raise ConfigError("chi needs --ell3 and --composite")
         rep = spectral.solve_chi_equation(
-            float(_frac(args.ell3)), float(_frac(args.composite)), args.N, args.K, args.tol_real
+            float(_frac(args.ell3)), float(_frac(args.composite)), args.N, args.K
         )
-        tol_match = 1e-3
-    elif args.model == "degenerate":
+    else:  # degenerate
         if args.alpha is None or args.q is None:
             raise ConfigError("degenerate needs --alpha and --q")
         alpha, q = float(_frac(args.alpha)), int(args.q)
@@ -301,10 +305,8 @@ def cmd_spectrum(args) -> int:
         rows = [[0, float(E), 0.0, float(E), resid]]
         doc["rows"] = rows
         _emit(args, doc, rows, header)
-        return EXIT_OK if resid <= 1e-10 else EXIT_FAIL
-    else:
-        raise ConfigError(f"unknown spectrum model {args.model!r}")
-    rows, ok = _spectrum_rows(rep, tol_match if args.tol_match is None else args.tol_match)
+        return EXIT_OK if resid <= tol_match else EXIT_FAIL
+    rows, ok = _spectrum_rows(rep, tol_match)
     doc["model"] = rep.model
     doc["phase"] = rep.phase
     doc["max_imag"] = rep.max_imag
@@ -343,13 +345,16 @@ def cmd_scan(args) -> int:
         float(_frac(args.k2 or "3/2")),
         float(_frac(args.k3 or "1/2")),
     )
-    reps = spectral.pt_phase_scan(grid, ks, N=args.N, K=args.K, tol=args.tol_real)
+    reps = spectral.pt_phase_scan(grid, ks, N=args.N, K=args.K)
     tol_match = 1e-3 if args.tol_match is None else args.tol_match
     doc = _base_report(args)
+    doc["tol_match"] = tol_match
     doc["k"] = list(ks)
     rows, ok = [], True
     for lam2, rep in zip(grid, reps):
         notes = list(rep.notes)
+        if rep.phase == "degenerate":
+            ok &= rep.params["bessel_ode_residual"] <= spectral.BESSEL_RESIDUAL_TOL
         if rep.matches:
             # the xi and chi levels against their closed forms
             worst = max(rel for *_, rel in rep.matches)
@@ -364,62 +369,54 @@ def cmd_scan(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+# the argparse settings of every flag that has any; a subcommand takes only
+# the flags its cmd_* reads
+FLAGS = {
+    "--masa": {"help": "MASA JSON file"},
+    "--q": {"type": int},
+    "--seed": {"type": int, "default": 20230411},
+    "--racah": {"action": "store_true"},
+    "--appendix": {"action": "store_true"},
+    "--N": {"type": int, "default": 512},
+    "--K": {"type": int, "default": 8},
+    "--tol-match": {"type": float},
+    "--format": {"choices": ("json", "csv"), "default": "json"},
+}
+_MASA_FLAGS = "--model --masa --a --b --lambda2 --out"
+SUBCOMMANDS = {
+    "validate": (cmd_validate, "MASA axioms and PT classification", _MASA_FLAGS),
+    "reduce": (cmd_reduce, "potential, integrals, exact identities",
+               f"{_MASA_FLAGS} --seed --racah"),
+    "verify": (cmd_verify, "conservation, brackets, PT, appendix",
+               f"{_MASA_FLAGS} --seed --appendix"),
+    "spectrum": (cmd_spectrum, "discretized spectra vs closed forms",
+                 "--model --a --b --k1 --k2 --gminus --gplus --ell3 --composite --alpha --q"
+                 " --N --K --tol-match --out --format"),
+    "scan": (cmd_scan, "phase labels over a lambda^2 grid",
+             "--model --lambda2 --k1 --k2 --k3 --N --K --tol-match --out --format"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ptsphere", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, spectral_opts=False):
-        sp.add_argument("--model")
-        sp.add_argument("--masa", help="MASA JSON file")
-        sp.add_argument("--a")
-        sp.add_argument("--b")
-        sp.add_argument("--lambda2")
-        sp.add_argument("--k1")
-        sp.add_argument("--k2")
-        sp.add_argument("--k3")
-        sp.add_argument("--seed", type=int, default=20230411)
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        if spectral_opts:
-            sp.add_argument("--N", type=int, default=512)
-            sp.add_argument("--K", type=int, default=8)
-            sp.add_argument("--tol-real", dest="tol_real", type=float, default=1e-8)
-            sp.add_argument("--tol-match", dest="tol_match", type=float)
-
-    sp = sub.add_parser("validate", help="MASA axioms and PT classification")
-    common(sp)
-    sp.set_defaults(fn=cmd_validate)
-
-    sp = sub.add_parser("reduce", help="potential, integrals, exact identities")
-    common(sp)
-    sp.add_argument("--racah", action="store_true")
-    sp.set_defaults(fn=cmd_reduce)
-
-    sp = sub.add_parser("verify", help="conservation, brackets, PT, appendix")
-    common(sp)
-    sp.add_argument("--appendix", action="store_true")
-    sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("spectrum", help="discretized spectra vs closed forms")
-    common(sp, spectral_opts=True)
-    sp.add_argument("--gminus")
-    sp.add_argument("--gplus")
-    sp.add_argument("--ell3")
-    sp.add_argument("--composite")
-    sp.add_argument("--alpha")
-    sp.add_argument("--q", type=int)
-    sp.set_defaults(fn=cmd_spectrum)
-
-    sp = sub.add_parser("scan", help="phase labels over a lambda^2 grid")
-    common(sp, spectral_opts=True)
-    sp.set_defaults(fn=cmd_scan)
+    for name, (fn, help_text, flags) in SUBCOMMANDS.items():
+        # no abbreviations: a subcommand accepts its flags as spelled, no others
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags.split():
+            sp.add_argument(flag, **FLAGS.get(flag, {}))
+        sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     try:
+        if extra:
+            raise ConfigError(
+                f"{args.command} does not take {' '.join(extra)}"
+                f" (see ptsphere {args.command} --help)"
+            )
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -246,7 +246,8 @@ def _lambda_ws(lam2: Fraction) -> list[PhaseRational]:
     return _lambda_frame(lam2, [PhaseRational(PhasePoly.s(3, i)) for i in range(3)])
 
 
-def _lambda_integrals(lam2: Fraction):
+def _lambda_integrals(masa: MasaSpec):
+    (lam2,) = masa.params
     w1, w2, w3 = _lambda_ws(lam2)
     M1, M2, M3 = _lambda_frame(lam2, [_L(1), _L(2), _L(3)])
     k1, k2, k3 = _kP(0), _kP(1), _kP(2)
@@ -266,23 +267,9 @@ def _lambda_separable_potential(lam2: Fraction) -> PhaseRational:
     return sum((_sq(_kP(i)) / _sq(w) for i, w in enumerate(ws)), PhaseRational.const(3, 0))
 
 
-def _cartan_od_potential(a: Exact, b: Exact) -> PhaseRational:
-    n = 3
-    s1, s2, s3 = (PhasePoly.s(n, i) for i in range(3))
-    k1, k2, k3 = (PhasePoly.k(n, i) for i in range(3))
-    den2 = s2 * s3.scale(a) - (s2 * s2 - s3 * s3).scale(I * b)
-    num2 = (s2 * s2 + s3 * s3) * (
-        k2 * k2 + (k3 * k3).scale(a * a - rat(4) * b * b)
-    ) - (k2 * k3).scale(2) * (
-        (s2 * s2 - s3 * s3).scale(a) + (s3 * s2).scale(rat(0, 4) * b)
-    )
-    term1 = PhaseRational(k1 * k1, s1 * s1)
-    term2 = PhaseRational(num2, (den2 * den2).scale(4))
-    return term1 + term2
-
-
-def _cartan_od_integrals(a: Exact, b: Exact):
-    V = _cartan_od_potential(a, b)
+def _cartan_od_integrals(masa: MasaSpec):
+    a, b = masa.params
+    V = build_potential(masa)
     s1, s2, s3 = (PhaseRational(PhasePoly.s(3, i)) for i in range(3))
     one = PhaseRational.const(3, 1)
     L1, L2, L3 = _L(1), _L(2), _L(3)
@@ -319,7 +306,7 @@ def _nilpotent_potential() -> PhaseRational:
     )
 
 
-def _nilpotent_integrals():
+def _nilpotent_integrals(masa: MasaSpec):
     VN = _nilpotent_potential()
     s1, s2 = (PhaseRational(PhasePoly.s(3, i)) for i in range(2))
     w = PhaseRational(PhasePoly.s(3, 1) + PhasePoly.s(3, 2).scale(I))
@@ -372,7 +359,8 @@ def degenerate_potential(sign: int) -> PhaseRational:
     return PhaseRational(alpha2, w * w)
 
 
-def _degenerate_integrals(sign: int):
+def _degenerate_integrals(masa: MasaSpec):
+    (sign,) = masa.params
     il = I * Exact.sqrt_rational(2) * rat(sign)
     T = _L(1) - _L(2) + _L(3).scale(il)
     return [("T", T)]
@@ -389,7 +377,7 @@ def _ambient_p_squared(n: int) -> PhaseRational:
 class Model:
     """What the reduction knows of one catalog model.
 
-    integrals(*masa.params) builds its integrals; None: its one integral is
+    integrals(masa) builds its integrals; None: its one integral is
     H.  sum_relation(masa, H, T) gives the two sides of its
     over-completeness relation (T: the integrals by name); the projected
     Casimir fits {H, 1, k_i k_j} on exactly the models that have one.
@@ -433,7 +421,7 @@ def integrals_catalog(masa: MasaSpec):
     if masa.name not in MODELS:
         raise UnknownName(f"no catalog integrals for {masa.name!r}")
     build = MODELS[masa.name].integrals
-    return build(*masa.params) if build else build_hamiltonian(masa).integrals
+    return build(masa) if build else build_hamiltonian(masa).integrals
 
 
 def build_hamiltonian(masa: MasaSpec) -> ReducedSystem:
@@ -442,7 +430,7 @@ def build_hamiltonian(masa: MasaSpec) -> ReducedSystem:
     H = _ambient_p_squared(masa.n) + V
     sys = ReducedSystem(masa, V, H)
     if model:
-        sys.integrals = model.integrals(*masa.params) if model.integrals else [("H", H)]
+        sys.integrals = model.integrals(masa) if model.integrals else [("H", H)]
     return sys
 
 

@@ -66,6 +66,10 @@ __all__ = [
 
 REAL_TOL = 1e-12
 LOWEST_K = 8
+# pt_parity_check: sample points, and relative bound on |ratio -+ 1|
+PARITY_POINTS, PARITY_TOL = 12, 1e-10
+# largest passing Bessel ODE residual (degenerate point), metamorphosis residual
+BESSEL_RESIDUAL_TOL, METAMORPHOSIS_TOL = 1e-10, 1e-9
 
 
 # -- coupling reparametrizations ------------------------------------------------
@@ -182,6 +186,7 @@ class SpectrumReport:
     grid: int
     eigenvalues: list = field(default_factory=list)
     max_imag: float = 0.0
+    # every solver here returns real levels, so no report is labelled broken
     phase: str = "exact"
     matches: list = field(default_factory=list)
     notes: list = field(default_factory=list)
@@ -197,13 +202,11 @@ def _nearest(candidates, x: float) -> float:
     return min(candidates[max(i - 1, 0) : i + 1], key=lambda e: abs(x - e))
 
 
-def _finish_report(rep: SpectrumReport, eig, K: int, tol_real: float, candidates):
+def _finish_report(rep: SpectrumReport, eig, K: int, candidates):
     eig = sorted(eig, key=lambda z: (complex(z).real, complex(z).imag))
     rep.eigenvalues = [complex(z) for z in eig]
     low = rep.eigenvalues[: min(K, len(rep.eigenvalues))]
     rep.max_imag = max((abs(z.imag) for z in low), default=0.0)
-    if rep.phase not in ("complex-coupling", "degenerate"):
-        rep.phase = "exact" if rep.max_imag <= tol_real else "broken"
     if candidates:
         for z in low:
             cand = _nearest(candidates, z.real)
@@ -313,7 +316,7 @@ def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K) -> SpectrumReport
         else:
             rep.phase = "complex-coupling"
             rep.notes.append(f"g_- = {cm.g_minus}, g_+ = {cm.g_plus}")
-    return _finish_report(rep, eig, K, 0.0, candidates)  # every m^2 is real
+    return _finish_report(rep, eig, K, candidates)
 
 
 # -- finite-difference solvers on (0, pi/2) -------------------------------------
@@ -343,7 +346,7 @@ def _dirichlet_pt(gm: float, gp: float, N: int, K: int, shift: float) -> np.ndar
     return vals.astype(complex)
 
 
-def solve_poschl_teller(gm, gp, N: int, K: int = LOWEST_K, tol_real: float = 1e-6) -> SpectrumReport:
+def solve_poschl_teller(gm, gp, N: int, K: int = LOWEST_K) -> SpectrumReport:
     """Dirichlet finite differences for g_-(g_- - 1)/sin^2 + g_+(g_+ - 1)/cos^2
     on (0, pi/2); Dirichlet ends select the xi^g branch, which needs g >= 1."""
     gm, gp = float(gm), float(gp)
@@ -352,10 +355,10 @@ def solve_poschl_teller(gm, gp, N: int, K: int = LOWEST_K, tol_real: float = 1e-
     eig = _dirichlet_pt(gm, gp, N, K, 0.0)
     rep = SpectrumReport("poschl_teller", dict(g_minus=gm, g_plus=gp, K=K), N)
     candidates = closed_form_energies(gm, gp, count=4 * K, branches=(1,))
-    return _finish_report(rep, eig, K, tol_real, candidates)
+    return _finish_report(rep, eig, K, candidates)
 
 
-def solve_chi_equation(ell3, composite, N: int, K: int = LOWEST_K, tol_real: float = 1e-6) -> SpectrumReport:
+def solve_chi_equation(ell3, composite, N: int, K: int = LOWEST_K) -> SpectrumReport:
     """Second separated equation after removing the first-order cot term.
 
     The similarity Psi = (sin chi)^(-1/2) PsiTilde turns
@@ -371,7 +374,7 @@ def solve_chi_equation(ell3, composite, N: int, K: int = LOWEST_K, tol_real: flo
     eig = _dirichlet_pt(comp + 0.5, l3, N, K, -0.25)
     rep = SpectrumReport("chi", dict(ell3=l3, composite=comp, K=K), N)
     levels = closed_form_energies(comp + 0.5, l3, count=4 * K, branches=(1,))
-    return _finish_report(rep, eig, K, tol_real, [e - 0.25 for e in levels])
+    return _finish_report(rep, eig, K, [e - 0.25 for e in levels])
 
 
 # -- eigenfunctions -------------------------------------------------------------
@@ -469,7 +472,7 @@ def _xi_chi_from_sphere(lam2: complex, s):
     return cos2xi, coschi
 
 
-def pt_parity_check(model: str, branch: int = 1, qn=0, npoints: int = 12, tol: float = 1e-10, **params) -> int:
+def pt_parity_check(model: str, branch: int = 1, qn=0, **params) -> int:
     """Ratio of the conjugated PT-image value to the value itself.
 
     Returns +1 or -1 when the ratio is the same definite sign at every sample
@@ -482,7 +485,7 @@ def pt_parity_check(model: str, branch: int = 1, qn=0, npoints: int = 12, tol: f
         def angle(phi):  # xi at the circle point phi
             return cmath.acos((a * math.cos(2 * phi) + 1j * b * math.sin(2 * phi)) / c) / 2
 
-        phis = [0.17 + 2.9 * j / npoints for j in range(npoints)]
+        phis = [0.17 + 2.9 * j / PARITY_POINTS for j in range(PARITY_POINTS)]
         pairs = [(angle(phi), angle(-phi)) for phi in phis]
     elif model in ("sphere_xi", "sphere_chi"):
         lam2 = complex(params["lambda2"])
@@ -493,9 +496,9 @@ def pt_parity_check(model: str, branch: int = 1, qn=0, npoints: int = 12, tol: f
             return cmath.acos(cos2xi) / 2 if model == "sphere_xi" else cmath.acos(coschi)
 
         pairs = []
-        for j in range(npoints):
-            th = 0.4 + 2.2 * j / npoints
-            ph = 0.3 + 5.5 * j / npoints
+        for j in range(PARITY_POINTS):
+            th = 0.4 + 2.2 * j / PARITY_POINTS
+            ph = 0.3 + 5.5 * j / PARITY_POINTS
             s = (math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th))
             pairs.append((angle(s), angle((s[0], s[1], -s[2]))))
     else:
@@ -509,7 +512,7 @@ def pt_parity_check(model: str, branch: int = 1, qn=0, npoints: int = 12, tol: f
     if not ratios:
         raise NoDefiniteParity("no usable sample points")
     for sign in (1, -1):
-        if all(abs(r - sign) <= tol * max(1.0, abs(r)) for r in ratios):
+        if all(abs(r - sign) <= PARITY_TOL * max(1.0, abs(r)) for r in ratios):
             return sign
     raise NoDefiniteParity(f"ratios {ratios[:3]}... are not a definite sign")
 
@@ -573,9 +576,11 @@ def bessel_ode_residual(alpha, q: int, z, terms: int = 30) -> float:
 # -- phase scan -----------------------------------------------------------------
 
 
-def pt_phase_scan(lambda2_grid, ks, N: int = 1024, K: int = LOWEST_K, tol: float = 1e-6) -> list[SpectrumReport]:
-    """Label each lambda^2 grid point exact / broken / complex-coupling /
-    degenerate from the separated-equation spectra and coupling maps."""
+def pt_phase_scan(lambda2_grid, ks, N: int = 1024, K: int = LOWEST_K) -> list[SpectrumReport]:
+    """Label each lambda^2 grid point exact / complex-coupling / degenerate
+    from the coupling maps; an exact point carries its xi and chi levels and
+    their closed-form matches, the degenerate point its Bessel ODE residual
+    (params["bessel_ode_residual"])."""
     k1, k2, k3 = ks
     out = []
     for lam2 in lambda2_grid:
@@ -584,7 +589,9 @@ def pt_phase_scan(lambda2_grid, ks, N: int = 1024, K: int = LOWEST_K, tol: float
             alpha2 = 4 * complex(k1) ** 2 + 4 * complex(k2) ** 2 - 2 * complex(k3) ** 2
             alpha = cmath.sqrt(alpha2)
             resid = bessel_ode_residual(alpha, 1, 0.5)
-            rep = SpectrumReport("degenerate", dict(lambda2=lam2f, alpha=alpha, q=1), 0)
+            rep = SpectrumReport(
+                "degenerate", dict(lambda2=lam2f, alpha=alpha, q=1, bessel_ode_residual=resid), 0
+            )
             rep.phase = "degenerate"
             rep.notes.append(f"bessel_ode_residual={resid:.3e}")
             out.append(rep)
@@ -596,13 +603,12 @@ def pt_phase_scan(lambda2_grid, ks, N: int = 1024, K: int = LOWEST_K, tol: float
             out.append(rep)
             continue
         l1, l2, l3 = (v.real for v in cm.ell)
-        rep_xi = solve_poschl_teller(min(l1, l2), max(l1, l2), N, K, tol)
+        rep_xi = solve_poschl_teller(min(l1, l2), max(l1, l2), N, K)
         comp = l1 + l2  # separation index m = 0
-        rep_chi = solve_chi_equation(l3, comp, N, K, tol)
+        rep_chi = solve_chi_equation(l3, comp, N, K)
         rep = SpectrumReport("sphere", dict(lambda2=lam2f, ell=(l1, l2, l3)), N)
         rep.eigenvalues = rep_xi.lowest + rep_chi.lowest
         rep.max_imag = max(rep_xi.max_imag, rep_chi.max_imag)
-        rep.phase = "exact" if rep.max_imag <= tol else "broken"
         rep.matches = rep_xi.matches + rep_chi.matches
         out.append(rep)
     return out
@@ -675,7 +681,7 @@ def _degenerate_residual(sign, alpha, q, th, ph, terms=30):
     return abs(-lap + complex(alpha) ** 2 * z * z * val - E * val)
 
 
-def metamorphosis_check(case: str, tol: float = 1e-9, **params) -> MetamorphosisReport:
+def metamorphosis_check(case: str, **params) -> MetamorphosisReport:
     """Verify the two displayed energy/coupling exchanges at sample points.
 
     morse(a, k1, k2, E): the a = b circle Hamiltonian maps to the radial
@@ -693,16 +699,16 @@ def metamorphosis_check(case: str, tol: float = 1e-9, **params) -> Metamorphosis
         Gpp = lambda rho: 6 * rho + cmath.exp(rho / 2) / 4
         phis = [0.2, 0.9, 1.7, 2.6, 4.1, 5.3]
         worst = max(_morse_residual(a, k1, k2, E, p, G, Gpp) for p in phis)
-        rep = MetamorphosisReport("morse", worst, len(phis), worst <= tol)
+        rep = MetamorphosisReport("morse", worst, len(phis), worst <= METAMORPHOSIS_TOL)
     elif case == "degenerate":
         sign = params.get("sign", 1)
         alpha = params["alpha"]
         q = params["q"]
         pts = [(1.2, 2.2), (1.5, 2.5), (1.8, 2.1), (1.35, 2.7)]
         worst = max(_degenerate_residual(sign, alpha, q, th, ph) for th, ph in pts)
-        rep = MetamorphosisReport("degenerate", worst, len(pts), worst <= tol)
+        rep = MetamorphosisReport("degenerate", worst, len(pts), worst <= METAMORPHOSIS_TOL)
     else:
         raise UnknownName(f"unknown metamorphosis case {case!r}")
     if not rep.ok:
-        raise ResidualTooLarge(f"{case} residual {rep.residual:.3e} > {tol}")
+        raise ResidualTooLarge(f"{case} residual {rep.residual:.3e} > {METAMORPHOSIS_TOL}")
     return rep

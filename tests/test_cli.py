@@ -7,7 +7,7 @@ import pytest
 
 import ptsphere
 from ptsphere import reduction, spectral
-from ptsphere.cli import ConfigError, _parse_grid, main
+from ptsphere.cli import ConfigError, _parse_grid, build_parser, main
 
 from catalog_models import PARAMS, RACAH_MODELS
 
@@ -54,7 +54,7 @@ def test_validate_catalog_model(capsys):
     doc = json.loads(out)
     assert doc["masa_valid"] is True
     assert doc["pt_classification"] == [-1, -1]
-    assert doc["seed"] == 20230411
+    assert "seed" not in doc  # validate samples nothing
     assert "version" in doc
 
 
@@ -292,8 +292,6 @@ def test_grid_size_out_of_range_exits_2(capsys, argv, N):
         ("spectrum --model poschl_teller --gminus 2 --gplus 3 --tol-match -1", "--tol-match"),
         ("spectrum --model chi --ell3 2 --composite 5 --tol-match nan", "--tol-match"),
         ("spectrum --model s1 --gminus 2 --gplus 3 --tol-match inf", "--tol-match"),
-        ("spectrum --model poschl_teller --gminus 2 --gplus 3 --tol-real -0.5", "--tol-real"),
-        ("scan --model lambda --tol-real nan", "--tol-real"),
     ],
 )
 def test_spectral_input_out_of_range_exits_2(capsys, argv, text):
@@ -363,6 +361,7 @@ def test_scan_small_grid(capsys):
         rows = json.loads(out)["rows"]
         assert len(rows) == 3 and all(len(r) == 4 and r[1] == "exact" for r in rows)
         assert all(r[3].startswith("max_rel_deviation=") for r in rows)
+        assert json.loads(out)["tol_match"] == 1e-3  # the default it failed against
     assert main([*argv, "128", "--tol-match", "5e-3"]) == 0
 
 
@@ -374,27 +373,62 @@ def test_scan_keeps_the_degenerate_note(capsys):
     assert phase == "degenerate" and float(note.split("bessel_ode_residual=")[1]) <= 1e-10
 
 
+def test_scan_fails_on_the_degenerate_residual(capsys, monkeypatch):
+    argv = ["scan", "--model", "lambda", "--lambda2", "0.5:0.5:0.1"]
+    code, out = _run(argv, capsys)
+    assert code == 0 and json.loads(out)["rows"][0][1] == "degenerate"
+    monkeypatch.setattr(spectral, "bessel_ode_residual", lambda *args: 1.0)
+    code, out = _run(argv, capsys)
+    assert code == 1
+    assert json.loads(out)["rows"][0][3] == "bessel_ode_residual=1.000e+00"
+
+
+def test_spectrum_degenerate_residual_is_judged_against_tol_match(capsys):
+    argv = ["spectrum", "--model", "degenerate", "--alpha", "2", "--q", "1"]
+    code, out = _run(argv, capsys)
+    assert code == 0 and json.loads(out)["tol_match"] == 1e-10
+    code, out = _run([*argv, "--tol-match", "0"], capsys)
+    assert code == 1 and json.loads(out)["tol_match"] == 0.0
+
+
+# the flags each subcommand's cmd_* reads, and no others
+PARSER_SURFACE = {
+    "validate": {"--model", "--masa", "--a", "--b", "--lambda2", "--out"},
+    "reduce": {"--model", "--masa", "--a", "--b", "--lambda2", "--out", "--seed", "--racah"},
+    "verify": {"--model", "--masa", "--a", "--b", "--lambda2", "--out", "--seed", "--appendix"},
+    "spectrum": {"--model", "--a", "--b", "--k1", "--k2", "--gminus", "--gplus", "--ell3",
+                 "--composite", "--alpha", "--q", "--N", "--K", "--tol-match", "--out",
+                 "--format"},
+    "scan": {"--model", "--lambda2", "--k1", "--k2", "--k3", "--N", "--K", "--tol-match",
+             "--out", "--format"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert set(sub.choices) == set(PARSER_SURFACE)
+    for name, parser in sub.choices.items():
+        taken = {s for s in parser._option_string_actions if s not in ("-h", "--help")}
+        assert taken == PARSER_SURFACE[name], name
+    assert sum(map(len, PARSER_SURFACE.values())) == 48
+
+
 @pytest.mark.parametrize(
-    "argv, solver",
+    "argv, flag",
     [
-        (["--model", "poschl_teller", "--gminus", "2", "--gplus", "3"], "solve_poschl_teller"),
-        (["--model", "chi", "--ell3", "2", "--composite", "5"], "solve_chi_equation"),
+        ("validate --model su2ab --k1 1", "--k1"),
+        ("spectrum --model s1 --gminus 2 --gplus 3 --masa f.json", "--masa"),
+        ("scan --model lambda --a 2", "--a"),
+        ("verify --model su2ab --format csv", "--format"),
+        ("verify --model su2ab --app", "--app"),  # no abbreviations
+        ("scan --model lambda --tol-real 1e-8", "--tol-real"),  # deleted: decided nothing
     ],
 )
-def test_spectrum_tol_real_reaches_the_solver(capsys, monkeypatch, argv, solver):
-    seen = []
-    real = getattr(spectral, solver)
-
-    def recording(*args):
-        seen.append(args[4])
-        return real(*args)
-
-    monkeypatch.setattr(spectral, solver, recording)
-    code, out = _run(["spectrum", *argv, "--N", "256", "--tol-real", "0.25"], capsys)
-    assert code == 0 and json.loads(out)["tol_real"] == 0.25
-    assert seen == [0.25]
-    _run(["spectrum", *argv, "--N", "256"], capsys)
-    assert seen == [0.25, 1e-8]  # the default, as the report prints it
+def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, argv, flag):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and flag in captured.err
+    assert captured.out == ""
 
 
 def test_reports_are_deterministic(capsys):

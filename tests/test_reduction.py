@@ -206,11 +206,8 @@ def test_potential_matches_exact_matrix_reference():
         V = build_potential(masa)
         assert matches_reference(masa, V), name
         assert not matches_reference(masa, -V), name
-    # the hand-written potentials the integrals are built from
-    for a, b in ((1, Fraction(1, 2)), (3, Fraction(2, 7))):
-        masa = catalog_masa("cartan_od", a=a, b=b)
-        assert reduction._cartan_od_potential(*masa.params).agrees_with(build_potential(masa))
-    # nilpotent's agrees with build_potential on the sphere s.s = 1 only
+    # the hand-written nilpotent potential its integrals are built from
+    # agrees with build_potential on the sphere s.s = 1 only
     s1, s2, s3 = (PhasePoly.s(3, i) for i in range(3))
     k2 = PhasePoly.k(3, 1)
     off_sphere = PhaseRational(

@@ -120,7 +120,9 @@ def test_periodic_spectrum_is_the_triangular_diagonal(a, b):
     assert min(np.abs(np.triu(H, 1)).max(), np.abs(np.tril(H, -1)).max()) <= 1e-12 * scale
     rep = solve_periodic_s1(a, b, 1.3, 0.7, 64)
     assert rep.eigenvalues == sorted(np.diag(H).real)
-    assert rep.max_imag == 0.0 and rep.phase != "broken"
+    # the couplings g_-, g_+ of these circles are real exactly when |a| >= |b|
+    assert rep.max_imag == 0.0
+    assert rep.phase == ("exact" if abs(a) >= abs(b) else "complex-coupling")
     assert any("triangular" in n for n in rep.notes)
 
 
@@ -296,10 +298,11 @@ def test_eigenfunction_single_valued():
 
 
 def test_pt_parity_real_couplings():
-    eps = pt_parity_check("s1", branch=1, qn=1, a=2, b=1, g_minus=2, g_plus=3)
-    assert eps in (1, -1)
-    eps = pt_parity_check("sphere_xi", branch=1, qn=1, lambda2=0.25, ell=(2, 3))
-    assert eps in (1, -1)
+    # every return value is +1 or -1; these eigenfunctions are PT-even
+    for qn in range(4):
+        assert pt_parity_check("s1", branch=1, qn=qn, a=2, b=1, g_minus=2, g_plus=3) == 1
+        assert pt_parity_check("sphere_xi", branch=1, qn=qn, lambda2=0.25, ell=(2, 3)) == 1
+        assert pt_parity_check("sphere_chi", branch=1, qn=qn, lambda2=0.25, ell=(2, 3, 2)) == 1
 
 
 def test_pt_parity_broken_regime():
