@@ -1,8 +1,13 @@
 """Matrix realizations of u(2)/u(3), structure constants, enveloping algebra.
 
-Generators follow the index order X0 < X1 < ... used throughout: X0 is the
-central u(1) element i*Identity, the rest span su(n).  Enveloping-algebra
-elements are kept in PBW normal form (words with non-decreasing indices).
+The basis of u(n) is generated from the matrix units E_jk, in the index order
+X0 < X1 < ... used throughout: X0 = i*Identity (the central u(1) element),
+then i(E_kk - E_{k+1,k+1}) for k < n - 1, then E_jk - E_kj and i(E_jk + E_kj)
+for each pair j < k.  For u(3) that is the printed list; u(2) keeps its
+printed Pauli order i*sigma_1, i*sigma_2, i*sigma_3 by the one permutation
+(0, 3, 2, 1) of the generated list.  Which generators are symmetric is read
+off the matrices.  Enveloping-algebra elements are kept in PBW normal form
+(words with non-decreasing indices); the Casimirs are Gelfand invariants.
 """
 
 from __future__ import annotations
@@ -30,33 +35,20 @@ __all__ = [
 MAX_WORD_LEN = 6  # internal rewriting headroom; public contract is degree <= 3
 
 
-def _m(rows) -> ExactMatrix:
-    return ExactMatrix(rows)
+def _matrix(n: int, entries: dict[tuple[int, int], Exact]) -> ExactMatrix:
+    """The n x n matrix with the given (row, column) entries, zero elsewhere."""
+    return ExactMatrix([[entries.get((r, c), ZERO) for c in range(n)] for r in range(n)])
 
 
-def _u2_matrices() -> list[ExactMatrix]:
-    i = I
-    return [
-        _m([[i, 0], [0, i]]),            # X0 = i*sigma_0
-        _m([[0, i], [i, 0]]),            # X1 = i*sigma_1
-        _m([[0, 1], [-1, 0]]),           # X2 = i*sigma_2
-        _m([[i, 0], [0, -i]]),           # X3 = i*sigma_3
-    ]
-
-
-def _u3_matrices() -> list[ExactMatrix]:
-    i = I
-    return [
-        _m([[i, 0, 0], [0, i, 0], [0, 0, i]]),      # X0
-        _m([[i, 0, 0], [0, -i, 0], [0, 0, 0]]),     # X1
-        _m([[0, 0, 0], [0, i, 0], [0, 0, -i]]),     # X2
-        _m([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),     # X3
-        _m([[0, i, 0], [i, 0, 0], [0, 0, 0]]),      # X4
-        _m([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),     # X5
-        _m([[0, 0, i], [0, 0, 0], [i, 0, 0]]),      # X6
-        _m([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),     # X7
-        _m([[0, 0, 0], [0, 0, i], [0, i, 0]]),      # X8
-    ]
+def _generated_matrices(n: int) -> list[ExactMatrix]:
+    mats = [_matrix(n, {(k, k): I for k in range(n)})]
+    mats += [_matrix(n, {(k, k): I, (k + 1, k + 1): -I}) for k in range(n - 1)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            mats += [_matrix(n, {(j, k): ONE, (k, j): -ONE}), _matrix(n, {(j, k): I, (k, j): I})]
+    if n == 2:  # the printed order i*sigma_1, i*sigma_2, i*sigma_3 after i*I
+        mats = [mats[k] for k in (0, 3, 2, 1)]
+    return mats
 
 
 # printed commutator tables; entries map (i, j) -> {k: coefficient} meaning
@@ -78,10 +70,6 @@ U3_TABLE: dict[tuple[int, int], dict[int, int]] = {
     (5, 6): {1: 2, 2: 2}, (5, 7): {3: -1}, (5, 8): {4: 1},
     (6, 7): {4: -1}, (6, 8): {3: -1}, (7, 8): {2: 2},
 }
-
-U2_SYMMETRIC = (True, True, False, True)
-U3_SYMMETRIC = (True, True, True, False, True, False, True, False, True)
-
 
 @dataclass(frozen=True)
 class GeneratorBasis:
@@ -131,12 +119,10 @@ class GeneratorBasis:
 @lru_cache(maxsize=None)
 def build_generators(n: int) -> GeneratorBasis:
     """The fixed-order generator basis of u(2) or u(3)."""
-    if n == 2:
-        mats, flags = _u2_matrices(), U2_SYMMETRIC
-    elif n == 3:
-        mats, flags = _u3_matrices(), U3_SYMMETRIC
-    else:
-        raise UnsupportedRank(f"no generator table for u({n})")
+    if n not in (2, 3):
+        raise UnsupportedRank(f"u({n}) is not supported; the ranks are 2 and 3")
+    mats = _generated_matrices(n)
+    flags = tuple(X.is_symmetric() for X in mats)
     columns = ExactMatrix([[x for row in X.entries for x in row] for X in mats]).transpose()
     coordinate_rows = tuple(
         tuple((j, a) for j, a in enumerate(row) if not a.is_zero())
@@ -243,10 +229,6 @@ class EnvElement:
         return " + ".join(bits)
 
 
-def anticommutator(a: EnvElement, b: EnvElement) -> EnvElement:
-    return a * b + b * a
-
-
 def _rewrite_word(word: tuple[int, ...], basis: GeneratorBasis) -> dict[tuple[int, ...], Exact]:
     """PBW-order one word: X_a X_b = X_b X_a + [X_a, X_b] for each descent."""
     if len(word) > MAX_WORD_LEN:
@@ -281,31 +263,30 @@ def env_commutator(a: EnvElement, b: EnvElement, basis: GeneratorBasis) -> EnvEl
     return pbw_normal_form(a * b - b * a, basis)
 
 
+@lru_cache(maxsize=None)
 def casimir_element(order: int, basis: GeneratorBasis) -> EnvElement:
-    """The printed quadratic/cubic Casimir elements (su(n) part)."""
-    X = [EnvElement.gen(i) for i in range(basis.size)]
-    if order == 2 and basis.n == 2:
-        # normalization fixed so the classical reduction of C2 is exactly
-        # twice the reduced Hamiltonian
-        return (X[1] * X[1] + X[2] * X[2] + X[3] * X[3]).scale(2)
-    if order == 2 and basis.n == 3:
-        quad = (X[1] * X[1] + X[2] * X[1] + X[2] * X[2]).scale(4)
-        for i in range(3, 9):
-            quad = quad + (X[i] * X[i]).scale(3)
-        return quad
-    if order == 3 and basis.n == 3:
-        c = (X[8] * X[6] + X[7] * X[5]) * X[4]
-        c = c + (X[8] * X[5] - X[7] * X[6]) * X[3]
-        c = c + ((X[1] - X[2]) * (X[1].scale(2) + X[2]) * (X[1] + X[2].scale(2))).scale(
-            Fraction(4, 27)
-        )
-        c = c + anticommutator(X[1] + X[2].scale(2), X[3] * X[3] + X[4] * X[4]).scale(
-            Fraction(1, 6)
-        )
-        c = c + anticommutator(X[1] - X[2], X[5] * X[5] + X[6] * X[6]).scale(Fraction(1, 6))
-        c = c - anticommutator(X[1].scale(2) + X[2], X[7] * X[7] + X[8] * X[8]).scale(
-            Fraction(1, 6)
-        )
-        c = c - (X[1] - X[2]).scale(Fraction(4, 3))
-        return c
-    raise UnsupportedOrder(f"no Casimir of order {order} for u({basis.n})")
+    """The Gelfand invariant sum E~_{i1 i2} E~_{i2 i3} ... E~_{ik i1} (order
+    k = 2 or 3) of the traceless matrix units E~_ij = E_ij - delta_ij I/n,
+    each written in the basis, in PBW normal form.
+
+    Order 2 is scaled by -2n: for u(2) that is 2(X1^2 + X2^2 + X3^2), whose
+    classical reduction is exactly twice the reduced Hamiltonian.
+    """
+    if order not in (2, 3):
+        raise UnsupportedOrder(f"no Casimir of order {order}; the orders are 2 and 3")
+    n = basis.n
+    centre = ExactMatrix.identity(n).scale(Fraction(1, n))
+
+    def traceless_unit(i: int, j: int) -> EnvElement:
+        e = _matrix(n, {(i, j): ONE})
+        return EnvElement.linear(basis.expand_in_basis(e - centre if i == j else e))
+
+    E = [[traceless_unit(i, j) for j in range(n)] for i in range(n)]
+    power = E  # power[i][j] = sum of E~_{i i2} ... E~_{i_m j} over the inner indices
+    for _ in range(order - 2):
+        power = [
+            [sum((power[i][m] * E[m][j] for m in range(n)), EnvElement()) for j in range(n)]
+            for i in range(n)
+        ]
+    trace = sum((power[i][m] * E[m][i] for i in range(n) for m in range(n)), EnvElement())
+    return pbw_normal_form(trace.scale(-2 * n) if order == 2 else trace, basis)

@@ -40,9 +40,6 @@ __all__ = [
     "MAX_PARAM_INT",
 ]
 
-# symmetric generators, in the fixed basis order used by coefficient rows
-SYM_INDICES = {2: (0, 1, 3), 3: (0, 1, 2, 4, 6, 8)}
-
 # the keyword parameters catalog_masa takes for each catalog model, with
 # their defaults
 _CATALOG_PARAMS = {
@@ -61,9 +58,8 @@ MAX_PARAM_INT = 10**6
 
 
 def symmetric_basis_indices(n: int) -> tuple[int, ...]:
-    if n not in SYM_INDICES:
-        raise BadBasisIndex(f"no symmetric basis table for u({n})")
-    return SYM_INDICES[n]
+    """Basis indices of the symmetric generators of u(n): a coefficient row's columns."""
+    return tuple(i for i, sym in enumerate(build_generators(n).symmetric_flags) if sym)
 
 
 @dataclass(frozen=True)
@@ -103,8 +99,9 @@ def masa_from_coeffs(
 ) -> MasaSpec:
     """Assemble Z matrices from coefficient rows over the symmetric basis.
 
-    Row order matches SYM_INDICES; no validation is implied (call
-    validate_masa separately).
+    Entry k of a row multiplies the k-th symmetric generator
+    (symmetric_basis_indices); no validation is implied (call validate_masa
+    separately).
     """
     idx = symmetric_basis_indices(n)
     gens = build_generators(n).generators

@@ -6,21 +6,21 @@ g_+(g_+ - 1)/cos^2: xi at (g_-, g_+) = (l2, l1), chi at (M + 1/2, l3) less
 1/4 after its (sin chi)^(-1/2) similarity, M = l1 + l2 + 2m (Levai & Znojil,
 J. Phys. A 33 (2000) 7165).  One level list, one Dirichlet finite-difference
 solver and one eigenfunction formula serve all three.  Beside them: the
-periodic circle spectrum read off its triangular momentum matrix (kept as a
-reference), coupling reparametrizations, PT-parity checks, the phase scan over
-the deformation parameter, Bessel-series solutions of the degenerate model and
-the two coupling-constant-metamorphosis identities.
+periodic circle spectrum read off its triangular momentum matrix (the dense
+matrix, its reference, is test code: tests/circle_reference.py), coupling
+reparametrizations, PT-parity checks, the phase scan over the deformation
+parameter, Bessel-series solutions of the degenerate model and the two
+coupling-constant-metamorphosis identities.
 
 Inputs a routine cannot take raise ParamOutOfRange, a configuration error
 (exit 2) on the command line; e.g. a Bessel order with q + terms > 170.
 
 numpy and scipy are imported only inside the array routines: the
-finite-difference solver _dirichlet_pt, fourier_matrix (with its potential
-sampler) and _cauchy_derivative.  The periodic circle spectrum, the closed
-forms, the eigenfunctions and the coupling maps are scalar code, so
-`spectrum --model s1` and the reduction layer, which imports this module,
-start without paying for that import; a float solve pays it once, on its
-first call.
+finite-difference solver _dirichlet_pt and _cauchy_derivative.  The periodic
+circle spectrum, the closed forms, the eigenfunctions and the coupling maps
+are scalar code, so `spectrum --model s1` and the reduction layer, which
+imports this module, start without paying for that import; a float solve
+pays it once, on its first call.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "coupling_maps",
     "invert_circle_couplings",
     "closed_form_energies",
-    "fourier_matrix",
     "solve_periodic_s1",
     "solve_poschl_teller",
     "solve_chi_equation",
@@ -219,15 +218,6 @@ def _finish_report(rep: SpectrumReport, eig, K: int, candidates):
 # -- circle solver --------------------------------------------------------------
 
 
-def _circle_potential_phi(a, b, k1, k2, phi):
-    import numpy as np
-
-    c2, s2 = np.cos(2 * phi), np.sin(2 * phi)
-    num = 2 * k1 * k2 * (a * c2 - 1j * b * s2) - k1 * k1 * (a * a - b * b) - k2 * k2
-    den = (b * c2 - 1j * a * s2) ** 2
-    return num / den
-
-
 def _require_regular_circle(a: complex, b: complex):
     # b cos 2phi - i a sin 2phi vanishes at a real phi exactly when
     # Re(a conj(b)) = 0, i.e. when |b - a| = |b + a|
@@ -239,52 +229,14 @@ def _require_regular_circle(a: complex, b: complex):
         raise SingularPotential("the denominator vanishes on the real circle")
 
 
-def fourier_matrix(a, b, k1, k2, N: int):
-    """Momentum-basis matrix of -d^2/dphi^2 + V_{a,b} with modes ordered
-    descending from +N/2 to -N/2.
-
-    For a = b the potential is (2 k1 k2 / a) e^{2i phi} - (k2 / a)^2 e^{4i phi},
-    with only the e^{2i phi} and e^{4i phi} modes, so the matrix is exactly
-    upper triangular in this ordering; the two nonzero coefficients are then
-    filled in analytically rather than via the FFT.
-    solve_periodic_s1 does not build this matrix; the tests use it as the
-    reference for the structural spectrum.
-    """
-    import numpy as np
-    import scipy.linalg
-
-    a, b = complex(a), complex(b)
-    k1, k2 = complex(k1), complex(k2)
-    _require_regular_circle(a, b)
-    M = N // 2
-    modes = np.arange(M, -M - 1, -1)
-    dim = 2 * M + 1
-    # H[i, j] = c_{m_i - m_j} = c_{j - i}: a Toeplitz matrix whose first
-    # column holds c_0, c_{-1}, ... and whose first row holds c_0, c_1, ...
-    if a == b:
-        row = np.zeros(dim + 4, dtype=complex)  # room for c_4 when dim < 5
-        row[2] = 2 * k1 * k2 / a
-        row[4] = -k2 * k2 / (a * a)
-        H = scipy.linalg.toeplitz(np.zeros(dim, dtype=complex), row[:dim])
-    else:
-        Ns = 8 * M
-        phis = 2 * np.pi * np.arange(Ns) / Ns
-        vals = _circle_potential_phi(a, b, k1, k2, phis)
-        fc = np.fft.fft(vals) / Ns
-        d = np.arange(dim)
-        H = scipy.linalg.toeplitz(fc[-d % Ns], fc[d])
-    np.fill_diagonal(H, modes.astype(float) ** 2)
-    return H, modes
-
-
 def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K) -> SpectrumReport:
     """Periodic spectrum of the circle Hamiltonian, read off its structure.
 
     The denominator of V is b cos 2phi - i a sin 2phi =
     ((b - a) e^{2i phi} + (b + a) e^{-2i phi}) / 2.  Off the singular set
     Re(a conj(b)) = 0 one term dominates on the whole circle, so V has Fourier
-    modes of one sign only and no constant mode.  The momentum matrix of
-    fourier_matrix is then triangular with diagonal m^2, and the periodic
+    modes of one sign only and no constant mode.  Its momentum matrix is
+    then triangular with diagonal m^2, and the periodic
     spectrum is exactly {m^2 : |m| <= N // 2}, each m != 0 a double
     eigenvalue (Gasymov, Funct. Anal. Appl. 14 (1980) 11).  The closed-form
     matches therefore refer to this periodic operator; for a^2 = b^2 (Morse)

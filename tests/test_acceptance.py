@@ -22,7 +22,6 @@ from ptsphere.reduction import (
     verify_sum_relation,
 )
 from ptsphere.spectral import (
-    fourier_matrix,
     invert_circle_couplings,
     pt_parity_check,
     pt_phase_scan,
@@ -32,6 +31,7 @@ from ptsphere.spectral import (
 )
 
 from catalog_models import PARAMS, RACAH_MODELS, SUM_RELATION_MODELS, build_masa
+from circle_reference import fourier_matrix
 
 
 def _report(label, ok, t0, budget):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -76,18 +77,24 @@ def test_validate_bad_masa_file_exits_1(tmp_path, capsys):
         ("validate", json.dumps({k: v for k, v in BAD_MASA.items() if k != "generators"})),
         # a catalog name would send build_hamiltonian to the catalog integrals
         ("reduce", json.dumps(dict(SU2AB_MASA, name="lambda"))),
+        # the rank is refused before any u(n) matrix is built; generating the
+        # n^2 generators first would not finish for n = 10^6
+        *(("validate", json.dumps(dict(SU2AB_MASA, n=n, basis=f"u{n}"))) for n in (1, 4, 10**6)),
     ],
-    ids=["missing", "not_json", "no_generators", "catalog_name"],
+    ids=["missing", "not_json", "no_generators", "catalog_name", "n_1", "n_4", "n_10^6"],
 )
 def test_bad_masa_file_exits_2(tmp_path, capsys, command, content):
     path = tmp_path / "masa.json"
     if content is not None:
         path.write_text(content)
+    t0 = time.perf_counter()
     code = main([command, "--masa", str(path)])
+    elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
     assert code == 2
     assert "config error" in captured.err
     assert captured.out == ""
+    assert elapsed < 1.0
 
 
 def test_unknown_model_exits_2(capsys):
@@ -339,12 +346,15 @@ def test_spectrum_csv_output(tmp_path, capsys):
 
 
 def test_spectrum_degenerate_bessel(capsys):
-    code, out = _run(
-        ["spectrum", "--model", "degenerate", "--alpha", "2", "--q", "1"], capsys
-    )
+    argv = ["spectrum", "--model", "degenerate", "--alpha", "2", "--q", "1"]
+    code, out = _run([*argv, "--N", "7"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["bessel_ode_residual"] <= 1e-10
+    # the Bessel residual reads no grid: --N and --K are not echoed, and
+    # values the other models refuse change nothing
+    assert "grid_N" not in doc and "grid_K" not in doc
+    assert _run([*argv, "--N", "1", "--K", "0"], capsys) == (0, out)
 
 
 def test_scan_restricted_to_lambda_family(capsys):

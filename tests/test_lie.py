@@ -7,9 +7,6 @@ from ptsphere.errors import DimensionMismatch, UnsupportedOrder, UnsupportedRank
 from ptsphere.exact import I, Exact, rat
 from ptsphere.lie import (
     EnvElement,
-    U2_SYMMETRIC,
-    U3_SYMMETRIC,
-    anticommutator,
     build_generators,
     casimir_element,
     env_commutator,
@@ -17,6 +14,55 @@ from ptsphere.lie import (
     verify_structure_constants,
 )
 from ptsphere.matrices import ExactMatrix
+
+i = I
+# the printed bases, in their printed order, and which of them are symmetric
+U2_PRINTED = [
+    [[i, 0], [0, i]],    # X0 = i*sigma_0
+    [[0, i], [i, 0]],    # X1 = i*sigma_1
+    [[0, 1], [-1, 0]],   # X2 = i*sigma_2
+    [[i, 0], [0, -i]],   # X3 = i*sigma_3
+]
+U3_PRINTED = [
+    [[i, 0, 0], [0, i, 0], [0, 0, i]],     # X0
+    [[i, 0, 0], [0, -i, 0], [0, 0, 0]],    # X1
+    [[0, 0, 0], [0, i, 0], [0, 0, -i]],    # X2
+    [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],    # X3
+    [[0, i, 0], [i, 0, 0], [0, 0, 0]],     # X4
+    [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],    # X5
+    [[0, 0, i], [0, 0, 0], [i, 0, 0]],     # X6
+    [[0, 0, 0], [0, 0, 1], [0, -1, 0]],    # X7
+    [[0, 0, 0], [0, 0, i], [0, i, 0]],     # X8
+]
+U2_SYMMETRIC = (True, True, False, True)
+U3_SYMMETRIC = (True, True, True, False, True, False, True, False, True)
+
+
+def _printed_casimirs():
+    """The printed su(2) and su(3) quadratic Casimirs and the su(3) cubic."""
+    X = [EnvElement.gen(k) for k in range(9)]
+
+    def anticommutator(a, b):
+        return a * b + b * a
+
+    c2_u2 = (X[1] * X[1] + X[2] * X[2] + X[3] * X[3]).scale(2)
+    c2_u3 = (X[1] * X[1] + X[2] * X[1] + X[2] * X[2]).scale(4)
+    for k in range(3, 9):
+        c2_u3 = c2_u3 + (X[k] * X[k]).scale(3)
+    c3 = (X[8] * X[6] + X[7] * X[5]) * X[4]
+    c3 = c3 + (X[8] * X[5] - X[7] * X[6]) * X[3]
+    c3 = c3 + ((X[1] - X[2]) * (X[1].scale(2) + X[2]) * (X[1] + X[2].scale(2))).scale(
+        Fraction(4, 27)
+    )
+    c3 = c3 + anticommutator(X[1] + X[2].scale(2), X[3] * X[3] + X[4] * X[4]).scale(
+        Fraction(1, 6)
+    )
+    c3 = c3 + anticommutator(X[1] - X[2], X[5] * X[5] + X[6] * X[6]).scale(Fraction(1, 6))
+    c3 = c3 - anticommutator(X[1].scale(2) + X[2], X[7] * X[7] + X[8] * X[8]).scale(
+        Fraction(1, 6)
+    )
+    c3 = c3 - (X[1] - X[2]).scale(Fraction(4, 3))
+    return c2_u2, c2_u3, c3
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +85,20 @@ def test_structure_constants_pass(u2, u3):
 
 
 def test_unsupported_rank():
-    with pytest.raises(UnsupportedRank):
-        build_generators(4)
+    # refused before any matrix is built: u(10^6) would take 10^12 of them
+    for n in (1, 4, 10**6):
+        with pytest.raises(UnsupportedRank):
+            build_generators(n)
+
+
+def test_generated_bases_are_the_printed_ones(u2, u3):
+    for basis, printed in ((u2, U2_PRINTED), (u3, U3_PRINTED)):
+        assert basis.generators == tuple(ExactMatrix(m) for m in printed)
 
 
 def test_symmetry_flags_match_matrices(u2, u3):
     for basis, flags in ((u2, U2_SYMMETRIC), (u3, U3_SYMMETRIC)):
+        assert basis.symmetric_flags == flags
         for m, flag in zip(basis.generators, flags):
             assert m.is_symmetric() == flag
 
@@ -119,13 +173,6 @@ def test_env_commutator_bilinear(u2):
     assert pbw_normal_form(lhs, u2) == pbw_normal_form(rhs, u2)
 
 
-def test_anticommutator_symmetric(u2):
-    a, b = EnvElement.gen(1), EnvElement.gen(2)
-    assert pbw_normal_form(anticommutator(a, b), u2) == pbw_normal_form(
-        anticommutator(b, a), u2
-    )
-
-
 @pytest.mark.parametrize("n, order", [(2, 2), (3, 2), (3, 3)], ids=["2", "3", "3-cubic"])
 def test_quadratic_casimir_is_central(n, order):
     basis = build_generators(n)
@@ -135,6 +182,22 @@ def test_quadratic_casimir_is_central(n, order):
         assert pbw_normal_form(comm, basis).is_zero()
 
 
+def test_quadratic_casimirs_are_the_printed_ones(u2, u3):
+    c2_u2, c2_u3, _ = _printed_casimirs()
+    assert casimir_element(2, u2) == pbw_normal_form(c2_u2, u2)
+    assert casimir_element(2, u3) == pbw_normal_form(c2_u3, u3)
+    assert casimir_element(2, u3) is casimir_element(2, u3)  # built once
+
+
+def test_printed_cubic_casimir_is_the_gelfand_cubic(u3):
+    # printed = -(4i/3) G3 - (i/3) C2, exactly, in PBW normal form
+    _, _, printed = _printed_casimirs()
+    G3, C2 = casimir_element(3, u3), casimir_element(2, u3)
+    combo = G3.scale(rat(0, Fraction(-4, 3))) + C2.scale(rat(0, Fraction(-1, 3)))
+    assert pbw_normal_form(printed, u3) == pbw_normal_form(combo, u3)
+
+
 def test_casimir_order_guard(u2):
-    with pytest.raises(UnsupportedOrder):
-        casimir_element(5, u2)
+    for order in (0, 1, 4, 5):
+        with pytest.raises(UnsupportedOrder):
+            casimir_element(order, u2)

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from ptsphere.errors import (
-    BadBasisIndex,
     ParamOutOfRange,
     UnknownName,
+    UnsupportedRank,
 )
 from ptsphere.masa import (
     catalog_masa,
@@ -70,7 +70,7 @@ def test_su2ab_degenerate_guard():
 def test_symmetric_basis_indices():
     assert symmetric_basis_indices(2) == (0, 1, 3)
     assert symmetric_basis_indices(3) == (0, 1, 2, 4, 6, 8)
-    with pytest.raises(BadBasisIndex):
+    with pytest.raises(UnsupportedRank):
         symmetric_basis_indices(5)
 
 

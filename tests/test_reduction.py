@@ -156,7 +156,7 @@ def test_su2ab_potential_on_circle():
     # closed form used by the periodic solver
     from math import atan2
 
-    from ptsphere.spectral import _circle_potential_phi
+    from circle_reference import circle_potential_phi
 
     V = build_potential(build_masa("su2ab"))
     for t in (Fraction(1, 3), Fraction(2, 5), Fraction(-3, 4)):
@@ -165,7 +165,7 @@ def test_su2ab_potential_on_circle():
         vals = [s1, s2, rat(0), rat(0), rat(Fraction(1, 2)), rat(Fraction(1, 3))]
         v = V.eval(vals).to_complex()
         phi = 2 * atan2(float(t), 1.0)
-        expect = _circle_potential_phi(2.0, 1.0, 0.5, 1 / 3, phi)
+        expect = circle_potential_phi(2.0, 1.0, 0.5, 1 / 3, phi)
         assert abs(v - expect) < 1e-12 * max(1.0, abs(expect))
 
 

@@ -18,7 +18,6 @@ from ptsphere.errors import (
 )
 from ptsphere.spectral import (
     _cauchy_derivative,
-    _circle_potential_phi,
     _dirichlet_pt,
     _nearest,
     bessel_ode_residual,
@@ -26,7 +25,6 @@ from ptsphere.spectral import (
     closed_form_energies,
     coupling_maps,
     eigenfunction_eval,
-    fourier_matrix,
     hyp2f1_terminating,
     invert_circle_couplings,
     metamorphosis_check,
@@ -36,6 +34,8 @@ from ptsphere.spectral import (
     solve_periodic_s1,
     solve_poschl_teller,
 )
+
+from circle_reference import circle_potential_phi, fourier_matrix
 
 
 def test_coupling_map_roundtrip():
@@ -80,7 +80,7 @@ def test_morse_matrix_matches_the_fft_construction(a, b, k1, k2, N):
     M = N // 2
     dim, Ns = 2 * M + 1, 8 * M
     phis = 2 * np.pi * np.arange(Ns) / Ns
-    fc = np.fft.fft(_circle_potential_phi(a, b, k1, k2, phis)) / Ns
+    fc = np.fft.fft(circle_potential_phi(a, b, k1, k2, phis)) / Ns
     d = np.arange(dim)
     ref = scipy.linalg.toeplitz(fc[-d % Ns], fc[d])
     np.fill_diagonal(ref, np.arange(M, -M - 1, -1).astype(float) ** 2)
