@@ -161,14 +161,14 @@ class Exact:
             raise ValueError("value is not rational")
         return Fraction(self._num.get(1, (0, 0))[1], self._den)
 
-    def real_rational(self) -> Fraction:
-        """The value as a Fraction; TypeError unless it is a real rational."""
+    def real_rational(self) -> tuple[int, int]:
+        """The int parts (a, b) of the value a/b; TypeError unless real rational."""
         if not self._num:
-            return Fraction(0)
+            return 0, 1
         pair = self._num.get(1)
         if len(self._num) > 1 or pair is None or pair[1]:
             raise TypeError(f"value is not a real rational: {self}")
-        return Fraction(pair[0], self._den)
+        return pair[0], self._den
 
     def int_parts(self):
         """The canonical form: the (d, (re, im)) int pairs, one per radical

@@ -13,10 +13,11 @@ verdict is one first_nonzero_residual call, which names the first nonzero
 of the verdict's residuals; func_vanishes_on_constraint is its one-residual
 case.
 
-PhasePoly.eval accepts only real rational coordinates (the sampled points
-and couplings are such).  It sums the terms in plain int arithmetic over the
-common denominator of the coordinates and coefficients and divides once at
-the end, so its value is exact and equals the term-by-term Exact sum.
+PhasePoly.eval accepts only real rational coordinates and checks every one,
+used or not.  It reads their numerators and denominators off the Exact int
+parts, sums the terms in plain int arithmetic over the common denominator of
+coordinates and coefficients and divides once at the end, so its value is
+exact and equals the term-by-term Exact sum.
 
 PhasePoly.__mul__ works the same way: with each operand's coefficients
 over its own common denominator, it sums every output monomial's int parts
@@ -222,29 +223,25 @@ class PhasePoly:
     def eval(self, vals: Sequence[Exact]) -> Exact:
         """Exact value at a point whose coordinates are real rationals.
 
-        With v_i = a_i/b_i, maxe_i the largest exponent of variable i, D the
-        product of b_i^maxe_i and L the lcm of the coefficient denominators,
-        L*D*f(v) = sum_e (L*c_e) * prod_i a_i^e_i * b_i^(maxe_i - e_i), a sum
-        of plain ints for each radical of the coefficients.  Only the final
-        parts are divided by L*D, so the value is exactly the one term-by-term
-        Exact arithmetic gives.  A coordinate with a radical or an imaginary
-        part raises TypeError.
+        With v_i = a_i/b_i read off the int parts of each coordinate, maxe_i
+        the largest exponent of variable i, D the product of b_i^maxe_i and L
+        the lcm of the coefficient denominators, L*D*f(v) = sum_e (L*c_e) *
+        prod_i a_i^e_i * b_i^(maxe_i - e_i), a sum of plain ints for each
+        radical of the coefficients.  Only the final parts are divided by L*D,
+        so the value is exactly the one term-by-term Exact arithmetic gives.
+        Any coordinate, used by f or not, with a radical or an imaginary part
+        raises TypeError.
         """
-        nv = 3 * self.n
-        if len(vals) != nv:
+        if len(vals) != 3 * self.n:
             raise DimensionMismatch("value vector has wrong length")
         qs = [Exact.coerce(v).real_rational() for v in vals]
-        maxe = [0] * nv
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x > maxe[i]:
-                    maxe[i] = x
+        maxe = list(map(max, zip(*self.terms)))
         # mono[i][x] = a_i^x * b_i^(maxe_i - x); variables absent from f are skipped
-        used = [i for i in range(nv) if maxe[i]]
+        used = [i for i, m in enumerate(maxe) if m]
         mono = {}
         D = 1
         for i in used:
-            a, b, m = qs[i].numerator, qs[i].denominator, maxe[i]
+            (a, b), m = qs[i], maxe[i]
             mono[i] = [a ** x * b ** (m - x) for x in range(m + 1)]
             D *= b ** m
         coeffs = [(e, *c.int_parts()) for e, c in self.terms.items()]

@@ -23,7 +23,8 @@ Momentum maps have this one construction path.  The map is linear, so every
 other image (momentum_map of any X, the bracket and correction images in
 verify_homomorphism, the factors of project_env_element) is a fixed
 combination of the generator images, and every image has the same
-denominator det A and hence the same poles.
+denominator det A and hence the same poles.  verify_homomorphism and
+casimir_projection_report read only the images' values at each point.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from math import prod
 from typing import Callable, Sequence
 
 from .exact import Exact, I, ONE, ZERO, rat
@@ -424,10 +426,17 @@ def integrals_catalog(masa: MasaSpec):
     return build(masa) if build else build_hamiltonian(masa).integrals
 
 
-def build_hamiltonian(masa: MasaSpec) -> ReducedSystem:
+def _potential(masa: MasaSpec) -> tuple[PhaseRational, PhaseRational]:
+    """(V, H = p.p + V): the model's own potential if it has one, else
+    build_potential; no integral is built."""
     model = MODELS.get(masa.name)
     V = model.potential(*masa.params) if model and model.potential else build_potential(masa)
-    H = _ambient_p_squared(masa.n) + V
+    return V, _ambient_p_squared(masa.n) + V
+
+
+def build_hamiltonian(masa: MasaSpec) -> ReducedSystem:
+    model = MODELS.get(masa.name)
+    V, H = _potential(masa)
     sys = ReducedSystem(masa, V, H)
     if model:
         sys.integrals = model.integrals(masa) if model.integrals else [("H", H)]
@@ -483,7 +492,7 @@ def verify_separable_potential(masa: MasaSpec, seed: int = 20230411) -> Relation
     separable = getattr(MODELS.get(masa.name), "separable", None)
     if separable is None:
         raise UnknownName(f"no separable form for {masa.name!r}")
-    V = build_hamiltonian(masa).potential
+    V, _ = _potential(masa)
     return _equal_on_constraint("separable_potential", masa, V, separable(*masa.params), seed)
 
 
@@ -503,25 +512,27 @@ def casimir_projection_report(
 ) -> RelationReport:
     """Exact linear fit of the projected quadratic Casimir over the span
     {H, 1, k_i k_j}; the multiplicative and additive constants are reported,
-    an inconsistent fit raises."""
+    an inconsistent fit raises.  The Casimir is not built: at each point the
+    generator images are evaluated over their distinct denominators, each
+    once, and combined by the words of casimir_element(2, ...)."""
     n = masa.n
-    sysr = build_hamiltonian(masa)
-    H = sysr.hamiltonian
-    cas = project_env_element(casimir_element(2, build_generators(n)), masa)
-    funcs = [("H", H), ("1", PhaseRational(PhasePoly.const(n, 1)))]
-    for i in range(n):
-        for j in range(i, n):
-            funcs.append(
-                (
-                    f"k{i + 1}k{j + 1}",
-                    PhaseRational(PhasePoly.k(n, i) * PhasePoly.k(n, j)),
-                )
-            )
-    names = tuple(name for name, _ in funcs)
-    npts = npoints or (2 * len(funcs) + 6)
-    samples = pole_free_values(
-        lambda vals: [f.eval(vals) for _, f in funcs] + [cas.eval(vals)], n, seed
-    )
+    _, H = _potential(masa)
+    maps = generator_images(masa)
+    dens = list(dict.fromkeys(f.den for f in maps))  # det A, and 1 for a zero image
+    slots = [(f.num, dens.index(f.den)) for f in maps]
+    words = casimir_element(2, build_generators(n)).terms.items()
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    names = ("H", "1") + tuple(f"k{i + 1}k{j + 1}" for i, j in pairs)
+    npts = npoints or (2 * len(names) + 6)
+
+    def row(vals):
+        inv = [d.eval(vals).inverse() for d in dens]
+        gen = [num.eval(vals) * inv[k] for num, k in slots]
+        cas = sum((prod(map(gen.__getitem__, w), start=c) for w, c in words), ZERO)
+        k = vals[2 * n:]
+        return [H.eval(vals), ONE] + [k[i] * k[j] for i, j in pairs] + [cas]
+
+    samples = pole_free_values(row, n, seed)
     coeffs = _fit_exact(list(islice(samples, npts)), names)
     detail = " + ".join(
         f"({c}) {name}" for name, c in coeffs.items() if not c.is_zero()

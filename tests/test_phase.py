@@ -218,12 +218,17 @@ def test_rational_normalisation_does_not_depend_on_term_order():
 
 
 def test_poly_eval_rejects_radical_coordinates():
+    # f reads s1 and p2 only; a bad coordinate raises in any slot, k3
+    # included, and for a constant or zero too.  int and Fraction coordinates
+    # are accepted.
+    vals = [Fraction(2, 3), 1, 0, 5, Fraction(-3, 4), 1, 2, 3, 4]
     f = PhasePoly.s(N, 0) * PhasePoly.p(N, 1)
-    vals = [rat(1)] * (3 * N)
-    for bad in (Exact.sqrt_rational(2), rat(1, 1)):
-        vals[0] = bad
-        with pytest.raises(TypeError, match="real rational"):
-            f.eval(vals)
+    assert f.eval(vals) == rat(Fraction(-1, 2))
+    for g in (f, PhasePoly.const(N, 3), PhasePoly(N)):
+        for slot in (0, N + 1, 3 * N - 1):
+            for bad in (Exact.sqrt_rational(2), rat(1, 1)):
+                with pytest.raises(TypeError, match="real rational"):
+                    g.eval(vals[:slot] + [bad] + vals[slot + 1:])
 
 
 def test_poly_eval_keeps_non_vanishing_identity_nonzero():

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import random
@@ -9,7 +10,7 @@ import pytest
 from ptsphere import reduction
 from ptsphere.errors import DegenerateMasa, FitUnderdetermined, RelationFailed, UnknownName
 from ptsphere.exact import Exact, I, ONE, rat
-from ptsphere.lie import build_generators
+from ptsphere.lie import build_generators, casimir_element
 from ptsphere.masa import CATALOG_NAMES, catalog_masa, masa_from_coeffs
 from ptsphere.matrices import ExactMatrix, exact_inverse
 from ptsphere.phase import (
@@ -96,10 +97,8 @@ def test_bracket_images_are_combinations_of_generator_images(name, kw):
             assert momentum_map(gens[i] @ gens[j] - gens[j] @ gens[i], masa).agrees_with(lin)
 
 
-@pytest.mark.parametrize("name,kw", IMAGE_MODELS[:2])
-def test_homomorphism_rejects_a_perturbed_generator_image(name, kw, monkeypatch):
-    # adding s_1 to one generator image breaks {Xhat_i, Xhat_j} = hat([X_i, X_j])
-    masa = catalog_masa(name, **kw)
+def _perturb_generator_image(monkeypatch):
+    # adds s_1 to the image of generator 1, which both Casimirs contain
     original = reduction.generator_images
 
     def perturbed(m):
@@ -108,8 +107,65 @@ def test_homomorphism_rejects_a_perturbed_generator_image(name, kw, monkeypatch)
         return images
 
     monkeypatch.setattr(reduction, "generator_images", perturbed)
+
+
+@pytest.mark.parametrize("name,kw", IMAGE_MODELS[:2])
+def test_homomorphism_rejects_a_perturbed_generator_image(name, kw, monkeypatch):
+    # {Xhat_i, Xhat_j} = hat([X_i, X_j]) no longer holds
+    _perturb_generator_image(monkeypatch)
     with pytest.raises(RelationFailed, match=r"for pair \(\d+,\d+\) in "):
-        reduction.verify_homomorphism(masa, npoints=3)
+        reduction.verify_homomorphism(catalog_masa(name, **kw), npoints=3)
+
+
+@pytest.mark.parametrize("name,kw", IMAGE_MODELS[:2])
+def test_casimir_fit_rejects_a_perturbed_generator_image(name, kw, monkeypatch):
+    # the projected Casimir gains 2 s_1 Xhat_1 + s_1^2, outside {H, 1, k_i k_j}
+    _perturb_generator_image(monkeypatch)
+    with pytest.raises(FitUnderdetermined, match="inconsistent"):
+        casimir_projection_report(catalog_masa(name, **kw))
+
+
+@pytest.mark.parametrize("name,kw", models())
+def test_casimir_values_equal_the_projected_casimir(name, kw, monkeypatch):
+    # the last entry of each fit row is the Casimir read off the generator
+    # images; it must be the symbolic projection's value at that point
+    masa = catalog_masa(name, **kw)
+    rows = []
+    real = reduction.pole_free_values
+
+    def recording(func, n, seed):
+        return real(lambda vals: rows.append((vals, func(vals))) or rows[-1][1], n, seed)
+
+    monkeypatch.setattr(reduction, "pole_free_values", recording)
+    # five rows fit u(2) and are too few for u(3); only the rows are read
+    with contextlib.suppress(FitUnderdetermined):
+        casimir_projection_report(masa, npoints=5)
+    cas = reduction.project_env_element(casimir_element(2, build_generators(masa.n)), masa)
+    assert len(rows) == 5
+    for vals, row in rows:
+        assert row[-1] == cas.eval(vals)
+
+
+def test_casimir_fit_and_separable_form_build_only_the_potential(monkeypatch):
+    # no symbolic Casimir and no integral: project_env_element is never
+    # called, and a model whose integrals raise still passes both
+    projected = []
+    real = reduction.project_env_element
+    monkeypatch.setattr(
+        reduction, "project_env_element", lambda e, m: projected.append(m) or real(e, m)
+    )
+
+    def no_integrals(masa):
+        raise AssertionError(f"integrals of {masa.name} built")
+
+    for name, model in list(reduction.MODELS.items()):
+        monkeypatch.setitem(
+            reduction.MODELS, name, dataclasses.replace(model, integrals=no_integrals)
+        )
+    for name in ("su2ab", "cartan_od"):
+        assert casimir_projection_report(build_masa(name)).passed
+    assert verify_separable_potential(build_masa("lambda")).passed
+    assert projected == []
 
 
 # lambda's relation (0.4 s) runs in acceptance criterion 05
