@@ -17,16 +17,25 @@ PhasePoly.eval accepts only real rational coordinates and checks every one,
 used or not.  It reads their numerators and denominators off the Exact int
 parts, sums the terms in plain int arithmetic over the common denominator of
 coordinates and coefficients and divides once at the end, so its value is
-exact and equals the term-by-term Exact sum.
+exact and equals the term-by-term Exact sum.  Each PhasePoly builds its int
+form (exponents, coefficient int parts over their lcm, largest exponent per
+variable) at its first evaluation and keeps it; a PhasePoly is never changed
+after construction.  PhaseRational.grad_at reads the point once and sweeps
+num and den once each for their values and all 3n first partials (forward
+differentiation over the same power tables), so no derivative polynomial is
+built to evaluate a gradient; only the symbolic poisson_bracket and deriv
+build them.
 
 PhasePoly.__mul__ works the same way: with each operand's coefficients
 over its own common denominator, it sums every output monomial's int parts
 per radical (exact._add_products, the one product rule of Exact) and reduces
-each output coefficient once, not once per pair of terms.  Arithmetic
-results are built by the trusted constructor _poly, which skips the
-coercion and checks of the public PhasePoly(n, terms); only sums, which can
-cancel, drop zero terms.  The public constructor rejects an exponent tuple
-of the wrong length or with a negative entry.
+each output coefficient once, not once per pair of terms.  A one-term
+operand skips the common denominators: it shifts the other operand's
+exponents and makes one Exact product per term.  Arithmetic results are
+built by the trusted constructor _poly, which skips the coercion and checks
+of the public PhasePoly(n, terms); only sums, which can cancel, drop zero
+terms.  The public constructor rejects an exponent tuple of the wrong
+length or with a negative entry.
 
 A PhaseRational is normalised so that the first term of its den as printed
 (the largest by total degree, then by exponent tuple) has coefficient 1, so
@@ -39,9 +48,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import lcm
-from operator import add
+from itertools import accumulate, islice
+from math import lcm, prod
+from operator import add, getitem, mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .exact import Exact, ONE, ZERO, _add_products, _reduced, rat
@@ -91,10 +100,34 @@ def _int_terms(f: "PhasePoly"):
     return out, L
 
 
+def _coordinates(vals: Sequence[Exact], n: int) -> list[tuple[int, int]]:
+    """The int pair (a, b) of each of the 3n coordinates a/b; any coordinate
+    with a radical or an imaginary part raises TypeError."""
+    if len(vals) != 3 * n:
+        raise DimensionMismatch("value vector has wrong length")
+    return [Exact.coerce(v).real_rational() for v in vals]
+
+
+def _accumulate(sums: dict, comps, t: int):
+    """Add t times each coefficient component (slot, c) into sums."""
+    for slot, c in comps:
+        sums[slot] = sums.get(slot, 0) + c * t
+
+
+def _parts(sums: dict) -> dict:
+    """{d: (re, im)} from sums over the slots 2d (re) and 2d + 1 (im)."""
+    out = {}
+    for slot, x in sums.items():
+        d, im = divmod(slot, 2)
+        re_im = out.get(d, (0, 0))
+        out[d] = (re_im[0], x) if im else (x, re_im[1])
+    return out
+
+
 class PhasePoly:
     """Multivariate polynomial over Exact coefficients, canonical sparse form."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_form")
 
     def __init__(self, n: int, terms: dict[tuple[int, ...], Exact] | None = None):
         self.n = n
@@ -184,6 +217,12 @@ class PhasePoly:
         self._check(other)
         if not self.terms or not other.terms:
             return _poly(self.n, {})
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # a monomial shifts the exponents of the other operand, in that
+            # operand's term order; nonzero coefficients have a nonzero product
+            one, many = (self, other) if len(self.terms) == 1 else (other, self)
+            (e1, c1), = one.terms.items()
+            return _poly(self.n, {tuple(map(add, e1, e)): c1 * c for e, c in many.terms.items()})
         t1, L1 = _int_terms(self)
         t2, L2 = _int_terms(other)
         # the int parts of each output monomial, summed over L1*L2
@@ -220,6 +259,69 @@ class PhasePoly:
     def conjugate(self) -> "PhasePoly":
         return _poly(self.n, {e: c.conjugate() for e, c in self.terms.items()})
 
+    def _int_form(self):
+        """(used, maxe, rows, L), built on first use and kept, since a
+        PhasePoly is never changed after construction.  used lists the
+        variables that occur and maxe their largest exponents; L is the lcm
+        of the coefficient denominators.  Each row is one term: its exponents of
+        the used variables, the positions of the nonzero ones, and the
+        nonzero components (slot, c) of L times its coefficient, slot 2d for
+        the real and 2d + 1 for the imaginary part of the sqrt(d) part."""
+        try:
+            return self._form
+        except AttributeError:
+            pass
+        terms, L = _int_terms(self)
+        maxe = list(map(max, zip(*self.terms)))
+        used = [i for i, m in enumerate(maxe) if m]
+        rows = []
+        for e, parts in terms:
+            ex = tuple(e[i] for i in used)
+            comps = [(2 * d + k, c) for d, pair in parts for k, c in enumerate(pair) if c]
+            rows.append((ex, [j for j, x in enumerate(ex) if x], comps))
+        self._form = used, [maxe[i] for i in used], rows, L
+        return self._form
+
+    def _powers(self, qs):
+        """(mono, used, rows, L*D): mono[j][x] = a^x * b^(m - x) for the j-th
+        used variable a/b with largest exponent m, and D = prod b^m."""
+        used, maxe, rows, L = self._int_form()
+        mono = []
+        for i, m in zip(used, maxe):
+            a, b = qs[i]
+            mono.append([a ** x * b ** (m - x) for x in range(m + 1)])
+            L *= b ** m
+        return mono, used, rows, L
+
+    def _value(self, qs) -> Exact:
+        """f at the coordinates qs, int pairs (a, b) as _coordinates reads them."""
+        mono, _, rows, LD = self._powers(qs)
+        sums = {}
+        for ex, _, comps in rows:
+            _accumulate(sums, comps, prod(map(getitem, mono, ex)))
+        return _reduced(_parts(sums), LD)
+
+    def _jet(self, qs):
+        """(value, {variable: partial}, L*D): f and its first partials at qs in
+        one sweep over the terms, as {d: (re, im)} int parts over the
+        denominator L*D of the value.  With the term's factors mono[l][e_l],
+        the partial in the j-th used variable is
+        sum_e (L*c_e) * e_j * mono[j][e_j - 1] * prod_{l != j} mono[l][e_l],
+        the product over l != j read off prefix and suffix products."""
+        mono, used, rows, LD = self._powers(qs)
+        dmono = [[x * row[x - 1] for x in range(len(row))] for row in mono]
+        k = len(used)
+        val = {}
+        grad = [{} for _ in used]
+        for ex, nonzero, comps in rows:
+            fs = list(map(getitem, mono, ex))
+            pre = list(accumulate(fs, mul, initial=1))
+            suf = list(accumulate(reversed(fs), mul, initial=1))
+            _accumulate(val, comps, pre[k])
+            for j in nonzero:
+                _accumulate(grad[j], comps, dmono[j][ex[j]] * pre[j] * suf[k - 1 - j])
+        return _parts(val), {i: _parts(g) for i, g in zip(used, grad) if g}, LD
+
     def eval(self, vals: Sequence[Exact]) -> Exact:
         """Exact value at a point whose coordinates are real rationals.
 
@@ -227,37 +329,13 @@ class PhasePoly:
         the largest exponent of variable i, D the product of b_i^maxe_i and L
         the lcm of the coefficient denominators, L*D*f(v) = sum_e (L*c_e) *
         prod_i a_i^e_i * b_i^(maxe_i - e_i), a sum of plain ints for each
-        radical of the coefficients.  Only the final parts are divided by L*D,
-        so the value is exactly the one term-by-term Exact arithmetic gives.
-        Any coordinate, used by f or not, with a radical or an imaginary part
-        raises TypeError.
+        radical of the coefficients.  The exponents, the L*c_e and maxe are
+        the cached int form of f, built at its first evaluation.  Only the
+        final parts are divided by L*D, so the value is exactly the one
+        term-by-term Exact arithmetic gives.  Any coordinate, used by f or
+        not, with a radical or an imaginary part raises TypeError.
         """
-        if len(vals) != 3 * self.n:
-            raise DimensionMismatch("value vector has wrong length")
-        qs = [Exact.coerce(v).real_rational() for v in vals]
-        maxe = list(map(max, zip(*self.terms)))
-        # mono[i][x] = a_i^x * b_i^(maxe_i - x); variables absent from f are skipped
-        used = [i for i, m in enumerate(maxe) if m]
-        mono = {}
-        D = 1
-        for i in used:
-            (a, b), m = qs[i], maxe[i]
-            mono[i] = [a ** x * b ** (m - x) for x in range(m + 1)]
-            D *= b ** m
-        coeffs = [(e, *c.int_parts()) for e, c in self.terms.items()]
-        L = lcm(*(den for _, _, den in coeffs))
-        sums: dict[int, list[int]] = {}
-        for e, parts, den in coeffs:
-            t = L // den
-            for i in used:
-                t *= mono[i][e[i]]
-            for d, (re, im) in parts:
-                acc = sums.get(d)
-                if acc is None:
-                    acc = sums[d] = [0, 0]
-                acc[0] += re * t
-                acc[1] += im * t
-        return Exact(sums, L * D)
+        return self._value(_coordinates(vals, self.n))
 
     def eval_complex(self, vals: Sequence[complex]) -> complex:
         """Float value at a point: each term's Exact.to_complex times its powers."""
@@ -339,7 +417,7 @@ class SignedPermutation:
 class PhaseRational:
     """Ratio of PhasePolys; den never identically zero."""
 
-    __slots__ = ("num", "den", "_dnum", "_dden")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: PhasePoly, den: PhasePoly | None = None):
         if den is None:
@@ -349,8 +427,6 @@ class PhaseRational:
         num._check(den)
         self.num = num
         self.den = den
-        self._dnum = {}
-        self._dden = {}
         self._strip_content()
 
     def _strip_content(self):
@@ -417,39 +493,44 @@ class PhaseRational:
         return PhaseRational(self.num ** m, self.den ** m)
 
     def deriv(self, index: int) -> "PhaseRational":
-        return PhaseRational(
-            self.num.deriv(index) * self.den - self.num * self.den.deriv(index),
-            self.den * self.den,
-        )
-
-    def _dn(self, index: int) -> PhasePoly:
-        if index not in self._dnum:
-            self._dnum[index] = self.num.deriv(index)
-        return self._dnum[index]
-
-    def _dd(self, index: int) -> PhasePoly:
-        if index not in self._dden:
-            self._dden[index] = self.den.deriv(index)
-        return self._dden[index]
+        return PhaseRational(_deriv_num(self, index), self.den * self.den)
 
     def eval(self, vals: Sequence[Exact]) -> Exact:
-        d = self.den.eval(vals)
+        qs = _coordinates(vals, self.n)
+        d = self.den._value(qs)
         if d.is_zero():
             raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.eval(vals) / d
+        return self.num._value(qs) / d
 
     def grad_at(self, vals: Sequence[Exact]) -> tuple[list[Exact], Exact, Exact]:
-        """(derivatives over the 2n phase variables, num value, den value)."""
-        nval = self.num.eval(vals)
-        dval = self.den.eval(vals)
-        if dval.is_zero():
+        """(derivatives over the 3n variables s, p, k; num value; den value).
+
+        The point is read once, and den and then num are each swept once
+        (PhasePoly._jet) for their values and first partials, as int parts
+        over L*D.  Each derivative is (num_i * den - num * den_i) / den^2:
+        the two cross products are summed as ints, then one Exact product
+        with 1/den^2 makes the value.  A pole raises ZeroDivisionError
+        before num is swept, so poles and resampling are those of eval.
+        """
+        qs = _coordinates(vals, self.n)
+        dv, dgrad, dq = self.den._jet(qs)
+        dval = _reduced(dv, dq)
+        if not dval:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
+        nv, ngrad, nq = self.num._jet(qs)
+        nval = _reduced(nv, nq)
         inv2 = (dval * dval).inverse()
+        den_parts = list(dv.items())
+        minus_num = [(d, (-re, -im)) for d, (re, im) in nv.items()]
+        q = nq * dq
         grads = []
-        for idx in range(2 * self.n):
-            gn = self._dn(idx).eval(vals)
-            gd = self._dd(idx).eval(vals)
-            grads.append((gn * dval - nval * gd) * inv2)
+        for i in range(3 * self.n):
+            acc = {}
+            if i in ngrad:
+                _add_products(acc, ngrad[i].items(), den_parts)
+            if i in dgrad:
+                _add_products(acc, minus_num, dgrad[i].items())
+            grads.append(_reduced(acc, q) * inv2 if acc else ZERO)
         return grads, nval, dval
 
     def conjugate(self) -> "PhaseRational":
@@ -467,6 +548,11 @@ class PhaseRational:
         if self.is_polynomial():
             return repr(self.num)
         return f"({self.num}) / ({self.den})"
+
+
+def _deriv_num(f: PhaseRational, index: int) -> PhasePoly:
+    """The numerator of df/dv_index over den(f)^2."""
+    return f.num.deriv(index) * f.den - f.num * f.den.deriv(index)
 
 
 def _as_rational(x, n: int) -> PhaseRational:
@@ -489,15 +575,13 @@ def poisson_bracket(f: PhaseRational, g: PhaseRational) -> PhaseRational:
     if f.n != g.n:
         raise DimensionMismatch("ambient dimensions differ")
     n = f.n
-    nf, df, ng, dg = f.num, f.den, g.num, g.den
     acc = PhasePoly(n)
     for mu in range(n):
         s_i, p_i = mu, n + mu
-        fs = f._dn(s_i) * df - nf * f._dd(s_i)
-        fp = f._dn(p_i) * df - nf * f._dd(p_i)
-        gs = g._dn(s_i) * dg - ng * g._dd(s_i)
-        gp = g._dn(p_i) * dg - ng * g._dd(p_i)
+        fs, fp = _deriv_num(f, s_i), _deriv_num(f, p_i)
+        gs, gp = _deriv_num(g, s_i), _deriv_num(g, p_i)
         acc = acc + fs * gp - fp * gs
+    df, dg = f.den, g.den
     return PhaseRational(acc, df * df * dg * dg)
 
 
@@ -526,9 +610,9 @@ def dirac_bracket(f: PhaseRational, g: PhaseRational) -> PhaseRational:
 
 
 def _bracket_of_gradients(a: Sequence[Exact], b: Sequence[Exact]) -> Exact:
-    """sum_mu a_s[mu] b_p[mu] - a_p[mu] b_s[mu] for two gradients over the 2n
-    phase variables (s then p)."""
-    n = len(a) // 2
+    """sum_mu a_s[mu] b_p[mu] - a_p[mu] b_s[mu] for two gradients over the 3n
+    variables (s, p, then the k, which are central)."""
+    n = len(a) // 3
     return sum((a[mu] * b[n + mu] - a[n + mu] * b[mu] for mu in range(n)), ZERO)
 
 
@@ -544,13 +628,13 @@ def dirac_bracket_at(f: PhaseRational, g: PhaseRational, vals: Sequence[Exact]) 
 
 
 def _dirac_of_gradients(gf: Sequence[Exact], gg: Sequence[Exact], vals: Sequence[Exact]) -> Exact:
-    n = len(gf) // 2
+    n = len(gf) // 3
     sv = vals[:n]
     pv = vals[n : 2 * n]
     ss = sum((x * x for x in sv), ZERO)
     # gradients of C1 = s.s - 1 and C2 = s.p
-    gc1 = [x * rat(2) for x in sv] + [ZERO] * n
-    gc2 = list(pv) + list(sv)
+    gc1 = [x * rat(2) for x in sv] + [ZERO] * (2 * n)
+    gc2 = list(pv) + list(sv) + [ZERO] * n
     pb = _bracket_of_gradients
     corr = (pb(gf, gc1) * pb(gc2, gg) - pb(gf, gc2) * pb(gc1, gg)) / (ss * rat(2))
     return pb(gf, gg) + corr

@@ -581,9 +581,11 @@ def verify_homomorphism(
     to the plain (s, p) Poisson bracket.  Without them the relation fails
     for pairs of symmetric generators, whose maps carry no momenta.
 
-    Only the n^2 generator images are built.  The map is linear, so at each
-    point the image of [X_i, X_j] and of [X_i, Z_mu] is the combination of
-    the generator values with the coefficients of that matrix in the basis.
+    Only the n^2 generator images are built, and each is swept once per
+    point by grad_at, whose gradient carries dXhat/dk_mu beside the (s, p)
+    partials.  The map is linear, so at each point the image of [X_i, X_j]
+    and of [X_i, Z_mu] is the combination of the generator values with the
+    coefficients of that matrix in the basis.
     """
     n = masa.n
     basis = build_generators(n)
@@ -592,24 +594,16 @@ def verify_homomorphism(
         i: [basis.expand_in_basis(Xi @ Z - Z @ Xi) for Z in masa.matrices]
         for i, Xi in enumerate(basis.generators)
     }
-    # every map is over det A, which has no k: dXhat/dk_mu = (dnum/dk_mu) / den
-    dk_polys = {
-        (i, mu): maps[i].num.deriv(2 * n + mu)
-        for i in range(basis.size)
-        for mu in range(n)
-    }
 
     def residuals(vals):
         # one gradient per map per point; pairs then combine values only
         at = [f.grad_at(vals) for f in maps]
         gen_vals = [nval / dval for _, nval, dval in at]
+        dk = [grads[2 * n :] for grads, _, _ in at]
 
         def image(coeffs):
             return sum((c * gen_vals[k] for k, c in coeffs.items()), ZERO)
 
-        dk = {
-            (i, mu): dnum.eval(vals) / at[i][2] for (i, mu), dnum in dk_polys.items()
-        }
         corr_vals = {
             (i, mu): image(corr[i][mu]) for i in range(basis.size) for mu in range(n)
         }
@@ -618,8 +612,8 @@ def verify_homomorphism(
             for j in range(i + 1, basis.size):
                 lhs = _bracket_of_gradients(at[i][0], at[j][0])
                 for mu in range(n):
-                    lhs = lhs + corr_vals[(i, mu)] * dk[(j, mu)]
-                    lhs = lhs - corr_vals[(j, mu)] * dk[(i, mu)]
+                    lhs = lhs + corr_vals[(i, mu)] * dk[j][mu]
+                    lhs = lhs - corr_vals[(j, mu)] * dk[i][mu]
                 out.append((f"({i},{j})", lhs - image(basis.bracket_coeffs(i, j))))
         return out
 

@@ -25,6 +25,8 @@ from ptsphere.phase import (
     vals_from_point,
 )
 
+from catalog_models import build_masa, models
+
 N = 3
 
 
@@ -218,17 +220,56 @@ def test_rational_normalisation_does_not_depend_on_term_order():
 
 
 def test_poly_eval_rejects_radical_coordinates():
-    # f reads s1 and p2 only; a bad coordinate raises in any slot, k3
-    # included, and for a constant or zero too.  int and Fraction coordinates
-    # are accepted.
+    # f reads s1 and p2 only; a bad coordinate raises in any slot, k1 and k3
+    # included, and for a constant or zero too, in eval and in grad_at.  int
+    # and Fraction coordinates are accepted.
     vals = [Fraction(2, 3), 1, 0, 5, Fraction(-3, 4), 1, 2, 3, 4]
     f = PhasePoly.s(N, 0) * PhasePoly.p(N, 1)
     assert f.eval(vals) == rat(Fraction(-1, 2))
+    grads, value, one = PhaseRational(f).grad_at(vals)
+    assert (value, one) == (rat(Fraction(-1, 2)), rat(1))
+    assert grads == [rat(Fraction(-3, 4))] + [ZERO] * 3 + [rat(Fraction(2, 3))] + [ZERO] * 4
     for g in (f, PhasePoly.const(N, 3), PhasePoly(N)):
-        for slot in (0, N + 1, 3 * N - 1):
+        for slot in (0, N + 1, 2 * N, 3 * N - 1):
             for bad in (Exact.sqrt_rational(2), rat(1, 1)):
+                bad_vals = vals[:slot] + [bad] + vals[slot + 1:]
                 with pytest.raises(TypeError, match="real rational"):
-                    g.eval(vals[:slot] + [bad] + vals[slot + 1:])
+                    g.eval(bad_vals)
+                with pytest.raises(TypeError, match="real rational"):
+                    PhaseRational(g).grad_at(bad_vals)
+
+
+def test_grad_at_raises_at_a_pole():
+    # den = s1 - 2/3 vanishes at vals; num is not read there
+    vals = [Fraction(2, 3), 1, 0, 5, Fraction(-3, 4), 1, 2, 3, 4]
+    den = PhasePoly.s(N, 0) - PhasePoly.const(N, Fraction(2, 3))
+    f = PhaseRational(PhasePoly.k(N, 0), den)
+    with pytest.raises(ZeroDivisionError, match="vanishes"):
+        f.grad_at(vals)
+    with pytest.raises(ZeroDivisionError, match="vanishes"):
+        f.eval(vals)
+
+
+@pytest.mark.parametrize("name,kw", models())
+def test_grad_at_matches_the_symbolic_derivatives(name, kw):
+    # H, every catalog integral and the n^2 generator images: the value and
+    # all 3n partials of one sweep against f.eval and f.deriv(i).eval at 5
+    # pole-free points
+    from ptsphere.reduction import build_hamiltonian, generator_images
+
+    masa = build_masa(name)
+    n = masa.n
+    sysr = build_hamiltonian(masa)
+    funcs = [sysr.hamiltonian] + [T for _, T in sysr.integrals] + generator_images(masa)
+    points = list(islice(pole_free_values(
+        lambda vals: (vals, [f.grad_at(vals) for f in funcs]), n, 5), 5))
+    for k, f in enumerate(funcs):
+        derivs = [f.deriv(i) for i in range(3 * n)]
+        for vals, at in points:
+            grads, nval, dval = at[k]
+            assert nval / dval == f.eval(vals)
+            assert grads[: 2 * n] == [d.eval(vals) for d in derivs[: 2 * n]]
+            assert grads[2 * n :] == [d.eval(vals) for d in derivs[2 * n :]]
 
 
 def test_poly_eval_keeps_non_vanishing_identity_nonzero():

@@ -118,6 +118,27 @@ def test_homomorphism_rejects_a_perturbed_generator_image(name, kw, monkeypatch)
 
 
 @pytest.mark.parametrize("name,kw", IMAGE_MODELS[:2])
+def test_masa_reduction_names_a_perturbed_generator_image(name, kw, monkeypatch):
+    # s_1 is added to the image of the last MASA generator Z_n only, so
+    # Zhat_n = k_n fails and the failure names it
+    masa = catalog_masa(name, **kw)
+    last = build_generators(masa.n).expand_in_basis(masa.matrices[-1])
+    real = reduction._generator_images
+
+    def perturbed(m, indices):
+        det, nums = real(m, indices)
+        if indices == last:
+            gi = next(iter(nums))
+            nums[gi] = nums[gi] + PhasePoly.s(m.n, 0) * det
+        return det, nums
+
+    monkeypatch.setattr(reduction, "_generator_images", perturbed)
+    n = masa.n
+    with pytest.raises(RelationFailed, match=rf"^Zhat_{n} != k_{n} for {name}$"):
+        verify_masa_reduction(masa)
+
+
+@pytest.mark.parametrize("name,kw", IMAGE_MODELS[:2])
 def test_casimir_fit_rejects_a_perturbed_generator_image(name, kw, monkeypatch):
     # the projected Casimir gains 2 s_1 Xhat_1 + s_1^2, outside {H, 1, k_i k_j}
     _perturb_generator_image(monkeypatch)
@@ -414,6 +435,23 @@ def test_conservation_names_the_perturbed_integral(monkeypatch):
     monkeypatch.setattr(reduction, "build_hamiltonian", perturbed)
     with pytest.raises(RelationFailed, match=r"^\{H, T2\}_D nonzero for cartan_od$"):
         verify_conservation(build_masa("cartan_od"))
+
+
+def test_exact_verdicts_build_no_derivative_polynomial(monkeypatch):
+    # every gradient comes from one sweep over num and den at the point
+    calls = []
+    real = PhasePoly.deriv
+
+    def spy(self, index):
+        calls.append(index)
+        return real(self, index)
+
+    monkeypatch.setattr(PhasePoly, "deriv", spy)
+    masa = build_masa("cartan_od")
+    assert verify_conservation(masa).passed
+    assert reduction.verify_homomorphism(masa, npoints=3).passed
+    assert not racah_structure_report(masa, with_fits=False).antisymmetry_ok
+    assert calls == []
 
 
 def test_conservation_takes_each_gradient_once_per_point(monkeypatch):
