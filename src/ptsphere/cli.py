@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import ParamOutOfRange, PtsphereError, RelationFailed, SingularPotential
+from .errors import BadCouplings, ParamOutOfRange, PtsphereError, RelationFailed, SingularPotential
 from .masa import (
     CATALOG_NAMES,
     MAX_PARAM_INT,
@@ -274,9 +274,12 @@ def cmd_spectrum(args) -> int:
         if args.k1 is not None and args.k2 is not None:
             k1, k2 = complex(_frac(args.k1)), complex(_frac(args.k2))
         elif args.gminus is not None and args.gplus is not None:
-            k1, k2 = spectral.invert_circle_couplings(
-                float(a), float(b), _frac(args.gminus), _frac(args.gplus)
-            )
+            try:
+                k1, k2 = spectral.invert_circle_couplings(
+                    float(a), float(b), _frac(args.gminus), _frac(args.gplus)
+                )
+            except ParamOutOfRange as exc:
+                raise ConfigError(f"--a {a}, --b {b}: {exc}") from exc
         else:
             raise ConfigError("s1 spectrum needs --k1/--k2 or --gminus/--gplus")
         try:
@@ -286,15 +289,21 @@ def cmd_spectrum(args) -> int:
     elif args.model == "poschl_teller":
         if args.gminus is None or args.gplus is None:
             raise ConfigError("poschl_teller needs --gminus and --gplus")
-        rep = spectral.solve_poschl_teller(
-            float(_frac(args.gminus)), float(_frac(args.gplus)), args.N, args.K
-        )
+        try:
+            rep = spectral.solve_poschl_teller(
+                float(_frac(args.gminus)), float(_frac(args.gplus)), args.N, args.K
+            )
+        except BadCouplings as exc:
+            raise ConfigError(f"--gminus {args.gminus}, --gplus {args.gplus}: {exc}") from exc
     elif args.model == "chi":
         if args.ell3 is None or args.composite is None:
             raise ConfigError("chi needs --ell3 and --composite")
-        rep = spectral.solve_chi_equation(
-            float(_frac(args.ell3)), float(_frac(args.composite)), args.N, args.K
-        )
+        try:
+            rep = spectral.solve_chi_equation(
+                float(_frac(args.ell3)), float(_frac(args.composite)), args.N, args.K
+            )
+        except BadCouplings as exc:
+            raise ConfigError(f"--ell3 {args.ell3}: {exc}") from exc
     else:  # degenerate
         if args.alpha is None or args.q is None:
             raise ConfigError("degenerate needs --alpha and --q")

@@ -4,7 +4,11 @@ Variables for ambient dimension n are ordered s_1..s_n, p_1..p_n, k_1..k_n
 (3n exponent slots).  Coefficients are Exact scalars, so every identity test
 is a matter of exact zero checks.  Conservation-type identities are decided
 by evaluation at exact rational points of the constraint variety
-(s.s = 1, s.p = 0), sampled through the rational stereographic map.
+(s.s = 1, s.p = 0).  sample_vals draws each point once, in plain ints: the
+stereographic image s = S/Q of a random rational u, the tangent projection
+p = P/(D Q^2) of a random rational w, then random rational couplings k.  It
+checks sum S^2 = Q^2 and S.P = 0 on those ints for every point and returns
+canonical Exacts built from them, with no Fraction on the way.
 Every such check, here and in reduction.py, takes its points from the one
 sampling path pole_free_values: it draws sample_vals points from a seeded
 stream, drops a point where the evaluation divides by zero, and raises
@@ -47,7 +51,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, islice
 from math import lcm, prod
 from operator import add, getitem, mul
@@ -59,13 +62,11 @@ from .errors import DimensionMismatch, SamplingExhausted
 __all__ = [
     "PhasePoly",
     "PhaseRational",
-    "ConstraintPoint",
     "SignedPermutation",
     "poisson_bracket",
     "dirac_bracket",
     "poisson_bracket_at",
     "dirac_bracket_at",
-    "sample_constraint_point",
     "sample_vals",
     "pole_free_values",
     "first_nonzero_residual",
@@ -643,62 +644,35 @@ def _dirac_of_gradients(gf: Sequence[Exact], gg: Sequence[Exact], vals: Sequence
 # -- constraint-point sampling -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstraintPoint:
-    """Exact rational point with s.s = 1 and s.p = 0."""
-
-    s: tuple[Fraction, ...]
-    p: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if sum(x * x for x in self.s) != 1:
-            raise ValueError("s is not on the unit sphere")
-        if sum(x * y for x, y in zip(self.s, self.p)) != 0:
-            raise ValueError("p is not tangent")
-
-
-def point_from_chart(u: Sequence[Fraction], w: Sequence[Fraction]) -> ConstraintPoint:
-    """Stereographic s = (2u, |u|^2-1)/(|u|^2+1); p = w - (w.s)s."""
-    u = [Fraction(x) for x in u]
-    w = [Fraction(x) for x in w]
-    n = len(u) + 1
-    if len(w) != n:
-        raise DimensionMismatch("w must have length n")
-    r2 = sum(x * x for x in u)
-    s = tuple(2 * x / (r2 + 1) for x in u) + (Fraction(r2 - 1, 1) / (r2 + 1),)
-    ws = sum(a * b for a, b in zip(w, s))
-    p = tuple(a - ws * b for a, b in zip(w, s))
-    return ConstraintPoint(s, p)
-
-
-def _rand_fraction(rng: random.Random, span: int = 8) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, span))
-
-
-def sample_constraint_point(rng: random.Random | int, n: int) -> ConstraintPoint:
-    """A random exact point of the constraint variety (n >= 2)."""
-    if n < 2:
-        raise DimensionMismatch("need ambient dimension >= 2")
-    if isinstance(rng, int):
-        rng = random.Random(rng)
-    u = [_rand_fraction(rng) for _ in range(n - 1)]
-    w = [_rand_fraction(rng) for _ in range(n)]
-    return point_from_chart(u, w)
+def _draws(rng: random.Random, count: int) -> tuple[list[int], int]:
+    """count draws randint(-8, 8)/randint(1, 8) as numerators over the lcm
+    of their denominators, and that lcm."""
+    q = [(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(count)]
+    den = lcm(*(b for _, b in q))
+    return [a * (den // b) for a, b in q], den
 
 
 def sample_vals(rng: random.Random, n: int) -> list[Exact]:
-    """Full variable assignment: constraint point plus random rational couplings."""
-    pt = sample_constraint_point(rng, n)
-    kv = [_rand_fraction(rng) for _ in range(n)]
-    return vals_from_point(pt, kv)
+    """Values of s, p, k (n >= 2) at a random point of the constraint variety.
 
-
-def vals_from_point(pt: ConstraintPoint, kvals: Sequence) -> list[Exact]:
-    return (
-        [Exact.from_rational(x) for x in pt.s]
-        + [Exact.from_rational(x) for x in pt.p]
-        + [Exact.coerce(Fraction(x)) if not isinstance(x, Exact) else x for x in kvals]
-    )
+    u = U/B, w = W/D and k are drawn in that order; s = S/Q with
+    S = (2BU, |U|^2 - B^2), Q = |U|^2 + B^2, and p = w - (w.s)s = P/(D Q^2)
+    with P = Q^2 W - (W.S) S."""
+    if n < 2:
+        raise DimensionMismatch("need ambient dimension >= 2")
+    U, B = _draws(rng, n - 1)
+    W, D = _draws(rng, n)
+    K, E = _draws(rng, n)
+    r2, b2 = sum(x * x for x in U), B * B
+    S, Q = [2 * B * x for x in U] + [r2 - b2], r2 + b2
+    ws, q2 = sum(map(mul, W, S)), Q * Q
+    P = [q2 * w - ws * x for w, x in zip(W, S)]
+    if sum(x * x for x in S) != q2:
+        raise ValueError("s is not on the unit sphere")
+    if sum(map(mul, S, P)):
+        raise ValueError("p is not tangent")
+    parts = ((S, Q), (P, D * q2), (K, E))
+    return [_reduced({1: (x, 0)}, den) for xs, den in parts for x in xs]
 
 
 def pole_free_values(

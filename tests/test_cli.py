@@ -299,6 +299,9 @@ def test_grid_size_out_of_range_exits_2(capsys, argv, N):
         ("spectrum --model poschl_teller --gminus 2 --gplus 3 --tol-match -1", "--tol-match"),
         ("spectrum --model chi --ell3 2 --composite 5 --tol-match nan", "--tol-match"),
         ("spectrum --model s1 --gminus 2 --gplus 3 --tol-match inf", "--tol-match"),
+        ("spectrum --model poschl_teller --gminus 1/2 --gplus 2", "--gminus 1/2"),
+        ("spectrum --model chi --ell3 1/2 --composite 2", "--ell3 1/2"),
+        ("spectrum --model s1 --a 1 --b 1 --gminus 2 --gplus 3", "--a 1, --b 1"),
     ],
 )
 def test_spectral_input_out_of_range_exits_2(capsys, argv, text):
