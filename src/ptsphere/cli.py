@@ -34,11 +34,19 @@ EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
 MAX_GRID_N = 65536
 # most points a scan --lambda2 grid may have (the default grid has 14)
 MAX_SCAN_POINTS = 1000
-# the --tol-match default of each spectrum model: the s1 levels are exact
-# squares, the finite-difference levels carry an O(h^2) error, and the
-# degenerate row's deviation is its Bessel ODE residual
-SPECTRUM_TOL_MATCH = {
-    "s1": 1e-6, "poschl_teller": 1e-3, "chi": 1e-3, "degenerate": spectral.BESSEL_RESIDUAL_TOL
+# --seed of reduce and verify when not given
+DEFAULT_SEED = 20230411
+# the model-parameter flags of spectrum; each model reads some of them
+SPECTRUM_FLAGS = "--a --b --k1 --k2 --gminus --gplus --ell3 --composite --alpha --q --N --K"
+# per spectrum model: the flags of SPECTRUM_FLAGS it reads, and its
+# --tol-match default.  The s1 levels are exact squares, the
+# finite-difference levels carry an O(h^2) error, and the degenerate row's
+# deviation is its Bessel ODE residual, which reads no grid
+SPECTRUM_MODELS = {
+    "s1": ("--a --b --k1 --k2 --gminus --gplus --N --K", 1e-6),
+    "poschl_teller": ("--gminus --gplus --N --K", 1e-3),
+    "chi": ("--ell3 --composite --N --K", 1e-3),
+    "degenerate": ("--alpha --q", spectral.BESSEL_RESIDUAL_TOL),
 }
 
 
@@ -61,18 +69,29 @@ def _frac(text: str) -> Fraction:
     return q
 
 
-def _check_grid(args):
-    # --N and --K where the command reads them, and --tol-match
-    for flag, name, low in (("--N", "N", 2), ("--K", "K", 1)):
-        value = getattr(args, name, low)
+def _read_grid(args):
+    # fills in --N and --K (default 512 and 8) where a command reads them, and checks them
+    args.N = 512 if args.N is None else args.N
+    args.K = 8 if args.K is None else args.K
+    for flag, value, low in (("--N", args.N, 2), ("--K", args.K, 1)):
         if not low <= value <= MAX_GRID_N:
             raise ConfigError(f"{flag} must be between {low} and {MAX_GRID_N}, got {value}")
-    if args.tol_match is not None and not (math.isfinite(args.tol_match) and args.tol_match >= 0):
+
+
+def _tol_match(args, default: float) -> float:
+    if args.tol_match is None:
+        return default
+    if not (math.isfinite(args.tol_match) and args.tol_match >= 0):
         raise ConfigError(f"--tol-match must be finite and non-negative, got {args.tol_match}")
+    return args.tol_match
 
 
 def _build_masa(args):
     if args.masa:
+        given = [f"--{name}" for name in ("model", "a", "b", "lambda2")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(f"--masa takes its model from the file, not from {' '.join(given)}")
         try:
             return load_masa_file(args.masa)
         except KeyError as exc:
@@ -97,11 +116,11 @@ def _build_masa(args):
 
 
 def _base_report(args) -> dict:
-    # the seed and grid of the subcommands that take them; spectrum and scan
-    # add the tol_match they judged against
+    # the seed and grid a command read, filled in where it read them;
+    # spectrum and scan add the tol_match they judged against
     rep = {"version": __version__}
     for key, name in (("seed", "seed"), ("grid_N", "N"), ("grid_K", "K")):
-        if hasattr(args, name):
+        if getattr(args, name, None) is not None:
             rep[key] = getattr(args, name)
     return rep
 
@@ -157,27 +176,10 @@ def _run_identity(doc, key, fn):
 
 def cmd_reduce(args) -> int:
     masa = _build_masa(args)
-    # keyed on the MASA built: a --masa file has no entry, whatever --model says
+    # keyed on the MASA built: a --masa file has no entry and runs zhat_eq_k only
     model = reduction.MODELS.get(masa.name)
-    if args.racah and not (model and model.racah):
-        holds = ", ".join(name for name, m in reduction.MODELS.items() if m.racah)
-        raise ConfigError(f"--racah checks T12 = -T13 = T23, which holds only for --model {holds}")
-    vrep = validate_masa(masa)
-    doc = _base_report(args)
-    doc["masa_valid"] = vrep.passed
-    ok = vrep.passed
-    if not vrep.passed:
-        doc["failures"] = [list(map(str, f)) for f in vrep.failures]
-        _emit(args, doc)
-        return EXIT_FAIL
-    if masa.parity is not None:
-        doc["pt_classification"] = list(classify_pt(masa, masa.parity))
-    sysr = reduction.build_hamiltonian(masa)
-    doc["potential"] = repr(sysr.potential)
-    doc["hamiltonian"] = repr(sysr.hamiltonian)
-    doc["integrals"] = [name for name, _ in sysr.integrals]
-    seed = args.seed
 
+    # the checks read seed when they run, once it is settled below
     def racah():
         r = reduction.racah_structure_report(masa, seed=seed, with_fits=False)
         return reduction.RelationReport("racah", r.antisymmetry_ok, r.trials, "T12 = -T13 = T23")
@@ -192,8 +194,28 @@ def cmd_reduce(args) -> int:
         checks.append(
             ("separable_potential", lambda: reduction.verify_separable_potential(masa, seed=seed))
         )
-    if args.racah:
+    if model and model.racah:
         checks.append(("racah", racah))
+    # zhat_eq_k is symbolic: the seed is read, and echoed, only beside a sampled check
+    if len(checks) > 1:
+        args.seed = seed = DEFAULT_SEED if args.seed is None else args.seed
+    elif args.seed is not None:
+        source = f"--masa {args.masa}" if args.masa else f"--model {args.model}"
+        raise ConfigError(f"--seed decides nothing: reduce samples no point for {source}")
+    vrep = validate_masa(masa)
+    doc = _base_report(args)
+    doc["masa_valid"] = vrep.passed
+    ok = vrep.passed
+    if not vrep.passed:
+        doc["failures"] = [list(map(str, f)) for f in vrep.failures]
+        _emit(args, doc)
+        return EXIT_FAIL
+    if masa.parity is not None:
+        doc["pt_classification"] = list(classify_pt(masa, masa.parity))
+    sysr = reduction.build_hamiltonian(masa)
+    doc["potential"] = repr(sysr.potential)
+    doc["hamiltonian"] = repr(sysr.hamiltonian)
+    doc["integrals"] = [name for name, _ in sysr.integrals]
     idents = {}
     for key, fn in checks:
         ok &= _run_identity(idents, key, fn)
@@ -204,6 +226,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_verify(args) -> int:
     masa = _build_masa(args)
+    # the homomorphism check always samples
+    args.seed = DEFAULT_SEED if args.seed is None else args.seed
     doc = _base_report(args)
     ok = True
     ok &= _run_identity(
@@ -259,29 +283,35 @@ def _spectrum_rows(rep, tol_match):
 
 
 def cmd_spectrum(args) -> int:
-    if args.model not in SPECTRUM_TOL_MATCH:
+    if args.model not in SPECTRUM_MODELS:
         raise ConfigError(f"unknown spectrum model {args.model!r}")
-    if args.model == "degenerate":
-        # its Bessel residual reads no grid: --N and --K are neither checked nor echoed
-        del args.N, args.K
-    _check_grid(args)
+    reads, default_tol = SPECTRUM_MODELS[args.model]
+    unread = [flag for flag in SPECTRUM_FLAGS.split()
+              if flag not in reads.split() and getattr(args, flag[2:]) is not None]
+    if unread:
+        raise ConfigError(f"spectrum --model {args.model} does not take {' '.join(unread)}")
+    if "--N" in reads:
+        _read_grid(args)
+    tol_match = _tol_match(args, default_tol)
     doc = _base_report(args)
-    tol_match = SPECTRUM_TOL_MATCH[args.model] if args.tol_match is None else args.tol_match
     doc["tol_match"] = tol_match
     header = ["index", "re_E", "im_E", "closed_form", "deviation"]
     if args.model == "s1":
         a, b = _frac(args.a or "2"), _frac(args.b or "1")
-        if args.k1 is not None and args.k2 is not None:
+        pairs = [(args.k1, args.k2), (args.gminus, args.gplus)]
+        given = [pair for pair in pairs if pair != (None, None)]
+        if len(given) != 1 or None in given[0]:
+            raise ConfigError("s1 spectrum needs exactly one coupling pair:"
+                              " --k1 and --k2, or --gminus and --gplus")
+        if args.k1 is not None:
             k1, k2 = complex(_frac(args.k1)), complex(_frac(args.k2))
-        elif args.gminus is not None and args.gplus is not None:
+        else:
             try:
                 k1, k2 = spectral.invert_circle_couplings(
                     float(a), float(b), _frac(args.gminus), _frac(args.gplus)
                 )
             except ParamOutOfRange as exc:
                 raise ConfigError(f"--a {a}, --b {b}: {exc}") from exc
-        else:
-            raise ConfigError("s1 spectrum needs --k1/--k2 or --gminus/--gplus")
         try:
             rep = spectral.solve_periodic_s1(float(a), float(b), k1, k2, args.N, args.K)
         except SingularPotential as exc:
@@ -352,7 +382,8 @@ def _parse_grid(text: str):
 def cmd_scan(args) -> int:
     if args.model != "lambda":
         raise ConfigError("scan currently supports --model lambda")
-    _check_grid(args)
+    _read_grid(args)
+    tol_match = _tol_match(args, 1e-3)
     grid = _parse_grid(args.lambda2 or "0.05:0.7:0.05")
     ks = (
         float(_frac(args.k1 or "1")),
@@ -360,7 +391,6 @@ def cmd_scan(args) -> int:
         float(_frac(args.k3 or "1/2")),
     )
     reps = spectral.pt_phase_scan(grid, ks, N=args.N, K=args.K)
-    tol_match = 1e-3 if args.tol_match is None else args.tol_match
     doc = _base_report(args)
     doc["tol_match"] = tol_match
     doc["k"] = list(ks)
@@ -388,11 +418,10 @@ def cmd_scan(args) -> int:
 FLAGS = {
     "--masa": {"help": "MASA JSON file"},
     "--q": {"type": int},
-    "--seed": {"type": int, "default": 20230411},
-    "--racah": {"action": "store_true"},
+    "--seed": {"type": int},
     "--appendix": {"action": "store_true"},
-    "--N": {"type": int, "default": 512},
-    "--K": {"type": int, "default": 8},
+    "--N": {"type": int},
+    "--K": {"type": int},
     "--tol-match": {"type": float},
     "--format": {"choices": ("json", "csv"), "default": "json"},
 }
@@ -400,12 +429,11 @@ _MASA_FLAGS = "--model --masa --a --b --lambda2 --out"
 SUBCOMMANDS = {
     "validate": (cmd_validate, "MASA axioms and PT classification", _MASA_FLAGS),
     "reduce": (cmd_reduce, "potential, integrals, exact identities",
-               f"{_MASA_FLAGS} --seed --racah"),
+               f"{_MASA_FLAGS} --seed"),
     "verify": (cmd_verify, "conservation, brackets, PT, appendix",
                f"{_MASA_FLAGS} --seed --appendix"),
     "spectrum": (cmd_spectrum, "discretized spectra vs closed forms",
-                 "--model --a --b --k1 --k2 --gminus --gplus --ell3 --composite --alpha --q"
-                 " --N --K --tol-match --out --format"),
+                 f"--model {SPECTRUM_FLAGS} --tol-match --out --format"),
     "scan": (cmd_scan, "phase labels over a lambda^2 grid",
              "--model --lambda2 --k1 --k2 --k3 --N --K --tol-match --out --format"),
 }

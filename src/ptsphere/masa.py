@@ -166,16 +166,12 @@ def classify_pt(m: MasaSpec, parity: SignedPermutation) -> tuple[int, ...]:
     return tuple(eps)
 
 
-def _sqrt(q) -> Exact:
-    return Exact.sqrt_rational(q)
-
-
 def _lambda_rows(lam2: Fraction) -> list[list[Exact]]:
     disc = 1 - 2 * lam2
     if not (0 <= lam2 < Fraction(1, 2)):
         raise ParamOutOfRange("lambda2 must satisfy 0 <= lambda2 < 1/2")
-    s = _sqrt(disc)  # sqrt(1 - 2 lambda^2), real in range
-    lam = _sqrt(lam2)
+    s = Exact.sqrt_rational(disc)  # sqrt(1 - 2 lambda^2), real in range
+    lam = Exact.sqrt_rational(lam2)
     pref = (rat(3) * s).inverse()
     lam_m = (ONE - s) / rat(2)
     lam_p = (ONE + s) / rat(2)
@@ -209,7 +205,7 @@ def _degenerate_rows(sign: int) -> list[list[Exact]]:
     # Z2 = lim e*Z1 (Z2^2 = 0), and Z3 = lim (Z1 + Z2 - Z3)/e which is
     # central.  The triple commutes, is symmetric and independent, and its
     # A-matrix is invertible away from the singular locus.
-    isq2 = I * _sqrt(2) * rat(sign)  # sign * i * sqrt(2)
+    isq2 = I * Exact.sqrt_rational(2) * rat(sign)  # sign * i * sqrt(2)
     z1 = [
         ZERO,
         rat(Fraction(-1, 2)),

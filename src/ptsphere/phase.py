@@ -257,9 +257,6 @@ class PhasePoly:
                 out[tuple(ne)] = _reduced({d: (a * x, b * x) for d, (a, b) in parts}, den)
         return _poly(self.n, out)
 
-    def conjugate(self) -> "PhasePoly":
-        return _poly(self.n, {e: c.conjugate() for e, c in self.terms.items()})
-
     def _int_form(self):
         """(used, maxe, rows, L), built on first use and kept, since a
         PhasePoly is never changed after construction.  used lists the
@@ -533,9 +530,6 @@ class PhaseRational:
                 _add_products(acc, minus_num, dgrad[i].items())
             grads.append(_reduced(acc, q) * inv2 if acc else ZERO)
         return grads, nval, dval
-
-    def conjugate(self) -> "PhaseRational":
-        return PhaseRational(self.num.conjugate(), self.den.conjugate())
 
     def apply_pt(self, parity: SignedPermutation) -> "PhaseRational":
         return PhaseRational(self.num.apply_pt(parity), self.den.apply_pt(parity))

@@ -216,10 +216,6 @@ class ReducedSystem:
     hamiltonian: PhaseRational
     integrals: list = field(default_factory=list)  # list of (name, PhaseRational)
 
-    @property
-    def n(self) -> int:
-        return self.masa.n
-
 
 def _sq(f: PhaseRational) -> PhaseRational:
     return f * f

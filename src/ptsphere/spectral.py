@@ -45,10 +45,10 @@ from .errors import (
 )
 
 __all__ = [
-    "CouplingMap",
     "SpectrumReport",
     "MetamorphosisReport",
-    "coupling_maps",
+    "circle_couplings",
+    "sphere_couplings",
     "invert_circle_couplings",
     "closed_form_energies",
     "solve_periodic_s1",
@@ -74,22 +74,8 @@ BESSEL_RESIDUAL_TOL, METAMORPHOSIS_TOL = 1e-10, 1e-9
 # -- coupling reparametrizations ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CouplingMap:
-    """Couplings of the separated equations, complex values allowed."""
-
-    model: str
-    params: dict
-    g_minus: complex | None = None
-    g_plus: complex | None = None
-    ell: tuple | None = None
-
-    @property
-    def is_real(self) -> bool:
-        vals = [v for v in (self.g_minus, self.g_plus) if v is not None]
-        if self.ell is not None:
-            vals.extend(self.ell)
-        return all(abs(complex(v).imag) <= REAL_TOL for v in vals)
+def _is_real(*vals) -> bool:
+    return all(abs(complex(v).imag) <= REAL_TOL for v in vals)
 
 
 def _root_convention(G: complex) -> complex:
@@ -97,32 +83,30 @@ def _root_convention(G: complex) -> complex:
     return (1 + cmath.sqrt(1 + 4 * G)) / 2
 
 
-def coupling_maps(model: str, **params) -> CouplingMap:
-    """Map the reduction couplings to the separated-equation couplings.
+def circle_couplings(a, b, k1, k2) -> tuple[complex, complex]:
+    """(g_-, g_+) of the circle: g_pm(g_pm - 1) = (sqrt(a^2-b^2) k1 pm k2)^2 / (4(a^2-b^2)).
 
-    s1(a, b, k1, k2):  g_pm(g_pm - 1) = (sqrt(a^2-b^2) k1 pm k2)^2 / (4(a^2-b^2)).
-    sphere(lambda2, k1, k2, k3):  ell_mu = (1 + sqrt(1 + 4 k_mu^2/(1-2 lambda^2)))/2.
-    Complex outputs are allowed and flagged by is_real.
+    Complex values are returned as they are.
     """
-    if model == "s1":
-        a, b = complex(params["a"]), complex(params["b"])
-        k1, k2 = complex(params["k1"]), complex(params["k2"])
-        c2 = a * a - b * b
-        if abs(c2) < REAL_TOL:
-            raise ParamOutOfRange("a^2 = b^2 has no Poschl-Teller form (Morse case)")
-        c = cmath.sqrt(c2)
-        gm = _root_convention((c * k1 - k2) ** 2 / (4 * c2))
-        gp = _root_convention((c * k1 + k2) ** 2 / (4 * c2))
-        return CouplingMap("s1", dict(params), g_minus=gm, g_plus=gp)
-    if model == "sphere":
-        lam2 = complex(params["lambda2"])
-        disc = 1 - 2 * lam2
-        if abs(disc) < REAL_TOL:
-            raise ParamOutOfRange("lambda^2 = 1/2 is the degenerate model")
-        ks = [complex(params[f"k{i}"]) for i in (1, 2, 3)]
-        ell = tuple(_root_convention(k * k / disc) for k in ks)
-        return CouplingMap("sphere", dict(params), ell=ell)
-    raise UnknownName(f"unknown coupling model {model!r}")
+    a, b, k1, k2 = complex(a), complex(b), complex(k1), complex(k2)
+    c2 = a * a - b * b
+    if abs(c2) < REAL_TOL:
+        raise ParamOutOfRange("a^2 = b^2 has no Poschl-Teller form (Morse case)")
+    c = cmath.sqrt(c2)
+    gm = _root_convention((c * k1 - k2) ** 2 / (4 * c2))
+    gp = _root_convention((c * k1 + k2) ** 2 / (4 * c2))
+    return gm, gp
+
+
+def sphere_couplings(lambda2, *ks) -> tuple[complex, ...]:
+    """ell_mu = (1 + sqrt(1 + 4 k_mu^2/(1-2 lambda^2)))/2, one per k given.
+
+    Complex values are returned as they are.
+    """
+    disc = 1 - 2 * complex(lambda2)
+    if abs(disc) < REAL_TOL:
+        raise ParamOutOfRange("lambda^2 = 1/2 is the degenerate model")
+    return tuple(_root_convention(complex(k) ** 2 / disc) for k in ks)
 
 
 def invert_circle_couplings(a, b, g_minus, g_plus) -> tuple[complex, complex]:
@@ -260,14 +244,12 @@ def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K) -> SpectrumReport
         candidates = sorted({float(m * m) for m in range(M + 1)})
         rep.notes.append("Morse case a^2 = b^2: the candidates are {m^2}")
     else:
-        cm = coupling_maps("s1", a=a, b=b, k1=k1, k2=k2)
-        if cm.is_real:
-            candidates = closed_form_energies(
-                cm.g_minus.real, cm.g_plus.real, count=2 * K, half_integer=True
-            )
+        gm, gp = circle_couplings(a, b, k1, k2)
+        if _is_real(gm, gp):
+            candidates = closed_form_energies(gm.real, gp.real, count=2 * K, half_integer=True)
         else:
             rep.phase = "complex-coupling"
-            rep.notes.append(f"g_- = {cm.g_minus}, g_+ = {cm.g_plus}")
+            rep.notes.append(f"g_- = {gm}, g_+ = {gp}")
     return _finish_report(rep, eig, K, candidates)
 
 
@@ -530,7 +512,7 @@ def bessel_ode_residual(alpha, q: int, z, terms: int = 30) -> float:
 
 def pt_phase_scan(lambda2_grid, ks, N: int = 1024, K: int = LOWEST_K) -> list[SpectrumReport]:
     """Label each lambda^2 grid point exact / complex-coupling / degenerate
-    from the coupling maps; an exact point carries its xi and chi levels and
+    from its sphere couplings; an exact point carries its xi and chi levels and
     their closed-form matches, the degenerate point its Bessel ODE residual
     (params["bessel_ode_residual"])."""
     k1, k2, k3 = ks
@@ -548,13 +530,13 @@ def pt_phase_scan(lambda2_grid, ks, N: int = 1024, K: int = LOWEST_K) -> list[Sp
             rep.notes.append(f"bessel_ode_residual={resid:.3e}")
             out.append(rep)
             continue
-        cm = coupling_maps("sphere", lambda2=lam2f, k1=k1, k2=k2, k3=k3)
-        if not cm.is_real:
-            rep = SpectrumReport("sphere", dict(lambda2=lam2f, ell=cm.ell), N)
+        ell = sphere_couplings(lam2f, k1, k2, k3)
+        if not _is_real(*ell):
+            rep = SpectrumReport("sphere", dict(lambda2=lam2f, ell=ell), N)
             rep.phase = "complex-coupling"
             out.append(rep)
             continue
-        l1, l2, l3 = (v.real for v in cm.ell)
+        l1, l2, l3 = (v.real for v in ell)
         rep_xi = solve_poschl_teller(min(l1, l2), max(l1, l2), N, K)
         comp = l1 + l2  # separation index m = 0
         rep_chi = solve_chi_equation(l3, comp, N, K)

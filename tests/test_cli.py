@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -105,6 +106,19 @@ def test_missing_spectrum_couplings_exits_2(capsys):
     assert main(["spectrum", "--model", "s1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "couplings",
+    [["--k1", "1"], ["--gplus", "3"], ["--k1", "1", "--k2", "1", "--gminus", "2", "--gplus", "3"],
+     ["--k1", "1", "--gminus", "2", "--gplus", "3"]],
+    ids=["k1_only", "gplus_only", "both_pairs", "pair_and_k1"],
+)
+def test_s1_takes_exactly_one_coupling_pair(capsys, couplings):
+    # with both pairs given, k1/k2 used to win and g-/g+ were dropped
+    assert main(["spectrum", "--model", "s1", *couplings]) == 2
+    captured = capsys.readouterr()
+    assert "exactly one coupling pair" in captured.err and captured.out == ""
+
+
 def test_csv_on_json_only_command_exits_2(capsys):
     assert main(["validate", "--model", "nilpotent", "--format", "csv"]) == 2
 
@@ -124,24 +138,77 @@ def test_reduce_reports_identities(capsys):
 
 @pytest.mark.parametrize("model", [name for name in PARAMS if name not in RACAH_MODELS])
 def test_racah_outside_lambda_exits_2(capsys, model):
-    # T12 = -T13 = T23 holds for the lambda family only
+    # the model table, not a flag, decides where T12 = -T13 = T23 is checked:
+    # --racah is gone, and refused like any flag reduce does not read
     assert main(["reduce", "--model", model, "--racah"]) == 2
     captured = capsys.readouterr()
-    assert "lambda" in captured.err
+    assert "--racah" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("model", PARAMS)
+def test_reduce_runs_the_checks_the_model_table_picks(capsys, model):
+    # T12 = -T13 = T23 holds for the lambda family only, and reduce runs it
+    # there with no flag; the seed is echoed only beside a sampled check
+    code, out = _run(["reduce", "--model", model], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    entry = reduction.MODELS[model]
+    want = ["zhat_eq_k"]
+    want += ["casimir_projection", "sum_relation"] if entry.sum_relation else []
+    want += ["separable_potential"] if entry.separable else []
+    want += ["racah"] if model in RACAH_MODELS else []
+    assert sorted(doc["identities"]) == sorted(want)
+    assert all(check["passed"] is True for check in doc["identities"].values())
+    assert ("seed" in doc) == (len(want) > 1)
+    if "seed" not in doc:
+        assert main(["reduce", "--model", model, "--seed", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("model", PARAMS)
+def test_verify_always_echoes_its_seed(capsys, monkeypatch, model):
+    # the homomorphism check samples on every model, a --masa file included
+    def sampled(masa, seed):
+        return reduction.RelationReport("stub", True, 1, "")
+
+    monkeypatch.setattr(reduction, "verify_conservation", sampled)
+    monkeypatch.setattr(reduction, "verify_homomorphism", sampled)
+    code, out = _run(["verify", "--model", model, "--seed", "7"], capsys)
+    assert code == 0 and json.loads(out)["seed"] == 7
+    code, out = _run(["verify", "--model", model], capsys)
+    assert code == 0 and json.loads(out)["seed"] == 20230411
 
 
 def test_masa_file_gets_no_catalog_check(tmp_path, capsys):
     path = tmp_path / "su2ab.json"
     path.write_text(json.dumps(SU2AB_MASA))
-    # the file has no model table entry, so --model beside it adds no check
-    code, out = _run(["reduce", "--masa", str(path), "--model", "su2ab"], capsys)
-    assert code == 0 and list(json.loads(out)["identities"]) == ["zhat_eq_k"]
+    # the file has no model table entry: reduce runs the symbolic check only
+    # and samples nothing, so it neither echoes nor takes a seed
+    code, out = _run(["reduce", "--masa", str(path)], capsys)
+    doc = json.loads(out)
+    assert code == 0 and list(doc["identities"]) == ["zhat_eq_k"] and "seed" not in doc
+    assert main(["reduce", "--masa", str(path), "--seed", "5"]) == 2
     code, out = _run(["verify", "--masa", str(path)], capsys)
     assert code == 0 and json.loads(out)["conservation"] == {
         "passed": True, "trials": 0,
         "detail": "no integral checked: the MASA has no catalog integrals",
     }
+
+
+@pytest.mark.parametrize("command", ["validate", "reduce", "verify"])
+@pytest.mark.parametrize(
+    "flag, value", [("--model", "su2ab"), ("--a", "2"), ("--b", "1"), ("--lambda2", "1/4")]
+)
+def test_masa_file_stands_alone(tmp_path, capsys, command, flag, value):
+    # the file decides the model; a model flag beside it used to be dropped
+    path = tmp_path / "su2ab.json"
+    path.write_text(json.dumps(SU2AB_MASA))
+    assert main([command, "--masa", str(path), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and flag in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -187,7 +254,7 @@ def test_seed_reaches_sum_relation_and_conservation(capsys, monkeypatch):
     assert main(["reduce", *su2ab, "--seed", "5"]) == 0
     assert seeds == [5]  # the sum relation
     seeds.clear()
-    assert main(["reduce", "--model", "lambda", "--racah", "--seed", "5"]) == 0
+    assert main(["reduce", "--model", "lambda", "--seed", "5"]) == 0
     assert seeds == [5, 5, 5]  # sum relation, separable potential, Racah
     seeds.clear()
     assert main(["verify", *su2ab, "--seed", "7"]) == 0
@@ -350,14 +417,50 @@ def test_spectrum_csv_output(tmp_path, capsys):
 
 def test_spectrum_degenerate_bessel(capsys):
     argv = ["spectrum", "--model", "degenerate", "--alpha", "2", "--q", "1"]
-    code, out = _run([*argv, "--N", "7"], capsys)
+    code, out = _run(argv, capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["bessel_ode_residual"] <= 1e-10
-    # the Bessel residual reads no grid: --N and --K are not echoed, and
-    # values the other models refuse change nothing
+    # the Bessel residual reads no grid: none is echoed, and --N or --K exits 2
     assert "grid_N" not in doc and "grid_K" not in doc
-    assert _run([*argv, "--N", "1", "--K", "0"], capsys) == (0, out)
+    for flag in ("--N", "--K"):
+        assert main([*argv, flag, "7"]) == 2
+        assert flag in capsys.readouterr().err
+
+
+# a valid command line per spectrum model, and the flags the model reads
+SPECTRUM_ARGV = {
+    "s1": "--gminus 2 --gplus 3",
+    "poschl_teller": "--gminus 2 --gplus 3",
+    "chi": "--ell3 2 --composite 5",
+    "degenerate": "--alpha 2 --q 1",
+}
+SPECTRUM_READS = {
+    "s1": {"--a", "--b", "--k1", "--k2", "--gminus", "--gplus", "--N", "--K"},
+    "poschl_teller": {"--gminus", "--gplus", "--N", "--K"},
+    "chi": {"--ell3", "--composite", "--N", "--K"},
+    "degenerate": {"--alpha", "--q"},
+}
+MODEL_PARAMETER_FLAGS = ["--a", "--b", "--k1", "--k2", "--gminus", "--gplus", "--ell3",
+                         "--composite", "--alpha", "--q", "--N", "--K"]
+UNREAD_SPECTRUM_FLAGS = [
+    (model, flag) for model in SPECTRUM_READS for flag in MODEL_PARAMETER_FLAGS
+    if flag not in SPECTRUM_READS[model]
+]
+
+
+def test_unread_spectrum_flags_are_counted():
+    assert len(UNREAD_SPECTRUM_FLAGS) == 30
+
+
+@pytest.mark.parametrize("model, flag", UNREAD_SPECTRUM_FLAGS)
+def test_a_flag_the_spectrum_model_does_not_read_exits_2(capsys, model, flag):
+    # e.g. poschl_teller --alpha 5 used to exit 0 with --alpha dropped
+    argv = ["spectrum", "--model", model, *SPECTRUM_ARGV[model].split(), flag, "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and flag in captured.err
+    assert captured.out == ""
 
 
 def test_scan_restricted_to_lambda_family(capsys):
@@ -407,7 +510,7 @@ def test_spectrum_degenerate_residual_is_judged_against_tol_match(capsys):
 # the flags each subcommand's cmd_* reads, and no others
 PARSER_SURFACE = {
     "validate": {"--model", "--masa", "--a", "--b", "--lambda2", "--out"},
-    "reduce": {"--model", "--masa", "--a", "--b", "--lambda2", "--out", "--seed", "--racah"},
+    "reduce": {"--model", "--masa", "--a", "--b", "--lambda2", "--out", "--seed"},
     "verify": {"--model", "--masa", "--a", "--b", "--lambda2", "--out", "--seed", "--appendix"},
     "spectrum": {"--model", "--a", "--b", "--k1", "--k2", "--gminus", "--gplus", "--ell3",
                  "--composite", "--alpha", "--q", "--N", "--K", "--tol-match", "--out",
@@ -423,7 +526,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     for name, parser in sub.choices.items():
         taken = {s for s in parser._option_string_actions if s not in ("-h", "--help")}
         assert taken == PARSER_SURFACE[name], name
-    assert sum(map(len, PARSER_SURFACE.values())) == 48
+    assert sum(map(len, PARSER_SURFACE.values())) == 47
 
 
 @pytest.mark.parametrize(
@@ -442,6 +545,23 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, argv, flag):
     captured = capsys.readouterr()
     assert "config error" in captured.err and flag in captured.err
     assert captured.out == ""
+
+
+def test_benchmark_spectrum_and_scan_commands_pass(monkeypatch):
+    # the float-spectra workload's command lines, read from perfbench as it
+    # stands: a flag the CLI refuses would fail the benchmark, not a test
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    # seeds 0 and 1 draw the coupling pairs (3, 4) and (2, 3)
+    for seed in (0, 1):
+        ops = [op for op in workloads.setup("float-spectra", seed)
+               if op.name.startswith(("spectrum_", "scan"))]
+        assert len(ops) == 7
+        assert [op.name for op in ops if not op.run()] == [], seed
 
 
 def test_reports_are_deterministic(capsys):

@@ -22,8 +22,8 @@ from ptsphere.spectral import (
     _nearest,
     bessel_ode_residual,
     bessel_series_psi,
+    circle_couplings,
     closed_form_energies,
-    coupling_maps,
     eigenfunction_eval,
     hyp2f1_terminating,
     invert_circle_couplings,
@@ -39,8 +39,7 @@ from circle_reference import circle_potential_phi, fourier_matrix
 
 
 def test_coupling_map_roundtrip():
-    cm = coupling_maps("s1", a=2, b=1, k1=3.0, k2=1.5)
-    k1, k2 = invert_circle_couplings(2, 1, cm.g_minus, cm.g_plus)
+    k1, k2 = invert_circle_couplings(2, 1, *circle_couplings(2, 1, 3.0, 1.5))
     assert abs(k1 - 3.0) < 1e-12
     assert abs(k2 - 1.5) < 1e-12
 
@@ -50,8 +49,8 @@ def test_coupling_map_criterion_point():
     k1, k2 = invert_circle_couplings(2, 1, 2, 3)
     assert abs(k1 - (math.sqrt(6) + math.sqrt(2))) < 1e-12
     assert abs(k2 - (3 * math.sqrt(2) - math.sqrt(6))) < 1e-12
-    cm = coupling_maps("s1", a=2, b=1, k1=k1.real, k2=k2.real)
-    assert abs(cm.g_minus - 2) < 1e-10 and abs(cm.g_plus - 3) < 1e-10
+    gm, gp = circle_couplings(2, 1, k1.real, k2.real)
+    assert abs(gm - 2) < 1e-10 and abs(gp - 3) < 1e-10
 
 
 def test_closed_form_families_are_sorted_and_real():
@@ -293,8 +292,10 @@ def test_eigenfunction_solves_its_separated_equation(
 
 
 def test_eigenfunction_single_valued():
+    # branch 1 at n = 0 is sin^g- cos^g+ with 2F1 = 1
     val = eigenfunction_eval("s1", 1, 0, 0.7, a=2, b=1, g_minus=2, g_plus=3)
-    assert np.isfinite(val.real) and np.isfinite(val.imag)
+    want = math.sin(0.7) ** 2 * math.cos(0.7) ** 3
+    assert abs(val - want) <= 1e-15 * want
 
 
 def test_pt_parity_real_couplings():
