@@ -1,11 +1,23 @@
 """Exact complex matrices, exact row reduction and the float matrix exponential.
 
 ExactMatrix entries are Exact scalars; equality is entrywise and exact.
-row_reduce is the one exact Gauss-Jordan elimination of the package: it
-serves ExactMatrix.rank, exact_inverse, the u(n) basis expansion (through
-the inverse cached by lie.build_generators) and the exact linear fits of
-the reduction layer.  mat_exp_numeric exponentiates a dense complex array
-for the float Jacobian checks of the reduction layer.
+row_reduce is the one exact elimination of the package, one path for
+Gaussian-rational and radical entries alike: it serves ExactMatrix.rank,
+exact_inverse, the u(n) basis expansion (through the inverse cached by
+lie.build_generators) and the exact linear fits of the reduction layer.
+It is fraction-free (Bareiss, Math. Comp. 22 (1968) 565): each row is
+scaled to integral int parts by the lcm of its denominators, rows are
+combined by products of int parts only, and each new entry is divided by
+an earlier pivot.  By Sylvester's identity every entry so formed is a
+minor of the scaled matrix, a polynomial in its entries with integer
+coefficients, so it lies in the ring Z[i][sqrt(d), ...] they generate and
+its int parts are ints: the division, made as a product with the pivot's
+inverse N / D and a division of each part by the int D, leaves no
+remainder, and one that does is a bug and raises.  Entries grow like
+minors instead of like Gauss-Jordan's unreduced fractions, and no gcd is
+taken until the result is turned back into Exact values, once.
+mat_exp_numeric exponentiates a dense complex array for the float
+Jacobian checks of the reduction layer.
 
 numpy is imported inside to_numpy and mat_exp_numeric, the only array code
 here, so the exact commands (reduce, validate, verify without --appendix)
@@ -18,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .exact import Exact, ONE, ZERO
+from .exact import Exact, ONE, ZERO, _add_products, _reduced
 from .errors import DimensionMismatch, SingularMatrix
 
 __all__ = ["ExactMatrix", "mat_exp_numeric", "exact_inverse", "row_reduce"]
@@ -125,6 +137,25 @@ class ExactMatrix:
         return f"ExactMatrix[{body}]"
 
 
+_ONE_PARTS = ((1, (1, 0)),)  # the int parts of 1
+
+
+def _quotient(num: dict, den: int):
+    """The nonzero int parts of num / den, as an items view.  num is a
+    multiple of den in the ring of the entries, so a remainder raises."""
+    if den == 1:
+        return {d: c for d, c in num.items() if c[0] or c[1]}.items()
+    out = {}
+    for d, (a, b) in num.items():
+        qa, ra = divmod(a, den)
+        qb, rb = divmod(b, den)
+        if ra or rb:
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        if qa or qb:
+            out[d] = (qa, qb)
+    return out.items()
+
+
 def row_reduce(
     rows: Sequence[Sequence[Exact]], ncols: int
 ) -> tuple[list[list[Exact]], list[int]]:
@@ -133,24 +164,84 @@ def row_reduce(
     Returns (rows, pivot_cols): the rows in reduced row-echelon form, each
     pivot scaled to a leading 1 and its column cleared in every other row,
     and the pivot columns in order.  Columns past ncols are carried along,
-    as the right-hand sides of an augmented system.
+    as the right-hand sides of an augmented system.  The pivot of a column
+    is the first row at or below the earlier pivot rows nonzero there.
     """
-    a = [list(row) for row in rows]
+    width = len(rows[0]) if rows else 0
+    a, scale = [], []
+    for row in rows:
+        parts = [x.int_parts() for x in row]
+        L = math.lcm(*(den for _, den in parts))
+        scale.append(L)
+        a.append([
+            items if den == L
+            else {d: (re * (L // den), im * (L // den)) for d, (re, im) in items}.items()
+            for items, den in parts
+        ])
+    # Entries are int parts (items views, empty for 0).  p_k is the pivot
+    # of step k, p_0 = 1, and inv[k] is 1/p_k as int parts over an int.
+    # After step k a row holds its fraction-free values times p_lag / p_k:
+    # a row that a step would only scale by p_k / p_(k-1) is left as it is,
+    # and its next update divides by p_lag instead of p_(k-1).
+    inv = [(_ONE_PARTS, 1)]
+    lag = [0] * len(a)
+    prev = _ONE_PARTS  # the pivot of the last step
     pivots: list[int] = []
+    live = list(range(width))
     for c in range(ncols):
-        top = len(pivots)
-        piv = next((r for r in range(top, len(a)) if not a[r][c].is_zero()), None)
+        k = len(pivots)
+        piv = next((r for r in range(k, len(a)) if a[r][c]), None)
         if piv is None:
             continue
-        a[top], a[piv] = a[piv], a[top]
-        inv = a[top][c].inverse()
-        a[top] = [x * inv for x in a[top]]
-        for r in range(len(a)):
-            if r != top and not a[r][c].is_zero():
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[top])]
+        for v in (a, scale, lag):
+            v[k], v[piv] = v[piv], v[k]
+        t = a[k]
+        if lag[k] != k:  # bring the pivot row up to step k
+            parts, den = inv[lag[k]]
+            f = _add_products({}, prev, parts).items()
+            for j in live:
+                if t[j]:
+                    t[j] = _quotient(_add_products({}, f, t[j]), den)
+        lag[k] = k + 1
+        live.remove(c)
+        prev, t[c] = t[c], ()
+        parts, den = _reduced(dict(prev), 1).inverse().int_parts()
+        inv.append((tuple(parts), den))
+        # every other row nonzero in column c becomes
+        # (p_(k+1) row - row[c] t) / p_lag
+        for r, row in enumerate(a):
+            rc = row[c]
+            if not rc:
+                continue
+            neg = [(d, (-x, -y)) for d, (x, y) in rc]
+            if lag[r]:
+                parts, den = inv[lag[r]]
+                fp = _add_products({}, prev, parts).items()
+                fn = _add_products({}, neg, parts).items()
+            else:
+                fp, fn, den = prev, neg, 1
+            for j in live:
+                x, y = row[j], t[j]
+                if x or y:
+                    out = _add_products({}, fp, x) if x else {}
+                    if y:
+                        _add_products(out, fn, y)
+                    row[j] = _quotient(out, den)
+            row[c] = ()
+            lag[r] = k + 1
         pivots.append(c)
-    return a, pivots
+    # back to Exact, with every pivot column empty: a pivot row over p_lag,
+    # the value its pivot entry would hold, any other row over p_lag and
+    # the lcm it was scaled by
+    reduced = []
+    for r, row in enumerate(a):
+        parts, den = inv[lag[r]]
+        if r >= len(pivots):
+            den *= scale[r]
+        reduced.append([_reduced(_add_products({}, x, parts), den) if x else ZERO for x in row])
+    for r, c in enumerate(pivots):
+        reduced[r][c] = ONE
+    return reduced, pivots
 
 
 def exact_inverse(m: ExactMatrix) -> ExactMatrix:

@@ -702,7 +702,10 @@ def first_nonzero_residual(
     """The name of the first nonzero residual at trials pole-free sampled
     points, in point order and then in the order residuals(vals) lists its
     (name, value) pairs; None if all are zero.  residuals is read to the end
-    at each point, so a division by zero anywhere in it redraws the point."""
+    at each point, so a division by zero anywhere in it redraws the point.
+    trials < 1 raises ValueError: no point decides nothing."""
+    if trials < 1:
+        raise ValueError(f"a sampled verdict needs at least one point, got {trials}")
     points = pole_free_values(lambda vals: list(residuals(vals)), n, seed)
     for named in islice(points, trials):
         for name, value in named:

@@ -519,7 +519,7 @@ def casimir_projection_report(
     words = casimir_element(2, build_generators(n)).terms.items()
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     names = ("H", "1") + tuple(f"k{i + 1}k{j + 1}" for i, j in pairs)
-    npts = npoints or (2 * len(names) + 6)
+    npts = 2 * len(names) + 6 if npoints is None else npoints
 
     def row(vals):
         inv = [d.eval(vals).inverse() for d in dens]
@@ -541,12 +541,18 @@ def verify_conservation(
 ) -> RelationReport:
     """{H, T}_Dirac vanishes on the constraint surface for every catalog
     integral, tested pointwise with exact arithmetic.  A MASA outside the
-    catalog has no integrals, and the detail then says nothing was checked."""
+    catalog has no integrals: nothing is sampled, and the detail says that
+    nothing was checked."""
     sysr = build_hamiltonian(masa)
     H, integrals = sysr.hamiltonian, sysr.integrals
+    if not integrals:
+        return RelationReport(
+            f"conservation[{masa.name}]", True, 0,
+            "no integral checked: the MASA has no catalog integrals",
+        )
     # every integral at the same points, as many as the most demanding needs
-    used = max(
-        (trials or max(20, (_degree_bound(H, T) + 1) // 2) for _, T in integrals), default=0
+    used = trials if trials is not None else max(
+        max(20, (_degree_bound(H, T) + 1) // 2) for _, T in integrals
     )
 
     def residuals(vals):
@@ -559,8 +565,17 @@ def verify_conservation(
     _require_zero(
         residuals, masa.n, used, seed, lambda name: f"{{H, {name}}}_D nonzero for {masa.name}"
     )
-    detail = "" if integrals else "no integral checked: the MASA has no catalog integrals"
-    return RelationReport(f"conservation[{masa.name}]", True, used, detail)
+    return RelationReport(f"conservation[{masa.name}]", True, used)
+
+
+def _bracket_with(basis, i: int, z: dict[int, Exact]) -> dict[int, Exact]:
+    """The basis coefficients of [X_i, sum_k z_k X_k], nonzero ones only, in
+    generator order: sum_k z_k times the structure constants of [X_i, X_k]."""
+    out: dict[int, Exact] = {}
+    for k, zk in z.items():
+        for l, c in basis.bracket_coeffs(i, k).items():
+            out[l] = out.get(l, ZERO) + zk * c
+    return {l: out[l] for l in sorted(out) if not out[l].is_zero()}
 
 
 def verify_homomorphism(
@@ -581,15 +596,14 @@ def verify_homomorphism(
     point by grad_at, whose gradient carries dXhat/dk_mu beside the (s, p)
     partials.  The map is linear, so at each point the image of [X_i, X_j]
     and of [X_i, Z_mu] is the combination of the generator values with the
-    coefficients of that matrix in the basis.
+    coefficients of that matrix in the basis, read off the structure
+    constants (and, for Z_mu, its expansion in the basis).
     """
     n = masa.n
     basis = build_generators(n)
     maps = generator_images(masa)
-    corr = {
-        i: [basis.expand_in_basis(Xi @ Z - Z @ Xi) for Z in masa.matrices]
-        for i, Xi in enumerate(basis.generators)
-    }
+    zs = [basis.expand_in_basis(Z) for Z in masa.matrices]
+    corr = {i: [_bracket_with(basis, i, z) for z in zs] for i in range(basis.size)}
 
     def residuals(vals):
         # one gradient per map per point; pairs then combine values only
@@ -631,7 +645,10 @@ class RacahReport:
 
 def _fit_exact(aug: list[list[Exact]], names: Sequence[str]):
     """Solve an overdetermined exact linear system given as augmented rows
-    (one value per name, then the right-hand side); raise if inconsistent."""
+    (one value per name, then the right-hand side); raise if inconsistent.
+    No rows is a ValueError: a fit needs at least one sampled point."""
+    if not aug:
+        raise ValueError("an exact fit needs at least one sampled point")
     ncol = len(names)
     rows, piv_cols = row_reduce(aug, ncol)
     if any(not row[ncol].is_zero() for row in rows[len(piv_cols):]):

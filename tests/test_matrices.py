@@ -7,10 +7,11 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ptsphere.errors import DimensionMismatch, SingularMatrix
-from ptsphere.exact import I, rat
-from ptsphere.matrices import ExactMatrix, exact_inverse, mat_exp_numeric
+from ptsphere.exact import ZERO, Exact, I, rat
+from ptsphere.matrices import ExactMatrix, exact_inverse, mat_exp_numeric, row_reduce
 
 from catalog_models import PARAMS, build_masa
+import gauss_jordan_reference
 
 
 def _rand_matrix(rng, n):
@@ -69,6 +70,57 @@ def test_random_inverse_roundtrip(seed):
             exact_inverse(m)
     else:
         assert m @ exact_inverse(m) == ExactMatrix.identity(3)
+
+
+SQRT2 = Exact.sqrt_rational(2)
+
+
+def _rand_scalar(rng, radical):
+    if rng.random() < 0.3:
+        return ZERO
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    x = rat(q(), q())
+    return x + rat(q(), q()) * SQRT2 if radical else x
+
+
+def _rand_rows(rng, r, c, radical):
+    return ExactMatrix([[_rand_scalar(rng, radical) for _ in range(c)] for _ in range(r)])
+
+
+def _rand_system(rng, kind, radical):
+    """Augmented rows [A | B] and the number of columns of A."""
+    r, c = {"square": (5, 5), "over": (7, 4), "deficient": (6, 5),
+            "inconsistent": (6, 3), "zero rows": (6, 4), "gap": (5, 4), "wide": (3, 6)}[kind]
+    if kind == "deficient":
+        A = _rand_rows(rng, r, 2, radical) @ _rand_rows(rng, 2, c, radical)
+    else:
+        A = _rand_rows(rng, r, c, radical)
+    if kind == "zero rows":
+        A = ExactMatrix([row if i % 3 else [ZERO] * c for i, row in enumerate(A.entries)])
+    if kind == "gap":  # column 1 gets no pivot, the columns after it do
+        A = ExactMatrix([[x, x * 3, *rest] for x, _, *rest in A.entries])
+    B = A @ _rand_rows(rng, c, 2, radical)
+    if kind == "inconsistent":
+        B = B + _rand_rows(rng, r, 2, radical)
+    if kind == "square":  # [A | I], as exact_inverse reduces it
+        B = ExactMatrix.identity(r)
+    return [list(a) + list(b) for a, b in zip(A.entries, B.entries)], c
+
+
+@pytest.mark.parametrize("radical", [False, True], ids=["Q(i)", "Q(i,sqrt2)"])
+def test_row_reduce_matches_gauss_jordan(radical):
+    rng = random.Random(2026 + radical)
+    kinds = ["square", "over", "deficient", "inconsistent", "zero rows", "gap", "wide"]
+    cases = [_rand_system(rng, kind, radical) for kind in kinds for _ in range(4)]
+    cases += [([], 3), ([[ZERO] * 4] * 3, 3)]
+    for rows, ncols in cases:
+        got_rows, got_pivots = row_reduce(rows, ncols)
+        ref_rows, ref_pivots = gauss_jordan_reference.row_reduce(rows, ncols)
+        assert got_pivots == ref_pivots
+        # every row equal: the pivot rows, and the rows past the pivots, so
+        # also whether those are zero (an inconsistent fit)
+        assert got_rows == ref_rows
 
 
 def test_mat_exp_rotation():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptsphere.errors import DimensionMismatch, SamplingExhausted
-from ptsphere.exact import ZERO, Exact, rat
+from ptsphere.exact import ONE, ZERO, Exact, rat
 from ptsphere.phase import (
     MAX_RESAMPLES,
     PhasePoly,
@@ -14,6 +14,7 @@ from ptsphere.phase import (
     SignedPermutation,
     dirac_bracket,
     dirac_bracket_at,
+    first_nonzero_residual,
     func_vanishes_on_constraint,
     poisson_bracket,
     poisson_bracket_at,
@@ -278,6 +279,15 @@ def test_poly_eval_keeps_non_vanishing_identity_nonzero():
     assert not func_vanishes_on_constraint(
         lambda vals: dirac_bracket_at(rs.hamiltonian, bad, vals), N, trials=3, seed=7
     )
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_a_sampled_verdict_needs_a_point(trials):
+    # zero points would pass any function, the nonzero ones too
+    with pytest.raises(ValueError, match="at least one point"):
+        func_vanishes_on_constraint(lambda vals: ONE, N, trials)
+    with pytest.raises(ValueError, match="at least one point"):
+        first_nonzero_residual(lambda vals: [("one", ONE)], N, trials, 7)
 
 
 def test_sample_vals_satisfy_constraints(seed=11):

@@ -70,6 +70,39 @@ def test_conservation_reports_trials_used():
     assert verify_conservation(masa, trials=7).trials == 7
 
 
+def test_zero_points_is_an_error_not_a_default():
+    masa = build_masa("su2ab")
+    with pytest.raises(ValueError):
+        reduction.verify_homomorphism(masa, npoints=0)
+    with pytest.raises(ValueError):
+        verify_conservation(masa, trials=0)
+    with pytest.raises(ValueError):
+        casimir_projection_report(masa, npoints=0)
+
+
+def test_conservation_without_integrals_samples_nothing(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("a MASA with no integrals was sampled")
+
+    monkeypatch.setattr(reduction, "first_nonzero_residual", no_sampling)
+    custom = dataclasses.replace(build_masa("su2ab"), name=None)
+    rep = verify_conservation(custom)
+    assert (rep.passed, rep.trials) == (True, 0)
+    assert rep.detail == "no integral checked: the MASA has no catalog integrals"
+
+
+@pytest.mark.parametrize("name", list(PARAMS))
+def test_correction_coefficients_match_commutator_expansion(name):
+    # [X_i, Z_mu] read off the structure constants, as verify_homomorphism
+    # does, equals the expansion of the commutator matrix itself
+    masa = build_masa(name)
+    basis = build_generators(masa.n)
+    for Z in masa.matrices:
+        z = basis.expand_in_basis(Z)
+        for i, X in enumerate(basis.generators):
+            assert reduction._bracket_with(basis, i, z) == basis.expand_in_basis(X.commutator(Z))
+
+
 IMAGE_MODELS = models("su2ab", "cartan_od", "nilpotent", "degenerate_plus")
 
 
