@@ -11,11 +11,20 @@ equality, hashing and zero testing compare the stored ints directly.
 Sums and products work on plain ints over the product (or lcm) of the
 denominators and reduce by one gcd at the end, instead of normalising a
 Fraction for every part.  All operations are exact; nothing is ever rounded.
+
+Nearly every value met in practice has one part: a Gaussian rational, or
+one times a single sqrt(d).  Products of two such values, and sums of two
+over the same sqrt(d), take a one-part path: the two int pairs combine
+inline by the same rules (sqrt(d1)*sqrt(d2) = g*sqrt(r), then one gcd with
+the denominator), with no intermediate dict.  A product of two nonzero parts
+is never zero, and a sum that cancels is ZERO.  Since the canonical form is
+unique, the result is the same, int for int, as the general path's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from numbers import Rational
 
@@ -70,19 +79,89 @@ def _new(num: dict, den: int) -> "Exact":
     return x
 
 
+def _one_part(d: int, a: int, b: int, den: int) -> "Exact":
+    """The Exact (a + i*b) * sqrt(d) / den, for ints a, b not both 0 and
+    den > 0, divided by gcd(den, a, b)."""
+    if den > 1:
+        g = gcd(den, a, b)
+        if g > 1:
+            a //= g
+            b //= g
+            den //= g
+    return _new({d: (a, b)}, den)
+
+
 def _reduced(num: dict, den: int) -> "Exact":
     """An Exact from int parts over a positive den: drop zero parts, then
-    divide everything by gcd(den, parts)."""
+    divide everything by gcd(den, parts).  The result holds a new dict, so
+    the caller may change num afterwards."""
+    if len(num) == 1:
+        (d, (a, b)), = num.items()
+        return _one_part(d, a, b, den) if a or b else ZERO
     num = {d: c for d, c in num.items() if c[0] or c[1]}
     if not num:
         return ZERO
     if den == 1:
         return _new(num, 1)
-    g = gcd(den, *(x for c in num.values() for x in c))
+    g = gcd(den, *chain.from_iterable(num.values()))
     if g > 1:
         num = {d: (a // g, b // g) for d, (a, b) in num.items()}
         den //= g
     return _new(num, den)
+
+
+def _sum(x: "Exact", y: "Exact", s: int) -> "Exact":
+    """x + s*y for s = 1 or -1, over the lcm of the denominators."""
+    n1, n2 = x._num, y._num
+    if not n2:
+        return x
+    if not n1:
+        return y if s > 0 else -y
+    d1, d2 = x._den, y._den
+    if d1 == d2:
+        g = den = d1
+        m1, m2 = 1, s
+    else:
+        g = gcd(d1, d2)
+        m1, m2 = d2 // g, s * (d1 // g)
+        den = d1 * m1
+    # both inputs are canonical, so gcd(den, parts) divides g = gcd(d1, d2)
+    if len(n1) == 1 and len(n2) == 1:
+        (r, (a, b)), = n1.items()
+        (r2, (a2, b2)), = n2.items()
+        if r == r2:
+            # one shared radical: add the two parts inline
+            a = a * m1 + a2 * m2
+            b = b * m1 + b2 * m2
+            if not (a or b):
+                return ZERO
+            if g > 1:
+                g = gcd(g, a, b)
+                if g > 1:
+                    a //= g
+                    b //= g
+                    den //= g
+            return _new({r: (a, b)}, den)
+    out = dict(n1) if m1 == 1 else {d: (a * m1, b * m1) for d, (a, b) in n1.items()}
+    for d, (a, b) in n2.items():
+        c = out.get(d)
+        if c is None:
+            out[d] = (a * m2, b * m2)
+            continue
+        a = c[0] + a * m2
+        b = c[1] + b * m2
+        if a or b:
+            out[d] = (a, b)
+        else:
+            del out[d]
+    if not out:
+        return ZERO
+    if g > 1:
+        g = gcd(g, *chain.from_iterable(out.values()))
+        if g > 1:
+            out = {d: (a // g, b // g) for d, (a, b) in out.items()}
+            den //= g
+    return _new(out, den)
 
 
 class Exact:
@@ -188,36 +267,7 @@ class Exact:
     def __add__(self, other) -> "Exact":
         if not isinstance(other, Exact):
             other = Exact.coerce(other)
-        n1, n2 = self._num, other._num
-        if not n2:
-            return self
-        if not n1:
-            return other
-        d1, d2 = self._den, other._den
-        if d1 == d2:
-            g = den = d1
-            out = dict(n1)
-            for d, (a, b) in n2.items():
-                c = out.get(d)
-                out[d] = (c[0] + a, c[1] + b) if c else (a, b)
-        else:
-            g = gcd(d1, d2)
-            m1, m2 = d2 // g, d1 // g
-            den = d1 * m1
-            out = {d: (a * m1, b * m1) for d, (a, b) in n1.items()}
-            for d, (a, b) in n2.items():
-                c = out.get(d)
-                out[d] = (c[0] + a * m2, c[1] + b * m2) if c else (a * m2, b * m2)
-        out = {d: c for d, c in out.items() if c[0] or c[1]}
-        if not out:
-            return ZERO
-        # both inputs are canonical, so gcd(den, parts) divides g = gcd(d1, d2)
-        if g > 1:
-            g = gcd(g, *(x for c in out.values() for x in c))
-            if g > 1:
-                out = {d: (a // g, b // g) for d, (a, b) in out.items()}
-                den //= g
-        return _new(out, den)
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
@@ -225,15 +275,34 @@ class Exact:
         return _new({d: (-a, -b) for d, (a, b) in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "Exact":
-        return self + (-Exact.coerce(other))
+        if not isinstance(other, Exact):
+            other = Exact.coerce(other)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other) -> "Exact":
-        return Exact.coerce(other) + (-self)
+        return _sum(Exact.coerce(other), self, -1)
 
     def __mul__(self, other) -> "Exact":
         if not isinstance(other, Exact):
             other = Exact.coerce(other)
         n1, n2 = self._num, other._num
+        if len(n1) == 1 and len(n2) == 1:
+            # one part each: _add_products' rule for one pair of parts; the
+            # product of two nonzero parts is nonzero
+            (d1, (a1, b1)), = n1.items()
+            (d2, (a2, b2)), = n2.items()
+            re = a1 * a2 - b1 * b2
+            im = a1 * b2 + b1 * a2
+            if d1 == 1:
+                r = d2
+            elif d2 == 1:
+                r = d1
+            else:
+                g = gcd(d1, d2)
+                r = (d1 // g) * (d2 // g)
+                re *= g
+                im *= g
+            return _one_part(r, re, im, self._den * other._den)
         if not n1 or not n2:
             return ZERO
         return _reduced(_add_products({}, n1.items(), n2.items()), self._den * other._den)
@@ -299,6 +368,10 @@ class Exact:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
+        re, im = self._num.get(1, (0, 0))
+        if not im and len(self._num) == (1 if re else 0):
+            # a real rational equals its Fraction (an int when den is 1)
+            return hash(Fraction(re, self._den))
         return hash((self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptsphere.exact import Exact, I, ONE, ZERO, rat
+from ptsphere.exact import Exact, I, ONE, ZERO, _add_products, _reduced, rat
 
 rationals = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**6
@@ -128,3 +128,94 @@ def test_coerce_rejects_non_finite_complex_with_type_error():
     with pytest.raises(TypeError):
         Exact.coerce(float("inf"))
     assert Exact.coerce(complex(3, -2)) == rat(3, -2)
+
+
+# -- one-part fast paths against the general rule ------------------------------
+
+def _general_reduce(num, den):
+    """The canonical (parts, den) of int parts over den, by the general rule:
+    drop zero parts, divide by gcd(den, every part).  _reduced itself takes
+    the one-part path, so it cannot be the reference."""
+    num = {d: c for d, c in num.items() if c[0] or c[1]}
+    if not num:
+        return {}, 1
+    g = gcd(den, *(x for c in num.values() for x in c))
+    return {d: (a // g, b // g) for d, (a, b) in num.items()}, den // g
+
+
+def _general_sum(x, y, s):
+    """x + s*y over den_x * den_y, merged part by part."""
+    (p1, d1), (p2, d2) = x.int_parts(), y.int_parts()
+    out = {d: (a * d2, b * d2) for d, (a, b) in p1}
+    for d, (a, b) in p2:
+        c = out.get(d, (0, 0))
+        out[d] = (c[0] + s * a * d1, c[1] + s * b * d1)
+    return _general_reduce(out, d1 * d2)
+
+
+def _form(x):
+    parts, den = x.int_parts()
+    return dict(parts), den
+
+
+# one part each: radicals 1, 2, 3, 6, purely real and purely imaginary
+# values, and den 1 next to dens sharing factors with the parts
+ONE_PART = [
+    Exact({d: pair}, den)
+    for d in (1, 2, 3, 6)
+    for pair in ((1, 0), (0, 1), (-3, 2), (4, -6), (0, -9))
+    for den in (1, 2, 6, 9)
+]
+
+
+def test_one_part_products_and_sums_match_the_general_rule():
+    for x in ONE_PART:
+        px, dx = x.int_parts()
+        for y in ONE_PART:
+            py, dy = y.int_parts()
+            assert _form(x * y) == _general_reduce(_add_products({}, px, py), dx * dy)
+            assert _form(x + y) == _general_sum(x, y, 1)
+            assert _form(x - y) == _general_sum(x, y, -1)
+    r2, r3, r6 = (Exact.sqrt_rational(d) for d in (2, 3, 6))
+    assert _form(r2 * r6) == ({3: (2, 0)}, 1)
+    assert _form(r2 * r3) == _form(r6) == ({6: (1, 0)}, 1)
+    assert _form(I * Exact({2: (0, 3)}, 4)) == ({2: (-3, 0)}, 4)
+    assert _form(rat(3) * rat(5)) == ({1: (15, 0)}, 1)
+
+
+def test_one_part_cancellation_is_the_canonical_zero():
+    for x in ONE_PART:
+        for z in (x + (-x), x - x, -x + x):
+            assert _form(z) == ({}, 1)
+            assert not z and z == 0 and hash(z) == hash(0)
+
+
+def test_multi_part_products_and_sums_match_the_general_rule():
+    p = rat(Fraction(1, 3)) + rat(Fraction(2, 5)) * Exact.sqrt_rational(2)
+    q = rat(Fraction(-3, 7), 1) + rat(Fraction(1, 2)) * Exact.sqrt_rational(2)
+    one = Exact({1: (-3, 2)}, 6), Exact({2: (0, 1)}, 9)
+    for x, y in [(p, q), (p, p), (p, -p), (p, one[0]), (one[1], p)]:
+        (px, dx), (py, dy) = x.int_parts(), y.int_parts()
+        assert _form(x * y) == _general_reduce(_add_products({}, px, py), dx * dy)
+        assert _form(x + y) == _general_sum(x, y, 1)
+        assert _form(x - y) == _general_sum(x, y, -1)
+
+
+def test_a_dict_passed_in_is_not_shared_with_the_result():
+    for num in ({2: (3, -1)}, {1: (4, 0), 3: (0, 2)}):
+        before = dict(num)
+        made = Exact(num, 6), _reduced(num, 6)
+        num[2] = (7, 7)
+        num[5] = (1, 0)
+        for x in made:
+            assert _form(x) == _general_reduce(before, 6)
+
+
+def test_real_rationals_hash_as_their_fraction():
+    # a == b must imply hash(a) == hash(b), so sets and dicts find them
+    for q in (3, -1, 0, Fraction(1, 2), Fraction(-7, 3)):
+        x = rat(q)
+        assert x == q and hash(x) == hash(q)
+        assert q in {x} and x in {q} and {q: 1}.get(x) == 1
+    assert 3 in {rat(6) / 2}
+    assert rat(1, 2) != Fraction(1, 2)  # rat(re, im): this is 1 + 2i
