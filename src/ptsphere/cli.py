@@ -370,6 +370,8 @@ def _parse_grid(text: str):
         raise ConfigError(f"grid {text!r}: {exc}") from exc
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0:
         raise ConfigError(f"grid {text!r} needs finite bounds and a positive finite step")
+    if stop < start:
+        raise ConfigError(f"grid {text!r} has stop below start, so it has no point")
     if (stop - start) / step >= MAX_SCAN_POINTS:
         raise ConfigError(f"grid {text!r} has more than {MAX_SCAN_POINTS} points")
     out, v = [], start

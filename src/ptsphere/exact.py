@@ -23,12 +23,15 @@ unique, the result is the same, int for int, as the general path's.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from numbers import Rational
 
 __all__ = ["Exact", "ZERO", "ONE", "I", "rat"]
+
+_HASH_MOD = 1 << sys.hash_info.width
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -369,10 +372,14 @@ class Exact:
 
     def __hash__(self):
         re, im = self._num.get(1, (0, 0))
-        if not im and len(self._num) == (1 if re else 0):
-            # a real rational equals its Fraction (an int when den is 1)
-            return hash(Fraction(re, self._den))
-        return hash((self._den, frozenset(self._num.items())))
+        if len(self._num) != (1 if re or im else 0):
+            return hash((self._den, frozenset(self._num.items())))
+        # a Gaussian rational hashes as the Fraction (an int when den is 1)
+        # or complex it can equal: CPython's rule, in signed machine words
+        h = hash(Fraction(re, self._den)) + sys.hash_info.imag * hash(Fraction(im, self._den))
+        h %= _HASH_MOD
+        h -= _HASH_MOD if h >= _HASH_MOD >> 1 else 0
+        return -2 if h == -1 else h
 
     def __repr__(self) -> str:
         if not self._num:

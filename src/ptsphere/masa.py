@@ -5,6 +5,18 @@ independent complex matrices spanned by the symmetric generators of u(n).
 The module provides the named families used by the reduction engine, a
 validator, the PT-parity classifier, and the JSON file format used by the
 command line tool.
+
+The lambda family and its lambda^2 = 1/2 limits come from one frame,
+lambda_frame: the orthogonal rows r_-, r_+, r_3, each of square
+e^2 = 1 - 2 lambda^2.  Below lambda^2 = 1/2, Z_mu = sigma_mu (i/e) r_mu r_mu^T
+with sigma = (+1, +1, -1), a complex rotation of the Cartan MASA, so
+-A^T A = diag(w_mu^2) with w_mu = r_mu . s and the potential separates.  At
+e = 0, r_-+ = a -+ (e/2) b with a isotropic and b = (1, 1, 0), and the
+degenerate models are the limits Z1 = lim (Z1 - Z2)/2 = -(i/2)(a b^T + b a^T),
+the nilpotent Z2 = lim e Z1 = 4i a a^T and the central
+Z3 = lim (Z1 + Z2 - Z3)/e = i I (sum_mu r_mu r_mu^T = e^2 I).  The sign of
+i lambda = +-i/sqrt(2) picks degenerate_plus or its conjugate frame,
+degenerate_minus.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ __all__ = [
     "validate_masa",
     "classify_pt",
     "catalog_masa",
+    "lambda_frame",
     "load_masa_file",
     "save_masa_file",
     "CATALOG_NAMES",
@@ -55,6 +68,8 @@ CATALOG_NAMES = tuple(_CATALOG_PARAMS)
 # radicals of the parameters are factored by trial division, so larger ones
 # can run for minutes before any check starts
 MAX_PARAM_INT = 10**6
+# s3 -> -s3: the parity of every u(3) catalog model
+_U3_PARITY = SignedPermutation.from_signed_indices([1, 2, -3])
 
 
 def symmetric_basis_indices(n: int) -> tuple[int, ...]:
@@ -166,57 +181,35 @@ def classify_pt(m: MasaSpec, parity: SignedPermutation) -> tuple[int, ...]:
     return tuple(eps)
 
 
-def _lambda_rows(lam2: Fraction) -> list[list[Exact]]:
-    disc = 1 - 2 * lam2
-    if not (0 <= lam2 < Fraction(1, 2)):
-        raise ParamOutOfRange("lambda2 must satisfy 0 <= lambda2 < 1/2")
-    s = Exact.sqrt_rational(disc)  # sqrt(1 - 2 lambda^2), real in range
-    lam = Exact.sqrt_rational(lam2)
-    pref = (rat(3) * s).inverse()
-    lam_m = (ONE - s) / rat(2)
-    lam_p = (ONE + s) / rat(2)
-    gam_m = (rat(1 + lam2) - rat(3) * s) / rat(2)
-    gam_p = (rat(1 + lam2) + rat(3) * s) / rat(2)
-    il3 = rat(0, 3) * lam  # 3 i lambda
-    common = [rat(disc), None, rat(1 + lam2), rat(Fraction(-3, 2) * lam2), None, None]
-    z1 = list(common)
-    z1[1] = gam_m
-    z1[4] = il3 * lam_m
-    z1[5] = -il3 * lam_p
-    z2 = list(common)
-    z2[1] = gam_p
-    z2[4] = il3 * lam_p
-    z2[5] = -il3 * lam_m
-    z3 = [
-        rat(-disc),
-        rat(1 + lam2),
-        rat(2 * (1 + lam2)),
-        rat(-3 * lam2),
-        il3,
-        -il3,
-    ]
-    return [[pref * c for c in row] for row in (z1, z2, z3)]
+def lambda_frame(lam2: Fraction, sign: int) -> tuple[tuple[Exact, ...], ...]:
+    """The lambda family's frame: r_- = (lambda_-, -lambda_+, i lambda),
+    r_+ = (lambda_+, -lambda_-, i lambda) and r_3 = (i lambda, -i lambda, -1),
+    lambda_-+ = (1 -+ e)/2; sign picks the branch of i lambda."""
+    il = I * Exact.sqrt_rational(lam2) * rat(sign)
+    e = Exact.sqrt_rational(1 - 2 * lam2)
+    lam_m, lam_p = (ONE - e) / rat(2), (ONE + e) / rat(2)
+    return ((lam_m, -lam_p, il), (lam_p, -lam_m, il), (il, -il, -ONE))
 
 
-def _degenerate_rows(sign: int) -> list[list[Exact]]:
-    # rescaled lambda-family basis at lambda^2 = 1/2.  With
-    # e = sqrt(1 - 2 lambda^2) -> 0 the raw generators diverge like S/e; the
-    # surviving directions are Z1 = lim (Z1 - Z2)/2, the nilpotent
-    # Z2 = lim e*Z1 (Z2^2 = 0), and Z3 = lim (Z1 + Z2 - Z3)/e which is
-    # central.  The triple commutes, is symmetric and independent, and its
-    # A-matrix is invertible away from the singular locus.
-    isq2 = I * Exact.sqrt_rational(2) * rat(sign)  # sign * i * sqrt(2)
-    z1 = [
-        ZERO,
-        rat(Fraction(-1, 2)),
-        ZERO,
-        ZERO,
-        -isq2 / rat(4),
-        -isq2 / rat(4),
-    ]
-    z2 = [ZERO, ONE, rat(2), rat(-1), isq2, -isq2]
-    z3 = [ONE, ZERO, ZERO, ZERO, ZERO, ZERO]
-    return [z1, z2, z3]
+def _lambda_masa(name: str, lam2: Fraction, sign: int, params: tuple) -> MasaSpec:
+    """The lambda family's MASA at (lam2, sign), its matrices built from the
+    frame as the module docstring says and its coefficient rows read off them."""
+
+    def outer(u, v, c):  # c u v^T
+        return ExactMatrix([[c * x * y for y in v] for x in u])
+
+    rows = lambda_frame(lam2, sign)
+    e = rows[1][0] - rows[0][0]
+    if e.is_zero():
+        a, b, c = rows[0], (ONE, ONE, ZERO), rat(0, Fraction(-1, 2))
+        mats = [outer(a, b, c) + outer(b, a, c), outer(a, a, rat(0, 4)),
+                ExactMatrix.identity(3).scale(I)]
+    else:
+        mats = [outer(r, r, I / e * rat(s)) for r, s in zip(rows, (1, 1, -1))]
+    basis, idx = build_generators(3), symmetric_basis_indices(3)
+    expanded = [basis.expand_in_basis(Z) for Z in mats]
+    coeffs = tuple(tuple(c.get(gi, ZERO) for gi in idx) for c in expanded)
+    return MasaSpec(3, coeffs, tuple(mats), name, params, _U3_PARITY)
 
 
 def _bounded(key: str, value):
@@ -236,7 +229,8 @@ def catalog_masa(name: str, **params) -> MasaSpec:
     lambda(lambda2): u(3) one-parameter family, 0 <= lambda2 < 1/2 exact.
     cartan_od(a, b): u(3) two-parameter family.
     nilpotent(): u(3) family with nilpotent Z2, Z3.
-    degenerate_plus/minus(): rescaled lambda2 = 1/2 limit.
+    degenerate_plus/minus(): the lambda family's lambda2 = 1/2 limit, on the
+      branch i lambda = +i/sqrt(2) or its conjugate.
 
     A parameter the named model does not take raises UnknownName; a
     rational one past MAX_PARAM_INT raises ParamOutOfRange.
@@ -260,8 +254,13 @@ def catalog_masa(name: str, **params) -> MasaSpec:
         return masa_from_coeffs(2, rows, name, (a, b), par)
     if name == "lambda":
         lam2 = _bounded("lambda2", Fraction(params["lambda2"]))
-        rows, values = _lambda_rows(lam2), (lam2,)
-    elif name == "cartan_od":
+        if not (0 <= lam2 < Fraction(1, 2)):
+            raise ParamOutOfRange("lambda2 must satisfy 0 <= lambda2 < 1/2")
+        return _lambda_masa(name, lam2, 1, (lam2,))
+    if name in ("degenerate_plus", "degenerate_minus"):
+        sign = 1 if name.endswith("plus") else -1
+        return _lambda_masa(name, Fraction(1, 2), sign, (sign,))
+    if name == "cartan_od":
         a, b = (Exact.coerce(_bounded(k, params[k])) for k in "ab")
         third = rat(Fraction(1, 3))
         rows = [
@@ -270,18 +269,14 @@ def catalog_masa(name: str, **params) -> MasaSpec:
             [third * rat(2), -third * rat(2), -third, ZERO, ZERO, ZERO],
         ]
         values = (a, b)
-    elif name == "nilpotent":
+    else:  # nilpotent
         rows = [
             [ONE, ZERO, ZERO, ZERO, ZERO, ZERO],
             [ZERO, ZERO, ONE, ZERO, ZERO, I],
             [ZERO, ZERO, ZERO, ONE, I, ZERO],
         ]
         values = ()
-    else:  # degenerate_plus or degenerate_minus
-        sign = 1 if name.endswith("plus") else -1
-        rows, values = _degenerate_rows(sign), (sign,)
-    par = SignedPermutation.from_signed_indices([1, 2, -3])
-    return masa_from_coeffs(3, rows, name, values, par)
+    return masa_from_coeffs(3, rows, name, values, _U3_PARITY)
 
 
 # -- JSON file format -----------------------------------------------------------

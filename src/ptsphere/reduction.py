@@ -25,6 +25,11 @@ verify_homomorphism, the factors of project_env_element) is a fixed
 combination of the generator images, and every image has the same
 denominator det A and hence the same poles.  verify_homomorphism and
 casimir_projection_report read only the images' values at each point.
+
+The lambda family is written once, as masa.lambda_frame's rows: on s they
+give the w's of the separable potential, on L the M's of the integrals.  The
+degenerate models take both at lambda^2 = 1/2: the separable form there, and
+T = 2 M_-; degenerate_minus is the conjugate frame.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from math import prod
 from typing import Callable, Sequence
@@ -39,7 +45,7 @@ from typing import Callable, Sequence
 from .exact import Exact, I, ONE, ZERO, rat
 from .errors import DegenerateMasa, FitUnderdetermined, RelationFailed, UnknownName
 from .lie import EnvElement, build_generators, casimir_element
-from .masa import MasaSpec
+from .masa import MasaSpec, lambda_frame
 from .matrices import ExactMatrix, mat_exp_numeric, row_reduce
 from .phase import (
     PhasePoly,
@@ -59,7 +65,6 @@ __all__ = [
     "JacobianCheck",
     "build_A",
     "build_potential",
-    "degenerate_potential",
     "generator_images",
     "momentum_map",
     "project_env_element",
@@ -229,25 +234,23 @@ def _L(i: int) -> PhaseRational:
     return PhaseRational(angular_momentum(i))
 
 
-def _lambda_frame(lam2: Fraction, fs) -> list[PhaseRational]:
-    """The orthogonal rows (lambda_-, -lambda_+, i lambda), (lambda_+,
-    -lambda_-, i lambda), (i lambda, -i lambda, -1), each of square
-    1 - 2 lambda^2, applied to fs; on (s1, s2, s3) they give w_-, w_+, w_3."""
-    il = I * Exact.sqrt_rational(lam2)
-    root = Exact.sqrt_rational(1 - 2 * lam2)
-    lam_m, lam_p = (ONE - root) / rat(2), (ONE + root) / rat(2)
-    rows = ((lam_m, -lam_p, il), (lam_p, -lam_m, il), (il, -il, -ONE))
-    return [sum((f.scale(c) for f, c in zip(fs, row)), PhaseRational.const(3, 0)) for row in rows]
+def _lambda_frame(lam2: Fraction, sign: int, fs) -> list[PhaseRational]:
+    """masa.lambda_frame's rows r_-, r_+, r_3 applied to fs; on (s1, s2, s3)
+    they give w_-, w_+, w_3, and on (L1, L2, L3) M_-, M_+, M_3."""
+    return [
+        sum((f.scale(c) for f, c in zip(fs, row)), PhaseRational.const(3, 0))
+        for row in lambda_frame(lam2, sign)
+    ]
 
 
-def _lambda_ws(lam2: Fraction) -> list[PhaseRational]:
-    return _lambda_frame(lam2, [PhaseRational(PhasePoly.s(3, i)) for i in range(3)])
+def _lambda_ws(lam2: Fraction, sign: int = 1) -> list[PhaseRational]:
+    return _lambda_frame(lam2, sign, [PhaseRational(PhasePoly.s(3, i)) for i in range(3)])
 
 
 def _lambda_integrals(masa: MasaSpec):
     (lam2,) = masa.params
     w1, w2, w3 = _lambda_ws(lam2)
-    M1, M2, M3 = _lambda_frame(lam2, [_L(1), _L(2), _L(3)])
+    M1, M2, M3 = _lambda_frame(lam2, 1, [_L(1), _L(2), _L(3)])
     k1, k2, k3 = _kP(0), _kP(1), _kP(2)
     # relative minus: fixed by the over-completeness relation; the opposite
     # sign differs only by the additive constant 4 k2 k3 and is equally
@@ -258,10 +261,12 @@ def _lambda_integrals(masa: MasaSpec):
     return [("T1", T1), ("T2", T2), ("T3", T3)]
 
 
-def _lambda_separable_potential(lam2: Fraction) -> PhaseRational:
+def _lambda_separable_potential(lam2: Fraction, sign: int = 1) -> PhaseRational:
     """k1^2/w_-^2 + k2^2/w_+^2 + k3^2/w_3^2, the separable Poschl-Teller form
-    (Levai & Znojil, J. Phys. A 33 (2000) 7165) of V_lambda on s.s = 1."""
-    ws = _lambda_ws(lam2)
+    (Levai & Znojil, J. Phys. A 33 (2000) 7165) of V_lambda on s.s = 1.  At
+    lambda^2 = 1/2 it is alpha^2/(s1 - s2 +- i sqrt(2) s3)^2 with
+    alpha^2 = 4 k1^2 + 4 k2^2 - 2 k3^2, the branch chosen by sign."""
+    ws = _lambda_ws(lam2, sign)
     return sum((_sq(_kP(i)) / _sq(w) for i, w in enumerate(ws)), PhaseRational.const(3, 0))
 
 
@@ -335,33 +340,11 @@ def _nilpotent_integrals(masa: MasaSpec):
     return [("T1", T1), ("T2", T2), ("T3", T3)]
 
 
-def degenerate_potential(sign: int) -> PhaseRational:
-    """The lambda^2 = 1/2 potential alpha^2/(s1 - s2 +- i sqrt2 s3)^2.
-
-    The rescaled generators at the degenerate point no longer produce this
-    form through the generic k^T (-A^T A)^{-1} k formula; the potential is the
-    limit of the one-parameter family at fixed couplings, with
-    alpha^2 = 4 k1^2 + 4 k2^2 - 2 k3^2.  No commuting symmetric triple can
-    reproduce a constant coupling form over a single squared denominator
-    exactly, so the limit form is attached here directly.
-    """
-    n = 3
-    s1, s2, s3 = (PhasePoly.s(n, i) for i in range(3))
-    k1, k2, k3 = (PhasePoly.k(n, i) for i in range(3))
-    w = s1 - s2 + s3.scale(I * Exact.sqrt_rational(2) * rat(sign))
-    alpha2 = (
-        (k1 * k1).scale(rat(4))
-        + (k2 * k2).scale(rat(4))
-        - (k3 * k3).scale(rat(2))
-    )
-    return PhaseRational(alpha2, w * w)
-
-
 def _degenerate_integrals(masa: MasaSpec):
+    """T = 2 M_- at lambda^2 = 1/2: L1 - L2 +- i sqrt(2) L3."""
     (sign,) = masa.params
-    il = I * Exact.sqrt_rational(2) * rat(sign)
-    T = _L(1) - _L(2) + _L(3).scale(il)
-    return [("T", T)]
+    M = _lambda_frame(Fraction(1, 2), sign, [_L(1), _L(2), _L(3)])[0]
+    return [("T", M.scale(rat(2)))]
 
 
 def _ambient_p_squared(n: int) -> PhaseRational:
@@ -391,6 +374,10 @@ class Model:
     separable: Callable | None = None
 
 
+# the separable form at lambda^2 = 1/2, on the branch masa.params = (sign,)
+_DEGENERATE = Model(
+    _degenerate_integrals, potential=partial(_lambda_separable_potential, Fraction(1, 2))
+)
 MODELS = {
     # the su(2) quadratic Casimir reduces to twice the Hamiltonian in the
     # normalization of casimir_element
@@ -409,8 +396,8 @@ MODELS = {
         H + (_sq(_kP(0)) + _sq(_kP(1)).scale(rat(2))).scale(rat(Fraction(1, 3))),
     )),
     # no sum relation: the projected Casimir fit over {H, 1, k_i k_j} is inconsistent
-    "degenerate_plus": Model(_degenerate_integrals, potential=degenerate_potential),
-    "degenerate_minus": Model(_degenerate_integrals, potential=degenerate_potential),
+    "degenerate_plus": _DEGENERATE,
+    "degenerate_minus": _DEGENERATE,
 }
 
 

@@ -363,6 +363,7 @@ def test_grid_size_out_of_range_exits_2(capsys, argv, N):
         ("scan --model lambda --lambda2 0:0.4:1e-7", "1000 points"),
         ("scan --model lambda --lambda2 a:b:c", "a:b:c"),
         ("scan --model lambda --lambda2 0.1:0.2:nan", "0.1:0.2:nan"),  # was one point
+        ("scan --model lambda --lambda2 0.5:0.1:0.05", "0.5:0.1:0.05"),  # was no point
         ("spectrum --model poschl_teller --gminus 2 --gplus 3 --tol-match -1", "--tol-match"),
         ("spectrum --model chi --ell3 2 --composite 5 --tol-match nan", "--tol-match"),
         ("spectrum --model s1 --gminus 2 --gplus 3 --tol-match inf", "--tol-match"),
@@ -385,6 +386,7 @@ def test_grid_size_bounds_are_accepted(capsys):
     assert main([*s1, "--K", "1"]) == 0
     assert main(["spectrum", "--model", "degenerate", "--alpha", "2", "--q", "140"]) == 0
     assert len(_parse_grid("0:0.999:0.001")) == 1000
+    assert _parse_grid("0.5:0.5:0.1") == [0.5]
     with pytest.raises(ConfigError, match="more than 1000 points"):
         _parse_grid("0:1:0.001")
 

@@ -219,3 +219,14 @@ def test_real_rationals_hash_as_their_fraction():
         assert q in {x} and x in {q} and {q: 1}.get(x) == 1
     assert 3 in {rat(6) / 2}
     assert rat(1, 2) != Fraction(1, 2)  # rat(re, im): this is 1 + 2i
+
+
+def test_gaussian_rationals_hash_as_python_complex():
+    # rat(3, 2) == 3 + 2j, so they must hash alike; a complex with
+    # non-integer parts compares unequal but is hashed by the same rule
+    for z in (3 + 2j, 1j, -1j, -5 - 7j, 2**53 - 3j, 0.5 + 0.25j, complex(1 / 3, -1 / 7)):
+        x = rat(Fraction(z.real), Fraction(z.imag))
+        assert hash(x) == hash(z)
+    for z in (3 + 2j, 1j, -5 - 7j, 2**53 - 3j):
+        x = rat(int(z.real), int(z.imag))
+        assert x == z and z in {x} and x in {z} and {z: 1}.get(x) == 1

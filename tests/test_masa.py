@@ -7,9 +7,11 @@ from ptsphere.errors import (
     UnknownName,
     UnsupportedRank,
 )
+from ptsphere.exact import ZERO
 from ptsphere.masa import (
     catalog_masa,
     classify_pt,
+    lambda_frame,
     load_masa_file,
     masa_from_coeffs,
     save_masa_file,
@@ -18,6 +20,7 @@ from ptsphere.masa import (
 )
 
 from catalog_models import models
+from lambda_reference import degenerate_rows, lambda_rows
 
 
 @pytest.mark.parametrize("name,kw", models())
@@ -105,3 +108,34 @@ def test_degenerate_bases_differ_by_sign_swap():
     mm = catalog_masa("degenerate_minus")
     assert validate_masa(mp).passed and validate_masa(mm).passed
     assert any((a - b).is_zero() is False for a, b in zip(mp.matrices, mm.matrices))
+
+
+LAMBDA2_PINS = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(2, 7), Fraction(9, 20),
+                Fraction(1, 10**6)]
+
+
+@pytest.mark.parametrize("lam2", LAMBDA2_PINS, ids=str)
+def test_lambda_frame_gives_the_printed_rows(lam2):
+    m = catalog_masa("lambda", lambda2=lam2)
+    ref = masa_from_coeffs(3, lambda_rows(lam2))
+    assert m.coeffs == ref.coeffs
+    assert m.matrices == ref.matrices
+
+
+@pytest.mark.parametrize("name, sign", [("degenerate_plus", 1), ("degenerate_minus", -1)])
+def test_degenerate_frame_gives_the_rescaled_rows(name, sign):
+    m = catalog_masa(name)
+    ref = masa_from_coeffs(3, degenerate_rows(sign))
+    assert m.params == (sign,)
+    assert m.coeffs == ref.coeffs
+    assert m.matrices == ref.matrices
+
+
+@pytest.mark.parametrize("lam2", LAMBDA2_PINS + [Fraction(1, 2)], ids=str)
+def test_lambda_frame_rows_are_orthogonal_of_square_e2(lam2):
+    for sign in (1, -1):
+        rows = lambda_frame(lam2, sign)
+        for i, r in enumerate(rows):
+            for j, q in enumerate(rows):
+                dot = sum((x * y for x, y in zip(r, q)), ZERO)
+                assert dot == (1 - 2 * lam2 if i == j else 0)

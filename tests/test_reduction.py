@@ -22,10 +22,10 @@ from ptsphere.phase import (
     sample_vals,
 )
 from ptsphere.reduction import (
+    angular_momentum,
     build_hamiltonian,
     build_potential,
     casimir_projection_report,
-    degenerate_potential,
     generator_images,
     jacobian_check,
     momentum_map,
@@ -280,18 +280,22 @@ def test_su2ab_potential_on_circle():
 
 
 def test_degenerate_potential_closed_form():
-    # V = alpha^2 / w^2 with w = s1 - s2 + i sqrt(2) s3 and
-    # alpha^2 = 4 k1^2 + 4 k2^2 - 2 k3^2
-    V = degenerate_potential(+1)
-    irt2 = I * Exact.sqrt_rational(2)
-    for seed in (3, 17):
-        rng = random.Random(seed)
-        vals = sample_vals(rng, 3)
-        s1, s2, s3 = vals[0], vals[1], vals[2]
-        k1, k2, k3 = vals[6], vals[7], vals[8]
-        w = s1 - s2 + irt2 * s3
-        alpha2 = rat(4) * (k1 * k1 + k2 * k2) - rat(2) * k3 * k3
-        assert V.eval(vals) == alpha2 / (w * w)
+    # on both branches: V = alpha^2 / w^2 with w = s1 - s2 +- i sqrt(2) s3
+    # and alpha^2 = 4 k1^2 + 4 k2^2 - 2 k3^2, and T = L1 - L2 +- i sqrt(2) L3
+    L1, L2, L3 = (angular_momentum(i) for i in (1, 2, 3))
+    for name, sign in (("degenerate_plus", 1), ("degenerate_minus", -1)):
+        irt2 = I * Exact.sqrt_rational(2) * rat(sign)
+        sysr = build_hamiltonian(build_masa(name))
+        assert [n for n, _ in sysr.integrals] == ["T"]
+        assert sysr.integrals[0][1].agrees_with(L1 - L2 + L3.scale(irt2))
+        for seed in (3, 17):
+            rng = random.Random(seed)
+            vals = sample_vals(rng, 3)
+            s1, s2, s3 = vals[0], vals[1], vals[2]
+            k1, k2, k3 = vals[6], vals[7], vals[8]
+            w = s1 - s2 + irt2 * s3
+            alpha2 = rat(4) * (k1 * k1 + k2 * k2) - rat(2) * k3 * k3
+            assert sysr.potential.eval(vals) == alpha2 / (w * w)
 
 
 def _reference_potential(masa, vals):
