@@ -92,6 +92,16 @@ class MasaSpec:
     def size(self) -> int:
         return len(self.matrices)
 
+    def __hash__(self) -> int:
+        # the fields' hash, computed once: it keys the reduction's build
+        # cache, and hashing every Exact entry anew costs up to 0.1 ms
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.n, self.coeffs, self.matrices, self.name, self.params, self.parity))
+            object.__setattr__(self, "_hash", h)
+            return h
+
 
 @dataclass
 class MasaReport:

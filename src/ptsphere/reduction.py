@@ -26,6 +26,14 @@ combination of the generator images, and every image has the same
 denominator det A and hence the same poles.  verify_homomorphism and
 casimir_projection_report read only the images' values at each point.
 
+Each MASA is reduced once per process.  det A and y, the n^2 generator
+images, (V, H) and the catalog integrals are kept per MASA (the last two per
+MASA and MODELS entry, so a changed entry is rebuilt), the most recent
+BUILD_CACHE_SIZE of each.  The kept objects are never changed, and each
+PhasePoly keeps its int form, so a second verdict builds nothing before it
+evaluates.  build_hamiltonian, integrals_catalog and generator_images return
+new lists and a new ReducedSystem around them, which a caller may change.
+
 The lambda family is written once, as masa.lambda_frame's rows: on s they
 give the w's of the separable potential, on L the M's of the integrals.  The
 degenerate models take both at lambda^2 = 1/2: the separable form there, and
@@ -37,7 +45,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 from math import prod
 from typing import Callable, Sequence
@@ -93,6 +101,11 @@ def angular_momentum(i: int) -> PhasePoly:
 
 # -- the reduction proper ------------------------------------------------------
 
+# how many MASAs (for (V, H) and the integrals: MASA and MODELS entry pairs)
+# keep their builds in one process
+BUILD_CACHE_SIZE = 32
+_kept = lru_cache(maxsize=BUILD_CACHE_SIZE)
+
 
 def build_A(masa: MasaSpec):
     """A_{mu nu} = (Z_nu)_{mu sigma} s_sigma, a matrix of linear polynomials."""
@@ -133,20 +146,22 @@ def _cofactors(A) -> tuple[PhasePoly, list[list[PhasePoly]]]:
     return det, adj
 
 
-def _det_and_y(masa: MasaSpec) -> tuple[PhasePoly, list[PhasePoly]]:
+@_kept
+def _det_and_y(masa: MasaSpec) -> tuple[PhasePoly, tuple[PhasePoly, ...]]:
     """det A and y = adj(A)^T k, the vector both the potential and the
     symmetric generator images are read from."""
     n = masa.n
     det, adj = _cofactors(build_A(masa))
     if det.is_zero():
         raise DegenerateMasa("A matrix is identically singular")
-    y = [
+    y = tuple(
         sum((PhasePoly.k(n, a) * adj[a][b] for a in range(n) if adj[a][b].terms), PhasePoly(n))
         for b in range(n)
-    ]
+    )
     return det, y
 
 
+@_kept
 def build_potential(masa: MasaSpec) -> PhaseRational:
     """V(k, s) = k^T (-A^T A)^{-1} k = -sum_b y_b^2 / det(A)^2, since
     (-A^T A)^{-1} = -adj(A) adj(A)^T / det(A)^2."""
@@ -154,32 +169,44 @@ def build_potential(masa: MasaSpec) -> PhaseRational:
     return PhaseRational(-sum((yb * yb for yb in y), PhasePoly(masa.n)), det * det)
 
 
-def _generator_images(masa: MasaSpec, indices) -> tuple[PhasePoly, dict[int, PhasePoly]]:
-    """det A and, for each requested basis generator g, the numerator of its
-    image over det A: p^T g s det A for antisymmetric g, y^T g s for
-    symmetric g."""
+@_kept
+def _generator_nums(masa: MasaSpec) -> tuple[PhasePoly, ...]:
+    """For each basis generator g, the numerator of its image over det A:
+    p^T g s det A for antisymmetric g, y^T g s for symmetric g."""
     n = masa.n
     basis = build_generators(n)
     det, y = _det_and_y(masa)
-    nums = {}
-    for gi in indices:
-        g = basis.generators[gi]
-        sym = basis.symmetric_flags[gi]
-        left = y if sym else [PhasePoly.p(n, a) for a in range(n)]
+    p = [PhasePoly.p(n, a) for a in range(n)]
+    nums = []
+    for g, sym in zip(basis.generators, basis.symmetric_flags):
+        left = y if sym else p
         num = PhasePoly(n)
         for a in range(n):
             for b in range(n):
                 e = g.entries[a][b]
                 if not e.is_zero():
                     num = num + (left[a] * PhasePoly.s(n, b)).scale(e)
-        nums[gi] = num if sym else num * det
-    return det, nums
+        nums.append(num if sym else num * det)
+    return tuple(nums)
+
+
+def _generator_images(masa: MasaSpec, indices) -> tuple[PhasePoly, dict[int, PhasePoly]]:
+    """det A and a new dict of the numerators of the requested generators'
+    images over it."""
+    nums = _generator_nums(masa)
+    return _det_and_y(masa)[0], {gi: nums[gi] for gi in indices}
+
+
+@_kept
+def _images(masa: MasaSpec) -> tuple[PhaseRational, ...]:
+    """The n^2 generator images, each its numerator over det A."""
+    det = _det_and_y(masa)[0]
+    return tuple(PhaseRational(num, det) for num in _generator_nums(masa))
 
 
 def generator_images(masa: MasaSpec) -> list[PhaseRational]:
     """The images of the n^2 basis generators, all over the denominator det A."""
-    det, nums = _generator_images(masa, range(build_generators(masa.n).size))
-    return [PhaseRational(num, det) for num in nums.values()]
+    return list(_images(masa))
 
 
 def momentum_map(X: ExactMatrix, masa: MasaSpec) -> PhaseRational:
@@ -405,24 +432,37 @@ def integrals_catalog(masa: MasaSpec):
     """The displayed phase-space integrals for a named catalog model."""
     if masa.name not in MODELS:
         raise UnknownName(f"no catalog integrals for {masa.name!r}")
-    build = MODELS[masa.name].integrals
-    return build(masa) if build else build_hamiltonian(masa).integrals
+    model = MODELS[masa.name]
+    return list(_integrals(masa, model)) if model.integrals else build_hamiltonian(masa).integrals
+
+
+@_kept
+def _integrals(masa: MasaSpec, model: Model) -> tuple:
+    """model.integrals(masa) as (name, T) pairs; the key holds the MODELS
+    entry, so replacing it builds anew."""
+    return tuple(model.integrals(masa))
+
+
+@_kept
+def _potential_of(masa: MasaSpec, model: Model | None) -> tuple[PhaseRational, PhaseRational]:
+    V = model.potential(*masa.params) if model and model.potential else build_potential(masa)
+    return V, _ambient_p_squared(masa.n) + V
 
 
 def _potential(masa: MasaSpec) -> tuple[PhaseRational, PhaseRational]:
     """(V, H = p.p + V): the model's own potential if it has one, else
     build_potential; no integral is built."""
-    model = MODELS.get(masa.name)
-    V = model.potential(*masa.params) if model and model.potential else build_potential(masa)
-    return V, _ambient_p_squared(masa.n) + V
+    return _potential_of(masa, MODELS.get(masa.name))
 
 
 def build_hamiltonian(masa: MasaSpec) -> ReducedSystem:
+    """A new ReducedSystem, with a new integrals list, around the kept
+    (V, H) and integrals; su2ab's one integral is H itself."""
     model = MODELS.get(masa.name)
     V, H = _potential(masa)
     sys = ReducedSystem(masa, V, H)
     if model:
-        sys.integrals = model.integrals(masa) if model.integrals else [("H", H)]
+        sys.integrals = list(_integrals(masa, model)) if model.integrals else [("H", H)]
     return sys
 
 
@@ -565,6 +605,14 @@ def _bracket_with(basis, i: int, z: dict[int, Exact]) -> dict[int, Exact]:
     return {l: out[l] for l in sorted(out) if not out[l].is_zero()}
 
 
+@_kept
+def _corrections(masa: MasaSpec) -> tuple[tuple[dict[int, Exact], ...], ...]:
+    """[X_i, Z_mu] in the basis, for every generator i and MASA element mu."""
+    basis = build_generators(masa.n)
+    zs = [basis.expand_in_basis(Z) for Z in masa.matrices]
+    return tuple(tuple(_bracket_with(basis, i, z) for z in zs) for i in range(basis.size))
+
+
 def verify_homomorphism(
     masa: MasaSpec, npoints: int = 30, seed: int = 20230411
 ) -> RelationReport:
@@ -589,8 +637,7 @@ def verify_homomorphism(
     n = masa.n
     basis = build_generators(n)
     maps = generator_images(masa)
-    zs = [basis.expand_in_basis(Z) for Z in masa.matrices]
-    corr = {i: [_bracket_with(basis, i, z) for z in zs] for i in range(basis.size)}
+    corr = _corrections(masa)
 
     def residuals(vals):
         # one gradient per map per point; pairs then combine values only

@@ -546,3 +546,115 @@ def test_jacobian_residuals_small():
     jc = jacobian_check(build_masa("su2ab"), [0.21, -0.35], [0.6, 0.8])
     for key, val in jc.residuals.items():
         assert val < 1e-9, (key, val)
+
+
+# -- one build per MASA ---------------------------------------------------------
+
+
+@pytest.fixture
+def cold_builds():
+    """Forget every kept reduction build, so a test sees each one built."""
+    for f in vars(reduction).values():
+        if hasattr(f, "cache_clear") and f.__module__ == reduction.__name__:
+            f.cache_clear()
+
+
+def _count_integral_builds(monkeypatch):
+    built = {}
+    for name, model in list(reduction.MODELS.items()):
+        if model.integrals:
+            def counting(masa, real=model.integrals):
+                built[masa.name] = built.get(masa.name, 0) + 1
+                return real(masa)
+
+            monkeypatch.setitem(
+                reduction.MODELS, name, dataclasses.replace(model, integrals=counting)
+            )
+    return built
+
+
+def _builds():
+    return (reduction._det_and_y.cache_info().misses, reduction._potential_of.cache_info().misses)
+
+
+@pytest.mark.parametrize("argv,model", [
+    (["reduce", "--model", "cartan_od", "--seed", "5"], "cartan_od"),
+    (["verify", "--model", "lambda", "--seed", "7"], "lambda"),
+])
+def test_a_command_builds_each_piece_once(argv, model, cold_builds, monkeypatch, capsys):
+    # det A and y, (V, H) and the integrals: 9/3/2 and 3/2/2 builds before
+    # they were kept
+    from ptsphere.cli import main
+
+    built = _count_integral_builds(monkeypatch)
+    assert main(argv) == 0
+    assert (_builds(), built) == ((1, 1), {model: 1})
+
+
+def test_a_second_conservation_verdict_builds_nothing(cold_builds, monkeypatch):
+    built = _count_integral_builds(monkeypatch)
+    masa = build_masa("cartan_od")
+    assert verify_conservation(masa, trials=1).passed
+    assert (_builds(), built) == ((1, 1), {"cartan_od": 1})
+    assert verify_conservation(build_masa("cartan_od"), trials=1).passed
+    assert (_builds(), built) == ((1, 1), {"cartan_od": 1})
+
+
+def test_equal_masas_share_a_build_and_other_parameters_miss(cold_builds):
+    first, again = build_masa("cartan_od"), build_masa("cartan_od")
+    assert first is not again and first == again and hash(first) == hash(again)
+    assert dataclasses.replace(first, name=None) != first
+    kept = reduction._det_and_y(first)
+    assert reduction._det_and_y(again) is kept
+    other = catalog_masa("cartan_od", a=Fraction(3), b=Fraction(2, 7))
+    assert other != first and reduction._det_and_y(other) is not kept
+    assert reduction._det_and_y.cache_info()[:2] == (1, 2)  # hits, misses
+
+
+def test_a_changed_models_entry_is_rebuilt(monkeypatch):
+    # the kept integrals are keyed on the MODELS entry too, so a T2 with s_1
+    # added after a first verdict is the one the second verdict checks
+    masa = build_masa("cartan_od")
+    assert verify_conservation(masa).passed
+    model = reduction.MODELS["cartan_od"]
+
+    def perturbed(m):
+        return [(name, T + _s1() if name == "T2" else T) for name, T in model.integrals(m)]
+
+    monkeypatch.setitem(
+        reduction.MODELS, "cartan_od", dataclasses.replace(model, integrals=perturbed)
+    )
+    with pytest.raises(RelationFailed, match=r"^\{H, T2\}_D nonzero for cartan_od$"):
+        verify_conservation(masa)
+
+
+def test_callers_cannot_change_the_kept_builds():
+    masa = build_masa("cartan_od")
+    images = generator_images(masa)
+    kept = list(images)
+    images[1] = images[1] + _s1()
+    images.pop()
+    assert generator_images(masa) == kept is not images
+    assert all(a is b for a, b in zip(generator_images(masa), kept))
+
+    lam = build_masa("lambda")
+    integrals = reduction.integrals_catalog(lam)
+    kept = list(integrals)
+    integrals[2] = ("T3", integrals[2][1] + _s1())
+    assert reduction.integrals_catalog(lam) == kept
+
+    sysr = build_hamiltonian(masa)
+    name, T = sysr.integrals[1]
+    sysr.integrals[1] = (name, T + _s1())
+    again = build_hamiltonian(masa)
+    assert again is not sysr and again.integrals[1] == (name, T)
+    assert verify_conservation(masa).passed
+
+
+def test_su2ab_integral_is_its_hamiltonian():
+    # verify_conservation takes one gradient for T is H
+    masa = build_masa("su2ab")
+    sysr = build_hamiltonian(masa)
+    assert [T for _, T in sysr.integrals] == [sysr.hamiltonian]
+    assert sysr.integrals[0][1] is sysr.hamiltonian
+    assert reduction.integrals_catalog(masa)[0][1] is build_hamiltonian(masa).hamiltonian
