@@ -28,14 +28,13 @@ from .masa import (
 )
 from . import reduction
 from . import spectral
+from .phase import DEFAULT_SEED
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
 # accepted --N range of spectrum and scan (--K: 1..MAX_GRID_N)
 MAX_GRID_N = 65536
 # most points a scan --lambda2 grid may have (the default grid has 14)
 MAX_SCAN_POINTS = 1000
-# --seed of reduce and verify when not given
-DEFAULT_SEED = 20230411
 # the model-parameter flags of spectrum; each model reads some of them
 SPECTRUM_FLAGS = "--a --b --k1 --k2 --gminus --gplus --ell3 --composite --alpha --q --N --K"
 # per spectrum model: the flags of SPECTRUM_FLAGS it reads, and its
@@ -146,6 +145,15 @@ def _emit(args, doc, csv_rows=None, csv_header=None):
 # -- subcommands ----------------------------------------------------------------
 
 
+def _classify_pt(doc, masa):
+    # the PT signs under the MASA's parity, or why there are none; no exit status reads it
+    if masa.parity is not None:
+        try:
+            doc["pt_classification"] = list(classify_pt(masa, masa.parity))
+        except PtsphereError as exc:
+            doc["pt_classification"] = f"failed: {exc}"
+
+
 def cmd_validate(args) -> int:
     masa = _build_masa(args)
     rep = validate_masa(masa)
@@ -155,11 +163,7 @@ def cmd_validate(args) -> int:
     doc["commuting"] = rep.commuting_ok
     doc["independent"] = rep.independent_ok
     doc["failures"] = [list(map(str, f)) for f in rep.failures]
-    if masa.parity is not None:
-        try:
-            doc["pt_classification"] = list(classify_pt(masa, masa.parity))
-        except PtsphereError as exc:
-            doc["pt_classification"] = f"failed: {exc}"
+    _classify_pt(doc, masa)
     _emit(args, doc)
     return EXIT_OK if rep.passed else EXIT_FAIL
 
@@ -210,8 +214,7 @@ def cmd_reduce(args) -> int:
         doc["failures"] = [list(map(str, f)) for f in vrep.failures]
         _emit(args, doc)
         return EXIT_FAIL
-    if masa.parity is not None:
-        doc["pt_classification"] = list(classify_pt(masa, masa.parity))
+    _classify_pt(doc, masa)
     sysr = reduction.build_hamiltonian(masa)
     doc["potential"] = repr(sysr.potential)
     doc["hamiltonian"] = repr(sysr.hamiltonian)

@@ -354,8 +354,9 @@ class Exact:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def conjugate(self) -> "Exact":

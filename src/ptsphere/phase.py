@@ -74,6 +74,7 @@ __all__ = [
 ]
 
 MAX_RESAMPLES = 100
+DEFAULT_SEED = 20230411  # of every sampled verdict given no seed
 
 
 def _poly(n: int, terms: dict[tuple[int, ...], Exact]) -> "PhasePoly":
@@ -242,8 +243,9 @@ class PhasePoly:
         while m:
             if m & 1:
                 out = out * base
-            base = base * base
             m >>= 1
+            if m:
+                base = base * base
         return out
 
     def deriv(self, index: int) -> "PhasePoly":
@@ -715,7 +717,7 @@ def first_nonzero_residual(
 
 
 def func_vanishes_on_constraint(
-    func: Callable[[Sequence[Exact]], Exact], n: int, trials: int, seed: int = 20230411
+    func: Callable[[Sequence[Exact]], Exact], n: int, trials: int, seed: int = DEFAULT_SEED
 ) -> bool:
     """func is zero at trials pole-free sampled points of the constraint
     variety; a rational identity wants max(20, 1 + degree) of them."""

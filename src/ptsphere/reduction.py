@@ -16,15 +16,15 @@ turns them into det A and the vector y = adj(A)^T k.  y has two readers:
 
 - build_potential: adj(-A^T A) = (-1)^(n-1) adj(A) adj(A)^T and
   det(-A^T A) = (-1)^n det(A)^2, so V = -sum_b y_b^2 / det(A)^2;
-- _generator_images: a symmetric generator g maps to y^T g s / det A, an
+- _generator_nums: a symmetric generator g maps to y^T g s / det A, an
   antisymmetric one to p^T g s.
 
-Momentum maps have this one construction path.  The map is linear, so every
-other image (momentum_map of any X, the bracket and correction images in
-verify_homomorphism, the factors of project_env_element) is a fixed
-combination of the generator images, and every image has the same
-denominator det A and hence the same poles.  verify_homomorphism and
-casimir_projection_report read only the images' values at each point.
+Momentum maps have this one construction path: project_env_element sums an
+enveloping element's words, products of generator numerators, over det A^L
+for words of length at most L; momentum_map is its linear case, over det A.
+Every image thus has the poles of det A.  verify_homomorphism and
+casimir_projection_report read only the generator images' values at each
+point, and combine them into the bracket and correction images.
 
 Each MASA is reduced once per process.  det A and y, the n^2 generator
 images, (V, H) and the catalog integrals are kept per MASA (the last two per
@@ -56,6 +56,7 @@ from .lie import EnvElement, build_generators, casimir_element
 from .masa import MasaSpec, lambda_frame
 from .matrices import ExactMatrix, mat_exp_numeric, row_reduce
 from .phase import (
+    DEFAULT_SEED,
     PhasePoly,
     PhaseRational,
     _bracket_of_gradients,
@@ -190,13 +191,6 @@ def _generator_nums(masa: MasaSpec) -> tuple[PhasePoly, ...]:
     return tuple(nums)
 
 
-def _generator_images(masa: MasaSpec, indices) -> tuple[PhasePoly, dict[int, PhasePoly]]:
-    """det A and a new dict of the numerators of the requested generators'
-    images over it."""
-    nums = _generator_nums(masa)
-    return _det_and_y(masa)[0], {gi: nums[gi] for gi in indices}
-
-
 @_kept
 def _images(masa: MasaSpec) -> tuple[PhaseRational, ...]:
     """The n^2 generator images, each its numerator over det A."""
@@ -210,32 +204,32 @@ def generator_images(masa: MasaSpec) -> list[PhaseRational]:
 
 
 def momentum_map(X: ExactMatrix, masa: MasaSpec) -> PhaseRational:
-    """The reduced phase-space image of a u(n) generator combination.
-
-    The map is defined on the real generator basis (p^T g s for antisymmetric
-    g, k^T A^{-1} g s for symmetric g) and extended complex-linearly, which
-    reproduces Zhat_rho = k_rho for every MASA generator: the numerators of
-    the generators X uses are summed over the shared denominator det A.
-    """
+    """The reduced phase-space image of a u(n) generator combination: the
+    projection of its basis expansion, a linear enveloping element.  The map
+    is defined on the real generator basis (p^T g s for antisymmetric g,
+    k^T A^{-1} g s for symmetric g) and extended complex-linearly, which
+    reproduces Zhat_rho = k_rho for every MASA generator."""
     coeffs = build_generators(masa.n).expand_in_basis(X)
-    det, nums = _generator_images(masa, coeffs)
-    num = PhasePoly(masa.n)
-    for gi, c in coeffs.items():
-        num = num + nums[gi].scale(c)
-    return PhaseRational(num, det)
+    return project_env_element(EnvElement.linear(coeffs), masa)
 
 
 def project_env_element(e: EnvElement, masa: MasaSpec) -> PhaseRational:
     """Classical projection: substitute X_i -> generator_images(masa)[i],
-    products commute.  Symmetrized pairs {A,B} therefore land on 2*Ahat*Bhat."""
-    images = generator_images(masa)
-    out = PhaseRational.const(masa.n, 0)
+    products commute.  Symmetrized pairs {A,B} therefore land on 2*Ahat*Bhat.
+    Each image is its numerator over det A, so with L the longest word's
+    length, c * word w adds c prod_{i in w} nums[i] det A^(L - |w|) to the
+    one numerator over det A^L."""
+    det, nums, L = _det_and_y(masa)[0], _generator_nums(masa), e.degree()
+    powers = {1: det} if L else {0: PhasePoly.const(masa.n, 1)}  # det A^k
+    for k in range(2, L + 1):
+        powers[k] = powers[k - 1] * det
+    num = PhasePoly(masa.n)
     for word, c in e.terms.items():
-        term = PhaseRational.const(masa.n, c)
-        for gi in word:
-            term = term * images[gi]
-        out = out + term
-    return out
+        factors = [nums[gi] for gi in word]
+        if len(word) < L or not word:
+            factors.append(powers[L - len(word)])
+        num = num + prod(factors[1:], start=factors[0].scale(c))
+    return PhaseRational(num, powers[L])
 
 
 # -- named-model scaffolding ---------------------------------------------------
@@ -500,7 +494,7 @@ def _equal_on_constraint(
     return RelationReport(f"{key}[{masa.name}]", True, trials)
 
 
-def verify_sum_relation(masa: MasaSpec, seed: int = 20230411) -> RelationReport:
+def verify_sum_relation(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationReport:
     """The displayed over-completeness relation of the named model."""
     relation = getattr(MODELS.get(masa.name), "sum_relation", None)
     if relation is None:
@@ -510,7 +504,7 @@ def verify_sum_relation(masa: MasaSpec, seed: int = 20230411) -> RelationReport:
     return _equal_on_constraint("sum_relation", masa, lhs, rhs, seed)
 
 
-def verify_separable_potential(masa: MasaSpec, seed: int = 20230411) -> RelationReport:
+def verify_separable_potential(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationReport:
     """The reduced potential equals the model's separated form on s.s = 1."""
     separable = getattr(MODELS.get(masa.name), "separable", None)
     if separable is None:
@@ -531,7 +525,7 @@ def verify_masa_reduction(masa: MasaSpec) -> RelationReport:
 
 
 def casimir_projection_report(
-    masa: MasaSpec, seed: int = 20230411, npoints: int | None = None
+    masa: MasaSpec, seed: int = DEFAULT_SEED, npoints: int | None = None
 ) -> RelationReport:
     """Exact linear fit of the projected quadratic Casimir over the span
     {H, 1, k_i k_j}; the multiplicative and additive constants are reported,
@@ -564,7 +558,7 @@ def casimir_projection_report(
 
 
 def verify_conservation(
-    masa: MasaSpec, trials: int | None = None, seed: int = 20230411
+    masa: MasaSpec, trials: int | None = None, seed: int = DEFAULT_SEED
 ) -> RelationReport:
     """{H, T}_Dirac vanishes on the constraint surface for every catalog
     integral, tested pointwise with exact arithmetic.  A MASA outside the
@@ -614,7 +608,7 @@ def _corrections(masa: MasaSpec) -> tuple[tuple[dict[int, Exact], ...], ...]:
 
 
 def verify_homomorphism(
-    masa: MasaSpec, npoints: int = 30, seed: int = 20230411
+    masa: MasaSpec, npoints: int = 30, seed: int = DEFAULT_SEED
 ) -> RelationReport:
     """{Xhat_i, Xhat_j} equals the image of [X_i, X_j] at sampled points.
 
@@ -695,7 +689,7 @@ def _fit_exact(aug: list[list[Exact]], names: Sequence[str]):
 
 
 def racah_structure_report(
-    masa: MasaSpec, seed: int = 20230411, npoints: int = 40, with_fits: bool = True
+    masa: MasaSpec, seed: int = DEFAULT_SEED, npoints: int = 40, with_fits: bool = True
 ) -> RacahReport:
     """Classical Racah-type structure of the integrals T1, T2 and T3 of a
     catalog model that has them.

@@ -197,6 +197,22 @@ def test_masa_file_gets_no_catalog_check(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("command", ["validate", "reduce"])
+def test_pt_incompatible_parity_is_reported(tmp_path, capsys, command):
+    # su2ab's file with its second generator mixed: still a MASA, but that
+    # generator is neither even nor odd under the parity.  Both commands
+    # report so and exit by their checks
+    second = [{"re": "0", "im": "0"}, {"re": "1", "im": "-1"}, {"re": "1", "im": "0"}]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(dict(SU2AB_MASA, generators=[SU2AB_MASA["generators"][0], second])))
+    code, out = _run([command, "--masa", str(path)], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["masa_valid"] is True
+    assert doc["pt_classification"] == "failed: generator 1 is neither even nor odd"
+    if command == "reduce":
+        assert doc["identities"]["zhat_eq_k"]["passed"] is True
+
+
 @pytest.mark.parametrize("command", ["validate", "reduce", "verify"])
 @pytest.mark.parametrize(
     "flag, value", [("--model", "su2ab"), ("--a", "2"), ("--b", "1"), ("--lambda2", "1/4")]

@@ -51,6 +51,21 @@ def test_inverse_of_radical_mix():
     assert (w * w.inverse()) == ONE
 
 
+@pytest.mark.parametrize("m", range(6))
+def test_power_is_the_repeated_product_with_no_square_past_the_last_bit(m, monkeypatch):
+    x = I * Exact.sqrt_rational(3) + rat(Fraction(1, 2))
+    repeated = ONE
+    for _ in range(m):
+        repeated = repeated * x
+    real, calls = Exact.__mul__, []
+    monkeypatch.setattr(Exact, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    power = x ** m
+    monkeypatch.undo()
+    assert power == repeated
+    # one product per set bit of m and one square between consecutive bits
+    assert len(calls) == (m.bit_count() + m.bit_length() - 1 if m else 0)
+
+
 def test_power_and_division():
     assert rat(3) ** 4 == rat(81)
     assert (I ** 2) == rat(-1)

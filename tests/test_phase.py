@@ -21,6 +21,7 @@ from ptsphere.phase import (
     pole_free_values,
     sample_vals,
 )
+from ptsphere.reduction import _det_and_y
 
 from catalog_models import build_masa, models
 
@@ -167,6 +168,21 @@ def test_poly_arithmetic_matches_exact_reference():
     assert (polys[4] * polys[5]).terms == {(0,) * (3 * N): rat(-1)}
     assert polys[6] * polys[7] == x * x - (y * y).scale(2)
     assert (polys[0] * polys[-1]).is_zero() and (polys[0] - polys[0]).is_zero()
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_power_is_the_repeated_product_with_no_square_past_the_last_bit(m, monkeypatch):
+    f = _det_and_y(build_masa("cartan_od"))[0]
+    repeated = PhasePoly.const(N, 1)
+    for _ in range(m):
+        repeated = repeated * f
+    real, calls = PhasePoly.__mul__, []
+    monkeypatch.setattr(PhasePoly, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    power = f ** m
+    monkeypatch.undo()
+    assert power == repeated
+    # one product per set bit of m and one square between consecutive bits
+    assert len(calls) == (m.bit_count() + m.bit_length() - 1 if m else 0)
 
 
 def test_poly_product_obeys_the_radical_rule():

@@ -4,13 +4,14 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import islice
+from math import prod
 
 import pytest
 
 from ptsphere import reduction
 from ptsphere.errors import DegenerateMasa, FitUnderdetermined, RelationFailed, UnknownName
-from ptsphere.exact import Exact, I, ONE, rat
-from ptsphere.lie import build_generators, casimir_element
+from ptsphere.exact import ZERO, Exact, I, ONE, rat
+from ptsphere.lie import EnvElement, build_generators, casimir_element
 from ptsphere.masa import CATALOG_NAMES, catalog_masa, masa_from_coeffs
 from ptsphere.matrices import ExactMatrix, exact_inverse
 from ptsphere.phase import (
@@ -152,20 +153,21 @@ def test_homomorphism_rejects_a_perturbed_generator_image(name, kw, monkeypatch)
 
 @pytest.mark.parametrize("name,kw", IMAGE_MODELS[:2])
 def test_masa_reduction_names_a_perturbed_generator_image(name, kw, monkeypatch):
-    # s_1 is added to the image of the last MASA generator Z_n only, so
-    # Zhat_n = k_n fails and the failure names it
+    # s_1 is added, with weights, to the images of generators the last MASA
+    # generator Z_n uses; the weights cancel in the expansions of
+    # Z_1..Z_{n-1}, so Zhat_n = k_n alone fails and the failure names it
     masa = catalog_masa(name, **kw)
-    last = build_generators(masa.n).expand_in_basis(masa.matrices[-1])
-    real = reduction._generator_images
+    weights = {"su2ab": {1: 1}, "cartan_od": {0: 2, 1: -1}}[name]
+    real = reduction._generator_nums
 
-    def perturbed(m, indices):
-        det, nums = real(m, indices)
-        if indices == last:
-            gi = next(iter(nums))
-            nums[gi] = nums[gi] + PhasePoly.s(m.n, 0) * det
-        return det, nums
+    def perturbed(m):
+        det = reduction._det_and_y(m)[0]
+        nums = list(real(m))
+        for gi, w in weights.items():
+            nums[gi] = nums[gi] + (PhasePoly.s(m.n, 0) * det).scale(w)
+        return tuple(nums)
 
-    monkeypatch.setattr(reduction, "_generator_images", perturbed)
+    monkeypatch.setattr(reduction, "_generator_nums", perturbed)
     n = masa.n
     with pytest.raises(RelationFailed, match=rf"^Zhat_{n} != k_{n} for {name}$"):
         verify_masa_reduction(masa)
@@ -198,6 +200,23 @@ def test_casimir_values_equal_the_projected_casimir(name, kw, monkeypatch):
     assert len(rows) == 5
     for vals, row in rows:
         assert row[-1] == cas.eval(vals)
+
+
+@pytest.mark.parametrize("name,kw", models("cartan_od", "lambda"))
+def test_mixed_degree_projection_has_one_denominator(name, kw):
+    # the quadratic Casimir plus two linear words: each linear word is
+    # brought over det A^2 by one more factor det A, so the projection's
+    # denominator is det A^2 and no higher power
+    masa = catalog_masa(name, **kw)
+    basis = build_generators(masa.n)
+    e = casimir_element(2, basis) + EnvElement.linear({0: rat(3), basis.size - 1: I})
+    proj = reduction.project_env_element(e, masa)
+    assert proj.den.total_degree() == 2 * reduction._det_and_y(masa)[0].total_degree()
+    images = generator_images(masa)
+    points = pole_free_values(lambda vals: (vals, [f.eval(vals) for f in images]), masa.n, 11)
+    for vals, gen in islice(points, 4):
+        expected = sum((prod((gen[i] for i in w), start=c) for w, c in e.terms.items()), ZERO)
+        assert proj.eval(vals) == expected
 
 
 def test_casimir_fit_and_separable_form_build_only_the_potential(monkeypatch):
