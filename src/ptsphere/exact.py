@@ -19,6 +19,13 @@ inline by the same rules (sqrt(d1)*sqrt(d2) = g*sqrt(r), then one gcd with
 the denominator), with no intermediate dict.  A product of two nonzero parts
 is never zero, and a sum that cancels is ZERO.  Since the canonical form is
 unique, the result is the same, int for int, as the general path's.
+
+A sum of products, sum_k x_k * y_k, is one sum_of_products call on the int
+parts of the operands: the products are summed as ints per denominator
+D_x * D_y, the sums brought over the lcm of those, and the result reduced
+once, with one gcd, instead of once per product and once per partial sum.
+ExactMatrix products and commutators, the u(n) basis expansion and the
+projection of enveloping elements to phase space sum their products so.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from itertools import chain
 from math import gcd, lcm
 from numbers import Rational
 
-__all__ = ["Exact", "ZERO", "ONE", "I", "rat"]
+__all__ = ["Exact", "ZERO", "ONE", "I", "rat", "sum_of_products"]
 
 _HASH_MOD = 1 << sys.hash_info.width
 
@@ -72,6 +79,36 @@ def _add_products(out: dict, parts1, parts2) -> dict:
             c = out.get(r)
             out[r] = (c[0] + re, c[1] + im) if c else (re, im)
     return out
+
+
+def sum_of_products(pairs) -> "Exact":
+    """The sum of x*y over pairs of int parts (x.int_parts(), y.int_parts()).
+
+    The products are summed per denominator D_x*D_y by _add_products, the
+    sums brought over the lcm of those denominators, and the result reduced
+    once, with one gcd; a pair with a zero operand is skipped.  The value is
+    the one the per-pair Exact products and sums give, int for int."""
+    sums = {}  # {D_x*D_y: {d: (re, im)}}
+    for (p1, d1), (p2, d2) in pairs:
+        if p1 and p2:
+            den = d1 * d2
+            acc = sums.get(den)
+            if acc is None:
+                acc = sums[den] = {}
+            _add_products(acc, p1, p2)
+    if len(sums) == 1:
+        (den, acc), = sums.items()
+        return _reduced(acc, den)
+    if not sums:
+        return ZERO
+    L = lcm(*sums)
+    out = {}
+    for den, acc in sums.items():
+        t = L // den
+        for d, (a, b) in acc.items():
+            c = out.get(d)
+            out[d] = (c[0] + a * t, c[1] + b * t) if c else (a * t, b * t)
+    return _reduced(out, L)
 
 
 def _new(num: dict, den: int) -> "Exact":

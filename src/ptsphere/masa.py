@@ -30,6 +30,7 @@ from typing import Sequence
 from .exact import Exact, I, ONE, ZERO, rat
 from .errors import (
     BadBasisIndex,
+    DimensionMismatch,
     NotPTCompatible,
     ParamOutOfRange,
     UnknownName,
@@ -176,15 +177,25 @@ def classify_pt(m: MasaSpec, parity: SignedPermutation) -> tuple[int, ...]:
 
     Potential-level PT invariance additionally needs all signs equal; that
     check is left to the caller.  Raises NotPTCompatible when no sign works
-    for some generator.
+    for some generator.  P has the entries P[image[mu]][mu] = sign[mu], so
+    (P conj(Z) P)[a][b] = sign[pre[a]] sign[b] conj(Z[pre[a]][image[b]]),
+    pre the inverse of image: read off Z without a matrix product.
     """
-    P = parity.matrix()
+    image, sign = parity.image, parity.sign
+    if len(image) != m.n:
+        raise DimensionMismatch(f"{len(image)} != {m.n}")
+    pre = sorted(range(m.n), key=image.__getitem__)  # image[pre[a]] = a
     eps = []
     for i, Z in enumerate(m.matrices):
-        img = P @ Z.conjugate() @ P
-        if (Z - img).is_zero():
+        flat = [x for row in Z.entries for x in row]
+        img = []  # P conj(Z) P, row by row
+        for r in pre:
+            for b in range(m.n):
+                c = Z.entries[r][image[b]].conjugate()
+                img.append(c if sign[r] == sign[b] else -c)
+        if flat == img:
             eps.append(1)
-        elif (Z + img).is_zero():
+        elif flat == [-c for c in img]:
             eps.append(-1)
         else:
             raise NotPTCompatible(f"generator {i} is neither even nor odd")

@@ -1,6 +1,10 @@
 """Exact complex matrices, exact row reduction and the float matrix exponential.
 
 ExactMatrix entries are Exact scalars; equality is entrywise and exact.
+Each entry of a product, and of a commutator AB - BA, is one
+exact.sum_of_products over the int parts of the operands, read once per
+matrix, so it is reduced once.  Arithmetic results are built by the trusted
+constructor _matrix, which skips the coercion of the public one.
 row_reduce is the one exact elimination of the package, one path for
 Gaussian-rational and radical entries alike: it serves ExactMatrix.rank,
 exact_inverse, the u(n) basis expansion (through the inverse cached by
@@ -28,12 +32,27 @@ imports scipy.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .exact import Exact, ONE, ZERO, _add_products, _reduced
+from .exact import Exact, ONE, ZERO, _add_products, _reduced, sum_of_products
 from .errors import DimensionMismatch, SingularMatrix
 
 __all__ = ["ExactMatrix", "mat_exp_numeric", "exact_inverse", "row_reduce"]
+
+
+def _matrix(rows) -> "ExactMatrix":
+    """An ExactMatrix from nonempty rows of Exact values, all of one length
+    (no coercion, no check): the results of the arithmetic below."""
+    m = object.__new__(ExactMatrix)
+    m.entries = tuple(map(tuple, rows))
+    m.rows, m.cols = len(m.entries), len(m.entries[0])
+    return m
+
+
+def _int_rows(entries) -> list[list]:
+    """The int parts (items, den) of every entry, row by row."""
+    return [[x.int_parts() for x in row] for row in entries]
 
 
 class ExactMatrix:
@@ -71,37 +90,36 @@ class ExactMatrix:
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_shape(other)
-        return ExactMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+        return _matrix(
+            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_shape(other)
-        return ExactMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+        return _matrix(
+            [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)
         )
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in row] for row in self.entries])
+        return _matrix([-a for a in row] for row in self.entries)
 
     def scale(self, c) -> "ExactMatrix":
         c = Exact.coerce(c)
-        return ExactMatrix([[c * a for a in row] for row in self.entries])
+        return _matrix([c * a for a in row] for row in self.entries)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} != {other.rows}")
-        ot = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out.append([sum((a * b for a, b in zip(row, col)), ZERO) for col in ot])
-        return ExactMatrix(out)
+        cols = list(zip(*_int_rows(other.entries)))
+        return _matrix(
+            [sum_of_products(zip(row, col)) for col in cols] for row in _int_rows(self.entries)
+        )
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.entries)))
+        return _matrix(zip(*self.entries))
 
     def conjugate(self) -> "ExactMatrix":
-        return ExactMatrix([[a.conjugate() for a in row] for row in self.entries])
+        return _matrix([a.conjugate() for a in row] for row in self.entries)
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.entries for a in row)
@@ -114,7 +132,14 @@ class ExactMatrix:
         self._same_shape(other)
         if self.rows != self.cols:
             raise DimensionMismatch("commutator needs square matrices")
-        return self @ other - other @ self
+        # entry (i, j) is one sum of products: A_ik B_kj and -B_ik A_kj over k
+        a, b = _int_rows(self.entries), _int_rows(other.entries)
+        minus_b = [[([(d, (-x, -y)) for d, (x, y) in p], den) for p, den in row] for row in b]
+        a_cols, b_cols = list(zip(*a)), list(zip(*b))
+        return _matrix(
+            [sum_of_products(chain(zip(ar, bc), zip(mr, ac))) for bc, ac in zip(b_cols, a_cols)]
+            for ar, mr in zip(a, minus_b)
+        )
 
     def rank(self) -> int:
         return len(row_reduce(self.entries, self.cols)[1])

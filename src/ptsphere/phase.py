@@ -30,13 +30,19 @@ differentiation over the same power tables), so no derivative polynomial is
 built to evaluate a gradient; only the symbolic poisson_bracket and deriv
 build them.
 
-PhasePoly.__mul__ works the same way: with each operand's coefficients
-over its own common denominator, it sums every output monomial's int parts
-per radical (exact._add_products, the one product rule of Exact) and reduces
-each output coefficient once, not once per pair of terms.  A one-term
-operand skips the common denominators: it shifts the other operand's
-exponents and makes one Exact product per term.  Arithmetic results are
-built by the trusted constructor _poly, which skips the coercion and checks
+PhasePoly.__mul__ works the same way, through _poly_products, which sums
+f*g over any list of pairs: with each operand's coefficients over its own
+common denominator and every pair brought over one lcm, it sums every output
+monomial's int parts per radical (exact._add_products, the one product rule
+of Exact) and reduces each output coefficient once, not once per pair of
+terms.  Monomials are keyed by their exponents packed into one int, so a
+pair of terms costs one int addition, not a new tuple.  poisson_bracket
+sums its 2n products of derivative numerators, and each numerator its two
+products, in one such call.  A one-term operand of __mul__ skips the common
+denominators: it shifts the other operand's exponents and makes one Exact
+product per term.  _combination sums c * f over pairs of a scalar and a
+PhasePoly, one exact.sum_of_products per output monomial.  Arithmetic
+results are built by the trusted constructor _poly, which skips the coercion and checks
 of the public PhasePoly(n, terms); only sums, which can cancel, drop zero
 terms.  The public constructor rejects an exponent tuple of the wrong
 length or with a negative entry.
@@ -44,19 +50,22 @@ length or with a negative entry.
 A PhaseRational is normalised so that the first term of its den as printed
 (the largest by total degree, then by exponent tuple) has coefficient 1, so
 its printed form does not depend on the order in which its terms were built.
-A zero num gets den 1.
+A zero num gets den 1, as does an omitted den: one shared PhasePoly per n.
+PhasePoly powers are for m >= 0 only; a negative m raises ValueError at
+once, and PhaseRational.__pow__ inverts first.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, islice
 from math import lcm, prod
 from operator import add, getitem, mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .exact import Exact, ONE, ZERO, _add_products, _reduced, rat
+from .exact import Exact, ONE, ZERO, _add_products, _reduced, rat, sum_of_products
 from .errors import DimensionMismatch, SamplingExhausted
 
 __all__ = [
@@ -100,6 +109,70 @@ def _int_terms(f: "PhasePoly"):
         t = L // den
         out.append((e, parts if t == 1 else [(d, (re * t, im * t)) for d, (re, im) in parts]))
     return out, L
+
+
+def _poly_products(n: int, pairs) -> "PhasePoly":
+    """sum f*g over the PhasePoly pairs (f, g), each output coefficient
+    reduced once.
+
+    Each operand's coefficients are int parts over its own common
+    denominator (_int_terms).  With L the lcm of the pairs' L_f*L_g, f's
+    parts are scaled by L/(L_f*L_g), so every product lands over L, and the
+    int parts of each output monomial are summed by exact._add_products.
+    Monomials are keyed by their exponents packed into one int, w bits a
+    slot, where 2^w exceeds every pair's largest exponent of f plus largest
+    of g: the packed keys of two terms add to the packed key of their
+    product, so a pair of terms costs one int addition, and each output
+    monomial is unpacked once (Monagan & Pearce, CASC 2007, LNCS 4770, 295).
+    """
+    pairs = [(f, g) for f, g in pairs if f.terms and g.terms]
+    if not pairs:
+        return _poly(n, {})
+    top = max(max(map(max, f.terms)) + max(map(max, g.terms)) for f, g in pairs)
+    w = max(1, top.bit_length())
+    shifts = range(0, 3 * n * w, w)
+    weights = [1 << x for x in shifts]
+
+    def packed(f):
+        terms, L = _int_terms(f)
+        return [(sum(map(mul, e, weights)), parts) for e, parts in terms], L
+
+    forms = [(packed(f), packed(g)) for f, g in pairs]
+    L = lcm(*(L1 * L2 for (_, L1), (_, L2) in forms))
+    acc = {}
+    for (t1, L1), (t2, L2) in forms:
+        t = L // (L1 * L2)
+        for k1, p1 in t1:
+            if t != 1:
+                p1 = [(d, (re * t, im * t)) for d, (re, im) in p1]
+            for k2, p2 in t2:
+                _add_products(acc.setdefault(k1 + k2, {}), p1, p2)
+    mask = (1 << w) - 1
+    out = {}
+    for k, parts in acc.items():
+        c = _reduced(parts, L)
+        if c:
+            out[tuple([(k >> x) & mask for x in shifts])] = c
+    return _poly(n, out)
+
+
+def _combination(n: int, pairs) -> "PhasePoly":
+    """sum c*f over the (Exact c, PhasePoly f) pairs: each output coefficient
+    is one exact.sum_of_products of the c's with f's coefficients there."""
+    cols = {}
+    for c, f in pairs:
+        cp = c.int_parts()
+        for e, x in f.terms.items():
+            col = cols.get(e)
+            if col is None:
+                col = cols[e] = []
+            col.append((cp, x.int_parts()))
+    out = {}
+    for e, col in cols.items():
+        c = sum_of_products(col)
+        if c:
+            out[e] = c
+    return _poly(n, out)
 
 
 def _coordinates(vals: Sequence[Exact], n: int) -> list[tuple[int, int]]:
@@ -225,20 +298,12 @@ class PhasePoly:
             one, many = (self, other) if len(self.terms) == 1 else (other, self)
             (e1, c1), = one.terms.items()
             return _poly(self.n, {tuple(map(add, e1, e)): c1 * c for e, c in many.terms.items()})
-        t1, L1 = _int_terms(self)
-        t2, L2 = _int_terms(other)
-        # the int parts of each output monomial, summed over L1*L2
-        acc = {}
-        for e1, p1 in t1:
-            for e2, p2 in t2:
-                _add_products(acc.setdefault(tuple(map(add, e1, e2)), {}), p1, p2)
-        L = L1 * L2
-        for e, parts in acc.items():
-            acc[e] = _reduced(parts, L)
-        return _poly(self.n, {e: c for e, c in acc.items() if c})
+        return _poly_products(self.n, [(self, other)])
 
     def __pow__(self, m: int) -> "PhasePoly":
-        out = PhasePoly.const(self.n, 1)
+        if m < 0:
+            raise ValueError(f"a polynomial has no negative power, got {m}")
+        out = _one(self.n)
         base = self
         while m:
             if m & 1:
@@ -404,15 +469,6 @@ class SignedPermutation:
             raise ValueError("not a permutation")
         return cls(image, sign)
 
-    def matrix(self):
-        from .matrices import ExactMatrix
-
-        n = len(self.image)
-        rows = [[ZERO] * n for _ in range(n)]
-        for mu in range(n):
-            rows[self.image[mu]][mu] = rat(self.sign[mu])
-        return ExactMatrix(rows)
-
 
 class PhaseRational:
     """Ratio of PhasePolys; den never identically zero."""
@@ -421,7 +477,7 @@ class PhaseRational:
 
     def __init__(self, num: PhasePoly, den: PhasePoly | None = None):
         if den is None:
-            den = PhasePoly.const(num.n, 1)
+            den = _one(num.n)
         if den.is_zero():
             raise ZeroDivisionError("identically-zero denominator")
         num._check(den)
@@ -432,7 +488,7 @@ class PhaseRational:
     def _strip_content(self):
         # divide num and den by the coefficient of den's first printed term
         if self.num.is_zero():
-            self.den = PhasePoly.const(self.n, 1)
+            self.den = _one(self.n)
             return
         lead = self.den.terms[max(self.den.terms, key=_print_key)]
         if lead == ONE:
@@ -549,7 +605,14 @@ class PhaseRational:
 
 def _deriv_num(f: PhaseRational, index: int) -> PhasePoly:
     """The numerator of df/dv_index over den(f)^2."""
-    return f.num.deriv(index) * f.den - f.num * f.den.deriv(index)
+    return _poly_products(f.n, [(f.num.deriv(index), f.den), (f.num, -f.den.deriv(index))])
+
+
+@cache
+def _one(n: int) -> PhasePoly:
+    """The constant 1 in ambient dimension n, one object per n: a PhasePoly
+    is never changed after construction."""
+    return PhasePoly.const(n, 1)
 
 
 def _as_rational(x, n: int) -> PhaseRational:
@@ -572,12 +635,13 @@ def poisson_bracket(f: PhaseRational, g: PhaseRational) -> PhaseRational:
     if f.n != g.n:
         raise DimensionMismatch("ambient dimensions differ")
     n = f.n
-    acc = PhasePoly(n)
+    pairs = []
     for mu in range(n):
         s_i, p_i = mu, n + mu
         fs, fp = _deriv_num(f, s_i), _deriv_num(f, p_i)
         gs, gp = _deriv_num(g, s_i), _deriv_num(g, p_i)
-        acc = acc + fs * gp - fp * gs
+        pairs += [(fs, gp), (-fp, gs)]
+    acc = _poly_products(n, pairs)
     df, dg = f.den, g.den
     return PhaseRational(acc, df * df * dg * dg)
 

@@ -21,15 +21,17 @@ turns them into det A and the vector y = adj(A)^T k.  y has two readers:
 
 Momentum maps have this one construction path: project_env_element sums an
 enveloping element's words, products of generator numerators, over det A^L
-for words of length at most L; momentum_map is its linear case, over det A.
+for words of length at most L, as one linear combination of the word
+polynomials; momentum_map is its linear case, over det A.
 Every image thus has the poles of det A.  verify_homomorphism and
 casimir_projection_report read only the generator images' values at each
 point, and combine them into the bracket and correction images.
 
 Each MASA is reduced once per process.  det A and y, the n^2 generator
-images, (V, H) and the catalog integrals are kept per MASA (the last two per
-MASA and MODELS entry, so a changed entry is rebuilt), the most recent
-BUILD_CACHE_SIZE of each.  The kept objects are never changed, and each
+images, (V, H), the catalog integrals and the two sides of the sum relation
+and of the separable-potential identity are kept per MASA (all but the first
+two per MASA and MODELS entry, so a changed entry is rebuilt), the most
+recent BUILD_CACHE_SIZE of each.  The kept objects are never changed, and each
 PhasePoly keeps its int form, so a second verdict builds nothing before it
 evaluates.  build_hamiltonian, integrals_catalog and generator_images return
 new lists and a new ReducedSystem around them, which a caller may change.
@@ -60,6 +62,7 @@ from .phase import (
     PhasePoly,
     PhaseRational,
     _bracket_of_gradients,
+    _combination,
     _dirac_of_gradients,
     first_nonzero_residual,
     poisson_bracket,
@@ -218,18 +221,19 @@ def project_env_element(e: EnvElement, masa: MasaSpec) -> PhaseRational:
     products commute.  Symmetrized pairs {A,B} therefore land on 2*Ahat*Bhat.
     Each image is its numerator over det A, so with L the longest word's
     length, c * word w adds c prod_{i in w} nums[i] det A^(L - |w|) to the
-    one numerator over det A^L."""
+    one numerator over det A^L, one linear combination of the word
+    polynomials."""
     det, nums, L = _det_and_y(masa)[0], _generator_nums(masa), e.degree()
     powers = {1: det} if L else {0: PhasePoly.const(masa.n, 1)}  # det A^k
     for k in range(2, L + 1):
         powers[k] = powers[k - 1] * det
-    num = PhasePoly(masa.n)
+    words = []
     for word, c in e.terms.items():
         factors = [nums[gi] for gi in word]
         if len(word) < L or not word:
             factors.append(powers[L - len(word)])
-        num = num + prod(factors[1:], start=factors[0].scale(c))
-    return PhaseRational(num, powers[L])
+        words.append((c, prod(factors[1:], start=factors[0])))
+    return PhaseRational(_combination(masa.n, words), powers[L])
 
 
 # -- named-model scaffolding ---------------------------------------------------
@@ -494,23 +498,34 @@ def _equal_on_constraint(
     return RelationReport(f"{key}[{masa.name}]", True, trials)
 
 
+@_kept
+def _sum_sides(masa: MasaSpec, model: Model) -> tuple[PhaseRational, PhaseRational]:
+    """The two sides of model's sum relation on masa; the key holds the
+    MODELS entry, so replacing it builds anew."""
+    sysr = build_hamiltonian(masa)
+    return model.sum_relation(masa, sysr.hamiltonian, dict(sysr.integrals))
+
+
+@_kept
+def _separable_sides(masa: MasaSpec, model: Model) -> tuple[PhaseRational, PhaseRational]:
+    """The reduced potential and model's separated form of it on masa."""
+    return _potential(masa)[0], model.separable(*masa.params)
+
+
 def verify_sum_relation(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationReport:
     """The displayed over-completeness relation of the named model."""
-    relation = getattr(MODELS.get(masa.name), "sum_relation", None)
-    if relation is None:
+    model = MODELS.get(masa.name)
+    if getattr(model, "sum_relation", None) is None:
         raise UnknownName(f"no sum relation for {masa.name!r}")
-    sysr = build_hamiltonian(masa)
-    lhs, rhs = relation(masa, sysr.hamiltonian, dict(sysr.integrals))
-    return _equal_on_constraint("sum_relation", masa, lhs, rhs, seed)
+    return _equal_on_constraint("sum_relation", masa, *_sum_sides(masa, model), seed)
 
 
 def verify_separable_potential(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationReport:
     """The reduced potential equals the model's separated form on s.s = 1."""
-    separable = getattr(MODELS.get(masa.name), "separable", None)
-    if separable is None:
+    model = MODELS.get(masa.name)
+    if getattr(model, "separable", None) is None:
         raise UnknownName(f"no separable form for {masa.name!r}")
-    V, _ = _potential(masa)
-    return _equal_on_constraint("separable_potential", masa, V, separable(*masa.params), seed)
+    return _equal_on_constraint("separable_potential", masa, *_separable_sides(masa, model), seed)
 
 
 def verify_masa_reduction(masa: MasaSpec) -> RelationReport:

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import ptsphere
-from ptsphere import reduction, spectral
+from ptsphere import cli, reduction, spectral
 from ptsphere.cli import ConfigError, _parse_grid, build_parser, main
 
 from catalog_models import PARAMS, RACAH_MODELS
@@ -626,3 +626,41 @@ def test_exact_commands_load_no_numpy_or_scipy():
     out = subprocess.run([sys.executable, "-c", EXACT_IMPORTS_PROBE], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[0, 0, 0, 0] [] 0 ['numpy'] 0"
+
+
+# validate, spectrum, reduce and scan, with refused flags (exit 2 from main)
+# and an argparse error (SystemExit 2) between them; the scan at N = 64
+# misses its closed forms by more than --tol-match (exit 1)
+PARSER_SEQUENCE = [
+    ["validate", "--model", "su2ab"],
+    ["spectrum", "--model", "s1", "--a", "2", "--b", "1", "--gminus", "2", "--gplus", "3",
+     "--N", "64"],
+    ["validate", "--model", "su2ab", "--k1", "1"],
+    ["reduce", "--model", "su2ab", "--seed", "5"],
+    ["spectrum", "--model", "s1", "--a", "2", "--b", "1", "--ell3", "2"],
+    ["scan", "--model", "lambda", "--lambda2", "0.1:0.2:0.1", "--N", "64"],
+    ["reduce", "--model", "su2ab", "--seed", "five"],
+    ["validate", "--model", "nilpotent"],
+]
+
+
+def _outcomes(capsys):
+    out = []
+    for argv in PARSER_SEQUENCE:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    kept = _outcomes(capsys)
+    assert [code for code, _, _ in kept] == [0, 0, 2, 0, 2, 1, 2, 0]
+    assert "does not take --k1" in kept[2][2] and "invalid int value" in kept[6][2]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert _outcomes(capsys) == kept

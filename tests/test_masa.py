@@ -3,12 +3,17 @@ from fractions import Fraction
 import pytest
 
 from ptsphere.errors import (
+    DimensionMismatch,
+    NotPTCompatible,
     ParamOutOfRange,
     UnknownName,
     UnsupportedRank,
 )
-from ptsphere.exact import ZERO
+from ptsphere.exact import I, ZERO, Exact
+from ptsphere.matrices import ExactMatrix
+from ptsphere.phase import SignedPermutation
 from ptsphere.masa import (
+    MasaSpec,
     catalog_masa,
     classify_pt,
     lambda_frame,
@@ -19,7 +24,8 @@ from ptsphere.masa import (
     validate_masa,
 )
 
-from catalog_models import models
+from catalog_models import build_masa, models
+import exact_products_reference
 from lambda_reference import degenerate_rows, lambda_rows
 
 
@@ -139,3 +145,44 @@ def test_lambda_frame_rows_are_orthogonal_of_square_e2(lam2):
             for j, q in enumerate(rows):
                 dot = sum((x * y for x, y in zip(r, q)), ZERO)
                 assert dot == (1 - 2 * lam2 if i == j else 0)
+
+
+@pytest.mark.parametrize("name,kw", models())
+def test_pt_signs_match_the_matrix_products(name, kw):
+    m = build_masa(name)
+    assert classify_pt(m, m.parity) == exact_products_reference.classify_pt(m, m.parity)
+    # other parities, a 3-cycle among them, whose P is not its own inverse
+    others = [[2, -1]] if m.n == 2 else [[-2, 1, 3], [2, 3, -1]]
+    for signed in others:
+        other = SignedPermutation.from_signed_indices(signed)
+        try:
+            expected = exact_products_reference.classify_pt(m, other)
+        except NotPTCompatible as exc:
+            with pytest.raises(NotPTCompatible, match=str(exc)):
+                classify_pt(m, other)
+        else:
+            assert classify_pt(m, other) == expected
+
+
+def test_a_generator_neither_even_nor_odd_is_refused(tmp_path):
+    # su2ab's file with its second generator mixed, as the CLI tests write it
+    i = Exact.from_rational(0, 1)
+    m = masa_from_coeffs(2, [[1, 0, 0], [0, 1 - i, 1]], parity=SignedPermutation((0, 1), (1, -1)))
+    path = tmp_path / "mixed.json"
+    save_masa_file(m, str(path))
+    m = load_masa_file(str(path))
+    for classify in (classify_pt, exact_products_reference.classify_pt):
+        with pytest.raises(NotPTCompatible, match="generator 1 is neither even nor odd"):
+            classify(m, m.parity)
+    with pytest.raises(DimensionMismatch, match="3 != 2"):
+        classify_pt(m, SignedPermutation.from_signed_indices([1, 2, -3]))
+
+
+def test_pt_signs_under_a_three_cycle():
+    # P of s1 -> s2 -> s3 -> s1 is not its own inverse; (P conj(Z) P)[a][b]
+    # = conj(Z)[a - 1][b + 1] (mod 3), so a real Z whose entries depend on
+    # a + b only is even, and i times it odd
+    Z = ExactMatrix([[(a + b) % 3 + 1 for b in range(3)] for a in range(3)])
+    m = MasaSpec(3, (), (Z, Z.scale(I)))
+    cycle = SignedPermutation.from_signed_indices([2, 3, 1])
+    assert classify_pt(m, cycle) == exact_products_reference.classify_pt(m, cycle) == (1, -1)

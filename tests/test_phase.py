@@ -439,3 +439,23 @@ def test_sampled_points_on_surface(seed, n):
     assert sum((x * x for x in s), ZERO) == rat(1)
     assert sum((x * y for x, y in zip(s, p)), ZERO) == ZERO
     assert all(x.is_rational() and not x.im for x in vals)
+
+
+@pytest.mark.parametrize("f", [PhasePoly.const(N, 3), PhasePoly.s(N, 0) + PhasePoly.k(N, 1)])
+def test_a_negative_power_of_a_polynomial_raises_at_once(f):
+    with pytest.raises(ValueError, match="no negative power, got -1"):
+        f ** -1
+    with pytest.raises(ValueError, match="no negative power, got -3"):
+        f ** -3
+    # a rational function still inverts first
+    r = PhaseRational(f) ** -2
+    assert r.agrees_with(PhaseRational(PhasePoly.const(N, 1), f * f))
+
+
+def test_omitted_and_zero_numerator_denominators_share_one_constant():
+    zero_a = PhaseRational(PhasePoly(N), PhasePoly.s(N, 0))
+    zero_b = PhaseRational(PhasePoly.s(N, 1) - PhasePoly.s(N, 1), PhasePoly.p(N, 2))
+    assert zero_a.den is zero_b.den == PhasePoly.const(N, 1)
+    assert PhaseRational(PhasePoly.k(N, 0)).den is zero_a.den
+    two = PhaseRational(PhasePoly(2)).den
+    assert two is not zero_a.den and two == PhasePoly.const(2, 1)

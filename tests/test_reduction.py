@@ -677,3 +677,38 @@ def test_su2ab_integral_is_its_hamiltonian():
     assert [T for _, T in sysr.integrals] == [sysr.hamiltonian]
     assert sysr.integrals[0][1] is sysr.hamiltonian
     assert reduction.integrals_catalog(masa)[0][1] is build_hamiltonian(masa).hamiltonian
+
+
+def _counting(monkeypatch, name, field):
+    """Replace MODELS[name].field by a counting wrapper; return the count."""
+    model, built = reduction.MODELS[name], []
+    real = getattr(model, field)
+
+    def counting(*args):
+        built.append(1)
+        return real(*args)
+
+    monkeypatch.setitem(reduction.MODELS, name, dataclasses.replace(model, **{field: counting}))
+    return built
+
+
+@pytest.mark.parametrize("name,field,verify", [
+    ("su2ab", "sum_relation", verify_sum_relation),
+    ("cartan_od", "sum_relation", verify_sum_relation),
+    ("lambda", "separable", verify_separable_potential),
+])
+def test_a_second_relation_verdict_builds_nothing(name, field, verify, monkeypatch):
+    # su2ab's sum relation projects the Casimir; a kept pair of sides does not
+    masa = build_masa(name)
+    built = _counting(monkeypatch, name, field)
+    projections = []
+    real = reduction.project_env_element
+    monkeypatch.setattr(reduction, "project_env_element",
+                        lambda e, m: projections.append(1) or real(e, m))
+    first = verify(masa)
+    assert (len(built), len(projections)) == (1, 1 if name == "su2ab" else 0)
+    assert verify(build_masa(name)) == first
+    assert (len(built), len(projections)) == (1, 1 if name == "su2ab" else 0)
+    # a replaced entry is a new key: its sides are built anew
+    rebuilt = _counting(monkeypatch, name, field)
+    assert verify(masa) == first and (len(built), len(rebuilt)) == (2, 1)
