@@ -88,6 +88,17 @@ class GeneratorBasis:
     def size(self) -> int:
         return len(self.generators)
 
+    def __hash__(self) -> int:
+        # the hashed fields' hash, computed once: it keys casimir_element's
+        # and _rewrite_word's caches, and hashing the n^2 generator matrices
+        # anew costs up to 0.3 ms
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.n, self.generators, self.symmetric_flags))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def bracket_coeffs(self, i: int, j: int) -> dict[int, Exact]:
         if i == j:
             return {}
@@ -230,8 +241,13 @@ class EnvElement:
         return " + ".join(bits)
 
 
-def _rewrite_word(word: tuple[int, ...], basis: GeneratorBasis) -> dict[tuple[int, ...], Exact]:
-    """PBW-order one word: X_a X_b = X_b X_a + [X_a, X_b] for each descent."""
+@lru_cache(maxsize=None)
+def _rewrite_word(
+    word: tuple[int, ...], basis: GeneratorBasis
+) -> tuple[tuple[tuple[int, ...], Exact], ...]:
+    """PBW-order one word, as (word, coefficient) pairs: X_a X_b = X_b X_a +
+    [X_a, X_b] at each descent.  Each (word, basis) is rewritten once per
+    process and kept; words are at most MAX_WORD_LEN long."""
     if len(word) > MAX_WORD_LEN:
         raise WordTooLong(f"word of length {len(word)} exceeds rewriting cap")
     # find first adjacent descent
@@ -240,21 +256,21 @@ def _rewrite_word(word: tuple[int, ...], basis: GeneratorBasis) -> dict[tuple[in
         if a > b:
             out: dict[tuple[int, ...], Exact] = {}
             swapped = word[:t] + (b, a) + word[t + 2 :]
-            for w, c in _rewrite_word(swapped, basis).items():
+            for w, c in _rewrite_word(swapped, basis):
                 out[w] = out.get(w, ZERO) + c
             for k, coeff in basis.bracket_coeffs(a, b).items():
                 reduced = word[:t] + (k,) + word[t + 2 :]
-                for w, c in _rewrite_word(reduced, basis).items():
+                for w, c in _rewrite_word(reduced, basis):
                     out[w] = out.get(w, ZERO) + coeff * c
-            return out
-    return {word: ONE}
+            return tuple(out.items())
+    return ((word, ONE),)
 
 
 def pbw_normal_form(e: EnvElement, basis: GeneratorBasis) -> EnvElement:
     """Rewrite into the canonical non-decreasing-word form."""
     out: dict[tuple[int, ...], Exact] = {}
     for word, c in e.terms.items():
-        for w, f in _rewrite_word(word, basis).items():
+        for w, f in _rewrite_word(word, basis):
             out[w] = out.get(w, ZERO) + c * f
     return EnvElement(out)
 

@@ -22,15 +22,25 @@ used or not.  It reads their numerators and denominators off the Exact int
 parts, sums the terms in plain int arithmetic over the common denominator of
 coordinates and coefficients and divides once at the end, so its value is
 exact and equals the term-by-term Exact sum.  Each PhasePoly builds its int
-form (exponents, coefficient int parts over their lcm, largest exponent per
-variable) at its first evaluation and keeps it; a PhasePoly is never changed
-after construction.  PhaseRational.grad_at reads the point once and sweeps
-num and den once each for their values and all 3n first partials (forward
-differentiation over the same power tables), so no derivative polynomial is
-built to evaluate a gradient; only the symbolic poisson_bracket and deriv
-build them.
+form (exponents, and the coefficients' int parts over their lcm kept
+column-wise, one list per radical aligned with the terms) at its first
+evaluation and keeps it; a PhasePoly is never changed after construction.
 
-PhasePoly.__mul__ works the same way, through _poly_products, which sums
+A point is read once (_Point): the int pairs of its 3n coordinates, and one
+power table per variable and exponent bound.  Each distinct PhasePoly is
+swept once per point, one product per term for the term values T_t, and
+its value is one column sum per radical.  Its first partials come from the
+same T_t by Euler's identity x_j d/dx_j x^e = e_j x^e: the j-th partial is
+(b_j/a_j) times the column sum weighted by e_tj, one exact int division by
+a_j (at a_j = 0, the terms linear in x_j, with x_j's factor taken out).
+PhaseRational.eval and grad_at read their point through the same path, and
+verifiers that need several functions at a point pass them one _Point, so
+functions that share a den (the generator images share det A) sweep it once
+there.  No derivative polynomial is built to evaluate a gradient; only the
+symbolic poisson_bracket and deriv build them.  A bracket of two gradients
+is one exact.sum_of_products over the nonzero entries.
+
+PhasePoly.__mul__ also sums in ints, through _poly_products, which sums
 f*g over any list of pairs: with each operand's coefficients over its own
 common denominator and every pair brought over one lcm, it sums every output
 monomial's int parts per radical (exact._add_products, the one product rule
@@ -60,7 +70,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, islice
+from itertools import islice
 from math import lcm, prod
 from operator import add, getitem, mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -97,6 +107,11 @@ def _poly(n: int, terms: dict[tuple[int, ...], Exact]) -> "PhasePoly":
 def _print_key(e: tuple[int, ...]):
     """Terms print from the largest key down: total degree, then exponents."""
     return sum(e), e
+
+
+def _leading(f: "PhasePoly") -> Exact:
+    """The coefficient of the first printed term of a nonzero f."""
+    return f.terms[max(f.terms, key=_print_key)]
 
 
 def _int_terms(f: "PhasePoly"):
@@ -183,20 +198,137 @@ def _coordinates(vals: Sequence[Exact], n: int) -> list[tuple[int, int]]:
     return [Exact.coerce(v).real_rational() for v in vals]
 
 
-def _accumulate(sums: dict, comps, t: int):
-    """Add t times each coefficient component (slot, c) into sums."""
-    for slot, c in comps:
-        sums[slot] = sums.get(slot, 0) + c * t
+class _Sweep:
+    """One PhasePoly at one point: its term values, swept once, and what
+    is read off them (value, first partials, and for a den its inverse)."""
+
+    __slots__ = ("f", "mono", "terms", "LD", "parts", "_value", "_grad", "_inv")
+
+    def __init__(self, f: "PhasePoly", point: "_Point"):
+        used, maxe, ex, L, cols, _ = f._int_form()
+        mono = [point.table(i, m) for i, m in zip(used, maxe)]
+        for row in mono:
+            L *= row[0]  # b^m
+        terms = [prod(map(getitem, mono, e)) for e in ex]
+        self.f, self.mono, self.terms, self.LD = f, mono, terms, L
+        self.parts = {d: (_dot(re, terms), _dot(im, terms)) for d, re, im in cols}
+        self._value = self._grad = self._inv = None
+
+    def value(self) -> Exact:
+        if self._value is None:
+            self._value = _reduced(self.parts, self.LD)
+        return self._value
+
+    def inverse(self) -> Exact:
+        """1/value; ZeroDivisionError at a zero of f."""
+        if self._inv is None:
+            value = self.value()
+            if not value:
+                raise ZeroDivisionError("denominator vanishes at evaluation point")
+            self._inv = value.inverse()
+        return self._inv
+
+    def grad(self, qs) -> dict:
+        """{variable: partial} over the used variables, as {d: (re, im)} int
+        parts over L*D.  By Euler's identity x_j d/dx_j x^e = e_j x^e, the
+        partial in x_j = a_j/b_j is (b_j/a_j) sum_t (L*c_t*e_tj) T_t over the
+        term values T_t: one weighted column sum per slot and one exact int
+        division by a_j.  At a_j = 0 only the terms with e_tj = 1 are left,
+        each L*c_t * b_j^m_j * prod_{l != j} mono[l][e_tl]."""
+        if self._grad is None:
+            used, _, ex, _, _, wcols = self.f._int_form()
+            terms, mono = self.terms, self.mono
+            self._grad = grad = {}
+            for j, i in enumerate(used):
+                a, b = qs[i]
+                if a:
+                    grad[i] = {d: (_dot(re, terms) // a * b, _dot(im, terms) // a * b)
+                               for d, re, im in wcols[j]}
+                else:
+                    # x_j = 0: the x_j-free factors of the terms linear in x_j
+                    at_zero = mono[:]
+                    at_zero[j] = (0, mono[j][0])
+                    rest = [prod(map(getitem, at_zero, e)) if e[j] == 1 else 0 for e in ex]
+                    grad[i] = {d: (_dot(re, rest), _dot(im, rest)) for d, re, im in wcols[j]}
+        return self._grad
 
 
-def _parts(sums: dict) -> dict:
-    """{d: (re, im)} from sums over the slots 2d (re) and 2d + 1 (im)."""
-    out = {}
-    for slot, x in sums.items():
-        d, im = divmod(slot, 2)
-        re_im = out.get(d, (0, 0))
-        out[d] = (re_im[0], x) if im else (x, re_im[1])
-    return out
+class _Point:
+    """A point of phase space, read once: the int pairs (a, b) of its 3n
+    coordinates and, per variable and largest exponent m, the table
+    a^x * b^(m - x) for x = 0..m.  Each PhasePoly is swept once here (by
+    identity), so functions that share a den, as the generator images share
+    det A, sweep it once per point.  A point is made after its coordinates
+    are final and lives for one evaluation step: it keeps no reference to
+    the list it was read from."""
+
+    __slots__ = ("n", "qs", "_tables", "_sweeps")
+
+    def __init__(self, vals: Sequence[Exact], n: int):
+        self.n = n
+        self.qs = _coordinates(vals, n)
+        self._tables = {}
+        self._sweeps = {}
+
+    def table(self, i: int, m: int) -> list[int]:
+        """a^x * b^(m - x) for x = 0..m, for the i-th coordinate a/b."""
+        row = self._tables.get((i, m))
+        if row is None:
+            a, b = self.qs[i]
+            row = self._tables[i, m] = [a ** x * b ** (m - x) for x in range(m + 1)]
+        return row
+
+    def sweep(self, f: "PhasePoly") -> _Sweep:
+        s = self._sweeps.get(id(f))
+        if s is None:
+            s = self._sweeps[id(f)] = _Sweep(f, self)
+        return s
+
+    def value(self, f: "PhasePoly") -> Exact:
+        return self.sweep(f).value()
+
+    def eval(self, F: "PhaseRational") -> Exact:
+        inv = self.sweep(F.den).inverse()
+        return self.sweep(F.num).value() * inv
+
+    def grad(self, F: "PhaseRational") -> tuple[list[Exact], Exact, Exact]:
+        """(derivatives over the 3n variables s, p, k; num value; den value).
+        Each derivative is (num_i * den - num * den_i) / den^2: the two cross
+        products are summed as ints over the two sweeps' denominators, then
+        one Exact product with 1/den^2 makes the value.  A pole raises
+        ZeroDivisionError before num is swept."""
+        den = self.sweep(F.den)
+        inv = den.inverse()
+        num = self.sweep(F.num)
+        nval = num.value()
+        dgrad, ngrad = den.grad(self.qs), num.grad(self.qs)
+        inv2 = inv * inv
+        den_parts = list(den.parts.items())
+        minus_num = [(d, (-re, -im)) for d, (re, im) in num.parts.items()]
+        q = num.LD * den.LD
+        grads = []
+        for i in range(3 * self.n):
+            acc = {}
+            if i in ngrad:
+                _add_products(acc, ngrad[i].items(), den_parts)
+            if i in dgrad:
+                _add_products(acc, minus_num, dgrad[i].items())
+            grads.append(_reduced(acc, q) * inv2 if acc else ZERO)
+        return grads, nval, den.value()
+
+
+def _at(vals: "Sequence[Exact] | _Point", n: int) -> _Point:
+    """vals as a point read once: a _Point as it is, else read now."""
+    if isinstance(vals, _Point):
+        if vals.n != n:
+            raise DimensionMismatch("point has wrong dimension")
+        return vals
+    return _Point(vals, n)
+
+
+def _dot(col: list[int] | None, terms: list[int]) -> int:
+    """sum_t col[t] * terms[t]; 0 for a column of zeros (None)."""
+    return sum(map(mul, col, terms)) if col else 0
 
 
 class PhasePoly:
@@ -325,13 +457,16 @@ class PhasePoly:
         return _poly(self.n, out)
 
     def _int_form(self):
-        """(used, maxe, rows, L), built on first use and kept, since a
-        PhasePoly is never changed after construction.  used lists the
-        variables that occur and maxe their largest exponents; L is the lcm
-        of the coefficient denominators.  Each row is one term: its exponents of
-        the used variables, the positions of the nonzero ones, and the
-        nonzero components (slot, c) of L times its coefficient, slot 2d for
-        the real and 2d + 1 for the imaginary part of the sqrt(d) part."""
+        """(used, maxe, ex, L, cols, wcols), built on first use and kept,
+        since a PhasePoly is never changed after construction.  used lists
+        the variables that occur and maxe their largest exponents; ex holds
+        each term's exponents of the used variables, in term order, and L is
+        the lcm of the coefficient denominators.  The coefficients are kept
+        column-wise, aligned with the terms: cols holds, per radical sqrt(d),
+        (d, re, im) with the real and the imaginary parts of L times every
+        term's coefficient there (None for a column of zeros).  wcols[j]
+        holds the same columns weighted by each term's exponent of the j-th
+        used variable."""
         try:
             return self._form
         except AttributeError:
@@ -339,55 +474,26 @@ class PhasePoly:
         terms, L = _int_terms(self)
         maxe = list(map(max, zip(*self.terms)))
         used = [i for i, m in enumerate(maxe) if m]
-        rows = []
-        for e, parts in terms:
-            ex = tuple(e[i] for i in used)
-            comps = [(2 * d + k, c) for d, pair in parts for k, c in enumerate(pair) if c]
-            rows.append((ex, [j for j, x in enumerate(ex) if x], comps))
-        self._form = used, [maxe[i] for i in used], rows, L
+        ex = [tuple([e[i] for i in used]) for e, _ in terms]
+        radicals = {}
+        for t, (_, parts) in enumerate(terms):
+            for d, (re, im) in parts:
+                col = radicals.get(d)
+                if col is None:
+                    col = radicals[d] = ([0] * len(terms), [0] * len(terms))
+                col[0][t], col[1][t] = re, im
+        cols = [(d, re if any(re) else None, im if any(im) else None)
+                for d, (re, im) in radicals.items()]
+        powers = list(zip(*ex))  # the exponents of each used variable, in term order
+        wcols = [
+            [(d, re and list(map(mul, re, ej)), im and list(map(mul, im, ej)))
+             for d, re, im in cols]
+            for ej in powers
+        ]
+        self._form = used, [maxe[i] for i in used], ex, L, cols, wcols
         return self._form
 
-    def _powers(self, qs):
-        """(mono, used, rows, L*D): mono[j][x] = a^x * b^(m - x) for the j-th
-        used variable a/b with largest exponent m, and D = prod b^m."""
-        used, maxe, rows, L = self._int_form()
-        mono = []
-        for i, m in zip(used, maxe):
-            a, b = qs[i]
-            mono.append([a ** x * b ** (m - x) for x in range(m + 1)])
-            L *= b ** m
-        return mono, used, rows, L
-
-    def _value(self, qs) -> Exact:
-        """f at the coordinates qs, int pairs (a, b) as _coordinates reads them."""
-        mono, _, rows, LD = self._powers(qs)
-        sums = {}
-        for ex, _, comps in rows:
-            _accumulate(sums, comps, prod(map(getitem, mono, ex)))
-        return _reduced(_parts(sums), LD)
-
-    def _jet(self, qs):
-        """(value, {variable: partial}, L*D): f and its first partials at qs in
-        one sweep over the terms, as {d: (re, im)} int parts over the
-        denominator L*D of the value.  With the term's factors mono[l][e_l],
-        the partial in the j-th used variable is
-        sum_e (L*c_e) * e_j * mono[j][e_j - 1] * prod_{l != j} mono[l][e_l],
-        the product over l != j read off prefix and suffix products."""
-        mono, used, rows, LD = self._powers(qs)
-        dmono = [[x * row[x - 1] for x in range(len(row))] for row in mono]
-        k = len(used)
-        val = {}
-        grad = [{} for _ in used]
-        for ex, nonzero, comps in rows:
-            fs = list(map(getitem, mono, ex))
-            pre = list(accumulate(fs, mul, initial=1))
-            suf = list(accumulate(reversed(fs), mul, initial=1))
-            _accumulate(val, comps, pre[k])
-            for j in nonzero:
-                _accumulate(grad[j], comps, dmono[j][ex[j]] * pre[j] * suf[k - 1 - j])
-        return _parts(val), {i: _parts(g) for i, g in zip(used, grad) if g}, LD
-
-    def eval(self, vals: Sequence[Exact]) -> Exact:
+    def eval(self, vals: "Sequence[Exact] | _Point") -> Exact:
         """Exact value at a point whose coordinates are real rationals.
 
         With v_i = a_i/b_i read off the int parts of each coordinate, maxe_i
@@ -398,9 +504,10 @@ class PhasePoly:
         the cached int form of f, built at its first evaluation.  Only the
         final parts are divided by L*D, so the value is exactly the one
         term-by-term Exact arithmetic gives.  Any coordinate, used by f or
-        not, with a radical or an imaginary part raises TypeError.
+        not, with a radical or an imaginary part raises TypeError.  vals may
+        also be a point already read (_Point), which sweeps f once.
         """
-        return self._value(_coordinates(vals, self.n))
+        return _at(vals, self.n).value(self)
 
     def eval_complex(self, vals: Sequence[complex]) -> complex:
         """Float value at a point: each term's Exact.to_complex times its powers."""
@@ -490,7 +597,7 @@ class PhaseRational:
         if self.num.is_zero():
             self.den = _one(self.n)
             return
-        lead = self.den.terms[max(self.den.terms, key=_print_key)]
+        lead = _leading(self.den)
         if lead == ONE:
             return
         inv = lead.inverse()
@@ -551,43 +658,19 @@ class PhaseRational:
     def deriv(self, index: int) -> "PhaseRational":
         return PhaseRational(_deriv_num(self, index), self.den * self.den)
 
-    def eval(self, vals: Sequence[Exact]) -> Exact:
-        qs = _coordinates(vals, self.n)
-        d = self.den._value(qs)
-        if d.is_zero():
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num._value(qs) / d
+    def eval(self, vals: "Sequence[Exact] | _Point") -> Exact:
+        """Exact value at a point (coordinates, or a _Point already read)."""
+        return _at(vals, self.n).eval(self)
 
-    def grad_at(self, vals: Sequence[Exact]) -> tuple[list[Exact], Exact, Exact]:
+    def grad_at(self, vals: "Sequence[Exact] | _Point") -> tuple[list[Exact], Exact, Exact]:
         """(derivatives over the 3n variables s, p, k; num value; den value).
 
         The point is read once, and den and then num are each swept once
-        (PhasePoly._jet) for their values and first partials, as int parts
-        over L*D.  Each derivative is (num_i * den - num * den_i) / den^2:
-        the two cross products are summed as ints, then one Exact product
-        with 1/den^2 makes the value.  A pole raises ZeroDivisionError
-        before num is swept, so poles and resampling are those of eval.
+        for their values and first partials (_Sweep.grad), as int parts over
+        L*D; see _Point.grad.  A pole raises ZeroDivisionError before num is
+        swept, so poles and resampling are those of eval.
         """
-        qs = _coordinates(vals, self.n)
-        dv, dgrad, dq = self.den._jet(qs)
-        dval = _reduced(dv, dq)
-        if not dval:
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        nv, ngrad, nq = self.num._jet(qs)
-        nval = _reduced(nv, nq)
-        inv2 = (dval * dval).inverse()
-        den_parts = list(dv.items())
-        minus_num = [(d, (-re, -im)) for d, (re, im) in nv.items()]
-        q = nq * dq
-        grads = []
-        for i in range(3 * self.n):
-            acc = {}
-            if i in ngrad:
-                _add_products(acc, ngrad[i].items(), den_parts)
-            if i in dgrad:
-                _add_products(acc, minus_num, dgrad[i].items())
-            grads.append(_reduced(acc, q) * inv2 if acc else ZERO)
-        return grads, nval, dval
+        return _at(vals, self.n).grad(self)
 
     def apply_pt(self, parity: SignedPermutation) -> "PhaseRational":
         return PhaseRational(self.num.apply_pt(parity), self.den.apply_pt(parity))
@@ -670,22 +753,37 @@ def dirac_bracket(f: PhaseRational, g: PhaseRational) -> PhaseRational:
     return pb(f, g) + correction
 
 
+def _bracket_pairs(a: Sequence[Exact], b: Sequence[Exact]):
+    """The int-part pairs of a_s[mu] b_p[mu] and -a_p[mu] b_s[mu] over mu,
+    for exact.sum_of_products; pairs with a zero entry are left out."""
+    n = len(a) // 3
+    for mu in range(n):
+        x, y = a[mu], b[n + mu]
+        if x and y:
+            yield x.int_parts(), y.int_parts()
+        x, y = a[n + mu], b[mu]
+        if x and y:
+            yield (-x).int_parts(), y.int_parts()
+
+
 def _bracket_of_gradients(a: Sequence[Exact], b: Sequence[Exact]) -> Exact:
     """sum_mu a_s[mu] b_p[mu] - a_p[mu] b_s[mu] for two gradients over the 3n
-    variables (s, p, then the k, which are central)."""
-    n = len(a) // 3
-    return sum((a[mu] * b[n + mu] - a[n + mu] * b[mu] for mu in range(n)), ZERO)
+    variables (s, p, then the k, which are central): one sum_of_products."""
+    return sum_of_products(_bracket_pairs(a, b))
 
 
-def poisson_bracket_at(f: PhaseRational, g: PhaseRational, vals: Sequence[Exact]) -> Exact:
-    """Value of the canonical bracket at a point, without symbolic assembly."""
+def poisson_bracket_at(f: PhaseRational, g: PhaseRational, vals) -> Exact:
+    """Value of the canonical bracket at a point (coordinates, or a _Point
+    already read), without symbolic assembly."""
     if f.n != g.n:
         raise DimensionMismatch("ambient dimensions differ")
-    return _bracket_of_gradients(f.grad_at(vals)[0], g.grad_at(vals)[0])
+    point = _at(vals, f.n)
+    return _bracket_of_gradients(f.grad_at(point)[0], g.grad_at(point)[0])
 
 
 def dirac_bracket_at(f: PhaseRational, g: PhaseRational, vals: Sequence[Exact]) -> Exact:
-    return _dirac_of_gradients(f.grad_at(vals)[0], g.grad_at(vals)[0], vals)
+    point = _Point(vals, f.n)
+    return _dirac_of_gradients(f.grad_at(point)[0], g.grad_at(point)[0], vals)
 
 
 def _dirac_of_gradients(gf: Sequence[Exact], gg: Sequence[Exact], vals: Sequence[Exact]) -> Exact:

@@ -12,7 +12,10 @@ in its body, so the exact checks run without it.
 
 One matrix carries the reduction: A(s), with A_{mu nu} = (Z_nu s)_mu.
 _cofactors gives det A and adj A by one Laplace expansion, and _det_and_y
-turns them into det A and the vector y = adj(A)^T k.  y has two readers:
+turns them into det A and the vector y = adj(A)^T k, both divided by the
+coefficient of det A's first printed term.  So det A is monic, as
+PhaseRational normalises a den, and every image keeps det A itself as its
+den: the n^2 images share one den object.  y has two readers:
 
 - build_potential: adj(-A^T A) = (-1)^(n-1) adj(A) adj(A)^T and
   det(-A^T A) = (-1)^n det(A)^2, so V = -sum_b y_b^2 / det(A)^2;
@@ -25,7 +28,10 @@ for words of length at most L, as one linear combination of the word
 polynomials; momentum_map is its linear case, over det A.
 Every image thus has the poles of det A.  verify_homomorphism and
 casimir_projection_report read only the generator images' values at each
-point, and combine them into the bracket and correction images.
+point, and combine them into the bracket and correction images.  Each
+sampled verdict reads a point once (phase._Point) and sweeps each distinct
+polynomial there once, so det A once per point for all n^2 images; the
+homomorphism's pair residuals are each one exact.sum_of_products.
 
 Each MASA is reduced once per process.  det A and y, the n^2 generator
 images, (V, H), the catalog integrals and the two sides of the sum relation
@@ -52,7 +58,7 @@ from itertools import islice
 from math import prod
 from typing import Callable, Sequence
 
-from .exact import Exact, I, ONE, ZERO, rat
+from .exact import Exact, I, ONE, ZERO, rat, sum_of_products
 from .errors import DegenerateMasa, FitUnderdetermined, RelationFailed, UnknownName
 from .lie import EnvElement, build_generators, casimir_element
 from .masa import MasaSpec, lambda_frame
@@ -62,8 +68,11 @@ from .phase import (
     PhasePoly,
     PhaseRational,
     _bracket_of_gradients,
+    _Point,
+    _bracket_pairs,
     _combination,
     _dirac_of_gradients,
+    _leading,
     first_nonzero_residual,
     poisson_bracket,
     poisson_bracket_at,
@@ -153,16 +162,23 @@ def _cofactors(A) -> tuple[PhasePoly, list[list[PhasePoly]]]:
 @_kept
 def _det_and_y(masa: MasaSpec) -> tuple[PhasePoly, tuple[PhasePoly, ...]]:
     """det A and y = adj(A)^T k, the vector both the potential and the
-    symmetric generator images are read from."""
+    symmetric generator images are read from, both divided by the
+    coefficient of det A's first printed term.  So det A is monic as
+    PhaseRational normalises a den, every image and power of it keeps that
+    den as built, and the n^2 images share one den object."""
     n = masa.n
     det, adj = _cofactors(build_A(masa))
     if det.is_zero():
         raise DegenerateMasa("A matrix is identically singular")
-    y = tuple(
+    y = [
         sum((PhasePoly.k(n, a) * adj[a][b] for a in range(n) if adj[a][b].terms), PhasePoly(n))
         for b in range(n)
-    )
-    return det, y
+    ]
+    lead = _leading(det)
+    if lead != ONE:
+        inv = lead.inverse()
+        det, y = det.scale(inv), [yb.scale(inv) for yb in y]
+    return det, tuple(y)
 
 
 @_kept
@@ -491,8 +507,13 @@ def _equal_on_constraint(
     """lhs = rhs at max(20, degree bound + 1) sampled points."""
     trials = max(20, _degree_bound(lhs, rhs) + 1)
     label = key.replace("_", " ")
+
+    def residuals(vals):
+        point = _Point(vals, masa.n)
+        return [(label, lhs.eval(point) - rhs.eval(point))]
+
     _require_zero(
-        lambda vals: [(label, lhs.eval(vals) - rhs.eval(vals))], masa.n, trials, seed,
+        residuals, masa.n, trials, seed,
         lambda name: f"{name} for {masa.name} fails at a sampled point",
     )
     return RelationReport(f"{key}[{masa.name}]", True, trials)
@@ -544,25 +565,23 @@ def casimir_projection_report(
 ) -> RelationReport:
     """Exact linear fit of the projected quadratic Casimir over the span
     {H, 1, k_i k_j}; the multiplicative and additive constants are reported,
-    an inconsistent fit raises.  The Casimir is not built: at each point the
-    generator images are evaluated over their distinct denominators, each
-    once, and combined by the words of casimir_element(2, ...)."""
+    an inconsistent fit raises.  The Casimir is not built: at each point,
+    read once, the generator images are evaluated, their shared den det A
+    swept once, and combined by the words of casimir_element(2, ...)."""
     n = masa.n
     _, H = _potential(masa)
     maps = generator_images(masa)
-    dens = list(dict.fromkeys(f.den for f in maps))  # det A, and 1 for a zero image
-    slots = [(f.num, dens.index(f.den)) for f in maps]
     words = casimir_element(2, build_generators(n)).terms.items()
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     names = ("H", "1") + tuple(f"k{i + 1}k{j + 1}" for i, j in pairs)
     npts = 2 * len(names) + 6 if npoints is None else npoints
 
     def row(vals):
-        inv = [d.eval(vals).inverse() for d in dens]
-        gen = [num.eval(vals) * inv[k] for num, k in slots]
+        point = _Point(vals, n)
+        gen = [f.eval(point) for f in maps]
         cas = sum((prod(map(gen.__getitem__, w), start=c) for w, c in words), ZERO)
         k = vals[2 * n:]
-        return [H.eval(vals), ONE] + [k[i] * k[j] for i, j in pairs] + [cas]
+        return [H.eval(point), ONE] + [k[i] * k[j] for i, j in pairs] + [cas]
 
     samples = pole_free_values(row, n, seed)
     coeffs = _fit_exact(list(islice(samples, npts)), names)
@@ -592,9 +611,10 @@ def verify_conservation(
     )
 
     def residuals(vals):
-        gH = H.grad_at(vals)[0]
+        point = _Point(vals, masa.n)
+        gH = H.grad_at(point)[0]
         return [
-            (name, _dirac_of_gradients(gH, gH if T is H else T.grad_at(vals)[0], vals))
+            (name, _dirac_of_gradients(gH, gH if T is H else T.grad_at(point)[0], vals))
             for name, T in integrals
         ]
 
@@ -636,38 +656,47 @@ def verify_homomorphism(
     to the plain (s, p) Poisson bracket.  Without them the relation fails
     for pairs of symmetric generators, whose maps carry no momenta.
 
-    Only the n^2 generator images are built, and each is swept once per
-    point by grad_at, whose gradient carries dXhat/dk_mu beside the (s, p)
-    partials.  The map is linear, so at each point the image of [X_i, X_j]
-    and of [X_i, Z_mu] is the combination of the generator values with the
-    coefficients of that matrix in the basis, read off the structure
-    constants (and, for Z_mu, its expansion in the basis).
+    Only the n^2 generator images are built.  Each point is read once, and
+    grad_at sweeps each image's num, and their shared den det A, once there;
+    the gradient carries dXhat/dk_mu beside the (s, p) partials.  The map is
+    linear, so at each point the image of [X_i, X_j] and of [X_i, Z_mu] is
+    the combination of the generator values with the coefficients of that
+    matrix in the basis, read off the structure constants (and, for Z_mu,
+    its expansion in the basis).  Each pair's residual, bracket plus
+    k-correction minus image, is one exact.sum_of_products over the int
+    parts of its nonzero terms.
     """
     n = masa.n
     basis = build_generators(n)
     maps = generator_images(masa)
-    corr = _corrections(masa)
+    size = basis.size
+    corr = [
+        [[(c.int_parts(), k) for k, c in z.items()] for z in row] for row in _corrections(masa)
+    ]
+    minus_image = {
+        (i, j): [((-c).int_parts(), k) for k, c in basis.bracket_coeffs(i, j).items()]
+        for i in range(size) for j in range(i + 1, size)
+    }
 
     def residuals(vals):
         # one gradient per map per point; pairs then combine values only
-        at = [f.grad_at(vals) for f in maps]
-        gen_vals = [nval / dval for _, nval, dval in at]
-        dk = [grads[2 * n :] for grads, _, _ in at]
-
-        def image(coeffs):
-            return sum((c * gen_vals[k] for k, c in coeffs.items()), ZERO)
-
-        corr_vals = {
-            (i, mu): image(corr[i][mu]) for i in range(basis.size) for mu in range(n)
-        }
+        point = _Point(vals, n)
+        grads = [f.grad_at(point)[0] for f in maps]
+        gen = [f.eval(point).int_parts() for f in maps]
+        dk = [[x.int_parts() for x in g[2 * n:]] for g in grads]
+        corr_vals = [
+            [sum_of_products((c, gen[k]) for c, k in z) for z in row] for row in corr
+        ]
+        plus = [[x.int_parts() for x in row] for row in corr_vals]
+        minus = [[(-x).int_parts() for x in row] for row in corr_vals]
         out = []
-        for i in range(basis.size):
-            for j in range(i + 1, basis.size):
-                lhs = _bracket_of_gradients(at[i][0], at[j][0])
-                for mu in range(n):
-                    lhs = lhs + corr_vals[(i, mu)] * dk[j][mu]
-                    lhs = lhs - corr_vals[(j, mu)] * dk[i][mu]
-                out.append((f"({i},{j})", lhs - image(basis.bracket_coeffs(i, j))))
+        for i in range(size):
+            for j in range(i + 1, size):
+                terms = list(_bracket_pairs(grads[i], grads[j]))
+                terms += zip(plus[i], dk[j])
+                terms += zip(minus[j], dk[i])
+                terms += [(c, gen[k]) for c, k in minus_image[(i, j)]]
+                out.append((f"({i},{j})", sum_of_products(terms)))
         return out
 
     _require_zero(
@@ -725,7 +754,8 @@ def racah_structure_report(
     pb = _bracket_of_gradients
 
     def residuals(vals):
-        g1, g2, g3 = (T.grad_at(vals)[0] for T in (T1, T2, T3))
+        point = _Point(vals, n)
+        g1, g2, g3 = (T.grad_at(point)[0] for T in (T1, T2, T3))
         t12 = pb(g1, g2)
         return [("T12 + T13", t12 + pb(g1, g3)), ("T12 - T23", t12 - pb(g2, g3))]
 
@@ -744,10 +774,11 @@ def racah_structure_report(
 
     def fit_sample(vals, target):
         vals[2 * n :] = kvals
-        t1 = T1.eval(vals)
-        t2 = T2.eval(vals)
-        t3 = T3.eval(vals)
-        b = poisson_bracket_at(T12, target, vals)
+        point = _Point(vals, n)  # read after the couplings are fixed
+        t1 = T1.eval(point)
+        t2 = T2.eval(point)
+        t3 = T3.eval(point)
+        b = poisson_bracket_at(T12, target, point)
         return [t1 * t2, t1 * t3, t2 * t3, t1 * t1, t2 * t2, t3 * t3, t1, t2, t3, ONE, b]
 
     rng = random.Random(seed + 7)

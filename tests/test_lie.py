@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptsphere import lie
 from ptsphere.errors import DimensionMismatch, UnsupportedOrder, UnsupportedRank
 from ptsphere.exact import I, Exact, rat
 from ptsphere.lie import (
@@ -14,6 +16,8 @@ from ptsphere.lie import (
     verify_structure_constants,
 )
 from ptsphere.matrices import ExactMatrix
+
+import pbw_reference
 
 i = I
 # the printed bases, in their printed order, and which of them are symmetric
@@ -201,3 +205,38 @@ def test_casimir_order_guard(u2):
     for order in (0, 1, 4, 5):
         with pytest.raises(UnsupportedOrder):
             casimir_element(order, u2)
+
+
+@pytest.mark.parametrize("n, order", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_casimirs_equal_the_unmemoised_rewriting(n, order, monkeypatch):
+    basis = build_generators(n)
+    kept = casimir_element(order, basis)
+    monkeypatch.setattr(lie, "pbw_normal_form", pbw_reference.pbw_normal_form)
+    assert casimir_element.__wrapped__(order, basis) == kept
+
+
+def test_kept_rewrites_equal_the_unmemoised_recursion(u2, u3):
+    # every u(2) word of length 4, then 60 random u(3) words of length 3 and
+    # 4, each rewritten after its subwords were kept by earlier ones
+    words = [(u2, (a, b, c, d)) for a in range(4) for b in range(4) for c in range(4)
+             for d in range(4)]
+    rng = random.Random(5)
+    words += [(u3, tuple(rng.randrange(9) for _ in range(rng.choice((3, 4)))))
+              for _ in range(60)]
+    for basis, word in words:
+        e = EnvElement({word: rat(Fraction(2, 3), 1)})
+        assert pbw_normal_form(e, basis) == pbw_reference.pbw_normal_form(e, basis), word
+
+
+def test_a_second_casimir_lookup_hashes_no_matrix(u3, monkeypatch):
+    # the basis keeps its hash, so a cached Casimir is found without hashing
+    # the n^2 generator matrices again
+    for order in (2, 3):
+        casimir_element(order, u3)
+    calls = []
+    real = ExactMatrix.__hash__
+    monkeypatch.setattr(ExactMatrix, "__hash__", lambda self: calls.append(1) or real(self))
+    assert casimir_element(2, u3) is casimir_element(2, u3)
+    casimir_element(3, u3)
+    assert calls == []
+    assert hash(u3) == hash((u3.n, u3.generators, u3.symmetric_flags)) and calls

@@ -21,9 +21,11 @@ from ptsphere.phase import (
     pole_free_values,
     sample_vals,
 )
+from ptsphere.phase import _Point
 from ptsphere.reduction import _det_and_y
 
-from catalog_models import build_masa, models
+import jet_reference
+from catalog_models import PARAMS, build_masa, models
 
 N = 3
 
@@ -276,13 +278,101 @@ def test_grad_at_matches_the_symbolic_derivatives(name, kw):
     funcs = [sysr.hamiltonian] + [T for _, T in sysr.integrals] + generator_images(masa)
     points = list(islice(pole_free_values(
         lambda vals: (vals, [f.grad_at(vals) for f in funcs]), n, 5), 5))
-    for k, f in enumerate(funcs):
-        derivs = [f.deriv(i) for i in range(3 * n)]
+    derivs_of = [[f.deriv(i) for i in range(3 * n)] for f in funcs]
+    for k, (f, derivs) in enumerate(zip(funcs, derivs_of)):
         for vals, at in points:
             grads, nval, dval = at[k]
             assert nval / dval == f.eval(vals)
             assert grads[: 2 * n] == [d.eval(vals) for d in derivs[: 2 * n]]
             assert grads[2 * n :] == [d.eval(vals) for d in derivs[2 * n :]]
+    # hand-built points with each of the 3n coordinates 0 in turn, where the
+    # Euler weights would divide by that coordinate: the sampled points above
+    # with one coordinate set to 0.  Each function is checked at the first
+    # such point that is not one of its poles.  The dens depend on s alone,
+    # so every p and k coordinate is checked; an s coordinate may be a pole
+    # of every function (s1 = 0 divides det A on cartan_od).
+    covered = set()
+    for i in range(3 * n):
+        for k, f in enumerate(funcs):
+            for vals, _ in points:
+                vals = list(vals)
+                vals[i] = ZERO
+                try:
+                    grads, nval, dval = f.grad_at(vals)
+                except ZeroDivisionError:
+                    continue
+                assert nval / dval == f.eval(vals)
+                assert grads == [d.eval(vals) for d in derivs_of[k]], (i, k)
+                covered.add(i)
+                break
+    assert covered >= set(range(n, 3 * n)) and covered & set(range(n))
+
+
+def _catalog_functions(name):
+    from ptsphere.reduction import build_hamiltonian, generator_images
+
+    masa = build_masa(name)
+    sysr = build_hamiltonian(masa)
+    return masa.n, [sysr.hamiltonian, sysr.potential] + [
+        T for _, T in sysr.integrals] + generator_images(masa)
+
+
+@pytest.mark.parametrize("name", list(PARAMS))
+def test_point_sweep_matches_the_prefix_suffix_jet(name):
+    # value and all 3n partials of num and den, and the rational gradient,
+    # equal the prefix/suffix products of jet_reference int for int: at
+    # sampled points and at the same points with one or two coordinates 0
+    n, funcs = _catalog_functions(name)
+    rng = random.Random(11)
+    sampled = [sample_vals(rng, n) for _ in range(4)]
+    points = list(sampled)
+    for i in range(3 * n):
+        vals = list(sampled[i % 4])
+        vals[i] = ZERO
+        points.append(vals)
+        vals = list(vals)
+        vals[(i + 1) % (3 * n)] = ZERO
+        points.append(vals)
+    checked = 0
+    for vals in points:
+        point = _Point(vals, n)
+        for f in funcs:
+            for poly in (f.num, f.den):
+                value, grad, q = jet_reference.jet(poly, point.qs)
+                sweep = point.sweep(poly)
+                assert sweep.LD == q and sweep.value() == Exact(value, q)
+                assert {i: Exact(g, q) for i, g in sweep.grad(point.qs).items()} == {
+                    i: Exact(g, q) for i, g in grad.items()}
+            try:
+                want = jet_reference.grad_at(f, vals)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    f.grad_at(vals)
+                continue
+            assert f.grad_at(vals) == want
+            assert f.grad_at(point) == want and f.eval(point) == want[1] / want[2]
+            checked += 1
+    assert checked >= len(points) * len(funcs) // 2
+
+
+def test_a_point_sweeps_each_polynomial_once():
+    # two functions over one den: the den is swept once, each num once, and
+    # a second evaluation sweeps nothing
+    x, y = PhasePoly.s(N, 0), PhasePoly.p(N, 1)
+    den = x * x + PhasePoly.const(N, 1)
+    f, g = PhaseRational(x * y, den), PhaseRational(y, den)
+    point = _Point(sample_vals(random.Random(3), N), N)
+    first = (f.grad_at(point), g.grad_at(point), f.eval(point))
+    swept = dict(point._sweeps)
+    assert {id(p) for p in (den, f.num, g.num)} == swept.keys()
+    assert (f.grad_at(point), g.grad_at(point), f.eval(point)) == first
+    assert point._sweeps == swept
+
+
+def test_a_point_of_another_dimension_is_refused():
+    point = _Point(sample_vals(random.Random(3), 2), 2)
+    with pytest.raises(DimensionMismatch):
+        _s(0).eval(point)
 
 
 def test_poly_eval_keeps_non_vanishing_identity_nonzero():

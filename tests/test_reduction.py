@@ -8,7 +8,7 @@ from math import prod
 
 import pytest
 
-from ptsphere import reduction
+from ptsphere import phase, reduction
 from ptsphere.errors import DegenerateMasa, FitUnderdetermined, RelationFailed, UnknownName
 from ptsphere.exact import ZERO, Exact, I, ONE, rat
 from ptsphere.lie import EnvElement, build_generators, casimir_element
@@ -18,6 +18,7 @@ from ptsphere.phase import (
     PhasePoly,
     PhaseRational,
     dirac_bracket,
+    dirac_bracket_at,
     func_vanishes_on_constraint,
     pole_free_values,
     sample_vals,
@@ -280,6 +281,28 @@ def test_racah_fits_cartan_od():
         assert all(c.is_zero() for c in fit.values()), fit
 
 
+def test_racah_fit_rows_are_read_at_the_fixed_couplings(monkeypatch):
+    # fit_sample fixes k in the drawn list, then reads the point: every row's
+    # T1, T2, T3 are the integrals at the fixed couplings, not the drawn ones
+    rows = []
+    real = reduction.pole_free_values
+
+    def recording(func, n, seed):
+        return real(lambda vals: rows.append((vals, func(vals))) or rows[-1][1], n, seed)
+
+    monkeypatch.setattr(reduction, "pole_free_values", recording)
+    masa = build_masa("cartan_od")
+    # four rows are too few for the ten-term fit; only the rows are read
+    with pytest.raises(FitUnderdetermined):
+        racah_structure_report(masa, with_fits=True, npoints=4)
+    T = dict(reduction.integrals_catalog(masa))
+    kfix = [Exact.from_rational(k) for k in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))]
+    assert len(rows) == 4
+    for vals, row in rows:
+        assert vals[6:] == kfix
+        assert row[6:9] == [T[name].eval(vals) for name in ("T1", "T2", "T3")]
+
+
 def test_su2ab_potential_on_circle():
     # restriction to s = (cos phi, sin phi) must agree with the angular
     # closed form used by the periodic solver
@@ -524,6 +547,59 @@ def test_racah_antisymmetry_takes_both_relations_at_one_point_stream(monkeypatch
     calls = _count_grad_at(monkeypatch)
     rep = racah_structure_report(build_masa("lambda"), with_fits=False)
     assert (rep.antisymmetry_ok, rep.trials, len(calls)) == (True, 20, 60)
+
+
+def _count_point_reads(monkeypatch):
+    """(points drawn, coordinate reads) lists that grow as a verdict runs."""
+    drawn, reads = [], []
+    real_sample, real_read = phase.sample_vals, phase._coordinates
+    monkeypatch.setattr(phase, "sample_vals",
+                        lambda rng, n: drawn.append(1) or real_sample(rng, n))
+    monkeypatch.setattr(phase, "_coordinates",
+                        lambda vals, n: reads.append(1) or real_read(vals, n))
+    return drawn, reads
+
+
+def _negative_control(masa):
+    sysr = build_hamiltonian(masa)
+    H, bad = sysr.hamiltonian, sysr.integrals[0][1] + _s1()
+    return not func_vanishes_on_constraint(lambda vals: dirac_bracket_at(H, bad, vals), 3, 5)
+
+
+@pytest.mark.parametrize("verdict", [
+    lambda: reduction.verify_homomorphism(build_masa("cartan_od"), npoints=3).passed,
+    lambda: verify_conservation(build_masa("cartan_od")).passed,
+    lambda: verify_sum_relation(build_masa("su2ab")).passed,
+    lambda: verify_separable_potential(build_masa("lambda")).passed,
+    lambda: casimir_projection_report(build_masa("su2ab")).passed,
+    lambda: not racah_structure_report(build_masa("cartan_od"), with_fits=False).antisymmetry_ok,
+    lambda: _negative_control(build_masa("cartan_od")),
+], ids=["homomorphism", "conservation", "sum_relation", "separable", "casimir", "racah",
+        "negative_control"])
+def test_a_verdict_reads_each_point_once(verdict, monkeypatch):
+    # every function a verdict evaluates at a point shares one read of its
+    # coordinates: reads equal points drawn, poles included
+    verdict()  # builds what the verdict needs; building reads no point
+    drawn, reads = _count_point_reads(monkeypatch)
+    assert verdict()
+    assert drawn and len(reads) == len(drawn)
+
+
+@pytest.mark.parametrize("name, kw", FAST_MODELS)
+def test_homomorphism_sweeps_det_A_once_per_point(name, kw, monkeypatch):
+    # the n^2 generator images share det A as one den object, so each point
+    # sweeps it once, not once per image
+    masa = catalog_masa(name, **kw)
+    det = reduction._det_and_y(masa)[0]
+    assert reduction._leading(det) == ONE
+    assert all(f.den is det for f in generator_images(masa) if not f.is_zero())
+    drawn, _ = _count_point_reads(monkeypatch)
+    swept = []
+    real = phase._Sweep.__init__
+    monkeypatch.setattr(phase._Sweep, "__init__",
+                        lambda self, f, point: swept.append(f) or real(self, f, point))
+    assert reduction.verify_homomorphism(masa, npoints=4).passed
+    assert sum(f is det for f in swept) == len(drawn) >= 4
 
 
 def test_racah_antisymmetry_fails_for_a_perturbed_T3(monkeypatch):
