@@ -169,13 +169,15 @@ def cmd_validate(args) -> int:
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
-def _run_identity(doc, key, fn):
+def _run_identity(doc, entry, check, *args, **kw):
+    """doc[entry] from the report of check(*args, **kw), or from the
+    RelationFailed it raises; True if the check passed."""
     try:
-        rep = fn()
-        doc[key] = {"passed": rep.passed, "trials": rep.trials, "detail": rep.detail}
+        rep = check(*args, **kw)
+        doc[entry] = {"passed": rep.passed, "trials": rep.trials, "detail": rep.detail}
         return rep.passed
     except RelationFailed as exc:
-        doc[key] = {"passed": False, "detail": str(exc)}
+        doc[entry] = {"passed": False, "detail": str(exc)}
         return False
 
 
@@ -183,27 +185,17 @@ def cmd_reduce(args) -> int:
     masa = _build_masa(args)
     # keyed on the MASA built: a --masa file has no entry and runs zhat_eq_k only
     model = reduction.MODELS.get(masa.name)
-
-    # the checks read seed when they run, once it is settled below
-    def racah():
-        r = reduction.racah_structure_report(masa, seed=seed, with_fits=False)
-        return reduction.RelationReport("racah", r.antisymmetry_ok, r.trials, "T12 = -T13 = T23")
-
-    checks = [("zhat_eq_k", lambda: reduction.verify_masa_reduction(masa))]
-    if model and model.sum_relation:
-        checks += [
-            ("casimir_projection", lambda: reduction.casimir_projection_report(masa, seed=seed)),
-            ("sum_relation", lambda: reduction.verify_sum_relation(masa, seed=seed)),
-        ]
-    if model and model.separable:
-        checks.append(
-            ("separable_potential", lambda: reduction.verify_separable_potential(masa, seed=seed))
-        )
-    if model and model.racah:
-        checks.append(("racah", racah))
+    # the sampled checks the entry picks: (key, check, keywords), each check of masa and seed
+    sampled = []
+    if model:
+        if "sum_relation" in model.relations:
+            sampled.append(("casimir_projection", reduction.casimir_projection_report, {}))
+        sampled += [(key, reduction.verify_relation, {"key": key}) for key in model.relations]
+        if model.racah:
+            sampled.append(("racah", reduction.racah_structure_report, {"with_fits": False}))
     # zhat_eq_k is symbolic: the seed is read, and echoed, only beside a sampled check
-    if len(checks) > 1:
-        args.seed = seed = DEFAULT_SEED if args.seed is None else args.seed
+    if sampled:
+        args.seed = DEFAULT_SEED if args.seed is None else args.seed
     elif args.seed is not None:
         source = f"--masa {args.masa}" if args.masa else f"--model {args.model}"
         raise ConfigError(f"--seed decides nothing: reduce samples no point for {source}")
@@ -221,8 +213,9 @@ def cmd_reduce(args) -> int:
     doc["hamiltonian"] = repr(sysr.hamiltonian)
     doc["integrals"] = [name for name, _ in sysr.integrals]
     idents = {}
-    for key, fn in checks:
-        ok &= _run_identity(idents, key, fn)
+    ok &= _run_identity(idents, "zhat_eq_k", reduction.verify_masa_reduction, masa)
+    for key, check, kw in sampled:
+        ok &= _run_identity(idents, key, check, masa, seed=args.seed, **kw)
     doc["identities"] = idents
     _emit(args, doc)
     return EXIT_OK if ok else EXIT_FAIL
@@ -234,19 +227,13 @@ def cmd_verify(args) -> int:
     args.seed = DEFAULT_SEED if args.seed is None else args.seed
     doc = _base_report(args)
     ok = True
+    ok &= _run_identity(doc, "conservation", reduction.verify_conservation, masa, seed=args.seed)
     ok &= _run_identity(
-        doc, "conservation", lambda: reduction.verify_conservation(masa, seed=args.seed)
-    )
-    ok &= _run_identity(
-        doc,
-        "bracket_preservation",
-        lambda: reduction.verify_homomorphism(masa, seed=args.seed),
+        doc, "bracket_preservation", reduction.verify_homomorphism, masa, seed=args.seed
     )
     if masa.parity is not None:
-        sysr = reduction.build_hamiltonian(masa)
-        V = sysr.potential
-        img = V.apply_pt(masa.parity)
-        inv = V.agrees_with(img)
+        V = reduction.build_hamiltonian(masa).potential
+        inv = V.agrees_with(V.apply_pt(masa.parity))
         doc["pt_invariance"] = {"passed": inv}
         ok &= inv
     if args.appendix:

@@ -15,7 +15,8 @@ stream, drops a point where the evaluation divides by zero, and raises
 SamplingExhausted after MAX_RESAMPLES (100) poles in a row.  Every zero
 verdict is one first_nonzero_residual call, which names the first nonzero
 of the verdict's residuals; func_vanishes_on_constraint is its one-residual
-case.
+case, and reduction's verdicts reach it through one runner that reads each
+point into one _Point.
 
 PhasePoly.eval accepts only real rational coordinates and checks every one,
 used or not.  It reads their numerators and denominators off the Exact int
@@ -83,7 +84,6 @@ __all__ = [
     "PhaseRational",
     "SignedPermutation",
     "poisson_bracket",
-    "dirac_bracket",
     "poisson_bracket_at",
     "dirac_bracket_at",
     "sample_vals",
@@ -254,19 +254,20 @@ class _Sweep:
 
 
 class _Point:
-    """A point of phase space, read once: the int pairs (a, b) of its 3n
-    coordinates and, per variable and largest exponent m, the table
-    a^x * b^(m - x) for x = 0..m.  Each PhasePoly is swept once here (by
-    identity), so functions that share a den, as the generator images share
-    det A, sweep it once per point.  A point is made after its coordinates
-    are final and lives for one evaluation step: it keeps no reference to
-    the list it was read from."""
+    """A point of phase space, read once: its 3n coordinates (vals, a
+    tuple), their int pairs (a, b) and, per variable and largest exponent
+    m, the table a^x * b^(m - x) for x = 0..m.  Each PhasePoly is swept once
+    here (by identity), so functions that share a den, as the generator
+    images share det A, sweep it once per point.  A point is made after its
+    coordinates are final and lives for one evaluation step: it keeps no
+    reference to the list it was read from."""
 
-    __slots__ = ("n", "qs", "_tables", "_sweeps")
+    __slots__ = ("n", "vals", "qs", "_tables", "_sweeps")
 
     def __init__(self, vals: Sequence[Exact], n: int):
         self.n = n
         self.qs = _coordinates(vals, n)
+        self.vals = tuple(vals)
         self._tables = {}
         self._sweeps = {}
 
@@ -727,30 +728,6 @@ def poisson_bracket(f: PhaseRational, g: PhaseRational) -> PhaseRational:
     acc = _poly_products(n, pairs)
     df, dg = f.den, g.den
     return PhaseRational(acc, df * df * dg * dg)
-
-
-def _constraints(n: int) -> tuple[PhaseRational, PhaseRational]:
-    ss = PhasePoly(n)
-    sp = PhasePoly(n)
-    for mu in range(n):
-        ss = ss + PhasePoly.s(n, mu) * PhasePoly.s(n, mu)
-        sp = sp + PhasePoly.s(n, mu) * PhasePoly.p(n, mu)
-    c1 = PhaseRational(ss - PhasePoly.const(n, 1))
-    c2 = PhaseRational(sp)
-    return c1, c2
-
-
-def dirac_bracket(f: PhaseRational, g: PhaseRational) -> PhaseRational:
-    """Bracket consistent with the second-class constraints s.s=1, s.p=0."""
-    if f.n != g.n:
-        raise DimensionMismatch("ambient dimensions differ")
-    n = f.n
-    c1, c2 = _constraints(n)
-    ss = c1.num + PhasePoly.const(n, 1)  # s.s
-    two_ss = PhaseRational(ss.scale(2))
-    pb = poisson_bracket
-    correction = (pb(f, c1) * pb(c2, g) - pb(f, c2) * pb(c1, g)) / two_ss
-    return pb(f, g) + correction
 
 
 def _bracket_pairs(a: Sequence[Exact], b: Sequence[Exact]):

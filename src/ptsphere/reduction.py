@@ -4,18 +4,20 @@ Everything algebraic is exact.  The ambient data is a MASA of u(n); the
 engine produces the reduced potential V = k^T (-A^T A)^{-1} k, the momentum
 map X -> Xhat on the constrained phase space, the named models' integrals
 of motion, and the verification reports for the conservation, sum,
-separable-potential and Racah-type identities.  Each sampled verdict is one
-phase.first_nonzero_residual call: all its residuals at each point, from one
-gradient per function there, and a failure names the first nonzero one.
-The one float check, the Appendix's Jacobian block identities, imports numpy
-in its body, so the exact checks run without it.
+separable-potential and Racah-type identities.  A model's relations are
+one table in its MODELS entry, checked by verify_relation.  Every zero
+verdict samples through one runner, _zero_at_samples, which reads each
+point into one phase._Point for the verdict's residuals; a failure names
+the first nonzero one.  The one float check, the Appendix's Jacobian block
+identities, imports numpy in its body, so the exact checks run without it.
 
 One matrix carries the reduction: A(s), with A_{mu nu} = (Z_nu s)_mu.
 _cofactors gives det A and adj A by one Laplace expansion, and _det_and_y
 turns them into det A and the vector y = adj(A)^T k, both divided by the
 coefficient of det A's first printed term.  So det A is monic, as
 PhaseRational normalises a den, and every image keeps det A itself as its
-den: the n^2 images share one den object.  y has two readers:
+den: the n^2 images share one den object, as V, H and the projected
+quadratic Casimir share det A^2 (_det_powers).  y has two readers:
 
 - build_potential: adj(-A^T A) = (-1)^(n-1) adj(A) adj(A)^T and
   det(-A^T A) = (-1)^n det(A)^2, so V = -sum_b y_b^2 / det(A)^2;
@@ -31,12 +33,13 @@ casimir_projection_report read only the generator images' values at each
 point, and combine them into the bracket and correction images.  Each
 sampled verdict reads a point once (phase._Point) and sweeps each distinct
 polynomial there once, so det A once per point for all n^2 images; the
-homomorphism's pair residuals are each one exact.sum_of_products.
+homomorphism's pair residuals and the Casimir's words at a point are each
+one exact.sum_of_products.
 
 Each MASA is reduced once per process.  det A and y, the n^2 generator
-images, (V, H), the catalog integrals and the two sides of the sum relation
-and of the separable-potential identity are kept per MASA (all but the first
-two per MASA and MODELS entry, so a changed entry is rebuilt), the most
+images, det A's powers, (V, H), the catalog integrals and the two sides of
+each relation are kept per MASA ((V, H), the integrals and the sides per
+MASA and MODELS entry, so a replaced entry is rebuilt), the most
 recent BUILD_CACHE_SIZE of each.  The kept objects are never changed, and each
 PhasePoly keeps its int form, so a second verdict builds nothing before it
 evaluates.  build_hamiltonian, integrals_catalog and generator_images return
@@ -58,7 +61,7 @@ from itertools import islice
 from math import prod
 from typing import Callable, Sequence
 
-from .exact import Exact, I, ONE, ZERO, rat, sum_of_products
+from .exact import Exact, I, ONE, ZERO, _add_products, rat, sum_of_products
 from .errors import DegenerateMasa, FitUnderdetermined, RelationFailed, UnknownName
 from .lie import EnvElement, build_generators, casimir_element
 from .masa import MasaSpec, lambda_frame
@@ -91,6 +94,7 @@ __all__ = [
     "project_env_element",
     "build_hamiltonian",
     "integrals_catalog",
+    "verify_relation",
     "verify_sum_relation",
     "verify_separable_potential",
     "verify_masa_reduction",
@@ -182,11 +186,19 @@ def _det_and_y(masa: MasaSpec) -> tuple[PhasePoly, tuple[PhasePoly, ...]]:
 
 
 @_kept
+def _det_powers(masa: MasaSpec) -> tuple[PhasePoly, PhasePoly, PhasePoly]:
+    """1, det A and det A^2, one object each per MASA: V and the projected
+    quadratic Casimir share det A^2, and H keeps V's den."""
+    det = _det_and_y(masa)[0]
+    return PhasePoly.const(masa.n, 1), det, det * det
+
+
+@_kept
 def build_potential(masa: MasaSpec) -> PhaseRational:
     """V(k, s) = k^T (-A^T A)^{-1} k = -sum_b y_b^2 / det(A)^2, since
     (-A^T A)^{-1} = -adj(A) adj(A)^T / det(A)^2."""
-    det, y = _det_and_y(masa)
-    return PhaseRational(-sum((yb * yb for yb in y), PhasePoly(masa.n)), det * det)
+    y = _det_and_y(masa)[1]
+    return PhaseRational(-sum((yb * yb for yb in y), PhasePoly(masa.n)), _det_powers(masa)[2])
 
 
 @_kept
@@ -239,10 +251,10 @@ def project_env_element(e: EnvElement, masa: MasaSpec) -> PhaseRational:
     length, c * word w adds c prod_{i in w} nums[i] det A^(L - |w|) to the
     one numerator over det A^L, one linear combination of the word
     polynomials."""
-    det, nums, L = _det_and_y(masa)[0], _generator_nums(masa), e.degree()
-    powers = {1: det} if L else {0: PhasePoly.const(masa.n, 1)}  # det A^k
-    for k in range(2, L + 1):
-        powers[k] = powers[k - 1] * det
+    nums, L = _generator_nums(masa), e.degree()
+    powers = list(_det_powers(masa))  # det A^k
+    while len(powers) <= L:
+        powers.append(powers[-1] * powers[1])
     words = []
     for word, c in e.terms.items():
         factors = [nums[gi] for gi in word]
@@ -388,31 +400,32 @@ def _degenerate_integrals(masa: MasaSpec):
     return [("T", M.scale(rat(2)))]
 
 
-def _ambient_p_squared(n: int) -> PhaseRational:
-    acc = PhasePoly(n)
-    for mu in range(n):
-        acc = acc + PhasePoly.p(n, mu) * PhasePoly.p(n, mu)
-    return PhaseRational(acc)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
-    """What the reduction knows of one catalog model.
+    """What the reduction knows of one catalog model, hashed by identity.
 
-    integrals(masa) builds its integrals; None: its one integral is
-    H.  sum_relation(masa, H, T) gives the two sides of its
-    over-completeness relation (T: the integrals by name); the projected
-    Casimir fits {H, 1, k_i k_j} on exactly the models that have one.
-    racah: T12 = -T13 = T23 holds.  potential(*masa.params), when set,
-    replaces build_potential.  separable(*masa.params), when set, is a
-    separated form the potential must equal on s.s = 1.
+    integrals(masa) builds its integrals; None: its one integral is H.
+    relations maps a report key to relation(masa), the two sides of an
+    identity on the constraint surface: "sum_relation", the
+    over-completeness relation (the projected Casimir fits {H, 1, k_i k_j}
+    on exactly the models that have one), and "separable_potential", a
+    separated form of the potential.  racah: T12 = -T13 = T23 holds.
+    potential(*masa.params), when set, replaces build_potential.
     """
 
     integrals: Callable | None
-    sum_relation: Callable | None = None
+    relations: dict = field(default_factory=dict)
     racah: bool = False
     potential: Callable | None = None
-    separable: Callable | None = None
+
+
+def _on_system(relation: Callable) -> Callable:
+    """relation(masa, H, T) on masa's built system (T: the integrals by
+    name) as a relation of masa alone."""
+    def sides(masa):
+        sysr = build_hamiltonian(masa)
+        return relation(masa, sysr.hamiltonian, dict(sysr.integrals))
+    return sides
 
 
 # the separable form at lambda^2 = 1/2, on the branch masa.params = (sign,)
@@ -422,20 +435,25 @@ _DEGENERATE = Model(
 MODELS = {
     # the su(2) quadratic Casimir reduces to twice the Hamiltonian in the
     # normalization of casimir_element
-    "su2ab": Model(None, lambda m, H, T: (
+    "su2ab": Model(None, {"sum_relation": _on_system(lambda m, H, T: (
         project_env_element(casimir_element(2, build_generators(2)), m), H.scale(rat(2))
-    )),
-    "lambda": Model(_lambda_integrals, lambda m, H, T: (
-        T["T1"] + T["T2"] + T["T3"],
-        H.scale(rat(1 - 2 * m.params[0])) - _sq(_kP(0) - _kP(1) - _kP(2)),
-    ), racah=True, separable=_lambda_separable_potential),
-    "cartan_od": Model(_cartan_od_integrals, lambda m, H, T: (
+    ))}),
+    "lambda": Model(_lambda_integrals, {
+        "sum_relation": _on_system(lambda m, H, T: (
+            T["T1"] + T["T2"] + T["T3"],
+            H.scale(rat(1 - 2 * m.params[0])) - _sq(_kP(0) - _kP(1) - _kP(2)),
+        )),
+        "separable_potential": lambda m: (
+            build_potential(m), _lambda_separable_potential(*m.params)
+        ),
+    }, racah=True),
+    "cartan_od": Model(_cartan_od_integrals, {"sum_relation": _on_system(lambda m, H, T: (
         T["T1"] + T["T2"], H + (_kP(0) * _kP(2)).scale(rat(2)) - _sq(_kP(0))
-    )),
-    "nilpotent": Model(_nilpotent_integrals, lambda m, H, T: (
+    ))}),
+    "nilpotent": Model(_nilpotent_integrals, {"sum_relation": _on_system(lambda m, H, T: (
         T["T1"] + T["T2"],
         H + (_sq(_kP(0)) + _sq(_kP(1)).scale(rat(2))).scale(rat(Fraction(1, 3))),
-    )),
+    ))}),
     # no sum relation: the projected Casimir fit over {H, 1, k_i k_j} is inconsistent
     "degenerate_plus": _DEGENERATE,
     "degenerate_minus": _DEGENERATE,
@@ -460,7 +478,8 @@ def _integrals(masa: MasaSpec, model: Model) -> tuple:
 @_kept
 def _potential_of(masa: MasaSpec, model: Model | None) -> tuple[PhaseRational, PhaseRational]:
     V = model.potential(*masa.params) if model and model.potential else build_potential(masa)
-    return V, _ambient_p_squared(masa.n) + V
+    p2 = sum((PhasePoly.p(masa.n, mu) ** 2 for mu in range(masa.n)), PhasePoly(masa.n))
+    return V, PhaseRational(p2 * V.den + V.num, V.den)  # H = p.p + V keeps V's den
 
 
 def _potential(masa: MasaSpec) -> tuple[PhaseRational, PhaseRational]:
@@ -495,58 +514,52 @@ def _degree_bound(*fs: PhaseRational) -> int:
     return sum(f.num.total_degree() + f.den.total_degree() for f in fs)
 
 
-def _require_zero(residuals, n: int, trials: int, seed, failure: Callable[[str], str]):
-    name = first_nonzero_residual(residuals, n, trials, seed)
-    if name is not None:
+def _zero_at_samples(residuals: Callable[[_Point], list], n: int, trials: int, seed,
+                     failure: Callable[[str], str] | None = None) -> bool:
+    """The one runner of every zero verdict: residuals(point) lists the
+    verdict's (name, value) pairs at each of trials sampled points, each read
+    once into a _Point that also carries its coordinates.  True if all vanish;
+    else RelationFailed(failure(first nonzero name)) is raised, or, with no
+    failure, False returned."""
+    name = first_nonzero_residual(lambda vals: residuals(_Point(vals, n)), n, trials, seed)
+    if name is not None and failure:
         raise RelationFailed(failure(name))
+    return name is None
 
 
-def _equal_on_constraint(
-    key: str, masa: MasaSpec, lhs: PhaseRational, rhs: PhaseRational, seed
+@_kept
+def _sides(masa: MasaSpec, model: Model, key: str) -> tuple[PhaseRational, PhaseRational]:
+    """The two sides of model's relation key on masa, kept per MODELS entry."""
+    return model.relations[key](masa)
+
+
+def verify_relation(
+    masa: MasaSpec, key: str, seed: int = DEFAULT_SEED, what: str | None = None
 ) -> RelationReport:
-    """lhs = rhs at max(20, degree bound + 1) sampled points."""
-    trials = max(20, _degree_bound(lhs, rhs) + 1)
+    """The two sides of the relation key of masa's MODELS entry are equal at
+    max(20, degree bound + 1) sampled points.  what names the relation in
+    the UnknownName raised for a model without it (default: the key)."""
+    model = MODELS.get(masa.name)
     label = key.replace("_", " ")
-
-    def residuals(vals):
-        point = _Point(vals, masa.n)
-        return [(label, lhs.eval(point) - rhs.eval(point))]
-
-    _require_zero(
-        residuals, masa.n, trials, seed,
+    if key not in getattr(model, "relations", {}):
+        raise UnknownName(f"no {what or label} for {masa.name!r}")
+    lhs, rhs = _sides(masa, model, key)
+    trials = max(20, _degree_bound(lhs, rhs) + 1)
+    _zero_at_samples(
+        lambda point: [(label, lhs.eval(point) - rhs.eval(point))], masa.n, trials, seed,
         lambda name: f"{name} for {masa.name} fails at a sampled point",
     )
     return RelationReport(f"{key}[{masa.name}]", True, trials)
 
 
-@_kept
-def _sum_sides(masa: MasaSpec, model: Model) -> tuple[PhaseRational, PhaseRational]:
-    """The two sides of model's sum relation on masa; the key holds the
-    MODELS entry, so replacing it builds anew."""
-    sysr = build_hamiltonian(masa)
-    return model.sum_relation(masa, sysr.hamiltonian, dict(sysr.integrals))
-
-
-@_kept
-def _separable_sides(masa: MasaSpec, model: Model) -> tuple[PhaseRational, PhaseRational]:
-    """The reduced potential and model's separated form of it on masa."""
-    return _potential(masa)[0], model.separable(*masa.params)
-
-
 def verify_sum_relation(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationReport:
     """The displayed over-completeness relation of the named model."""
-    model = MODELS.get(masa.name)
-    if getattr(model, "sum_relation", None) is None:
-        raise UnknownName(f"no sum relation for {masa.name!r}")
-    return _equal_on_constraint("sum_relation", masa, *_sum_sides(masa, model), seed)
+    return verify_relation(masa, "sum_relation", seed)
 
 
 def verify_separable_potential(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationReport:
     """The reduced potential equals the model's separated form on s.s = 1."""
-    model = MODELS.get(masa.name)
-    if getattr(model, "separable", None) is None:
-        raise UnknownName(f"no separable form for {masa.name!r}")
-    return _equal_on_constraint("separable_potential", masa, *_separable_sides(masa, model), seed)
+    return verify_relation(masa, "separable_potential", seed, "separable form")
 
 
 def verify_masa_reduction(masa: MasaSpec) -> RelationReport:
@@ -554,9 +567,7 @@ def verify_masa_reduction(masa: MasaSpec) -> RelationReport:
     n = masa.n
     for rho, Z in enumerate(masa.matrices):
         if not momentum_map(Z, masa).agrees_with(PhasePoly.k(n, rho)):
-            raise RelationFailed(
-                f"Zhat_{rho + 1} != k_{rho + 1} for {masa.name or 'masa'}"
-            )
+            raise RelationFailed(f"Zhat_{rho + 1} != k_{rho + 1} for {masa.name or 'masa'}")
     return RelationReport(f"zhat_eq_k[{masa.name}]", True, 0, "rational identity")
 
 
@@ -567,27 +578,30 @@ def casimir_projection_report(
     {H, 1, k_i k_j}; the multiplicative and additive constants are reported,
     an inconsistent fit raises.  The Casimir is not built: at each point,
     read once, the generator images are evaluated, their shared den det A
-    swept once, and combined by the words of casimir_element(2, ...)."""
+    swept once, and combined by the words of casimir_element(2, ...), each a
+    pair (i, j), in one exact.sum_of_products: c * g_i is folded into int
+    parts by exact._add_products, which builds no Exact and reduces nothing."""
     n = masa.n
     _, H = _potential(masa)
     maps = generator_images(masa)
-    words = casimir_element(2, build_generators(n)).terms.items()
+    words = [(c.int_parts(), w) for w, c in casimir_element(2, build_generators(n)).terms.items()]
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     names = ("H", "1") + tuple(f"k{i + 1}k{j + 1}" for i, j in pairs)
     npts = 2 * len(names) + 6 if npoints is None else npoints
 
     def row(vals):
         point = _Point(vals, n)
-        gen = [f.eval(point) for f in maps]
-        cas = sum((prod(map(gen.__getitem__, w), start=c) for w, c in words), ZERO)
+        gen = [f.eval(point).int_parts() for f in maps]
+        cas = sum_of_products(
+            ((_add_products({}, c, gen[i][0]).items(), d * gen[i][1]), gen[j])
+            for (c, d), (i, j) in words
+        )
         k = vals[2 * n:]
         return [H.eval(point), ONE] + [k[i] * k[j] for i, j in pairs] + [cas]
 
     samples = pole_free_values(row, n, seed)
     coeffs = _fit_exact(list(islice(samples, npts)), names)
-    detail = " + ".join(
-        f"({c}) {name}" for name, c in coeffs.items() if not c.is_zero()
-    )
+    detail = " + ".join(f"({c}) {name}" for name, c in coeffs.items() if not c.is_zero())
     return RelationReport(f"casimir_projection[{masa.name}]", True, npts, detail)
 
 
@@ -610,15 +624,14 @@ def verify_conservation(
         max(20, (_degree_bound(H, T) + 1) // 2) for _, T in integrals
     )
 
-    def residuals(vals):
-        point = _Point(vals, masa.n)
+    def residuals(point):
         gH = H.grad_at(point)[0]
         return [
-            (name, _dirac_of_gradients(gH, gH if T is H else T.grad_at(point)[0], vals))
+            (name, _dirac_of_gradients(gH, gH if T is H else T.grad_at(point)[0], point.vals))
             for name, T in integrals
         ]
 
-    _require_zero(
+    _zero_at_samples(
         residuals, masa.n, used, seed, lambda name: f"{{H, {name}}}_D nonzero for {masa.name}"
     )
     return RelationReport(f"conservation[{masa.name}]", True, used)
@@ -678,9 +691,8 @@ def verify_homomorphism(
         for i in range(size) for j in range(i + 1, size)
     }
 
-    def residuals(vals):
+    def residuals(point):
         # one gradient per map per point; pairs then combine values only
-        point = _Point(vals, n)
         grads = [f.grad_at(point)[0] for f in maps]
         gen = [f.eval(point).int_parts() for f in maps]
         dk = [[x.int_parts() for x in g[2 * n:]] for g in grads]
@@ -699,7 +711,7 @@ def verify_homomorphism(
                 out.append((f"({i},{j})", sum_of_products(terms)))
         return out
 
-    _require_zero(
+    _zero_at_samples(
         residuals, n, npoints, seed,
         lambda pair: f"bracket image mismatch for pair {pair} in {masa.name}",
     )
@@ -707,12 +719,17 @@ def verify_homomorphism(
 
 
 @dataclass
-class RacahReport:
-    antisymmetry_ok: bool
-    trials: int
-    bracket_fits: dict
-    k_values: tuple
-    basis_names: tuple
+class RacahReport(RelationReport):
+    """passed: T12 = -T13 = T23 at every sampled point; bracket_fits: {T12, T1}
+    and {T12, T2} over basis_names at the couplings k_values, if fitted."""
+
+    bracket_fits: dict = field(default_factory=dict)
+    k_values: tuple = ()
+    basis_names: tuple = ()
+
+    @property
+    def antisymmetry_ok(self) -> bool:
+        return self.passed
 
 
 def _fit_exact(aug: list[list[Exact]], names: Sequence[str]):
@@ -750,23 +767,20 @@ def racah_structure_report(
     T1, T2, T3 = T["T1"], T["T2"], T["T3"]
 
     trials = max(20, (_degree_bound(T1, T2) + _degree_bound(T3) + 1) // 2)
-
     pb = _bracket_of_gradients
 
-    def residuals(vals):
-        point = _Point(vals, n)
+    def residuals(point):
         g1, g2, g3 = (T.grad_at(point)[0] for T in (T1, T2, T3))
         t12 = pb(g1, g2)
         return [("T12 + T13", t12 + pb(g1, g3)), ("T12 - T23", t12 - pb(g2, g3))]
 
-    ok = first_nonzero_residual(residuals, n, trials, seed) is None
+    ok = _zero_at_samples(residuals, n, trials, seed)
 
     kfix = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
-    names = (
-        "T1*T2", "T1*T3", "T2*T3", "T1^2", "T2^2", "T3^2", "T1", "T2", "T3", "1",
-    )
+    names = ("T1*T2", "T1*T3", "T2*T3", "T1^2", "T2^2", "T3^2", "T1", "T2", "T3", "1")
+    report = RacahReport(f"racah[{masa.name}]", ok, trials, "T12 = -T13 = T23", {}, kfix, names)
     if not with_fits:
-        return RacahReport(ok, trials, {}, kfix, names)
+        return report
 
     # nested brackets at fixed couplings; T12 assembled once symbolically
     T12 = poisson_bracket(T1, T2)
@@ -775,18 +789,15 @@ def racah_structure_report(
     def fit_sample(vals, target):
         vals[2 * n :] = kvals
         point = _Point(vals, n)  # read after the couplings are fixed
-        t1 = T1.eval(point)
-        t2 = T2.eval(point)
-        t3 = T3.eval(point)
+        t1, t2, t3 = (T.eval(point) for T in (T1, T2, T3))
         b = poisson_bracket_at(T12, target, point)
         return [t1 * t2, t1 * t3, t2 * t3, t1 * t1, t2 * t2, t3 * t3, t1, t2, t3, ONE, b]
 
     rng = random.Random(seed + 7)
-    fits = {}
     for target_name, target in (("[T12,T1]", T1), ("[T12,T2]", T2)):
         samples = pole_free_values(lambda vals: fit_sample(vals, target), n, rng)
-        fits[target_name] = _fit_exact(list(islice(samples, npoints)), names)
-    return RacahReport(ok, trials, fits, kfix, names)
+        report.bracket_fits[target_name] = _fit_exact(list(islice(samples, npoints)), names)
+    return report
 
 
 # -- Appendix identities (float) ------------------------------------------------

@@ -14,7 +14,7 @@ PARAMS = {
     "degenerate_plus": {},
     "degenerate_minus": {},
 }
-SUM_RELATION_MODELS = [name for name, model in MODELS.items() if model.sum_relation]
+SUM_RELATION_MODELS = [name for name, model in MODELS.items() if "sum_relation" in model.relations]
 RACAH_MODELS = [name for name, model in MODELS.items() if model.racah]
 # the models whose potential is build_potential's k^T (-A^T A)^{-1} k
 BUILT_POTENTIAL_MODELS = [name for name, model in MODELS.items() if not model.potential]

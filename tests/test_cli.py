@@ -10,6 +10,7 @@ import pytest
 import ptsphere
 from ptsphere import cli, reduction, spectral
 from ptsphere.cli import ConfigError, _parse_grid, build_parser, main
+from ptsphere.phase import PhasePoly, PhaseRational
 
 from catalog_models import PARAMS, RACAH_MODELS
 
@@ -155,8 +156,8 @@ def test_reduce_runs_the_checks_the_model_table_picks(capsys, model):
     doc = json.loads(out)
     entry = reduction.MODELS[model]
     want = ["zhat_eq_k"]
-    want += ["casimir_projection", "sum_relation"] if entry.sum_relation else []
-    want += ["separable_potential"] if entry.separable else []
+    want += ["casimir_projection", "sum_relation"] if "sum_relation" in entry.relations else []
+    want += ["separable_potential"] if "separable_potential" in entry.relations else []
     want += ["racah"] if model in RACAH_MODELS else []
     assert sorted(doc["identities"]) == sorted(want)
     assert all(check["passed"] is True for check in doc["identities"].values())
@@ -565,21 +566,52 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, argv, flag):
     assert captured.out == ""
 
 
-def test_benchmark_spectrum_and_scan_commands_pass(monkeypatch):
-    # the float-spectra workload's command lines, read from perfbench as it
-    # stands: a flag the CLI refuses would fail the benchmark, not a test
+def _perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py as it stands, loaded as a module."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "perfbench", "workloads.py")
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_spectrum_and_scan_commands_pass(monkeypatch):
+    # the float-spectra workload's command lines, read from perfbench as it
+    # stands: a flag the CLI refuses would fail the benchmark, not a test
+    workloads = _perfbench_workloads(monkeypatch)
     # seeds 0 and 1 draw the coupling pairs (3, 4) and (2, 3)
     for seed in (0, 1):
         ops = [op for op in workloads.setup("float-spectra", seed)
                if op.name.startswith(("spectrum_", "scan"))]
         assert len(ops) == 7
         assert [op.name for op in ops if not op.run()] == [], seed
+
+
+@pytest.mark.parametrize("workload", ["exact-eval", "symbolic-build"])
+def test_benchmark_exact_operations_pass(workload, monkeypatch):
+    # every operation reads report attributes (.passed, .detail,
+    # .antisymmetry_ok) that no module-level name check sees
+    ops = _perfbench_workloads(monkeypatch).setup(workload, 0)
+    assert ops
+    assert [op.name for op in ops if op.run() is not True] == []
+
+
+def test_reduce_reports_a_failed_racah_row(capsys, monkeypatch):
+    # with T3 perturbed, T12 = -T13 = T23 fails at the first sampled point:
+    # the row reads passed false beside its trials, and reduce exits 1
+    real = reduction.integrals_catalog
+    s1 = PhaseRational(PhasePoly.s(3, 0))
+
+    def perturbed(masa):
+        return [(name, T + s1 if name == "T3" else T) for name, T in real(masa)]
+
+    monkeypatch.setattr(reduction, "integrals_catalog", perturbed)
+    code, out = _run(["reduce", "--model", "lambda"], capsys)
+    assert code == 1
+    racah = json.loads(out)["identities"]["racah"]
+    assert racah == {"passed": False, "trials": 20, "detail": "T12 = -T13 = T23"}
 
 
 def test_reports_are_deterministic(capsys):

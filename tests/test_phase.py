@@ -12,7 +12,6 @@ from ptsphere.phase import (
     PhasePoly,
     PhaseRational,
     SignedPermutation,
-    dirac_bracket,
     dirac_bracket_at,
     first_nonzero_residual,
     func_vanishes_on_constraint,
@@ -24,6 +23,7 @@ from ptsphere.phase import (
 from ptsphere.phase import _Point
 from ptsphere.reduction import _det_and_y
 
+from dirac_reference import dirac_bracket
 import jet_reference
 from catalog_models import PARAMS, build_masa, models
 

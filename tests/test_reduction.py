@@ -17,7 +17,6 @@ from ptsphere.matrices import ExactMatrix, exact_inverse
 from ptsphere.phase import (
     PhasePoly,
     PhaseRational,
-    dirac_bracket,
     dirac_bracket_at,
     func_vanishes_on_constraint,
     pole_free_values,
@@ -45,6 +44,7 @@ from catalog_models import (
     build_masa,
     models,
 )
+from dirac_reference import dirac_bracket
 
 FAST_MODELS = models("su2ab", "cartan_od", "degenerate_plus")
 
@@ -488,14 +488,15 @@ def _count_grad_at(monkeypatch):
 
 def test_sum_relation_rejects_a_perturbed_right_hand_side(monkeypatch):
     model = reduction.MODELS["su2ab"]
-    relation = model.sum_relation
+    relation = model.relations["sum_relation"]
 
-    def perturbed(m, H, T):
-        lhs, rhs = relation(m, H, T)
+    def perturbed(m):
+        lhs, rhs = relation(m)
         return lhs, rhs + _s1(m.n)
 
     monkeypatch.setitem(
-        reduction.MODELS, "su2ab", dataclasses.replace(model, sum_relation=perturbed)
+        reduction.MODELS, "su2ab",
+        dataclasses.replace(model, relations={"sum_relation": perturbed}),
     )
     with pytest.raises(RelationFailed, match="sum relation for su2ab fails"):
         verify_sum_relation(build_masa("su2ab"))
@@ -602,6 +603,22 @@ def test_homomorphism_sweeps_det_A_once_per_point(name, kw, monkeypatch):
     assert sum(f is det for f in swept) == len(drawn) >= 4
 
 
+def test_su2ab_sum_relation_sweeps_det_A_squared_once_per_point(monkeypatch):
+    # the projected Casimir, V and H = p.p + V all keep det A's one kept
+    # square as their den, so the two sides share it at every point
+    masa = build_masa("su2ab")
+    det2 = reduction._det_powers(masa)[2]
+    lhs, rhs = reduction._sides(masa, reduction.MODELS["su2ab"], "sum_relation")
+    assert lhs.den is rhs.den is det2 is build_potential(masa).den
+    drawn, _ = _count_point_reads(monkeypatch)
+    swept = []
+    real = phase._Sweep.__init__
+    monkeypatch.setattr(phase._Sweep, "__init__",
+                        lambda self, f, point: swept.append(f) or real(self, f, point))
+    assert verify_sum_relation(masa).passed
+    assert sum(f is det2 for f in swept) == len(drawn) >= 20
+
+
 def test_racah_antisymmetry_fails_for_a_perturbed_T3(monkeypatch):
     real = reduction.integrals_catalog
 
@@ -627,7 +644,11 @@ def test_separable_potential_rejects_swapped_couplings(lam2, monkeypatch):
         return k2 * k2 / (w1 * w1) + k1 * k1 / (w2 * w2) + k3 * k3 / (w3 * w3)
 
     model = reduction.MODELS["lambda"]
-    monkeypatch.setitem(reduction.MODELS, "lambda", dataclasses.replace(model, separable=swapped))
+    relations = {
+        **model.relations,
+        "separable_potential": lambda m: (build_potential(m), swapped(*m.params)),
+    }
+    monkeypatch.setitem(reduction.MODELS, "lambda", dataclasses.replace(model, relations=relations))
     with pytest.raises(RelationFailed, match="separable potential for lambda fails"):
         verify_separable_potential(catalog_masa("lambda", lambda2=lam2))
 
@@ -755,28 +776,31 @@ def test_su2ab_integral_is_its_hamiltonian():
     assert reduction.integrals_catalog(masa)[0][1] is build_hamiltonian(masa).hamiltonian
 
 
-def _counting(monkeypatch, name, field):
-    """Replace MODELS[name].field by a counting wrapper; return the count."""
+def _counting(monkeypatch, name, key):
+    """Replace MODELS[name].relations[key] by a counting wrapper; return the
+    count."""
     model, built = reduction.MODELS[name], []
-    real = getattr(model, field)
+    real = model.relations[key]
 
     def counting(*args):
         built.append(1)
         return real(*args)
 
-    monkeypatch.setitem(reduction.MODELS, name, dataclasses.replace(model, **{field: counting}))
+    relations = {**model.relations, key: counting}
+    monkeypatch.setitem(reduction.MODELS, name, dataclasses.replace(model, relations=relations))
     return built
 
 
-@pytest.mark.parametrize("name,field,verify", [
+@pytest.mark.parametrize("name,key,verify", [
     ("su2ab", "sum_relation", verify_sum_relation),
     ("cartan_od", "sum_relation", verify_sum_relation),
-    ("lambda", "separable", verify_separable_potential),
+    pytest.param("lambda", "separable_potential", verify_separable_potential,
+                 id="lambda-separable-verify_separable_potential"),
 ])
-def test_a_second_relation_verdict_builds_nothing(name, field, verify, monkeypatch):
+def test_a_second_relation_verdict_builds_nothing(name, key, verify, monkeypatch):
     # su2ab's sum relation projects the Casimir; a kept pair of sides does not
     masa = build_masa(name)
-    built = _counting(monkeypatch, name, field)
+    built = _counting(monkeypatch, name, key)
     projections = []
     real = reduction.project_env_element
     monkeypatch.setattr(reduction, "project_env_element",
@@ -786,5 +810,5 @@ def test_a_second_relation_verdict_builds_nothing(name, field, verify, monkeypat
     assert verify(build_masa(name)) == first
     assert (len(built), len(projections)) == (1, 1 if name == "su2ab" else 0)
     # a replaced entry is a new key: its sides are built anew
-    rebuilt = _counting(monkeypatch, name, field)
+    rebuilt = _counting(monkeypatch, name, key)
     assert verify(masa) == first and (len(built), len(rebuilt)) == (2, 1)
