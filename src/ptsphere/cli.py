@@ -21,7 +21,7 @@ from . import __version__
 from .errors import BadCouplings, ParamOutOfRange, PtsphereError, RelationFailed, SingularPotential
 from .masa import (
     CATALOG_NAMES,
-    MAX_PARAM_INT,
+    bounded_rational,
     catalog_masa,
     classify_pt,
     load_masa_file,
@@ -58,15 +58,9 @@ def _frac(text: str) -> Fraction:
     # catalog_masa bounds its own parameters; the spectral flags need the
     # bound here
     try:
-        q = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"not an exact rational: {text!r}") from exc
-    if abs(q.numerator) > MAX_PARAM_INT or q.denominator > MAX_PARAM_INT:
-        raise ConfigError(
-            f"{text!r}: numerator and denominator must be at most {MAX_PARAM_INT}"
-            " in absolute value"
-        )
-    return q
+        return bounded_rational(text)
+    except (ValueError, PtsphereError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _read_grid(args):

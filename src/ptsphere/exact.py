@@ -11,14 +11,9 @@ equality, hashing and zero testing compare the stored ints directly.
 Sums and products work on plain ints over the product (or lcm) of the
 denominators and reduce by one gcd at the end, instead of normalising a
 Fraction for every part.  All operations are exact; nothing is ever rounded.
-
-Nearly every value met in practice has one part: a Gaussian rational, or
-one times a single sqrt(d).  Products of two such values, and sums of two
-over the same sqrt(d), take a one-part path: the two int pairs combine
-inline by the same rules (sqrt(d1)*sqrt(d2) = g*sqrt(r), then one gcd with
-the denominator), with no intermediate dict.  A product of two nonzero parts
-is never zero, and a sum that cancels is ZERO.  Since the canonical form is
-unique, the result is the same, int for int, as the general path's.
+The product rule, sqrt(d1)*sqrt(d2) = g*sqrt(d1*d2/g^2) with g = gcd(d1, d2),
+is written once, in _add_products, and every product of two nonzero values
+goes through it; the sum rule is written once, in _sum.
 
 A sum of products, sum_k x_k * y_k, is one sum_of_products call on the int
 parts of the operands: the products are summed as ints per denominator
@@ -26,6 +21,10 @@ D_x * D_y, the sums brought over the lcm of those, and the result reduced
 once, with one gcd, instead of once per product and once per partial sum.
 ExactMatrix products and commutators, the u(n) basis expansion and the
 projection of enveloping elements to phase space sum their products so.
+keyed_sum_of_products sums x * y per key over (key, x, y) triples, one
+sum_of_products per key: every sum of products keyed by a monomial or a
+word (PhasePoly combinations, enveloping-algebra products and PBW
+rewriting, brackets in the u(n) basis) is one call.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from itertools import chain
 from math import gcd, lcm
 from numbers import Rational
 
-__all__ = ["Exact", "ZERO", "ONE", "I", "rat", "sum_of_products"]
+__all__ = ["Exact", "ZERO", "ONE", "I", "rat", "sum_of_products", "keyed_sum_of_products"]
 
 _HASH_MOD = 1 << sys.hash_info.width
 
@@ -111,6 +110,24 @@ def sum_of_products(pairs) -> "Exact":
     return _reduced(out, L)
 
 
+def keyed_sum_of_products(triples) -> dict:
+    """{key: sum x*y} over (key, Exact x, Exact y) triples: the pairs of each
+    key summed by one sum_of_products.  A key whose sum is zero is left out;
+    the others keep the order in which their keys were first met."""
+    cols = {}
+    for key, x, y in triples:
+        col = cols.get(key)
+        if col is None:
+            col = cols[key] = []
+        col.append(((x._num.items(), x._den), (y._num.items(), y._den)))
+    out = {}
+    for key, col in cols.items():
+        c = sum_of_products(col)
+        if c:
+            out[key] = c
+    return out
+
+
 def _new(num: dict, den: int) -> "Exact":
     """An Exact from parts already in canonical form (no check)."""
     x = object.__new__(Exact)
@@ -119,25 +136,21 @@ def _new(num: dict, den: int) -> "Exact":
     return x
 
 
-def _one_part(d: int, a: int, b: int, den: int) -> "Exact":
-    """The Exact (a + i*b) * sqrt(d) / den, for ints a, b not both 0 and
-    den > 0, divided by gcd(den, a, b)."""
-    if den > 1:
-        g = gcd(den, a, b)
-        if g > 1:
-            a //= g
-            b //= g
-            den //= g
-    return _new({d: (a, b)}, den)
-
-
 def _reduced(num: dict, den: int) -> "Exact":
     """An Exact from int parts over a positive den: drop zero parts, then
     divide everything by gcd(den, parts).  The result holds a new dict, so
     the caller may change num afterwards."""
     if len(num) == 1:
         (d, (a, b)), = num.items()
-        return _one_part(d, a, b, den) if a or b else ZERO
+        if not (a or b):
+            return ZERO
+        if den > 1:
+            g = gcd(den, a, b)
+            if g > 1:
+                a //= g
+                b //= g
+                den //= g
+        return _new({d: (a, b)}, den)
     num = {d: c for d, c in num.items() if c[0] or c[1]}
     if not num:
         return ZERO
@@ -166,22 +179,6 @@ def _sum(x: "Exact", y: "Exact", s: int) -> "Exact":
         m1, m2 = d2 // g, s * (d1 // g)
         den = d1 * m1
     # both inputs are canonical, so gcd(den, parts) divides g = gcd(d1, d2)
-    if len(n1) == 1 and len(n2) == 1:
-        (r, (a, b)), = n1.items()
-        (r2, (a2, b2)), = n2.items()
-        if r == r2:
-            # one shared radical: add the two parts inline
-            a = a * m1 + a2 * m2
-            b = b * m1 + b2 * m2
-            if not (a or b):
-                return ZERO
-            if g > 1:
-                g = gcd(g, a, b)
-                if g > 1:
-                    a //= g
-                    b //= g
-                    den //= g
-            return _new({r: (a, b)}, den)
     out = dict(n1) if m1 == 1 else {d: (a * m1, b * m1) for d, (a, b) in n1.items()}
     for d, (a, b) in n2.items():
         c = out.get(d)
@@ -326,23 +323,6 @@ class Exact:
         if not isinstance(other, Exact):
             other = Exact.coerce(other)
         n1, n2 = self._num, other._num
-        if len(n1) == 1 and len(n2) == 1:
-            # one part each: _add_products' rule for one pair of parts; the
-            # product of two nonzero parts is nonzero
-            (d1, (a1, b1)), = n1.items()
-            (d2, (a2, b2)), = n2.items()
-            re = a1 * a2 - b1 * b2
-            im = a1 * b2 + b1 * a2
-            if d1 == 1:
-                r = d2
-            elif d2 == 1:
-                r = d1
-            else:
-                g = gcd(d1, d2)
-                r = (d1 // g) * (d2 // g)
-                re *= g
-                im *= g
-            return _one_part(r, re, im, self._den * other._den)
         if not n1 or not n2:
             return ZERO
         return _reduced(_add_products({}, n1.items(), n2.items()), self._den * other._den)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Exact, ONE, ZERO, I, sum_of_products
+from .exact import Exact, ONE, ZERO, I, keyed_sum_of_products, sum_of_products
 from .errors import DimensionMismatch, UnsupportedOrder, UnsupportedRank, WordTooLong
 from .matrices import ExactMatrix, exact_inverse
 
@@ -221,12 +221,9 @@ class EnvElement:
         return EnvElement({w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other: "EnvElement") -> "EnvElement":
-        out: dict[tuple[int, ...], Exact] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, ZERO) + c1 * c2
-        return EnvElement(out)
+        return EnvElement(keyed_sum_of_products(
+            (w1 + w2, c1, c2) for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()
+        ))
 
     def __eq__(self, other):
         return isinstance(other, EnvElement) and self.terms == other.terms
@@ -254,25 +251,20 @@ def _rewrite_word(
     for t in range(len(word) - 1):
         a, b = word[t], word[t + 1]
         if a > b:
-            out: dict[tuple[int, ...], Exact] = {}
-            swapped = word[:t] + (b, a) + word[t + 2 :]
-            for w, c in _rewrite_word(swapped, basis):
-                out[w] = out.get(w, ZERO) + c
-            for k, coeff in basis.bracket_coeffs(a, b).items():
-                reduced = word[:t] + (k,) + word[t + 2 :]
-                for w, c in _rewrite_word(reduced, basis):
-                    out[w] = out.get(w, ZERO) + coeff * c
-            return tuple(out.items())
+            head, tail = word[:t], word[t + 2 :]
+            terms = [(head + (b, a) + tail, ONE)]
+            terms += [(head + (k,) + tail, c) for k, c in basis.bracket_coeffs(a, b).items()]
+            return tuple(keyed_sum_of_products(
+                (w, coeff, c) for u, coeff in terms for w, c in _rewrite_word(u, basis)
+            ).items())
     return ((word, ONE),)
 
 
 def pbw_normal_form(e: EnvElement, basis: GeneratorBasis) -> EnvElement:
     """Rewrite into the canonical non-decreasing-word form."""
-    out: dict[tuple[int, ...], Exact] = {}
-    for word, c in e.terms.items():
-        for w, f in _rewrite_word(word, basis):
-            out[w] = out.get(w, ZERO) + c * f
-    return EnvElement(out)
+    return EnvElement(keyed_sum_of_products(
+        (w, c, f) for word, c in e.terms.items() for w, f in _rewrite_word(word, basis)
+    ))
 
 
 def env_commutator(a: EnvElement, b: EnvElement, basis: GeneratorBasis) -> EnvElement:

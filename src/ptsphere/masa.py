@@ -22,6 +22,7 @@ degenerate_minus.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -52,6 +53,7 @@ __all__ = [
     "save_masa_file",
     "CATALOG_NAMES",
     "MAX_PARAM_INT",
+    "bounded_rational",
 ]
 
 # the keyword parameters catalog_masa takes for each catalog model, with
@@ -69,6 +71,8 @@ CATALOG_NAMES = tuple(_CATALOG_PARAMS)
 # radicals of the parameters are factored by trial division, so larger ones
 # can run for minutes before any check starts
 MAX_PARAM_INT = 10**6
+# digits of a numerator and a denominator within MAX_PARAM_INT
+_MAX_DIGITS = 2 * len(str(MAX_PARAM_INT))
 # s3 -> -s3: the parity of every u(3) catalog model
 _U3_PARITY = SignedPermutation.from_signed_indices([1, 2, -3])
 
@@ -127,9 +131,12 @@ def masa_from_coeffs(
 
     Entry k of a row multiplies the k-th symmetric generator
     (symmetric_basis_indices); no validation is implied (call validate_masa
-    separately).
+    separately).  A row count other than n raises DimensionMismatch: fewer
+    elements than n cannot be maximal, and more cannot be independent.
     """
     idx = symmetric_basis_indices(n)
+    if len(coeffs) != n:
+        raise DimensionMismatch(f"a MASA of u({n}) has {n} generators, got {len(coeffs)}")
     gens = build_generators(n).generators
     rows = []
     mats = []
@@ -233,14 +240,39 @@ def _lambda_masa(name: str, lam2: Fraction, sign: int, params: tuple) -> MasaSpe
     return MasaSpec(3, coeffs, tuple(mats), name, params, _U3_PARITY)
 
 
+def _out_of_range(what: str) -> ParamOutOfRange:
+    return ParamOutOfRange(
+        f"{what}: numerator and denominator must be at most {MAX_PARAM_INT} in absolute value"
+    )
+
+
 def _bounded(key: str, value):
     """value, unless it is a rational past MAX_PARAM_INT (ParamOutOfRange)."""
     if isinstance(value, Rational) and max(abs(value.numerator), value.denominator) > MAX_PARAM_INT:
-        raise ParamOutOfRange(
-            f"{key} = {value}: numerator and denominator must be at most"
-            f" {MAX_PARAM_INT} in absolute value"
-        )
+        raise _out_of_range(f"{key} = {value}")
     return value
+
+
+def bounded_rational(text) -> Fraction:
+    """text (a str, or a number read from JSON) as a Fraction within
+    MAX_PARAM_INT.  Text that could exceed the bound is refused before Fraction
+    reads it, since Fraction("1e100000000") builds a 10^8-digit int first:
+    exponent notation (ValueError), and more digits than a numerator and a
+    denominator within the bound have (ParamOutOfRange).  A malformed text or
+    a zero denominator raises ValueError."""
+    text = str(text)
+    shown = reprlib.repr(text)
+    if sum(ch.isdigit() for ch in text) > _MAX_DIGITS:
+        raise _out_of_range(shown)
+    if "e" in text or "E" in text:
+        raise ValueError(f"not an exact rational: {shown} (exponent notation is not accepted)")
+    try:
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not an exact rational: {shown}") from exc
+    if max(abs(q.numerator), q.denominator) > MAX_PARAM_INT:
+        raise _out_of_range(shown)
+    return q
 
 
 def catalog_masa(name: str, **params) -> MasaSpec:
@@ -341,7 +373,8 @@ def load_masa_file(path: str) -> MasaSpec:
     if doc.get("basis") not in (None, f"u{n}"):
         raise BadBasisIndex(f"basis {doc['basis']!r} inconsistent with n={n}")
     rows = [
-        [Exact.from_rational(Fraction(c["re"]), Fraction(c.get("im", 0))) for c in row]
+        [Exact.from_rational(bounded_rational(c["re"]), bounded_rational(c.get("im", 0)))
+         for c in row]
         for row in doc["generators"]
     ]
     parity = None

@@ -52,7 +52,7 @@ sums its 2n products of derivative numerators, and each numerator its two
 products, in one such call.  A one-term operand of __mul__ skips the common
 denominators: it shifts the other operand's exponents and makes one Exact
 product per term.  _combination sums c * f over pairs of a scalar and a
-PhasePoly, one exact.sum_of_products per output monomial.  Arithmetic
+PhasePoly in one exact.keyed_sum_of_products, keyed by monomial.  Arithmetic
 results are built by the trusted constructor _poly, which skips the coercion and checks
 of the public PhasePoly(n, terms); only sums, which can cancel, drop zero
 terms.  The public constructor rejects an exponent tuple of the wrong
@@ -76,7 +76,9 @@ from math import lcm, prod
 from operator import add, getitem, mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .exact import Exact, ONE, ZERO, _add_products, _reduced, rat, sum_of_products
+from .exact import (
+    Exact, ONE, ZERO, _add_products, _reduced, keyed_sum_of_products, rat, sum_of_products,
+)
 from .errors import DimensionMismatch, SamplingExhausted
 
 __all__ = [
@@ -172,22 +174,9 @@ def _poly_products(n: int, pairs) -> "PhasePoly":
 
 
 def _combination(n: int, pairs) -> "PhasePoly":
-    """sum c*f over the (Exact c, PhasePoly f) pairs: each output coefficient
-    is one exact.sum_of_products of the c's with f's coefficients there."""
-    cols = {}
-    for c, f in pairs:
-        cp = c.int_parts()
-        for e, x in f.terms.items():
-            col = cols.get(e)
-            if col is None:
-                col = cols[e] = []
-            col.append((cp, x.int_parts()))
-    out = {}
-    for e, col in cols.items():
-        c = sum_of_products(col)
-        if c:
-            out[e] = c
-    return _poly(n, out)
+    """sum c*f over the (Exact c, PhasePoly f) pairs: one
+    exact.keyed_sum_of_products keyed by f's monomials."""
+    return _poly(n, keyed_sum_of_products((e, c, x) for c, f in pairs for e, x in f.terms.items()))
 
 
 def _coordinates(vals: Sequence[Exact], n: int) -> list[tuple[int, int]]:
@@ -524,25 +513,22 @@ class PhasePoly:
         return acc
 
     def apply_pt(self, parity: "SignedPermutation") -> "PhasePoly":
-        """PT image: conjugate coefficients, signed-permute s and p variables."""
+        """PT image: conjugate coefficients, signed-permute s and p variables.
+        A permutation of the slots maps distinct exponent tuples to distinct
+        ones, so each term has its own image term."""
         n = self.n
         out: dict[tuple[int, ...], Exact] = {}
         for e, c in self.terms.items():
             ne = list(e)
             sign = 1
             for mu in range(n):
-                ne[mu] = 0
-                ne[n + mu] = 0
-            for mu in range(n):
                 tgt = parity.image[mu]
-                ne[tgt] += e[mu]
-                ne[n + tgt] += e[n + mu]
+                ne[tgt] = e[mu]
+                ne[n + tgt] = e[n + mu]
                 if parity.sign[mu] < 0 and (e[mu] + e[n + mu]) % 2:
                     sign = -sign
-            key = tuple(ne)
-            val = c.conjugate() if sign > 0 else -c.conjugate()
-            out[key] = out.get(key, ZERO) + val
-        return _poly(n, {e: c for e, c in out.items() if c})
+            out[tuple(ne)] = c.conjugate() if sign > 0 else -c.conjugate()
+        return _poly(n, out)
 
     def __repr__(self):
         if not self.terms:
@@ -568,14 +554,14 @@ class SignedPermutation:
     image: tuple[int, ...]
     sign: tuple[int, ...]
 
+    def __post_init__(self):
+        if sorted(self.image) != list(range(len(self.image))):
+            raise ValueError("not a permutation")
+
     @classmethod
     def from_signed_indices(cls, signed: Sequence[int]) -> "SignedPermutation":
         """E.g. [1, 2, -3] maps s1->s1, s2->s2, s3->-s3 (1-based input)."""
-        image = tuple(abs(x) - 1 for x in signed)
-        sign = tuple(1 if x > 0 else -1 for x in signed)
-        if sorted(image) != list(range(len(signed))):
-            raise ValueError("not a permutation")
-        return cls(image, sign)
+        return cls(tuple(abs(x) - 1 for x in signed), tuple(1 if x > 0 else -1 for x in signed))
 
 
 class PhaseRational:

@@ -61,7 +61,7 @@ from itertools import islice
 from math import prod
 from typing import Callable, Sequence
 
-from .exact import Exact, I, ONE, ZERO, _add_products, rat, sum_of_products
+from .exact import Exact, I, ONE, _add_products, keyed_sum_of_products, rat, sum_of_products
 from .errors import DegenerateMasa, FitUnderdetermined, RelationFailed, UnknownName
 from .lie import EnvElement, build_generators, casimir_element
 from .masa import MasaSpec, lambda_frame
@@ -464,8 +464,7 @@ def integrals_catalog(masa: MasaSpec):
     """The displayed phase-space integrals for a named catalog model."""
     if masa.name not in MODELS:
         raise UnknownName(f"no catalog integrals for {masa.name!r}")
-    model = MODELS[masa.name]
-    return list(_integrals(masa, model)) if model.integrals else build_hamiltonian(masa).integrals
+    return build_hamiltonian(masa).integrals
 
 
 @_kept
@@ -638,13 +637,11 @@ def verify_conservation(
 
 
 def _bracket_with(basis, i: int, z: dict[int, Exact]) -> dict[int, Exact]:
-    """The basis coefficients of [X_i, sum_k z_k X_k], nonzero ones only, in
-    generator order: sum_k z_k times the structure constants of [X_i, X_k]."""
-    out: dict[int, Exact] = {}
-    for k, zk in z.items():
-        for l, c in basis.bracket_coeffs(i, k).items():
-            out[l] = out.get(l, ZERO) + zk * c
-    return {l: out[l] for l in sorted(out) if not out[l].is_zero()}
+    """The basis coefficients of [X_i, sum_k z_k X_k], nonzero ones only:
+    sum_k z_k times the structure constants of [X_i, X_k]."""
+    return keyed_sum_of_products(
+        (l, zk, c) for k, zk in z.items() for l, c in basis.bracket_coeffs(i, k).items()
+    )
 
 
 @_kept

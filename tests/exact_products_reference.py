@@ -1,8 +1,8 @@
 """The per-pair loops that the sums of products replaced, one Exact product
 and one Exact sum per pair of operands: the reference the tests hold
 ExactMatrix products and commutators, the u(n) basis expansion, the
-projection to phase space, PhasePoly products and the PT classification
-against."""
+projection to phase space, PhasePoly products, the keyed sums of products,
+EnvElement products and the PT classification against."""
 
 from functools import reduce
 from operator import add
@@ -69,6 +69,23 @@ def poly_products(n: int, pairs) -> PhasePoly:
                 e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, ZERO) + c1 * c2
     return PhasePoly(n, out)
+
+
+def keyed_sum_of_products(triples) -> dict:
+    """{key: sum x*y} over (key, x, y) triples, zero sums dropped."""
+    out = {}
+    for key, x, y in triples:
+        out[key] = out.get(key, ZERO) + x * y
+    return {key: c for key, c in out.items() if c}
+
+
+def env_product(a: EnvElement, b: EnvElement) -> EnvElement:
+    """a*b, one Exact product and sum per pair of words."""
+    out = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            out[w1 + w2] = out.get(w1 + w2, ZERO) + c1 * c2
+    return EnvElement(out)
 
 
 def project_env_element(e: EnvElement, masa) -> PhaseRational:

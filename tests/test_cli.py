@@ -45,6 +45,29 @@ SU2AB_MASA = {
 }
 
 
+# the nilpotent model's rows, as save_masa_file writes them: a MASA of u(3)
+U3_ROWS = [
+    [{"re": re, "im": im} for re, im in row]
+    for row in (
+        [("1", "0")] + [("0", "0")] * 5,
+        [("0", "0")] * 2 + [("1", "0")] + [("0", "0")] * 2 + [("0", "1")],
+        [("0", "0")] * 3 + [("1", "0"), ("0", "1"), ("0", "0")],
+        [("0", "0"), ("1", "0")] + [("0", "0")] * 4,
+    )
+]
+
+
+def _with_coefficient(re):
+    """SU2AB_MASA with the real part of its first coefficient replaced."""
+    rows = [list(row) for row in SU2AB_MASA["generators"]]
+    rows[0][0] = {"re": re, "im": "0"}
+    return json.dumps(dict(SU2AB_MASA, generators=rows))
+
+
+def _u3_file(rows):
+    return json.dumps({"n": 3, "basis": "u3", "generators": U3_ROWS[:rows], "parity": [1, 2, -3]})
+
+
 def _run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -82,8 +105,18 @@ def test_validate_bad_masa_file_exits_1(tmp_path, capsys):
         # the rank is refused before any u(n) matrix is built; generating the
         # n^2 generators first would not finish for n = 10^6
         *(("validate", json.dumps(dict(SU2AB_MASA, n=n, basis=f"u{n}"))) for n in (1, 4, 10**6)),
+        # a zero denominator used to escape as ZeroDivisionError (exit 1)
+        ("validate", _with_coefficient("1/0")),
+        # 10^5000 used to pass validate and crash reduce printing the potential
+        *((command, _with_coefficient("1e5000")) for command in ("validate", "reduce")),
+        # two elements of u(3) are not maximal, and four not independent;
+        # two rows used to pass validate and crash reduce and verify
+        *((command, _u3_file(rows)) for rows in (2, 4) for command in ("validate", "reduce", "verify")),
     ],
-    ids=["missing", "not_json", "no_generators", "catalog_name", "n_1", "n_4", "n_10^6"],
+    ids=["missing", "not_json", "no_generators", "catalog_name", "n_1", "n_4", "n_10^6",
+         "zero_denominator", "exponent-validate", "exponent-reduce",
+         *(f"u3_{rows}_rows-{command}" for rows in (2, 4)
+           for command in ("validate", "reduce", "verify"))],
 )
 def test_bad_masa_file_exits_2(tmp_path, capsys, command, content):
     path = tmp_path / "masa.json"
@@ -247,12 +280,17 @@ def test_flag_the_model_does_not_take_exits_2(capsys, argv):
 
 
 def test_oversized_rational_parameter_exits_2(capsys):
-    # without the bound, factoring the radicals of this value runs past 10 s
-    argv = ["validate", "--model", "lambda", "--lambda2", "1000000000039/3000000000091"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert "1000000000039/3000000000091" in captured.err
-    assert captured.out == ""
+    # without the bound, factoring the radicals of the first value runs past
+    # 10 s, and Fraction("1e100000000") builds a 10^8-digit int
+    for value in ("1000000000039/3000000000091", "1e100000000"):
+        t0 = time.perf_counter()
+        assert main(["validate", "--model", "lambda", "--lambda2", value]) == 2
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert value in captured.err
+        assert captured.out == ""
+        assert elapsed < 1.0
     # the bound itself is accepted
     assert main(["validate", "--model", "lambda", "--lambda2", "1/1000000"]) == 0
 

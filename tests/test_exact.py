@@ -145,12 +145,12 @@ def test_coerce_rejects_non_finite_complex_with_type_error():
     assert Exact.coerce(complex(3, -2)) == rat(3, -2)
 
 
-# -- one-part fast paths against the general rule ------------------------------
+# -- one-part values against the general rule ---------------------------------
 
 def _general_reduce(num, den):
     """The canonical (parts, den) of int parts over den, by the general rule:
-    drop zero parts, divide by gcd(den, every part).  _reduced itself takes
-    the one-part path, so it cannot be the reference."""
+    drop zero parts, divide by gcd(den, every part).  _reduced itself has a
+    single-part branch, so it cannot be the reference."""
     num = {d: c for d, c in num.items() if c[0] or c[1]}
     if not num:
         return {}, 1

@@ -1,5 +1,5 @@
-"""The sums of products (exact.sum_of_products and phase._poly_products)
-against the per-pair loops they replaced, kept in
+"""The sums of products (exact.sum_of_products, exact.keyed_sum_of_products
+and phase._poly_products) against the per-pair loops they replaced, kept in
 exact_products_reference.py: the same Exact entries and equal terms dicts."""
 
 from fractions import Fraction
@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptsphere import phase, reduction
-from ptsphere.exact import ONE, ZERO, Exact, rat, sum_of_products
-from ptsphere.lie import build_generators, casimir_element
+from ptsphere.exact import ONE, ZERO, Exact, keyed_sum_of_products, rat, sum_of_products
+from ptsphere.lie import EnvElement, build_generators, casimir_element
 from ptsphere.masa import catalog_masa
 from ptsphere.matrices import ExactMatrix
 from ptsphere.phase import PhasePoly, PhaseRational, poisson_bracket
@@ -163,6 +163,8 @@ def test_products_of_random_matrices_with_sqrt2(data, r, k, c):
     assert sum_of_products((x.int_parts(), y.int_parts()) for x, y in pairs) == sum(
         (x * y for x, y in pairs), ZERO
     )
+    triples = [(j % 2, x, y) for j, (x, y) in enumerate(pairs)]
+    assert keyed_sum_of_products(triples) == ref.keyed_sum_of_products(triples)
 
 
 def test_sum_of_products_over_several_denominators():
@@ -173,3 +175,35 @@ def test_sum_of_products_over_several_denominators():
     assert sum_of_products([]) == ZERO
     assert sum_of_products([(SQRT2.int_parts(), SQRT2.int_parts()),
                             (rat(-2).int_parts(), ONE.int_parts())]) == ZERO
+
+
+def test_keyed_sum_of_products_matches_the_per_pair_loop():
+    r3 = Exact.sqrt_rational(3)
+    triples = [
+        ("y", rat(Fraction(1, 6)), SQRT2),
+        ("a", SQRT2, SQRT2),
+        ("c", r3, rat(Fraction(2, 9), 1)),
+        ("a", rat(-2), ONE),  # key a cancels: 2 - 2
+        ("y", rat(0, Fraction(3, 10)), r3 * rat(Fraction(1, 4))),  # a second denominator
+        ("d", ZERO, SQRT2),  # key d has only a zero product
+        ("c", SQRT2, r3 * rat(Fraction(5, 7))),  # sqrt(6), over a third denominator
+    ]
+    got = keyed_sum_of_products(triples)
+    assert got == ref.keyed_sum_of_products(triples)
+    assert list(got) == ["y", "c"]  # first-seen order, cancelled and zero keys dropped
+    assert got["y"] == SQRT2 * rat(Fraction(1, 6)) + r3 * rat(0, Fraction(3, 40))
+    assert keyed_sum_of_products([]) == {}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_env_element_products_match_the_per_pair_loop(n):
+    # the Casimirs of order 2 and 3 times every generator, and times words
+    # scaled by sqrt(2), on both sides
+    basis = build_generators(n)
+    gens = [EnvElement.gen(i) for i in range(basis.size)]
+    scaled = [(g * h).scale(SQRT2) + h for g, h in zip(gens, gens[1:])]
+    for order in (2, 3):
+        cas = casimir_element(order, basis)
+        for e in gens + scaled:
+            for a, b in ((cas, e), (e, cas)):
+                assert list((a * b).terms.items()) == list(ref.env_product(a, b).terms.items())

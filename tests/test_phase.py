@@ -21,7 +21,7 @@ from ptsphere.phase import (
     sample_vals,
 )
 from ptsphere.phase import _Point
-from ptsphere.reduction import _det_and_y
+from ptsphere.reduction import _det_and_y, build_hamiltonian
 
 from dirac_reference import dirac_bracket
 import jet_reference
@@ -500,6 +500,29 @@ def test_apply_pt_signed_permutation():
     assert f.apply_pt(parity).agrees_with(-f)
     g = _s(2) * _p(2)
     assert g.apply_pt(parity).agrees_with(g)
+    # an odd power of s3 or p3 flips the sign; coefficients are conjugated
+    h = _s(2) * _p(0) * PhaseRational.const(N, rat(1, 2))
+    assert h.apply_pt(parity).agrees_with(-(_s(2) * _p(1) * PhaseRational.const(N, rat(1, -2))))
+
+
+@pytest.mark.parametrize("name,kw", models())
+def test_apply_pt_maps_terms_one_to_one(name, kw):
+    # a signed permutation of the s and p slots permutes the exponent
+    # tuples, so no two terms land on one, and the catalog parities are
+    # involutions
+    m = build_masa(name)
+    V = build_hamiltonian(m).potential
+    img = V.apply_pt(m.parity)
+    assert (len(img.num.terms), len(img.den.terms)) == (len(V.num.terms), len(V.den.terms))
+    again = img.apply_pt(m.parity)
+    assert (again.num.terms, again.den.terms) == (V.num.terms, V.den.terms)
+
+
+def test_signed_permutation_refuses_a_non_permutation():
+    with pytest.raises(ValueError, match="not a permutation"):
+        SignedPermutation((0, 0), (1, 1))
+    with pytest.raises(ValueError, match="not a permutation"):
+        SignedPermutation.from_signed_indices([1, -1])
 
 
 @given(st.integers(min_value=0, max_value=10**6))
