@@ -49,10 +49,6 @@ class SamplingExhausted(PtsphereError):
     pass
 
 
-class RelationFailed(PtsphereError):
-    pass
-
-
 class FitUnderdetermined(PtsphereError):
     pass
 

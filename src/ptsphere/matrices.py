@@ -10,16 +10,17 @@ Gaussian-rational and radical entries alike: it serves ExactMatrix.rank,
 exact_inverse, the u(n) basis expansion (through the inverse cached by
 lie.build_generators) and the exact linear fits of the reduction layer.
 It is fraction-free (Bareiss, Math. Comp. 22 (1968) 565): each row is
-scaled to integral int parts by the lcm of its denominators, rows are
-combined by products of int parts only, and each new entry is divided by
-an earlier pivot.  By Sylvester's identity every entry so formed is a
-minor of the scaled matrix, a polynomial in its entries with integer
-coefficients, so it lies in the ring Z[i][sqrt(d), ...] they generate and
-its int parts are ints: the division, made as a product with the pivot's
-inverse N / D and a division of each part by the int D, leaves no
-remainder, and one that does is a bug and raises.  Entries grow like
-minors instead of like Gauss-Jordan's unreduced fractions, and no gcd is
-taken until the result is turned back into Exact values, once.
+scaled to integral int parts by the lcm of its denominators, and each
+step brings every row but the pivot row up by products of int parts only,
+each new entry divided by the previous step's pivot.  By Sylvester's
+identity every entry so formed is a minor of the scaled matrix, a
+polynomial in its entries with integer coefficients, so it lies in the
+ring Z[i][sqrt(d), ...] they generate and its int parts are ints: the
+division, made as a product with the pivot's inverse N / D and a division
+of each part by the int D, leaves no remainder, and one that does is a bug
+and raises.  Entries grow like minors instead of like Gauss-Jordan's
+unreduced fractions, and no gcd is taken until the result is turned back
+into Exact values, once.
 mat_exp_numeric exponentiates a dense complex array for the float
 Jacobian checks of the reduction layer.
 
@@ -204,13 +205,10 @@ def row_reduce(
             for items, den in parts
         ])
     # Entries are int parts (items views, empty for 0).  p_k is the pivot
-    # of step k, p_0 = 1, and inv[k] is 1/p_k as int parts over an int.
-    # After step k a row holds its fraction-free values times p_lag / p_k:
-    # a row that a step would only scale by p_k / p_(k-1) is left as it is,
-    # and its next update divides by p_lag instead of p_(k-1).
-    inv = [(_ONE_PARTS, 1)]
-    lag = [0] * len(a)
-    prev = _ONE_PARTS  # the pivot of the last step
+    # of step k, p_0 = 1, and inv is 1/p_k of the last step as int parts
+    # over an int.  Step k + 1 brings every row but its pivot row t to
+    # (p_(k+1) row - row[c] t) / p_k.
+    inv = (_ONE_PARTS, 1)
     pivots: list[int] = []
     live = list(range(width))
     for c in range(ncols):
@@ -218,33 +216,17 @@ def row_reduce(
         piv = next((r for r in range(k, len(a)) if a[r][c]), None)
         if piv is None:
             continue
-        for v in (a, scale, lag):
+        for v in (a, scale):
             v[k], v[piv] = v[piv], v[k]
         t = a[k]
-        if lag[k] != k:  # bring the pivot row up to step k
-            parts, den = inv[lag[k]]
-            f = _add_products({}, prev, parts).items()
-            for j in live:
-                if t[j]:
-                    t[j] = _quotient(_add_products({}, f, t[j]), den)
-        lag[k] = k + 1
         live.remove(c)
-        prev, t[c] = t[c], ()
-        parts, den = _reduced(dict(prev), 1).inverse().int_parts()
-        inv.append((tuple(parts), den))
-        # every other row nonzero in column c becomes
-        # (p_(k+1) row - row[c] t) / p_lag
+        p, t[c] = t[c], ()
+        parts, den = inv
+        fp = _add_products({}, p, parts).items()
         for r, row in enumerate(a):
-            rc = row[c]
-            if not rc:
+            if r == k:
                 continue
-            neg = [(d, (-x, -y)) for d, (x, y) in rc]
-            if lag[r]:
-                parts, den = inv[lag[r]]
-                fp = _add_products({}, prev, parts).items()
-                fn = _add_products({}, neg, parts).items()
-            else:
-                fp, fn, den = prev, neg, 1
+            fn = _add_products({}, [(d, (-x, -y)) for d, (x, y) in row[c]], parts).items()
             for j in live:
                 x, y = row[j], t[j]
                 if x or y:
@@ -253,17 +235,16 @@ def row_reduce(
                         _add_products(out, fn, y)
                     row[j] = _quotient(out, den)
             row[c] = ()
-            lag[r] = k + 1
+        inv = _reduced(dict(p), 1).inverse().int_parts()
         pivots.append(c)
-    # back to Exact, with every pivot column empty: a pivot row over p_lag,
-    # the value its pivot entry would hold, any other row over p_lag and
-    # the lcm it was scaled by
+    # back to Exact, with every pivot column empty: every row over the last
+    # pivot, the value each pivot entry would hold, and a row past the
+    # pivots over the lcm it was scaled by too
+    parts, den = inv
     reduced = []
     for r, row in enumerate(a):
-        parts, den = inv[lag[r]]
-        if r >= len(pivots):
-            den *= scale[r]
-        reduced.append([_reduced(_add_products({}, x, parts), den) if x else ZERO for x in row])
+        d = den if r < len(pivots) else den * scale[r]
+        reduced.append([_reduced(_add_products({}, x, parts), d) if x else ZERO for x in row])
     for r, c in enumerate(pivots):
         reduced[r][c] = ONE
     return reduced, pivots

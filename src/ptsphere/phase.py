@@ -557,6 +557,8 @@ class SignedPermutation:
     def __post_init__(self):
         if sorted(self.image) != list(range(len(self.image))):
             raise ValueError("not a permutation")
+        if len(self.sign) != len(self.image) or not set(self.sign) <= {1, -1}:
+            raise ValueError("not one sign of +1 or -1 per image")
 
     @classmethod
     def from_signed_indices(cls, signed: Sequence[int]) -> "SignedPermutation":

@@ -7,9 +7,12 @@ of motion, and the verification reports for the conservation, sum,
 separable-potential and Racah-type identities.  A model's relations are
 one table in its MODELS entry, checked by verify_relation.  Every zero
 verdict samples through one runner, _zero_at_samples, which reads each
-point into one phase._Point for the verdict's residuals; a failure names
-the first nonzero one.  The one float check, the Appendix's Jacobian block
-identities, imports numpy in its body, so the exact checks run without it.
+point into one phase._Point for the verdict's residuals and returns the
+name of the first nonzero one.  Every identity verdict returns one record,
+a RelationReport, whether it passed or failed: trials is the count it was
+set to run, and a failure's detail names what failed.  The one float check,
+the Appendix's Jacobian block identities, imports numpy in its body, so the
+exact checks run without it.
 
 One matrix carries the reduction: A(s), with A_{mu nu} = (Z_nu s)_mu.
 _cofactors gives det A and adj A by one Laplace expansion, and _det_and_y
@@ -62,7 +65,7 @@ from math import prod
 from typing import Callable, Sequence
 
 from .exact import Exact, I, ONE, _add_products, keyed_sum_of_products, rat, sum_of_products
-from .errors import DegenerateMasa, FitUnderdetermined, RelationFailed, UnknownName
+from .errors import DegenerateMasa, FitUnderdetermined, UnknownName
 from .lie import EnvElement, build_generators, casimir_element
 from .masa import MasaSpec, lambda_frame
 from .matrices import ExactMatrix, mat_exp_numeric, row_reduce
@@ -503,6 +506,9 @@ def build_hamiltonian(masa: MasaSpec) -> ReducedSystem:
 
 @dataclass
 class RelationReport:
+    """One identity verdict, passed or failed: trials is the count the check
+    was set to run, and a failure's detail names what failed."""
+
     name: str
     passed: bool
     trials: int
@@ -513,17 +519,12 @@ def _degree_bound(*fs: PhaseRational) -> int:
     return sum(f.num.total_degree() + f.den.total_degree() for f in fs)
 
 
-def _zero_at_samples(residuals: Callable[[_Point], list], n: int, trials: int, seed,
-                     failure: Callable[[str], str] | None = None) -> bool:
+def _zero_at_samples(residuals: Callable[[_Point], list], n: int, trials: int, seed):
     """The one runner of every zero verdict: residuals(point) lists the
     verdict's (name, value) pairs at each of trials sampled points, each read
-    once into a _Point that also carries its coordinates.  True if all vanish;
-    else RelationFailed(failure(first nonzero name)) is raised, or, with no
-    failure, False returned."""
-    name = first_nonzero_residual(lambda vals: residuals(_Point(vals, n)), n, trials, seed)
-    if name is not None and failure:
-        raise RelationFailed(failure(name))
-    return name is None
+    once into a _Point that also carries its coordinates.  The name of the
+    first nonzero value, or None if all vanish."""
+    return first_nonzero_residual(lambda vals: residuals(_Point(vals, n)), n, trials, seed)
 
 
 @_kept
@@ -532,23 +533,21 @@ def _sides(masa: MasaSpec, model: Model, key: str) -> tuple[PhaseRational, Phase
     return model.relations[key](masa)
 
 
-def verify_relation(
-    masa: MasaSpec, key: str, seed: int = DEFAULT_SEED, what: str | None = None
-) -> RelationReport:
+def verify_relation(masa: MasaSpec, key: str, seed: int = DEFAULT_SEED) -> RelationReport:
     """The two sides of the relation key of masa's MODELS entry are equal at
-    max(20, degree bound + 1) sampled points.  what names the relation in
-    the UnknownName raised for a model without it (default: the key)."""
+    max(20, degree bound + 1) sampled points; a model without the relation
+    raises UnknownName."""
     model = MODELS.get(masa.name)
     label = key.replace("_", " ")
     if key not in getattr(model, "relations", {}):
-        raise UnknownName(f"no {what or label} for {masa.name!r}")
+        raise UnknownName(f"no {label} for {masa.name!r}")
     lhs, rhs = _sides(masa, model, key)
     trials = max(20, _degree_bound(lhs, rhs) + 1)
-    _zero_at_samples(
-        lambda point: [(label, lhs.eval(point) - rhs.eval(point))], masa.n, trials, seed,
-        lambda name: f"{name} for {masa.name} fails at a sampled point",
+    failed = _zero_at_samples(
+        lambda point: [(label, lhs.eval(point) - rhs.eval(point))], masa.n, trials, seed
     )
-    return RelationReport(f"{key}[{masa.name}]", True, trials)
+    detail = f"{failed} for {masa.name} fails at a sampled point" if failed else ""
+    return RelationReport(f"{key}[{masa.name}]", failed is None, trials, detail)
 
 
 def verify_sum_relation(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationReport:
@@ -558,16 +557,16 @@ def verify_sum_relation(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationRep
 
 def verify_separable_potential(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationReport:
     """The reduced potential equals the model's separated form on s.s = 1."""
-    return verify_relation(masa, "separable_potential", seed, "separable form")
+    return verify_relation(masa, "separable_potential", seed)
 
 
 def verify_masa_reduction(masa: MasaSpec) -> RelationReport:
-    """Zhat_rho = k_rho as an exact rational-function identity, every rho."""
-    n = masa.n
-    for rho, Z in enumerate(masa.matrices):
-        if not momentum_map(Z, masa).agrees_with(PhasePoly.k(n, rho)):
-            raise RelationFailed(f"Zhat_{rho + 1} != k_{rho + 1} for {masa.name or 'masa'}")
-    return RelationReport(f"zhat_eq_k[{masa.name}]", True, 0, "rational identity")
+    """Zhat_rho = k_rho as an exact rational-function identity, every rho;
+    a failure names the first rho for which it does not hold."""
+    bad = next((rho + 1 for rho, Z in enumerate(masa.matrices)
+                if not momentum_map(Z, masa).agrees_with(PhasePoly.k(masa.n, rho))), None)
+    detail = f"Zhat_{bad} != k_{bad} for {masa.name or 'masa'}" if bad else "rational identity"
+    return RelationReport(f"zhat_eq_k[{masa.name}]", bad is None, 0, detail)
 
 
 def casimir_projection_report(
@@ -630,10 +629,9 @@ def verify_conservation(
             for name, T in integrals
         ]
 
-    _zero_at_samples(
-        residuals, masa.n, used, seed, lambda name: f"{{H, {name}}}_D nonzero for {masa.name}"
-    )
-    return RelationReport(f"conservation[{masa.name}]", True, used)
+    failed = _zero_at_samples(residuals, masa.n, used, seed)
+    detail = f"{{H, {failed}}}_D nonzero for {masa.name}" if failed else ""
+    return RelationReport(f"conservation[{masa.name}]", failed is None, used, detail)
 
 
 def _bracket_with(basis, i: int, z: dict[int, Exact]) -> dict[int, Exact]:
@@ -708,11 +706,9 @@ def verify_homomorphism(
                 out.append((f"({i},{j})", sum_of_products(terms)))
         return out
 
-    _zero_at_samples(
-        residuals, n, npoints, seed,
-        lambda pair: f"bracket image mismatch for pair {pair} in {masa.name}",
-    )
-    return RelationReport(f"homomorphism[{masa.name}]", True, npoints)
+    failed = _zero_at_samples(residuals, n, npoints, seed)
+    detail = f"bracket image mismatch for pair {failed} in {masa.name}" if failed else ""
+    return RelationReport(f"homomorphism[{masa.name}]", failed is None, npoints, detail)
 
 
 @dataclass
@@ -771,7 +767,7 @@ def racah_structure_report(
         t12 = pb(g1, g2)
         return [("T12 + T13", t12 + pb(g1, g3)), ("T12 - T23", t12 - pb(g2, g3))]
 
-    ok = _zero_at_samples(residuals, n, trials, seed)
+    ok = _zero_at_samples(residuals, n, trials, seed) is None
 
     kfix = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
     names = ("T1*T2", "T1*T3", "T2*T3", "T1^2", "T2^2", "T3^2", "T1", "T2", "T3", "1")

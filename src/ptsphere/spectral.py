@@ -326,7 +326,8 @@ def _as_nonpos_int(x) -> int | None:
 
 def hyp2f1_terminating(a, b, c, x):
     """2F1(a, b; c; x) as a finite sum, requiring a to be a non-positive
-    integer; exact when the inputs are Fractions."""
+    integer; exact when the inputs are ints and Fractions, else summed in
+    complex floats, each input converted once."""
     na = _as_nonpos_int(a)
     if na is None:
         raise ParamOutOfRange("first parameter must be a non-positive integer")
@@ -334,18 +335,14 @@ def hyp2f1_terminating(a, b, c, x):
     if nc is not None and -nc <= -na - 1:
         raise PoleInC(f"c = {c} hits a pole before the series terminates")
     exact = all(isinstance(v, (int, Fraction)) for v in (a, b, c, x))
-    one = Fraction(1) if exact else 1.0 + 0j
-    total = one * 0
-    term = one
+    if not exact:
+        a, b, c, x = map(complex, (a, b, c, x))
+    term = Fraction(1) if exact else 1.0 + 0j
+    total = term * 0
     for j in range(-na + 1):
         total = total + term
         if j < -na:
-            if exact:
-                term = term * Fraction(a + j) * Fraction(b + j) * x
-                term = term / (Fraction(c + j) * (j + 1))
-            else:
-                term = term * (complex(a) + j) * (complex(b) + j) * complex(x)
-                term = term / ((complex(c) + j) * (j + 1))
+            term = term * (a + j) * (b + j) * x / ((c + j) * (j + 1))
     return total
 
 

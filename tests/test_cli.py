@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -650,6 +651,52 @@ def test_reduce_reports_a_failed_racah_row(capsys, monkeypatch):
     assert code == 1
     racah = json.loads(out)["identities"]["racah"]
     assert racah == {"passed": False, "trials": 20, "detail": "T12 = -T13 = T23"}
+
+
+def test_failing_identity_rows_keep_the_row_schema(capsys, monkeypatch):
+    # a failing row is {passed, trials, detail}, as a passing one is, with
+    # trials the count the check was set to run: cartan_od's sum relation
+    # with s_1 added to one side on reduce (the passing row's count), and a
+    # perturbed generator image on verify (the homomorphism's 30 points)
+    s1 = PhaseRational(PhasePoly.s(3, 0))
+    reduce_argv = ["reduce", "--model", "cartan_od", "--seed", "5"]
+    trials = json.loads(_run(reduce_argv, capsys)[1])["identities"]["sum_relation"]["trials"]
+    model = reduction.MODELS["cartan_od"]
+    relation = model.relations["sum_relation"]
+
+    def perturbed_sides(m):
+        lhs, rhs = relation(m)
+        return lhs, rhs + s1
+
+    monkeypatch.setitem(
+        reduction.MODELS, "cartan_od",
+        dataclasses.replace(model, relations={"sum_relation": perturbed_sides}),
+    )
+    code, out = _run(reduce_argv, capsys)
+    assert code == 1
+    assert json.loads(out)["identities"]["sum_relation"] == {
+        "passed": False,
+        "trials": trials,
+        "detail": "sum relation for cartan_od fails at a sampled point",
+    }
+
+    real = reduction.generator_images
+
+    def perturbed_images(m):
+        images = real(m)
+        images[1] = images[1] + s1
+        return images
+
+    monkeypatch.setattr(reduction, "generator_images", perturbed_images)
+    code, out = _run(["verify", "--model", "cartan_od", "--seed", "7"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["conservation"]["passed"] is True
+    assert doc["bracket_preservation"] == {
+        "passed": False,
+        "trials": 30,
+        "detail": "bracket image mismatch for pair (1,3) in cartan_od",
+    }
 
 
 def test_reports_are_deterministic(capsys):

@@ -523,6 +523,12 @@ def test_signed_permutation_refuses_a_non_permutation():
         SignedPermutation((0, 0), (1, 1))
     with pytest.raises(ValueError, match="not a permutation"):
         SignedPermutation.from_signed_indices([1, -1])
+    # one sign per image, each +1 or -1: apply_pt would index past a short
+    # sign tuple, and it reads any positive sign as +1
+    with pytest.raises(ValueError, match="one sign of \\+1 or -1 per image"):
+        SignedPermutation((0, 1), (1,))
+    with pytest.raises(ValueError, match="one sign of \\+1 or -1 per image"):
+        SignedPermutation((0, 1), (1, 5))
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -254,6 +254,34 @@ def test_hyp2f1_second_term():
     assert hyp2f1_terminating(a, b, c, x) == t0 + t1 + t2
 
 
+def _hyp2f1_float_reference(a, b, c, x):
+    """The float series written out, each step's two products and one
+    division as separate statements on complex() of each input."""
+    total, term = 0j, 1.0 + 0j
+    for j in range(-int(a) + 1):
+        total = total + term
+        if j < -int(a):
+            term = term * (complex(a) + j) * (complex(b) + j) * complex(x)
+            term = term / ((complex(c) + j) * (j + 1))
+    return total
+
+
+@pytest.mark.parametrize("a, b, c, x", [
+    (-3, 0.5, 2.5, 0.3),
+    (-4, Fraction(1, 3), 1.75, -0.9),
+    (-5, 2.25 + 0.5j, 0.5 - 1j, 0.25 + 0.5j),
+    (-6.0, -2.5, 3, 0.999),
+    # rounds differently if the update's products or divisions are regrouped
+    (-8, 1.674, 2.37, 0.297),
+])
+def test_hyp2f1_terminating_float_matches_the_reference_loop(a, b, c, x):
+    # float inputs go through complex() once, then the one update: the same
+    # operations in the same order, so the value is equal bit for bit
+    value = hyp2f1_terminating(a, b, c, x)
+    assert isinstance(value, complex)
+    assert value == _hyp2f1_float_reference(a, b, c, x)
+
+
 def _pt(gm, gp):
     """The Poschl-Teller potential at (g_-, g_+)."""
     return lambda x: gm * (gm - 1) / cmath.sin(x) ** 2 + gp * (gp - 1) / cmath.cos(x) ** 2
