@@ -2,8 +2,9 @@
 
 Subcommands: validate | reduce | verify | spectrum | scan.  Exact model
 parameters are parsed from "p/q" text so the algebraic pipeline stays exact;
-grid bounds and tolerances are floats.  Exit status: 0 all requested checks
-pass, 1 any check fails, 2 configuration error.
+grid bounds and tolerances are floats.  reduce and verify each list their
+identity checks, and _run_identity makes each report one row.  Exit status:
+0 all requested checks pass, 1 any check fails, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -163,36 +164,35 @@ def cmd_validate(args) -> int:
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
-def _run_identity(doc, entry, check, *args, **kw):
-    """doc[entry] from the report of check(*args, **kw), which passed or
-    failed; True if the check passed."""
-    rep = check(*args, **kw)
-    doc[entry] = {"passed": rep.passed, "trials": rep.trials, "detail": rep.detail}
-    return rep.passed
+def _run_identity(doc, checks, masa) -> bool:
+    """doc[key] from the report of check(masa, **kw), which passed or failed,
+    for each (key, check, kw) of checks in order; True if all passed."""
+    reports = [(key, check(masa, **kw)) for key, check, kw in checks]
+    doc.update((key, {"passed": r.passed, "trials": r.trials, "detail": r.detail})
+               for key, r in reports)
+    return all(r.passed for _, r in reports)
 
 
 def cmd_reduce(args) -> int:
     masa = _build_masa(args)
-    # keyed on the MASA built: a --masa file has no entry and runs zhat_eq_k only
-    model = reduction.MODELS.get(masa.name)
-    # the sampled checks the entry picks: (key, check, keywords), each check of masa and seed
-    sampled = []
-    if model:
-        if "sum_relation" in model.relations:
-            sampled.append(("casimir_projection", reduction.casimir_projection_report, {}))
-        sampled += [(key, reduction.verify_relation, {"key": key}) for key in model.relations]
-        if model.racah:
-            sampled.append(("racah", reduction.racah_structure_report, {"with_fits": False}))
+    # keyed on the MASA built: a --masa file has no entry, so no relation and no racah
+    model = reduction.MODELS.get(masa.name, reduction.Model(None))
     # zhat_eq_k is symbolic: the seed is read, and echoed, only beside a sampled check
-    if sampled:
+    if model.relations or model.racah:
         args.seed = DEFAULT_SEED if args.seed is None else args.seed
     elif args.seed is not None:
         source = f"--masa {args.masa}" if args.masa else f"--model {args.model}"
         raise ConfigError(f"--seed decides nothing: reduce samples no point for {source}")
+    # the checks the entry picks: (key, check, keywords), each check of masa
+    checks, seed = [("zhat_eq_k", reduction.verify_masa_reduction, {})], {"seed": args.seed}
+    if "sum_relation" in model.relations:
+        checks.append(("casimir_projection", reduction.casimir_projection_report, seed))
+    checks += [(key, reduction.verify_relation, {**seed, "key": key}) for key in model.relations]
+    if model.racah:
+        checks.append(("racah", reduction.racah_structure_report, {**seed, "with_fits": False}))
     vrep = validate_masa(masa)
     doc = _base_report(args)
     doc["masa_valid"] = vrep.passed
-    ok = vrep.passed
     if not vrep.passed:
         doc["failures"] = [list(map(str, f)) for f in vrep.failures]
         _emit(args, doc)
@@ -202,11 +202,7 @@ def cmd_reduce(args) -> int:
     doc["potential"] = repr(sysr.potential)
     doc["hamiltonian"] = repr(sysr.hamiltonian)
     doc["integrals"] = [name for name, _ in sysr.integrals]
-    idents = {}
-    ok &= _run_identity(idents, "zhat_eq_k", reduction.verify_masa_reduction, masa)
-    for key, check, kw in sampled:
-        ok &= _run_identity(idents, key, check, masa, seed=args.seed, **kw)
-    doc["identities"] = idents
+    ok = _run_identity(doc.setdefault("identities", {}), checks, masa)
     _emit(args, doc)
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -215,30 +211,15 @@ def cmd_verify(args) -> int:
     masa = _build_masa(args)
     # the homomorphism check always samples
     args.seed = DEFAULT_SEED if args.seed is None else args.seed
-    doc = _base_report(args)
-    ok = True
-    ok &= _run_identity(doc, "conservation", reduction.verify_conservation, masa, seed=args.seed)
-    ok &= _run_identity(
-        doc, "bracket_preservation", reduction.verify_homomorphism, masa, seed=args.seed
-    )
+    seed = {"seed": args.seed}
+    checks = [("conservation", reduction.verify_conservation, seed),
+              ("bracket_preservation", reduction.verify_homomorphism, seed)]
     if masa.parity is not None:
-        V = reduction.build_hamiltonian(masa).potential
-        inv = V.agrees_with(V.apply_pt(masa.parity))
-        doc["pt_invariance"] = {"passed": inv}
-        ok &= inv
+        checks.append(("pt_invariance", reduction.verify_pt_invariance, {}))
     if args.appendix:
-        import random
-
-        rng = random.Random(args.seed)
-        worst = 0.0
-        for _ in range(10):
-            x = [rng.uniform(-0.5, 0.5) for _ in range(masa.n)]
-            s = [rng.uniform(-1.0, 1.0) for _ in range(masa.n)]
-            jc = reduction.jacobian_check(masa, x, s)
-            worst = max(worst, max(jc.residuals.values()))
-        passed = worst <= 1e-9
-        doc["appendix_residuals"] = {"passed": passed, "max_residual": worst}
-        ok &= passed
+        checks.append(("appendix_residuals", reduction.appendix_report, seed))
+    doc = _base_report(args)
+    ok = _run_identity(doc, checks, masa)
     _emit(args, doc)
     return EXIT_OK if ok else EXIT_FAIL
 

@@ -3,16 +3,14 @@
 Everything algebraic is exact.  The ambient data is a MASA of u(n); the
 engine produces the reduced potential V = k^T (-A^T A)^{-1} k, the momentum
 map X -> Xhat on the constrained phase space, the named models' integrals
-of motion, and the verification reports for the conservation, sum,
-separable-potential and Racah-type identities.  A model's relations are
-one table in its MODELS entry, checked by verify_relation.  Every zero
-verdict samples through one runner, _zero_at_samples, which reads each
-point into one phase._Point for the verdict's residuals and returns the
-name of the first nonzero one.  Every identity verdict returns one record,
-a RelationReport, whether it passed or failed: trials is the count it was
-set to run, and a failure's detail names what failed.  The one float check,
-the Appendix's Jacobian block identities, imports numpy in its body, so the
-exact checks run without it.
+of motion, and their identity verdicts.  A model's relations are one table
+in its MODELS entry, checked by verify_relation.  Every verdict returns one
+RelationReport, passed or failed: trials is the count it was set to run (0
+for a symbolic one), and a failure's detail names what failed.  Every
+sampled verdict runs through _sampled_report, which reads each point into
+one phase._Point for the verdict's residuals and fails with the name of the
+first nonzero one.  The one float verdict, appendix_report on the
+Appendix's Jacobian block identities, imports numpy in its body.
 
 One matrix carries the reduction: A(s), with A_{mu nu} = (Z_nu s)_mu.
 _cofactors gives det A and adj A by one Laplace expansion, and _det_and_y
@@ -99,13 +97,14 @@ __all__ = [
     "integrals_catalog",
     "verify_relation",
     "verify_sum_relation",
-    "verify_separable_potential",
     "verify_masa_reduction",
+    "verify_pt_invariance",
     "casimir_projection_report",
     "verify_conservation",
     "verify_homomorphism",
     "racah_structure_report",
     "jacobian_check",
+    "appendix_report",
     "angular_momentum",
 ]
 
@@ -519,12 +518,12 @@ def _degree_bound(*fs: PhaseRational) -> int:
     return sum(f.num.total_degree() + f.den.total_degree() for f in fs)
 
 
-def _zero_at_samples(residuals: Callable[[_Point], list], n: int, trials: int, seed):
-    """The one runner of every zero verdict: residuals(point) lists the
-    verdict's (name, value) pairs at each of trials sampled points, each read
-    once into a _Point that also carries its coordinates.  The name of the
-    first nonzero value, or None if all vanish."""
-    return first_nonzero_residual(lambda vals: residuals(_Point(vals, n)), n, trials, seed)
+def _sampled_report(name: str, residuals: Callable[[_Point], list], n: int, trials: int, seed):
+    """The one runner of every sampled zero verdict: residuals(point) lists
+    the verdict's (name, value) pairs at each of trials sampled points, each
+    read once into a _Point.  A failure's detail is the first nonzero name."""
+    failed = first_nonzero_residual(lambda vals: residuals(_Point(vals, n)), n, trials, seed)
+    return RelationReport(name, failed is None, trials, failed or "")
 
 
 @_kept
@@ -543,21 +542,16 @@ def verify_relation(masa: MasaSpec, key: str, seed: int = DEFAULT_SEED) -> Relat
         raise UnknownName(f"no {label} for {masa.name!r}")
     lhs, rhs = _sides(masa, model, key)
     trials = max(20, _degree_bound(lhs, rhs) + 1)
-    failed = _zero_at_samples(
-        lambda point: [(label, lhs.eval(point) - rhs.eval(point))], masa.n, trials, seed
+    failure = f"{label} for {masa.name} fails at a sampled point"
+    return _sampled_report(
+        f"{key}[{masa.name}]", lambda point: [(failure, lhs.eval(point) - rhs.eval(point))],
+        masa.n, trials, seed,
     )
-    detail = f"{failed} for {masa.name} fails at a sampled point" if failed else ""
-    return RelationReport(f"{key}[{masa.name}]", failed is None, trials, detail)
 
 
 def verify_sum_relation(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationReport:
     """The displayed over-completeness relation of the named model."""
     return verify_relation(masa, "sum_relation", seed)
-
-
-def verify_separable_potential(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationReport:
-    """The reduced potential equals the model's separated form on s.s = 1."""
-    return verify_relation(masa, "separable_potential", seed)
 
 
 def verify_masa_reduction(masa: MasaSpec) -> RelationReport:
@@ -569,16 +563,24 @@ def verify_masa_reduction(masa: MasaSpec) -> RelationReport:
     return RelationReport(f"zhat_eq_k[{masa.name}]", bad is None, 0, detail)
 
 
+def verify_pt_invariance(masa: MasaSpec) -> RelationReport:
+    """V = PT(V) under masa's parity as an exact rational-function identity."""
+    V = _potential(masa)[0]
+    ok = V.agrees_with(V.apply_pt(masa.parity))
+    detail = "rational identity" if ok else f"V != PT(V) for {masa.name or 'masa'}"
+    return RelationReport(f"pt_invariance[{masa.name}]", ok, 0, detail)
+
+
 def casimir_projection_report(
     masa: MasaSpec, seed: int = DEFAULT_SEED, npoints: int | None = None
 ) -> RelationReport:
     """Exact linear fit of the projected quadratic Casimir over the span
-    {H, 1, k_i k_j}; the multiplicative and additive constants are reported,
-    an inconsistent fit raises.  The Casimir is not built: at each point,
-    read once, the generator images are evaluated, their shared den det A
-    swept once, and combined by the words of casimir_element(2, ...), each a
-    pair (i, j), in one exact.sum_of_products: c * g_i is folded into int
-    parts by exact._add_products, which builds no Exact and reduces nothing."""
+    {H, 1, k_i k_j}: the fitted constants, or the reason the samples do not
+    determine them.  The Casimir is not built: at each point, read once, the
+    generator images are evaluated, their shared den det A swept once, and
+    combined by the words of casimir_element(2, ...), each a pair (i, j), in
+    one exact.sum_of_products: c * g_i is folded into int parts by
+    exact._add_products, which builds no Exact and reduces nothing."""
     n = masa.n
     _, H = _potential(masa)
     maps = generator_images(masa)
@@ -597,10 +599,15 @@ def casimir_projection_report(
         k = vals[2 * n:]
         return [H.eval(point), ONE] + [k[i] * k[j] for i, j in pairs] + [cas]
 
-    samples = pole_free_values(row, n, seed)
-    coeffs = _fit_exact(list(islice(samples, npts)), names)
-    detail = " + ".join(f"({c}) {name}" for name, c in coeffs.items() if not c.is_zero())
-    return RelationReport(f"casimir_projection[{masa.name}]", True, npts, detail)
+    rows = list(islice(pole_free_values(row, n, seed), npts))
+    try:
+        coeffs = _fit_exact(rows, names)
+    except FitUnderdetermined as exc:
+        passed, detail = False, f"{exc} for {masa.name}"
+    else:
+        passed = True
+        detail = " + ".join(f"({c}) {name}" for name, c in coeffs.items() if not c.is_zero())
+    return RelationReport(f"casimir_projection[{masa.name}]", passed, npts, detail)
 
 
 def verify_conservation(
@@ -622,16 +629,16 @@ def verify_conservation(
         max(20, (_degree_bound(H, T) + 1) // 2) for _, T in integrals
     )
 
+    named = [(f"{{H, {name}}}_D nonzero for {masa.name}", T) for name, T in integrals]
+
     def residuals(point):
         gH = H.grad_at(point)[0]
         return [
-            (name, _dirac_of_gradients(gH, gH if T is H else T.grad_at(point)[0], point.vals))
-            for name, T in integrals
+            (failure, _dirac_of_gradients(gH, gH if T is H else T.grad_at(point)[0], point.vals))
+            for failure, T in named
         ]
 
-    failed = _zero_at_samples(residuals, masa.n, used, seed)
-    detail = f"{{H, {failed}}}_D nonzero for {masa.name}" if failed else ""
-    return RelationReport(f"conservation[{masa.name}]", failed is None, used, detail)
+    return _sampled_report(f"conservation[{masa.name}]", residuals, masa.n, used, seed)
 
 
 def _bracket_with(basis, i: int, z: dict[int, Exact]) -> dict[int, Exact]:
@@ -681,8 +688,9 @@ def verify_homomorphism(
     corr = [
         [[(c.int_parts(), k) for k, c in z.items()] for z in row] for row in _corrections(masa)
     ]
-    minus_image = {
-        (i, j): [((-c).int_parts(), k) for k, c in basis.bracket_coeffs(i, j).items()]
+    pairs = {  # per pair: the name it fails under, and minus its image's terms
+        (i, j): (f"bracket image mismatch for pair ({i},{j}) in {masa.name}",
+                 [((-c).int_parts(), k) for k, c in basis.bracket_coeffs(i, j).items()])
         for i in range(size) for j in range(i + 1, size)
     }
 
@@ -697,18 +705,15 @@ def verify_homomorphism(
         plus = [[x.int_parts() for x in row] for row in corr_vals]
         minus = [[(-x).int_parts() for x in row] for row in corr_vals]
         out = []
-        for i in range(size):
-            for j in range(i + 1, size):
-                terms = list(_bracket_pairs(grads[i], grads[j]))
-                terms += zip(plus[i], dk[j])
-                terms += zip(minus[j], dk[i])
-                terms += [(c, gen[k]) for c, k in minus_image[(i, j)]]
-                out.append((f"({i},{j})", sum_of_products(terms)))
+        for (i, j), (failure, minus_image) in pairs.items():
+            terms = list(_bracket_pairs(grads[i], grads[j]))
+            terms += zip(plus[i], dk[j])
+            terms += zip(minus[j], dk[i])
+            terms += [(c, gen[k]) for c, k in minus_image]
+            out.append((failure, sum_of_products(terms)))
         return out
 
-    failed = _zero_at_samples(residuals, n, npoints, seed)
-    detail = f"bracket image mismatch for pair {failed} in {masa.name}" if failed else ""
-    return RelationReport(f"homomorphism[{masa.name}]", failed is None, npoints, detail)
+    return _sampled_report(f"homomorphism[{masa.name}]", residuals, n, npoints, seed)
 
 
 @dataclass
@@ -761,17 +766,18 @@ def racah_structure_report(
 
     trials = max(20, (_degree_bound(T1, T2) + _degree_bound(T3) + 1) // 2)
     pb = _bracket_of_gradients
+    plus, minus = (f"T12 {op} nonzero for {masa.name}" for op in ("+ T13", "- T23"))
 
     def residuals(point):
         g1, g2, g3 = (T.grad_at(point)[0] for T in (T1, T2, T3))
         t12 = pb(g1, g2)
-        return [("T12 + T13", t12 + pb(g1, g3)), ("T12 - T23", t12 - pb(g2, g3))]
+        return [(plus, t12 + pb(g1, g3)), (minus, t12 - pb(g2, g3))]
 
-    ok = _zero_at_samples(residuals, n, trials, seed) is None
-
+    rep = _sampled_report(f"racah[{masa.name}]", residuals, n, trials, seed)
     kfix = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
     names = ("T1*T2", "T1*T3", "T2*T3", "T1^2", "T2^2", "T3^2", "T1", "T2", "T3", "1")
-    report = RacahReport(f"racah[{masa.name}]", ok, trials, "T12 = -T13 = T23", {}, kfix, names)
+    report = RacahReport(rep.name, rep.passed, trials, rep.detail or "T12 = -T13 = T23",
+                         {}, kfix, names)
     if not with_fits:
         return report
 
@@ -847,3 +853,16 @@ def jacobian_check(masa: MasaSpec, x: Sequence[float], s: Sequence[float]) -> Ja
         "v_def": float(np.max(np.abs(Vm + Aex.T @ Aex))),
     }
     return JacobianCheck(masa.name or "custom", tuple(x), tuple(map(complex, sv)), res)
+
+
+def appendix_report(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationReport:
+    """jacobian_check at 10 drawn x in [-0.5, 0.5]^n and s in [-1, 1]^n: no
+    residual may exceed 1e-9.  The detail gives the worst and its identity."""
+    rng, res = random.Random(seed), []
+    for _ in range(10):
+        x = [rng.uniform(-0.5, 0.5) for _ in range(masa.n)]
+        s = [rng.uniform(-1.0, 1.0) for _ in range(masa.n)]
+        res += jacobian_check(masa, x, s).residuals.items()
+    which, worst = max(res, key=lambda item: item[1])
+    detail = f"worst residual {worst:.3e} ({which}) for {masa.name or 'masa'}"
+    return RelationReport(f"appendix[{masa.name}]", all(r <= 1e-9 for _, r in res), 10, detail)

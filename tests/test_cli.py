@@ -11,9 +11,10 @@ import pytest
 import ptsphere
 from ptsphere import cli, reduction, spectral
 from ptsphere.cli import ConfigError, _parse_grid, build_parser, main
+from ptsphere.exact import I
 from ptsphere.phase import PhasePoly, PhaseRational
 
-from catalog_models import PARAMS, RACAH_MODELS
+from catalog_models import PARAMS, RACAH_MODELS, build_masa
 
 BAD_MASA = {
     "n": 2,
@@ -639,7 +640,8 @@ def test_benchmark_exact_operations_pass(workload, monkeypatch):
 
 def test_reduce_reports_a_failed_racah_row(capsys, monkeypatch):
     # with T3 perturbed, T12 = -T13 = T23 fails at the first sampled point:
-    # the row reads passed false beside its trials, and reduce exits 1
+    # the row reads passed false beside its trials, names the residual that
+    # was nonzero, and reduce exits 1
     real = reduction.integrals_catalog
     s1 = PhaseRational(PhasePoly.s(3, 0))
 
@@ -650,7 +652,65 @@ def test_reduce_reports_a_failed_racah_row(capsys, monkeypatch):
     code, out = _run(["reduce", "--model", "lambda"], capsys)
     assert code == 1
     racah = json.loads(out)["identities"]["racah"]
-    assert racah == {"passed": False, "trials": 20, "detail": "T12 = -T13 = T23"}
+    assert racah == {"passed": False, "trials": 20, "detail": "T12 + T13 nonzero for lambda"}
+
+
+def test_reduce_reports_a_failed_casimir_row(capsys, monkeypatch):
+    # s_1 added to the image of generator 1: the projected Casimir leaves
+    # {H, 1, k_i k_j}, so the fit's row fails with its reason, and the
+    # report is printed in full
+    real = reduction.generator_images
+
+    def perturbed(m):
+        images = real(m)
+        images[1] = images[1] + PhaseRational(PhasePoly.s(m.n, 0))
+        return images
+
+    monkeypatch.setattr(reduction, "generator_images", perturbed)
+    code, out = _run(["reduce", "--model", "cartan_od"], capsys)
+    assert code == 1
+    idents = json.loads(out)["identities"]
+    assert idents["casimir_projection"] == {
+        "passed": False,
+        "trials": 22,
+        "detail": "sampled system is inconsistent with the basis for cartan_od",
+    }
+    assert idents["sum_relation"]["passed"] is True
+
+
+def test_verify_reports_a_failed_pt_invariance_row(capsys, monkeypatch):
+    # lambda's potential plus the constant i, whose PT image is -i: V is no
+    # longer PT-invariant, while conservation and the brackets still hold
+    model = reduction.MODELS["lambda"]
+    shifted = reduction.build_potential(build_masa("lambda")) + PhaseRational.const(3, I)
+    monkeypatch.setitem(
+        reduction.MODELS, "lambda", dataclasses.replace(model, potential=lambda lam2: shifted)
+    )
+    code, out = _run(["verify", "--model", "lambda", "--seed", "7"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["conservation"]["passed"] and doc["bracket_preservation"]["passed"]
+    assert doc["pt_invariance"] == {
+        "passed": False, "trials": 0, "detail": "V != PT(V) for lambda",
+    }
+
+
+@pytest.mark.parametrize("source", ["su2ab", "cartan_od", "file"])
+def test_every_identity_row_is_one_record(tmp_path, capsys, source):
+    # every row reduce and verify --appendix print is {passed, trials,
+    # detail}, whichever check made it
+    if source == "file":
+        path = tmp_path / "su2ab.json"
+        path.write_text(json.dumps(SU2AB_MASA))
+        argv = ["--masa", str(path)]
+    else:
+        argv = ["--model", source]
+    _, out = _run(["reduce", *argv], capsys)
+    rows = list(json.loads(out)["identities"].values())
+    _, out = _run(["verify", *argv, "--appendix"], capsys)
+    verify_rows = [v for v in json.loads(out).values() if isinstance(v, dict)]
+    assert len(verify_rows) == 4
+    assert all(set(row) == {"passed", "trials", "detail"} for row in rows + verify_rows)
 
 
 def test_failing_identity_rows_keep_the_row_schema(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from math import prod
 
@@ -34,7 +35,7 @@ from ptsphere.reduction import (
     racah_structure_report,
     verify_conservation,
     verify_masa_reduction,
-    verify_separable_potential,
+    verify_relation,
     verify_sum_relation,
 )
 
@@ -179,10 +180,12 @@ def test_masa_reduction_names_a_perturbed_generator_image(name, kw, monkeypatch)
 
 @pytest.mark.parametrize("name,kw", IMAGE_MODELS[:2])
 def test_casimir_fit_rejects_a_perturbed_generator_image(name, kw, monkeypatch):
-    # the projected Casimir gains 2 s_1 Xhat_1 + s_1^2, outside {H, 1, k_i k_j}
+    # the projected Casimir gains 2 s_1 Xhat_1 + s_1^2, outside {H, 1, k_i k_j}:
+    # the fit fails, and its record gives the reason and the point count
     _perturb_generator_image(monkeypatch)
-    with pytest.raises(FitUnderdetermined, match="inconsistent"):
-        casimir_projection_report(catalog_masa(name, **kw))
+    rep = casimir_projection_report(catalog_masa(name, **kw))
+    assert not rep.passed and rep.trials == {"su2ab": 16, "cartan_od": 22}[name]
+    assert rep.detail == f"sampled system is inconsistent with the basis for {name}"
 
 
 @pytest.mark.parametrize("name,kw", models())
@@ -241,7 +244,7 @@ def test_casimir_fit_and_separable_form_build_only_the_potential(monkeypatch):
         )
     for name in ("su2ab", "cartan_od"):
         assert casimir_projection_report(build_masa(name)).passed
-    assert verify_separable_potential(build_masa("lambda")).passed
+    assert verify_relation(build_masa("lambda"), "separable_potential").passed
     assert projected == []
 
 
@@ -262,8 +265,9 @@ def test_casimir_projection_nilpotent():
 def test_casimir_projection_inconsistent_on_degenerate_models(name):
     # the models the table gives no sum relation: the projected Casimir is
     # not a combination of H, 1 and k_i k_j there
-    with pytest.raises(FitUnderdetermined, match="inconsistent"):
-        casimir_projection_report(build_masa(name))
+    rep = casimir_projection_report(build_masa(name))
+    assert not rep.passed and rep.trials == 22
+    assert rep.detail == f"sampled system is inconsistent with the basis for {name}"
     with pytest.raises(UnknownName, match="no sum relation"):
         verify_sum_relation(build_masa(name))
 
@@ -576,7 +580,7 @@ def _negative_control(masa):
     lambda: reduction.verify_homomorphism(build_masa("cartan_od"), npoints=3).passed,
     lambda: verify_conservation(build_masa("cartan_od")).passed,
     lambda: verify_sum_relation(build_masa("su2ab")).passed,
-    lambda: verify_separable_potential(build_masa("lambda")).passed,
+    lambda: verify_relation(build_masa("lambda"), "separable_potential").passed,
     lambda: casimir_projection_report(build_masa("su2ab")).passed,
     lambda: not racah_structure_report(build_masa("cartan_od"), with_fits=False).antisymmetry_ok,
     lambda: _negative_control(build_masa("cartan_od")),
@@ -636,7 +640,7 @@ def test_racah_antisymmetry_fails_for_a_perturbed_T3(monkeypatch):
 
 @pytest.mark.parametrize("lam2", [Fraction(0), Fraction(1, 4), Fraction(9, 20)])
 def test_lambda_potential_is_separable(lam2):
-    rep = verify_separable_potential(catalog_masa("lambda", lambda2=lam2))
+    rep = verify_relation(catalog_masa("lambda", lambda2=lam2), "separable_potential")
     assert rep.passed and rep.trials == 25
 
 
@@ -654,14 +658,14 @@ def test_separable_potential_rejects_swapped_couplings(lam2, monkeypatch):
         "separable_potential": lambda m: (build_potential(m), swapped(*m.params)),
     }
     monkeypatch.setitem(reduction.MODELS, "lambda", dataclasses.replace(model, relations=relations))
-    rep = verify_separable_potential(catalog_masa("lambda", lambda2=lam2))
+    rep = verify_relation(catalog_masa("lambda", lambda2=lam2), "separable_potential")
     assert not rep.passed
     assert re.search("separable potential for lambda fails", rep.detail)
 
 
 def test_only_lambda_has_a_separable_form():
     with pytest.raises(UnknownName, match="no separable potential"):
-        verify_separable_potential(build_masa("cartan_od"))
+        verify_relation(build_masa("cartan_od"), "separable_potential")
 
 
 def test_jacobian_residuals_small():
@@ -801,7 +805,8 @@ def _counting(monkeypatch, name, key):
 @pytest.mark.parametrize("name,key,verify", [
     ("su2ab", "sum_relation", verify_sum_relation),
     ("cartan_od", "sum_relation", verify_sum_relation),
-    pytest.param("lambda", "separable_potential", verify_separable_potential,
+    pytest.param("lambda", "separable_potential",
+                 partial(verify_relation, key="separable_potential"),
                  id="lambda-separable-verify_separable_potential"),
 ])
 def test_a_second_relation_verdict_builds_nothing(name, key, verify, monkeypatch):
