@@ -164,6 +164,19 @@ def cmd_validate(args) -> int:
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
+def _validated(args, masa):
+    """The one gate of reduce and verify: their report begun with masa_valid,
+    and whether masa is valid.  An invalid MASA's report, with its failures,
+    is printed here, and the command runs no check."""
+    rep = validate_masa(masa)
+    doc = _base_report(args)
+    doc["masa_valid"] = rep.passed
+    if not rep.passed:
+        doc["failures"] = [list(map(str, f)) for f in rep.failures]
+        _emit(args, doc)
+    return doc, rep.passed
+
+
 def _run_identity(doc, checks, masa) -> bool:
     """doc[key] from the report of check(masa, **kw), which passed or failed,
     for each (key, check, kw) of checks in order; True if all passed."""
@@ -190,12 +203,8 @@ def cmd_reduce(args) -> int:
     checks += [(key, reduction.verify_relation, {**seed, "key": key}) for key in model.relations]
     if model.racah:
         checks.append(("racah", reduction.racah_structure_report, {**seed, "with_fits": False}))
-    vrep = validate_masa(masa)
-    doc = _base_report(args)
-    doc["masa_valid"] = vrep.passed
-    if not vrep.passed:
-        doc["failures"] = [list(map(str, f)) for f in vrep.failures]
-        _emit(args, doc)
+    doc, valid = _validated(args, masa)
+    if not valid:
         return EXIT_FAIL
     _classify_pt(doc, masa)
     sysr = reduction.build_hamiltonian(masa)
@@ -218,7 +227,9 @@ def cmd_verify(args) -> int:
         checks.append(("pt_invariance", reduction.verify_pt_invariance, {}))
     if args.appendix:
         checks.append(("appendix_residuals", reduction.appendix_report, seed))
-    doc = _base_report(args)
+    doc, valid = _validated(args, masa)
+    if not valid:
+        return EXIT_FAIL
     ok = _run_identity(doc, checks, masa)
     _emit(args, doc)
     return EXIT_OK if ok else EXIT_FAIL

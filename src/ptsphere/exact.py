@@ -15,16 +15,15 @@ The product rule, sqrt(d1)*sqrt(d2) = g*sqrt(d1*d2/g^2) with g = gcd(d1, d2),
 is written once, in _add_products, and every product of two nonzero values
 goes through it; the sum rule is written once, in _sum.
 
-A sum of products, sum_k x_k * y_k, is one sum_of_products call on the int
-parts of the operands: the products are summed as ints per denominator
-D_x * D_y, the sums brought over the lcm of those, and the result reduced
+A sum of products, sum_k x_k * y_k (or x_k * z_k * y_k), is one
+sum_of_products call on Exact factors: the products are summed as ints per
+denominator, the sums brought over the lcm of those, and the result reduced
 once, with one gcd, instead of once per product and once per partial sum.
-ExactMatrix products and commutators, the u(n) basis expansion and the
-projection of enveloping elements to phase space sum their products so.
-keyed_sum_of_products sums x * y per key over (key, x, y) triples, one
-sum_of_products per key: every sum of products keyed by a monomial or a
-word (PhasePoly combinations, enveloping-algebra products and PBW
-rewriting, brackets in the u(n) basis) is one call.
+keyed_sum_of_products does so per key over (key, x, y) triples: every sum
+of products keyed by a monomial or a word (PhasePoly combinations,
+enveloping-algebra products and PBW rewriting, brackets in the u(n) basis)
+is one call.  Outside this module only phase.py's point sweeps, products
+and derivatives and matrices.row_reduce read int parts.
 """
 
 from __future__ import annotations
@@ -80,21 +79,26 @@ def _add_products(out: dict, parts1, parts2) -> dict:
     return out
 
 
-def sum_of_products(pairs) -> "Exact":
-    """The sum of x*y over pairs of int parts (x.int_parts(), y.int_parts()).
+def sum_of_products(terms) -> "Exact":
+    """The sum of x*y, or x*z*y, over terms (x, y) or (x, z, y) of Exacts.
 
-    The products are summed per denominator D_x*D_y by _add_products, the
-    sums brought over the lcm of those denominators, and the result reduced
-    once, with one gcd; a pair with a zero operand is skipped.  The value is
-    the one the per-pair Exact products and sums give, int for int."""
-    sums = {}  # {D_x*D_y: {d: (re, im)}}
-    for (p1, d1), (p2, d2) in pairs:
-        if p1 and p2:
-            den = d1 * d2
-            acc = sums.get(den)
-            if acc is None:
-                acc = sums[den] = {}
-            _add_products(acc, p1, p2)
+    The products are summed per denominator by _add_products, the sums
+    brought over the lcm of those denominators, and the result reduced
+    once, with one gcd; a term with a zero factor is skipped.  The value is
+    the one the per-term Exact products and sums give, int for int."""
+    sums = {}  # {D_x*D_y (*D_z): {d: (re, im)}}
+    for term in terms:
+        x, y = term[0], term[-1]
+        if not (x._num and y._num):
+            continue
+        den, parts = x._den * y._den, x._num.items()
+        if len(term) == 3:
+            z = term[1]
+            if not z._num:
+                continue
+            den *= z._den
+            parts = _add_products({}, parts, z._num.items()).items()
+        _add_products(sums.setdefault(den, {}), parts, y._num.items())
     if len(sums) == 1:
         (den, acc), = sums.items()
         return _reduced(acc, den)
@@ -116,10 +120,7 @@ def keyed_sum_of_products(triples) -> dict:
     the others keep the order in which their keys were first met."""
     cols = {}
     for key, x, y in triples:
-        col = cols.get(key)
-        if col is None:
-            col = cols[key] = []
-        col.append(((x._num.items(), x._den), (y._num.items(), y._den)))
+        cols.setdefault(key, []).append((x, y))
     out = {}
     for key, col in cols.items():
         c = sum_of_products(col)

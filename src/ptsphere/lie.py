@@ -80,9 +80,9 @@ class GeneratorBasis:
     symmetric_flags: tuple[bool, ...]
     # structure[(i, j)] for i < j: dict {k: Exact}; [X_i, X_j] = sum c_k X_k
     structure: dict[tuple[int, int], dict[int, Exact]] = field(hash=False)
-    # row k holds (j, entry.int_parts()) for the nonzero entries of row k of
-    # the inverse of the n^2 x n^2 matrix whose columns are vec(X_0), vec(X_1), ...
-    coordinate_rows: tuple[tuple[tuple[int, tuple], ...], ...] = field(hash=False, repr=False)
+    # row k holds (j, entry) for the nonzero entries of row k of the inverse
+    # of the n^2 x n^2 matrix whose columns are vec(X_0), vec(X_1), ...
+    coordinate_rows: tuple[tuple[tuple[int, Exact], ...], ...] = field(hash=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -111,7 +111,7 @@ class GeneratorBasis:
 
         The n^2 generators span every complex n x n matrix, so the
         coefficients are the product of the inverse generator-column matrix
-        (computed once per basis, nonzero entries only, as int parts) with
+        (computed once per basis, nonzero entries only) with
         vec(m), each one sum of products.  Only the nonzero coefficients are
         returned, in generator order.
         """
@@ -119,7 +119,7 @@ class GeneratorBasis:
             raise DimensionMismatch(
                 f"expected a {self.n}x{self.n} matrix, got {m.rows}x{m.cols}"
             )
-        vec = [x.int_parts() for row in m.entries for x in row]
+        vec = [x for row in m.entries for x in row]
         out = {}
         for k, row in enumerate(self.coordinate_rows):
             c = sum_of_products((a, vec[j]) for j, a in row)
@@ -137,7 +137,7 @@ def build_generators(n: int) -> GeneratorBasis:
     flags = tuple(X.is_symmetric() for X in mats)
     columns = ExactMatrix([[x for row in X.entries for x in row] for X in mats]).transpose()
     coordinate_rows = tuple(
-        tuple((j, a.int_parts()) for j, a in enumerate(row) if a)
+        tuple((j, a) for j, a in enumerate(row) if a)
         for row in exact_inverse(columns).entries
     )
     basis = GeneratorBasis(n, tuple(mats), flags, {}, coordinate_rows)

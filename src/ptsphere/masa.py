@@ -97,6 +97,10 @@ class MasaSpec:
     def size(self) -> int:
         return len(self.matrices)
 
+    @property
+    def label(self) -> str:  # the MASA's name in reports
+        return self.name or "masa"
+
     def __hash__(self) -> int:
         # the fields' hash, computed once: it keys the reduction's build
         # cache, and hashing every Exact entry anew costs up to 0.1 ms
@@ -286,7 +290,8 @@ def catalog_masa(name: str, **params) -> MasaSpec:
       branch i lambda = +i/sqrt(2) or its conjugate.
 
     A parameter the named model does not take raises UnknownName; a
-    rational one past MAX_PARAM_INT raises ParamOutOfRange.
+    rational one past MAX_PARAM_INT raises ParamOutOfRange, and so does
+    a = b = 0 on su2ab and cartan_od, where Z2 = 0.
     """
     if name not in _CATALOG_PARAMS:
         raise UnknownName(f"unknown catalog MASA {name!r}")
@@ -298,10 +303,11 @@ def catalog_masa(name: str, **params) -> MasaSpec:
             f" (it takes: {takes})"
         )
     params = {**_CATALOG_PARAMS[name], **params}
-    if name == "su2ab":
+    if name in ("su2ab", "cartan_od"):
         a, b = (Exact.coerce(_bounded(k, params[k])) for k in "ab")
         if a.is_zero() and b.is_zero():
             raise ParamOutOfRange("a and b cannot both vanish")
+    if name == "su2ab":
         rows = [[ONE, ZERO, ZERO], [ZERO, -I * b, a]]
         par = SignedPermutation.from_signed_indices([1, -2])
         return masa_from_coeffs(2, rows, name, (a, b), par)
@@ -314,7 +320,6 @@ def catalog_masa(name: str, **params) -> MasaSpec:
         sign = 1 if name.endswith("plus") else -1
         return _lambda_masa(name, Fraction(1, 2), sign, (sign,))
     if name == "cartan_od":
-        a, b = (Exact.coerce(_bounded(k, params[k])) for k in "ab")
         third = rat(Fraction(1, 3))
         rows = [
             [third, third * rat(2), third, ZERO, ZERO, ZERO],

@@ -2,9 +2,9 @@
 
 ExactMatrix entries are Exact scalars; equality is entrywise and exact.
 Each entry of a product, and of a commutator AB - BA, is one
-exact.sum_of_products over the int parts of the operands, read once per
-matrix, so it is reduced once.  Arithmetic results are built by the trusted
-constructor _matrix, which skips the coercion of the public one.
+exact.sum_of_products over pairs of entries, so it is reduced once.
+Arithmetic results are built by the trusted constructor _matrix, which
+skips the coercion of the public one.
 row_reduce is the one exact elimination of the package, one path for
 Gaussian-rational and radical entries alike: it serves ExactMatrix.rank,
 exact_inverse, the u(n) basis expansion (through the inverse cached by
@@ -49,11 +49,6 @@ def _matrix(rows) -> "ExactMatrix":
     m.entries = tuple(map(tuple, rows))
     m.rows, m.cols = len(m.entries), len(m.entries[0])
     return m
-
-
-def _int_rows(entries) -> list[list]:
-    """The int parts (items, den) of every entry, row by row."""
-    return [[x.int_parts() for x in row] for row in entries]
 
 
 class ExactMatrix:
@@ -111,10 +106,8 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} != {other.rows}")
-        cols = list(zip(*_int_rows(other.entries)))
-        return _matrix(
-            [sum_of_products(zip(row, col)) for col in cols] for row in _int_rows(self.entries)
-        )
+        cols = list(zip(*other.entries))
+        return _matrix([sum_of_products(zip(row, col)) for col in cols] for row in self.entries)
 
     def transpose(self) -> "ExactMatrix":
         return _matrix(zip(*self.entries))
@@ -134,8 +127,8 @@ class ExactMatrix:
         if self.rows != self.cols:
             raise DimensionMismatch("commutator needs square matrices")
         # entry (i, j) is one sum of products: A_ik B_kj and -B_ik A_kj over k
-        a, b = _int_rows(self.entries), _int_rows(other.entries)
-        minus_b = [[([(d, (-x, -y)) for d, (x, y) in p], den) for p, den in row] for row in b]
+        a, b = self.entries, other.entries
+        minus_b = [[-x for x in row] for row in b]
         a_cols, b_cols = list(zip(*a)), list(zip(*b))
         return _matrix(
             [sum_of_products(chain(zip(ar, bc), zip(mr, ac))) for bc, ac in zip(b_cols, a_cols)]

@@ -39,7 +39,7 @@ verifiers that need several functions at a point pass them one _Point, so
 functions that share a den (the generator images share det A) sweep it once
 there.  No derivative polynomial is built to evaluate a gradient; only the
 symbolic poisson_bracket and deriv build them.  A bracket of two gradients
-is one exact.sum_of_products over the nonzero entries.
+is one exact.sum_of_products over pairs of their entries.
 
 PhasePoly.__mul__ also sums in ints, through _poly_products, which sums
 f*g over any list of pairs: with each operand's coefficients over its own
@@ -281,16 +281,15 @@ class _Point:
         inv = self.sweep(F.den).inverse()
         return self.sweep(F.num).value() * inv
 
-    def grad(self, F: "PhaseRational") -> tuple[list[Exact], Exact, Exact]:
-        """(derivatives over the 3n variables s, p, k; num value; den value).
-        Each derivative is (num_i * den - num * den_i) / den^2: the two cross
-        products are summed as ints over the two sweeps' denominators, then
-        one Exact product with 1/den^2 makes the value.  A pole raises
+    def grad(self, F: "PhaseRational") -> list[Exact]:
+        """The derivatives of F over the 3n variables s, p, k.  Each is
+        (num_i * den - num * den_i) / den^2: the two cross products are
+        summed as ints over the two sweeps' denominators, then one Exact
+        product with 1/den^2 makes the value.  A pole raises
         ZeroDivisionError before num is swept."""
         den = self.sweep(F.den)
         inv = den.inverse()
         num = self.sweep(F.num)
-        nval = num.value()
         dgrad, ngrad = den.grad(self.qs), num.grad(self.qs)
         inv2 = inv * inv
         den_parts = list(den.parts.items())
@@ -304,7 +303,7 @@ class _Point:
             if i in dgrad:
                 _add_products(acc, minus_num, dgrad[i].items())
             grads.append(_reduced(acc, q) * inv2 if acc else ZERO)
-        return grads, nval, den.value()
+        return grads
 
 
 def _at(vals: "Sequence[Exact] | _Point", n: int) -> _Point:
@@ -651,13 +650,13 @@ class PhaseRational:
         """Exact value at a point (coordinates, or a _Point already read)."""
         return _at(vals, self.n).eval(self)
 
-    def grad_at(self, vals: "Sequence[Exact] | _Point") -> tuple[list[Exact], Exact, Exact]:
-        """(derivatives over the 3n variables s, p, k; num value; den value).
+    def grad_at(self, vals: "Sequence[Exact] | _Point") -> list[Exact]:
+        """The derivatives over the 3n variables s, p, k at a point.
 
         The point is read once, and den and then num are each swept once
-        for their values and first partials (_Sweep.grad), as int parts over
-        L*D; see _Point.grad.  A pole raises ZeroDivisionError before num is
-        swept, so poles and resampling are those of eval.
+        for their first partials (_Sweep.grad), as int parts over L*D; see
+        _Point.grad.  eval at the same _Point reads the value off the same
+        sweeps.  A pole raises ZeroDivisionError first, as in eval.
         """
         return _at(vals, self.n).grad(self)
 
@@ -719,16 +718,12 @@ def poisson_bracket(f: PhaseRational, g: PhaseRational) -> PhaseRational:
 
 
 def _bracket_pairs(a: Sequence[Exact], b: Sequence[Exact]):
-    """The int-part pairs of a_s[mu] b_p[mu] and -a_p[mu] b_s[mu] over mu,
-    for exact.sum_of_products; pairs with a zero entry are left out."""
+    """The pairs (a_s[mu], b_p[mu]) and (-a_p[mu], b_s[mu]) over mu, for
+    exact.sum_of_products, which skips a pair with a zero entry."""
     n = len(a) // 3
     for mu in range(n):
-        x, y = a[mu], b[n + mu]
-        if x and y:
-            yield x.int_parts(), y.int_parts()
-        x, y = a[n + mu], b[mu]
-        if x and y:
-            yield (-x).int_parts(), y.int_parts()
+        yield a[mu], b[n + mu]
+        yield -a[n + mu], b[mu]
 
 
 def _bracket_of_gradients(a: Sequence[Exact], b: Sequence[Exact]) -> Exact:
@@ -743,12 +738,12 @@ def poisson_bracket_at(f: PhaseRational, g: PhaseRational, vals) -> Exact:
     if f.n != g.n:
         raise DimensionMismatch("ambient dimensions differ")
     point = _at(vals, f.n)
-    return _bracket_of_gradients(f.grad_at(point)[0], g.grad_at(point)[0])
+    return _bracket_of_gradients(f.grad_at(point), g.grad_at(point))
 
 
 def dirac_bracket_at(f: PhaseRational, g: PhaseRational, vals: Sequence[Exact]) -> Exact:
     point = _Point(vals, f.n)
-    return _dirac_of_gradients(f.grad_at(point)[0], g.grad_at(point)[0], vals)
+    return _dirac_of_gradients(f.grad_at(point), g.grad_at(point), vals)
 
 
 def _dirac_of_gradients(gf: Sequence[Exact], gg: Sequence[Exact], vals: Sequence[Exact]) -> Exact:

@@ -35,7 +35,7 @@ point, and combine them into the bracket and correction images.  Each
 sampled verdict reads a point once (phase._Point) and sweeps each distinct
 polynomial there once, so det A once per point for all n^2 images; the
 homomorphism's pair residuals and the Casimir's words at a point are each
-one exact.sum_of_products.
+one exact.sum_of_products over the images' values and gradients.
 
 Each MASA is reduced once per process.  det A and y, the n^2 generator
 images, det A's powers, (V, H), the catalog integrals and the two sides of
@@ -62,7 +62,7 @@ from itertools import islice
 from math import prod
 from typing import Callable, Sequence
 
-from .exact import Exact, I, ONE, _add_products, keyed_sum_of_products, rat, sum_of_products
+from .exact import Exact, I, ONE, keyed_sum_of_products, rat, sum_of_products
 from .errors import DegenerateMasa, FitUnderdetermined, UnknownName
 from .lie import EnvElement, build_generators, casimir_element
 from .masa import MasaSpec, lambda_frame
@@ -542,9 +542,9 @@ def verify_relation(masa: MasaSpec, key: str, seed: int = DEFAULT_SEED) -> Relat
         raise UnknownName(f"no {label} for {masa.name!r}")
     lhs, rhs = _sides(masa, model, key)
     trials = max(20, _degree_bound(lhs, rhs) + 1)
-    failure = f"{label} for {masa.name} fails at a sampled point"
+    failure = f"{label} for {masa.label} fails at a sampled point"
     return _sampled_report(
-        f"{key}[{masa.name}]", lambda point: [(failure, lhs.eval(point) - rhs.eval(point))],
+        f"{key}[{masa.label}]", lambda point: [(failure, lhs.eval(point) - rhs.eval(point))],
         masa.n, trials, seed,
     )
 
@@ -559,16 +559,16 @@ def verify_masa_reduction(masa: MasaSpec) -> RelationReport:
     a failure names the first rho for which it does not hold."""
     bad = next((rho + 1 for rho, Z in enumerate(masa.matrices)
                 if not momentum_map(Z, masa).agrees_with(PhasePoly.k(masa.n, rho))), None)
-    detail = f"Zhat_{bad} != k_{bad} for {masa.name or 'masa'}" if bad else "rational identity"
-    return RelationReport(f"zhat_eq_k[{masa.name}]", bad is None, 0, detail)
+    detail = f"Zhat_{bad} != k_{bad} for {masa.label}" if bad else "rational identity"
+    return RelationReport(f"zhat_eq_k[{masa.label}]", bad is None, 0, detail)
 
 
 def verify_pt_invariance(masa: MasaSpec) -> RelationReport:
     """V = PT(V) under masa's parity as an exact rational-function identity."""
     V = _potential(masa)[0]
     ok = V.agrees_with(V.apply_pt(masa.parity))
-    detail = "rational identity" if ok else f"V != PT(V) for {masa.name or 'masa'}"
-    return RelationReport(f"pt_invariance[{masa.name}]", ok, 0, detail)
+    detail = "rational identity" if ok else f"V != PT(V) for {masa.label}"
+    return RelationReport(f"pt_invariance[{masa.label}]", ok, 0, detail)
 
 
 def casimir_projection_report(
@@ -579,23 +579,20 @@ def casimir_projection_report(
     determine them.  The Casimir is not built: at each point, read once, the
     generator images are evaluated, their shared den det A swept once, and
     combined by the words of casimir_element(2, ...), each a pair (i, j), in
-    one exact.sum_of_products: c * g_i is folded into int parts by
-    exact._add_products, which builds no Exact and reduces nothing."""
+    one exact.sum_of_products over the terms (c, g_i, g_j): one reduction
+    per point, and no Exact built for c * g_i."""
     n = masa.n
     _, H = _potential(masa)
     maps = generator_images(masa)
-    words = [(c.int_parts(), w) for w, c in casimir_element(2, build_generators(n)).terms.items()]
+    words = casimir_element(2, build_generators(n)).terms.items()
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     names = ("H", "1") + tuple(f"k{i + 1}k{j + 1}" for i, j in pairs)
     npts = 2 * len(names) + 6 if npoints is None else npoints
 
     def row(vals):
         point = _Point(vals, n)
-        gen = [f.eval(point).int_parts() for f in maps]
-        cas = sum_of_products(
-            ((_add_products({}, c, gen[i][0]).items(), d * gen[i][1]), gen[j])
-            for (c, d), (i, j) in words
-        )
+        gen = [f.eval(point) for f in maps]
+        cas = sum_of_products((c, gen[i], gen[j]) for (i, j), c in words)
         k = vals[2 * n:]
         return [H.eval(point), ONE] + [k[i] * k[j] for i, j in pairs] + [cas]
 
@@ -603,11 +600,11 @@ def casimir_projection_report(
     try:
         coeffs = _fit_exact(rows, names)
     except FitUnderdetermined as exc:
-        passed, detail = False, f"{exc} for {masa.name}"
+        passed, detail = False, f"{exc} for {masa.label}"
     else:
         passed = True
         detail = " + ".join(f"({c}) {name}" for name, c in coeffs.items() if not c.is_zero())
-    return RelationReport(f"casimir_projection[{masa.name}]", passed, npts, detail)
+    return RelationReport(f"casimir_projection[{masa.label}]", passed, npts, detail)
 
 
 def verify_conservation(
@@ -621,7 +618,7 @@ def verify_conservation(
     H, integrals = sysr.hamiltonian, sysr.integrals
     if not integrals:
         return RelationReport(
-            f"conservation[{masa.name}]", True, 0,
+            f"conservation[{masa.label}]", True, 0,
             "no integral checked: the MASA has no catalog integrals",
         )
     # every integral at the same points, as many as the most demanding needs
@@ -629,16 +626,16 @@ def verify_conservation(
         max(20, (_degree_bound(H, T) + 1) // 2) for _, T in integrals
     )
 
-    named = [(f"{{H, {name}}}_D nonzero for {masa.name}", T) for name, T in integrals]
+    named = [(f"{{H, {name}}}_D nonzero for {masa.label}", T) for name, T in integrals]
 
     def residuals(point):
-        gH = H.grad_at(point)[0]
+        gH = H.grad_at(point)
         return [
-            (failure, _dirac_of_gradients(gH, gH if T is H else T.grad_at(point)[0], point.vals))
+            (failure, _dirac_of_gradients(gH, gH if T is H else T.grad_at(point), point.vals))
             for failure, T in named
         ]
 
-    return _sampled_report(f"conservation[{masa.name}]", residuals, masa.n, used, seed)
+    return _sampled_report(f"conservation[{masa.label}]", residuals, masa.n, used, seed)
 
 
 def _bracket_with(basis, i: int, z: dict[int, Exact]) -> dict[int, Exact]:
@@ -678,42 +675,36 @@ def verify_homomorphism(
     the combination of the generator values with the coefficients of that
     matrix in the basis, read off the structure constants (and, for Z_mu,
     its expansion in the basis).  Each pair's residual, bracket plus
-    k-correction minus image, is one exact.sum_of_products over the int
-    parts of its nonzero terms.
+    k-correction minus image, is one exact.sum_of_products over its pairs
+    of values.
     """
     n = masa.n
     basis = build_generators(n)
     maps = generator_images(masa)
     size = basis.size
-    corr = [
-        [[(c.int_parts(), k) for k, c in z.items()] for z in row] for row in _corrections(masa)
-    ]
+    corr = _corrections(masa)
     pairs = {  # per pair: the name it fails under, and minus its image's terms
-        (i, j): (f"bracket image mismatch for pair ({i},{j}) in {masa.name}",
-                 [((-c).int_parts(), k) for k, c in basis.bracket_coeffs(i, j).items()])
+        (i, j): (f"bracket image mismatch for pair ({i},{j}) in {masa.label}",
+                 [(k, -c) for k, c in basis.bracket_coeffs(i, j).items()])
         for i in range(size) for j in range(i + 1, size)
     }
 
     def residuals(point):
         # one gradient per map per point; pairs then combine values only
-        grads = [f.grad_at(point)[0] for f in maps]
-        gen = [f.eval(point).int_parts() for f in maps]
-        dk = [[x.int_parts() for x in g[2 * n:]] for g in grads]
-        corr_vals = [
-            [sum_of_products((c, gen[k]) for c, k in z) for z in row] for row in corr
-        ]
-        plus = [[x.int_parts() for x in row] for row in corr_vals]
-        minus = [[(-x).int_parts() for x in row] for row in corr_vals]
+        grads = [f.grad_at(point) for f in maps]
+        gen = [f.eval(point) for f in maps]
+        plus = [[sum_of_products((c, gen[k]) for k, c in z.items()) for z in row] for row in corr]
+        minus = [[-x for x in row] for row in plus]
         out = []
         for (i, j), (failure, minus_image) in pairs.items():
             terms = list(_bracket_pairs(grads[i], grads[j]))
-            terms += zip(plus[i], dk[j])
-            terms += zip(minus[j], dk[i])
-            terms += [(c, gen[k]) for c, k in minus_image]
+            terms += zip(plus[i], grads[j][2 * n:])
+            terms += zip(minus[j], grads[i][2 * n:])
+            terms += [(c, gen[k]) for k, c in minus_image]
             out.append((failure, sum_of_products(terms)))
         return out
 
-    return _sampled_report(f"homomorphism[{masa.name}]", residuals, n, npoints, seed)
+    return _sampled_report(f"homomorphism[{masa.label}]", residuals, n, npoints, seed)
 
 
 @dataclass
@@ -766,14 +757,14 @@ def racah_structure_report(
 
     trials = max(20, (_degree_bound(T1, T2) + _degree_bound(T3) + 1) // 2)
     pb = _bracket_of_gradients
-    plus, minus = (f"T12 {op} nonzero for {masa.name}" for op in ("+ T13", "- T23"))
+    plus, minus = (f"T12 {op} nonzero for {masa.label}" for op in ("+ T13", "- T23"))
 
     def residuals(point):
-        g1, g2, g3 = (T.grad_at(point)[0] for T in (T1, T2, T3))
+        g1, g2, g3 = (T.grad_at(point) for T in (T1, T2, T3))
         t12 = pb(g1, g2)
         return [(plus, t12 + pb(g1, g3)), (minus, t12 - pb(g2, g3))]
 
-    rep = _sampled_report(f"racah[{masa.name}]", residuals, n, trials, seed)
+    rep = _sampled_report(f"racah[{masa.label}]", residuals, n, trials, seed)
     kfix = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
     names = ("T1*T2", "T1*T3", "T2*T3", "T1^2", "T2^2", "T3^2", "T1", "T2", "T3", "1")
     report = RacahReport(rep.name, rep.passed, trials, rep.detail or "T12 = -T13 = T23",
@@ -852,7 +843,7 @@ def jacobian_check(masa: MasaSpec, x: Sequence[float], s: Sequence[float]) -> Ja
         "x_indep": float(np.max(np.abs(-A.T @ Binv @ Binv @ A - Vm))),
         "v_def": float(np.max(np.abs(Vm + Aex.T @ Aex))),
     }
-    return JacobianCheck(masa.name or "custom", tuple(x), tuple(map(complex, sv)), res)
+    return JacobianCheck(masa.label, tuple(x), tuple(map(complex, sv)), res)
 
 
 def appendix_report(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationReport:
@@ -864,5 +855,5 @@ def appendix_report(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationReport:
         s = [rng.uniform(-1.0, 1.0) for _ in range(masa.n)]
         res += jacobian_check(masa, x, s).residuals.items()
     which, worst = max(res, key=lambda item: item[1])
-    detail = f"worst residual {worst:.3e} ({which}) for {masa.name or 'masa'}"
-    return RelationReport(f"appendix[{masa.name}]", all(r <= 1e-9 for _, r in res), 10, detail)
+    detail = f"worst residual {worst:.3e} ({which}) for {masa.label}"
+    return RelationReport(f"appendix[{masa.label}]", all(r <= 1e-9 for _, r in res), 10, detail)

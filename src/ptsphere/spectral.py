@@ -501,7 +501,7 @@ def bessel_ode_residual(alpha, q: int, z, terms: int = 30) -> float:
     f = lambda t: bessel_series_psi(alpha, q, t, terms)[0]
     d2 = _cauchy_derivative(f, complex(z), 2)
     val = f(complex(z))
-    return abs(-d2 + E / complex(z) ** 2 * val - complex(alpha) ** 2 * val)
+    return float(abs(-d2 + E / complex(z) ** 2 * val - complex(alpha) ** 2 * val))
 
 
 # -- phase scan -----------------------------------------------------------------
@@ -583,7 +583,7 @@ def _morse_residual(a, k1, k2, E, phi0, G, Gpp):
         + (2 * k1 * k2 / a) * G(rho)
     )
     mult = cmath.exp(-1.5 * (1j * cmath.pi / 2 + 1j * phi0))
-    return abs(lhs + mult * osc)
+    return float(abs(lhs + mult * osc))
 
 
 def _degenerate_residual(sign, alpha, q, th, ph, terms=30):
@@ -609,7 +609,7 @@ def _degenerate_residual(sign, alpha, q, th, ph, terms=30):
     s3 = math.cos(th)
     w = s1 - s2 + sign * 1j * math.sqrt(2) * s3
     z = 1 / w
-    return abs(-lap + complex(alpha) ** 2 * z * z * val - E * val)
+    return float(abs(-lap + complex(alpha) ** 2 * z * z * val - E * val))
 
 
 def metamorphosis_check(case: str, **params) -> MetamorphosisReport:

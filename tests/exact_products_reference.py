@@ -54,7 +54,7 @@ def expand_in_basis(basis, m: ExactMatrix) -> dict[int, Exact]:
     vec = [x for row in m.entries for x in row]
     out = {}
     for k, row in enumerate(basis.coordinate_rows):
-        c = sum((Exact(dict(parts), den) * vec[j] for j, (parts, den) in row), ZERO)
+        c = sum((a * vec[j] for j, a in row), ZERO)
         if not c.is_zero():
             out[k] = c
     return out

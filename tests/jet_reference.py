@@ -66,9 +66,8 @@ def value(f, vals):
 
 
 def grad_at(F, vals):
-    """(derivatives over the 3n variables, num value, den value) of the
-    PhaseRational F at vals: (num_i * den - num * den_i) / den^2 from the
-    jets of den and num."""
+    """The derivatives over the 3n variables of the PhaseRational F at
+    vals: (num_i * den - num * den_i) / den^2 from the jets of den and num."""
     qs = _coordinates(vals, F.n)
     dv, dgrad, dq = jet(F.den, qs)
     dval = _reduced(dv, dq)
@@ -86,4 +85,4 @@ def grad_at(F, vals):
         if i in dgrad:
             _add_products(acc, minus_num, dgrad[i].items())
         grads.append(_reduced(acc, nq * dq) * inv2 if acc else ZERO)
-    return grads, _reduced(nv, nq), dval
+    return grads

@@ -1,5 +1,6 @@
 """The public names of the package resolve, including every one the
-benchmark workloads call, so a deletion cannot silently break them."""
+benchmark workloads call, so a deletion cannot silently break them; and the
+int parts of Exact are read only where the layering allows."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ import ptsphere
 MODULES = [m.name for m in pkgutil.iter_modules(ptsphere.__path__)]
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS = PERFBENCH / "workloads.py"
+SRC = Path(ptsphere.__file__).resolve().parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -82,3 +84,30 @@ def test_tracing_aliases_resolve():
         if obj is None:
             missing.append(key)
     assert not missing, missing
+
+
+def _exact_internals(tree):
+    """(top-level def, use) for each underscore name imported from .exact
+    and each .int_parts() call in a module; the def is None at module level."""
+    uses = []
+    for top in tree.body:
+        where = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom) and node.module in ("exact", "ptsphere.exact"):
+                uses += [(where, a.name) for a in node.names if a.name.startswith("_")]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "int_parts"):
+                uses.append((where, "int_parts"))
+    return uses
+
+
+def test_int_parts_stay_in_their_kernels():
+    # outside exact.py only the point sweeps and products of phase.py and
+    # matrices.row_reduce read the storage format of an Exact
+    found = {path.name: _exact_internals(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert "reduction.py" in found and "lie.py" in found
+    outside = {name: uses for name, uses in found.items()
+               if uses and name not in ("exact.py", "phase.py", "matrices.py")}
+    assert not outside, outside
+    assert {where for where, use in found["matrices.py"] if use == "int_parts"} == {"row_reduce"}

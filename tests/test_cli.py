@@ -318,6 +318,51 @@ def test_seed_reaches_sum_relation_and_conservation(capsys, monkeypatch):
     assert seeds == [7, 7]  # conservation, bracket preservation
 
 
+# e1, e2 and e4 over the symmetric basis of u(3): independent and
+# symmetric, but e1 and e4 do not commute
+NONCOMMUTING_U3 = json.dumps({
+    "n": 3, "basis": "u3", "parity": [1, 2, -3],
+    "generators": [[{"re": "1" if k == j else "0", "im": "0"} for k in range(6)]
+                   for j in (0, 1, 3)],
+})
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_an_invalid_masa_runs_no_check(tmp_path, capsys, monkeypatch, command):
+    # reduce and verify share one gate: on a file validate refuses they
+    # print masa_valid false and validate's failures, run nothing, exit 1
+    path = tmp_path / "noncommuting.json"
+    path.write_text(NONCOMMUTING_U3)
+    code, out = _run(["validate", "--masa", str(path)], capsys)
+    failures = json.loads(out)["failures"]
+    assert code == 1 and failures == [["commutativity", "(1, 2)"]]
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran on an invalid MASA")
+
+    for name in ("verify_conservation", "verify_homomorphism", "verify_pt_invariance",
+                 "verify_masa_reduction", "build_hamiltonian"):
+        monkeypatch.setattr(reduction, name, no_check)
+    code, out = _run([command, "--masa", str(path)], capsys)
+    doc = json.loads(out)
+    assert code == 1
+    assert set(doc) == {"version", "masa_valid", "failures"} | (
+        {"seed"} if command == "verify" else set())
+    assert doc["masa_valid"] is False and doc["failures"] == failures
+
+
+@pytest.mark.parametrize("command", ["validate", "reduce", "verify"])
+def test_cartan_od_at_a_b_zero_is_refused(capsys, command):
+    # Z2 = 0 there: a configuration error, as su2ab's a = b = 0 is
+    for model in ("cartan_od", "su2ab"):
+        assert main([command, "--model", model, "--a", "0", "--b", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "cannot both vanish" in captured.err and captured.out == ""
+    for a, b in (("0", "1"), ("1", "0")):
+        code, out = _run(["validate", "--model", "cartan_od", "--a", a, "--b", b], capsys)
+        assert code == 0 and json.loads(out)["masa_valid"] is True
+
+
 def test_reduce_defaults_come_from_the_catalog(capsys):
     _, default = _run(["reduce", "--model", "cartan_od"], capsys)
     _, explicit = _run(["reduce", "--model", "cartan_od", "--a", "1", "--b", "1/2"], capsys)
@@ -328,6 +373,9 @@ def test_verify_command(capsys):
     code, out = _run(["verify", "--model", "su2ab", "--a", "2", "--b", "1"], capsys)
     assert code == 0
     doc = json.loads(out)
+    assert set(doc) == {"version", "seed", "masa_valid", "conservation",
+                        "bracket_preservation", "pt_invariance"}
+    assert doc["masa_valid"] is True
     assert doc["conservation"]["passed"] is True
     assert doc["bracket_preservation"]["passed"] is True
     assert doc["pt_invariance"]["passed"] is True
@@ -480,6 +528,9 @@ def test_spectrum_degenerate_bessel(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["bessel_ode_residual"] <= 1e-10
+    # a Python float, which the JSON text writes as its repr
+    resid = spectral.bessel_ode_residual(2.0, 1, 0.5)
+    assert type(resid) is float and f'"bessel_ode_residual": {resid!r},' in out
     # the Bessel residual reads no grid: none is echoed, and --N or --K exits 2
     assert "grid_N" not in doc and "grid_K" not in doc
     for flag in ("--N", "--K"):

@@ -160,9 +160,8 @@ def test_products_of_random_matrices_with_sqrt2(data, r, k, c):
     sq2 = _matrix(data.draw, r, r)
     assert sq.commutator(sq2).entries == ref.commutator(sq, sq2).entries
     pairs = list(zip(a.entries[0], b.transpose().entries[0]))
-    assert sum_of_products((x.int_parts(), y.int_parts()) for x, y in pairs) == sum(
-        (x * y for x, y in pairs), ZERO
-    )
+    assert sum_of_products(pairs) == sum((x * y for x, y in pairs), ZERO)
+    assert sum_of_products((x, y, x) for x, y in pairs) == sum((x * y * x for x, y in pairs), ZERO)
     triples = [(j % 2, x, y) for j, (x, y) in enumerate(pairs)]
     assert keyed_sum_of_products(triples) == ref.keyed_sum_of_products(triples)
 
@@ -170,11 +169,42 @@ def test_products_of_random_matrices_with_sqrt2(data, r, k, c):
 def test_sum_of_products_over_several_denominators():
     xs = [rat(Fraction(1, 6)), SQRT2 * rat(Fraction(1, 4)), rat(0, Fraction(2, 9)), ZERO]
     ys = [rat(Fraction(3, 10)), SQRT2, rat(Fraction(5, 7), 1), Exact.sqrt_rational(3)]
-    got = sum_of_products((x.int_parts(), y.int_parts()) for x, y in zip(xs, ys))
+    got = sum_of_products(zip(xs, ys))
     assert got == sum((x * y for x, y in zip(xs, ys)), ZERO)
-    assert sum_of_products([]) == ZERO
-    assert sum_of_products([(SQRT2.int_parts(), SQRT2.int_parts()),
-                            (rat(-2).int_parts(), ONE.int_parts())]) == ZERO
+    assert sum_of_products([]) is ZERO
+    assert sum_of_products([(SQRT2, SQRT2), (rat(-2), ONE)]) == ZERO
+
+
+# Q(i), sqrt(2) and sqrt(3) operands over several denominators
+_MIXED = [
+    rat(Fraction(1, 6), Fraction(-2, 5)),
+    SQRT2 * rat(Fraction(3, 4)),
+    Exact.sqrt_rational(3) * rat(0, Fraction(2, 9)) + rat(Fraction(5, 7)),
+    SQRT2 * rat(Fraction(-1, 10), 1) + Exact.sqrt_rational(6),
+    rat(7),
+]
+
+
+def test_three_factor_terms_equal_the_per_term_products():
+    terms = list(product(_MIXED, repeat=3))
+    assert sum_of_products(terms) == sum((x * z * y for x, z, y in terms), ZERO)
+    # two- and three-factor terms in one sum, over several denominators
+    mixed = [t[:2] if k % 2 else t for k, t in enumerate(terms[::7])]
+    assert sum_of_products(mixed) == sum(
+        (t[0] * t[1] * (t[2] if len(t) == 3 else ONE) for t in mixed), ZERO)
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_a_zero_factor_in_any_position_is_skipped(slot):
+    x, z, y = _MIXED[:3]
+    zeroed = [x, z, y]
+    zeroed[slot] = ZERO
+    assert sum_of_products([tuple(zeroed)]) is ZERO
+    assert sum_of_products([tuple(zeroed), (x, z, y)]) == x * z * y
+    if slot != 1:
+        pair = [x, y]
+        pair[slot // 2] = ZERO
+        assert sum_of_products([tuple(pair), (z, y)]) == z * y
 
 
 def test_keyed_sum_of_products_matches_the_per_pair_loop():

@@ -76,6 +76,15 @@ def test_su2ab_degenerate_guard():
         catalog_masa("su2ab", a=Fraction(0), b=Fraction(0))
 
 
+def test_cartan_od_degenerate_guard():
+    # at a = b = 0 the second generator is 0, so the rows are not independent;
+    # cartan_od refuses the point as su2ab does, and only that point
+    with pytest.raises(ParamOutOfRange, match="cannot both vanish"):
+        catalog_masa("cartan_od", a=Fraction(0), b=Fraction(0))
+    for a, b in ((0, 1), (1, 0)):
+        assert validate_masa(catalog_masa("cartan_od", a=Fraction(a), b=Fraction(b))).passed
+
+
 def test_symmetric_basis_indices():
     assert symmetric_basis_indices(2) == (0, 1, 3)
     assert symmetric_basis_indices(3) == (0, 1, 2, 4, 6, 8)

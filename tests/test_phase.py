@@ -241,8 +241,8 @@ def test_poly_eval_rejects_radical_coordinates():
     vals = [Fraction(2, 3), 1, 0, 5, Fraction(-3, 4), 1, 2, 3, 4]
     f = PhasePoly.s(N, 0) * PhasePoly.p(N, 1)
     assert f.eval(vals) == rat(Fraction(-1, 2))
-    grads, value, one = PhaseRational(f).grad_at(vals)
-    assert (value, one) == (rat(Fraction(-1, 2)), rat(1))
+    grads = PhaseRational(f).grad_at(vals)
+    assert PhaseRational(f).eval(vals) == rat(Fraction(-1, 2))
     assert grads == [rat(Fraction(-3, 4))] + [ZERO] * 3 + [rat(Fraction(2, 3))] + [ZERO] * 4
     for g in (f, PhasePoly.const(N, 3), PhasePoly(N)):
         for slot in (0, N + 1, 2 * N, 3 * N - 1):
@@ -267,22 +267,26 @@ def test_grad_at_raises_at_a_pole():
 
 @pytest.mark.parametrize("name,kw", models())
 def test_grad_at_matches_the_symbolic_derivatives(name, kw):
-    # H, every catalog integral and the n^2 generator images: the value and
-    # all 3n partials of one sweep against f.eval and f.deriv(i).eval at 5
-    # pole-free points
+    # H, every catalog integral and the n^2 generator images: all 3n
+    # partials and, at the same _Point, the value against f.deriv(i).eval
+    # and f.eval at 5 pole-free points
     from ptsphere.reduction import build_hamiltonian, generator_images
 
     masa = build_masa(name)
     n = masa.n
     sysr = build_hamiltonian(masa)
     funcs = [sysr.hamiltonian] + [T for _, T in sysr.integrals] + generator_images(masa)
-    points = list(islice(pole_free_values(
-        lambda vals: (vals, [f.grad_at(vals) for f in funcs]), n, 5), 5))
+
+    def at(vals):
+        point = _Point(vals, n)
+        return vals, [(f.grad_at(point), f.eval(point)) for f in funcs]
+
+    points = list(islice(pole_free_values(at, n, 5), 5))
     derivs_of = [[f.deriv(i) for i in range(3 * n)] for f in funcs]
     for k, (f, derivs) in enumerate(zip(funcs, derivs_of)):
         for vals, at in points:
-            grads, nval, dval = at[k]
-            assert nval / dval == f.eval(vals)
+            grads, value = at[k]
+            assert value == f.eval(vals)
             assert grads[: 2 * n] == [d.eval(vals) for d in derivs[: 2 * n]]
             assert grads[2 * n :] == [d.eval(vals) for d in derivs[2 * n :]]
     # hand-built points with each of the 3n coordinates 0 in turn, where the
@@ -298,10 +302,9 @@ def test_grad_at_matches_the_symbolic_derivatives(name, kw):
                 vals = list(vals)
                 vals[i] = ZERO
                 try:
-                    grads, nval, dval = f.grad_at(vals)
+                    grads = f.grad_at(vals)
                 except ZeroDivisionError:
                     continue
-                assert nval / dval == f.eval(vals)
                 assert grads == [d.eval(vals) for d in derivs_of[k]], (i, k)
                 covered.add(i)
                 break
@@ -350,7 +353,9 @@ def test_point_sweep_matches_the_prefix_suffix_jet(name):
                     f.grad_at(vals)
                 continue
             assert f.grad_at(vals) == want
-            assert f.grad_at(point) == want and f.eval(point) == want[1] / want[2]
+            assert f.grad_at(point) == want
+            assert f.eval(point) == (jet_reference.value(f.num, vals)
+                                     / jet_reference.value(f.den, vals))
             checked += 1
     assert checked >= len(points) * len(funcs) // 2
 

@@ -95,6 +95,26 @@ def test_conservation_without_integrals_samples_nothing(monkeypatch):
     assert rep.detail == "no integral checked: the MASA has no catalog integrals"
 
 
+def test_an_unnamed_masa_is_labelled_masa():
+    # every report name and detail gives an unnamed MASA one label, "masa"
+    custom = dataclasses.replace(build_masa("su2ab"), name=None)
+    reps = [
+        verify_conservation(custom), reduction.verify_homomorphism(custom, npoints=2),
+        verify_masa_reduction(custom), reduction.verify_pt_invariance(custom),
+        reduction.appendix_report(custom),
+    ]
+    assert [r.name for r in reps] == [
+        "conservation[masa]", "homomorphism[masa]", "zhat_eq_k[masa]",
+        "pt_invariance[masa]", "appendix[masa]",
+    ]
+    assert reps[-1].detail.endswith(" for masa")
+    # e1, e2, e4 of u(3) do not commute: the first failing pair names it so
+    rows = [[ONE if k == j else ZERO for k in range(6)] for j in (0, 1, 3)]
+    failing = reduction.verify_homomorphism(masa_from_coeffs(3, rows), npoints=2)
+    assert not failing.passed
+    assert failing.detail == "bracket image mismatch for pair (1,2) in masa"
+
+
 @pytest.mark.parametrize("name", list(PARAMS))
 def test_correction_coefficients_match_commutator_expansion(name):
     # [X_i, Z_mu] read off the structure constants, as verify_homomorphism

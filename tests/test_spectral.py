@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from ptsphere import spectral
+
 from ptsphere.errors import (
     BadCouplings,
     ComplexCouplings,
@@ -402,6 +404,34 @@ def test_metamorphosis_degenerate():
     rep = metamorphosis_check("degenerate", sign=1, alpha=2, q=1)
     assert rep.ok
     assert rep.residual < 1e-9
+
+
+_METAMORPHOSES = [("morse", dict(a=1, k1=1, k2=1)), ("degenerate", dict(sign=1, alpha=2, q=1))]
+
+
+@pytest.mark.parametrize("case, params", _METAMORPHOSES, ids=["morse", "degenerate"])
+def test_metamorphosis_reports_hold_python_scalars(case, params):
+    rep = metamorphosis_check(case, **params)
+    assert rep.ok is True and type(rep.residual) is float
+    assert type(bessel_ode_residual(1.3, 1, 0.5)) is float
+
+
+def test_metamorphosis_fails_on_a_wrong_bessel_order(monkeypatch):
+    # psi of order q + 1 against the equation of order q
+    real = spectral.bessel_series_psi
+    monkeypatch.setattr(spectral, "bessel_series_psi",
+                        lambda alpha, q, z, terms=30: real(alpha, q + 1, z, terms))
+    with pytest.raises(ResidualTooLarge, match="degenerate residual"):
+        metamorphosis_check("degenerate", sign=1, alpha=2, q=1)
+
+
+@pytest.mark.parametrize("case, params", _METAMORPHOSES, ids=["morse", "degenerate"])
+def test_metamorphosis_fails_on_a_scaled_derivative(monkeypatch, case, params):
+    # every contour derivative 0.1% too large breaks both identities
+    real = spectral._cauchy_derivative
+    monkeypatch.setattr(spectral, "_cauchy_derivative", lambda *a, **kw: 1.001 * real(*a, **kw))
+    with pytest.raises(ResidualTooLarge, match=f"{case} residual"):
+        metamorphosis_check(case, **params)
 
 
 def test_metamorphosis_bad_case():
