@@ -3,8 +3,11 @@
 Subcommands: validate | reduce | verify | spectrum | scan.  Exact model
 parameters are parsed from "p/q" text so the algebraic pipeline stays exact;
 grid bounds and tolerances are floats.  reduce and verify each list their
-identity checks, and _run_identity makes each report one row.  Exit status:
-0 all requested checks pass, 1 any check fails, 2 configuration error.
+identity checks, and _run_identity makes each report one row.  spectrum reads
+a model's flags, needed flags, --tol-match default and solver off its
+SPECTRUM_MODELS row, and prints every model's report through _spectrum_rows.
+Exit status: 0 all requested checks pass, 1 any check fails, 2 configuration
+error.
 """
 
 from __future__ import annotations
@@ -39,16 +42,6 @@ MAX_GRID_N = 65536
 MAX_SCAN_POINTS = 1000
 # the model-parameter flags of spectrum; each model reads some of them
 SPECTRUM_FLAGS = "--a --b --k1 --k2 --gminus --gplus --ell3 --composite --alpha --q --N --K"
-# per spectrum model: the flags of SPECTRUM_FLAGS it reads, and its
-# --tol-match default.  The s1 levels are exact squares, the
-# finite-difference levels carry an O(h^2) error, and the degenerate row's
-# deviation is its Bessel ODE residual, which reads no grid
-SPECTRUM_MODELS = {
-    "s1": ("--a --b --k1 --k2 --gminus --gplus --N --K", 1e-6),
-    "poschl_teller": ("--gminus --gplus --N --K", 1e-3),
-    "chi": ("--ell3 --composite --N --K", 1e-3),
-    "degenerate": ("--alpha --q", spectral.BESSEL_RESIDUAL_TOL),
-}
 
 
 class ConfigError(Exception):
@@ -158,7 +151,7 @@ def cmd_validate(args) -> int:
     doc["symmetric"] = rep.symmetric_ok
     doc["commuting"] = rep.commuting_ok
     doc["independent"] = rep.independent_ok
-    doc["failures"] = [list(map(str, f)) for f in rep.failures]
+    doc["failures"] = rep.failures
     _classify_pt(doc, masa)
     _emit(args, doc)
     return EXIT_OK if rep.passed else EXIT_FAIL
@@ -172,7 +165,7 @@ def _validated(args, masa):
     doc = _base_report(args)
     doc["masa_valid"] = rep.passed
     if not rep.passed:
-        doc["failures"] = [list(map(str, f)) for f in rep.failures]
+        doc["failures"] = rep.failures
         _emit(args, doc)
     return doc, rep.passed
 
@@ -250,86 +243,80 @@ def _spectrum_rows(rep, tol_match):
             continue
         _, c, d, r = m
         rows.append([i, z.real, z.imag, c, d])
-        if r > tol_match:
+        # a NaN residual (the Bessel series overflows at large alpha) fails
+        if not r <= tol_match:
             ok = False
     return rows, ok
+
+
+def _solve_s1(args):
+    # s1 alone takes one of two coupling pairs, so it checks them itself
+    a, b = float(_frac(args.a or "2")), float(_frac(args.b or "1"))
+    pairs = [(args.k1, args.k2), (args.gminus, args.gplus)]
+    given = [pair for pair in pairs if pair != (None, None)]
+    if len(given) != 1 or None in given[0]:
+        raise ConfigError("s1 spectrum needs exactly one coupling pair:"
+                          " --k1 and --k2, or --gminus and --gplus")
+    if args.k1 is not None:
+        k1, k2 = complex(_frac(args.k1)), complex(_frac(args.k2))
+    else:
+        k1, k2 = spectral.invert_circle_couplings(a, b, _frac(args.gminus), _frac(args.gplus))
+    return spectral.solve_periodic_s1(a, b, k1, k2, args.N, args.K)
+
+
+# per spectrum model: the flags of SPECTRUM_FLAGS it reads, those it needs,
+# its --tol-match default, and solve(args) -> spectral.SpectrumReport.  The
+# s1 levels are exact squares, the finite-difference levels carry an O(h^2)
+# error, and the degenerate level's deviation is its Bessel ODE residual,
+# which reads no grid
+SPECTRUM_MODELS = {
+    "s1": ("--a --b --k1 --k2 --gminus --gplus --N --K", "", 1e-6, _solve_s1),
+    "poschl_teller": (
+        "--gminus --gplus --N --K", "--gminus --gplus", 1e-3,
+        lambda args: spectral.solve_poschl_teller(
+            float(_frac(args.gminus)), float(_frac(args.gplus)), args.N, args.K),
+    ),
+    "chi": (
+        "--ell3 --composite --N --K", "--ell3 --composite", 1e-3,
+        lambda args: spectral.solve_chi_equation(
+            float(_frac(args.ell3)), float(_frac(args.composite)), args.N, args.K),
+    ),
+    "degenerate": (
+        "--alpha --q", "--alpha --q", spectral.BESSEL_RESIDUAL_TOL,
+        lambda args: spectral.degenerate_level(float(_frac(args.alpha)), args.q),
+    ),
+}
 
 
 def cmd_spectrum(args) -> int:
     if args.model not in SPECTRUM_MODELS:
         raise ConfigError(f"unknown spectrum model {args.model!r}")
-    reads, default_tol = SPECTRUM_MODELS[args.model]
-    unread = [flag for flag in SPECTRUM_FLAGS.split()
-              if flag not in reads.split() and getattr(args, flag[2:]) is not None]
+    reads, needs, default_tol, solve = SPECTRUM_MODELS[args.model]
+    given = {flag: getattr(args, flag[2:]) for flag in SPECTRUM_FLAGS.split()
+             if getattr(args, flag[2:]) is not None}
+    unread = [flag for flag in given if flag not in reads.split()]
     if unread:
         raise ConfigError(f"spectrum --model {args.model} does not take {' '.join(unread)}")
+    if any(flag not in given for flag in needs.split()):
+        raise ConfigError(f"{args.model} needs {' and '.join(needs.split())}")
     if "--N" in reads:
         _read_grid(args)
     tol_match = _tol_match(args, default_tol)
-    doc = _base_report(args)
-    doc["tol_match"] = tol_match
-    header = ["index", "re_E", "im_E", "closed_form", "deviation"]
-    if args.model == "s1":
-        a, b = _frac(args.a or "2"), _frac(args.b or "1")
-        pairs = [(args.k1, args.k2), (args.gminus, args.gplus)]
-        given = [pair for pair in pairs if pair != (None, None)]
-        if len(given) != 1 or None in given[0]:
-            raise ConfigError("s1 spectrum needs exactly one coupling pair:"
-                              " --k1 and --k2, or --gminus and --gplus")
-        if args.k1 is not None:
-            k1, k2 = complex(_frac(args.k1)), complex(_frac(args.k2))
-        else:
-            try:
-                k1, k2 = spectral.invert_circle_couplings(
-                    float(a), float(b), _frac(args.gminus), _frac(args.gplus)
-                )
-            except ParamOutOfRange as exc:
-                raise ConfigError(f"--a {a}, --b {b}: {exc}") from exc
-        try:
-            rep = spectral.solve_periodic_s1(float(a), float(b), k1, k2, args.N, args.K)
-        except SingularPotential as exc:
-            raise ConfigError(f"a = {a}, b = {b}: {exc}") from exc
-    elif args.model == "poschl_teller":
-        if args.gminus is None or args.gplus is None:
-            raise ConfigError("poschl_teller needs --gminus and --gplus")
-        try:
-            rep = spectral.solve_poschl_teller(
-                float(_frac(args.gminus)), float(_frac(args.gplus)), args.N, args.K
-            )
-        except BadCouplings as exc:
-            raise ConfigError(f"--gminus {args.gminus}, --gplus {args.gplus}: {exc}") from exc
-    elif args.model == "chi":
-        if args.ell3 is None or args.composite is None:
-            raise ConfigError("chi needs --ell3 and --composite")
-        try:
-            rep = spectral.solve_chi_equation(
-                float(_frac(args.ell3)), float(_frac(args.composite)), args.N, args.K
-            )
-        except BadCouplings as exc:
-            raise ConfigError(f"--ell3 {args.ell3}: {exc}") from exc
-    else:  # degenerate
-        if args.alpha is None or args.q is None:
-            raise ConfigError("degenerate needs --alpha and --q")
-        alpha, q = float(_frac(args.alpha)), int(args.q)
-        try:
-            resid = spectral.bessel_ode_residual(alpha, q, 0.5)
-        except ParamOutOfRange as exc:
-            raise ConfigError(f"--q {q}: {exc}") from exc
-        E = q * (q + 1)
-        doc["model"] = "degenerate"
-        doc["phase"] = "degenerate"
-        doc["bessel_ode_residual"] = resid
-        rows = [[0, float(E), 0.0, float(E), resid]]
-        doc["rows"] = rows
-        _emit(args, doc, rows, header)
-        return EXIT_OK if resid <= tol_match else EXIT_FAIL
+    try:
+        rep = solve(args)
+    except (BadCouplings, ParamOutOfRange, SingularPotential) as exc:
+        named = ", ".join(f"{flag} {value}" for flag, value in given.items())
+        raise ConfigError(f"{named}: {exc}") from exc
     rows, ok = _spectrum_rows(rep, tol_match)
-    doc["model"] = rep.model
-    doc["phase"] = rep.phase
-    doc["max_imag"] = rep.max_imag
-    doc["notes"] = rep.notes
-    doc["rows"] = rows
-    _emit(args, doc, rows, header)
+    doc = _base_report(args)
+    doc.update(tol_match=tol_match, model=rep.model, phase=rep.phase, rows=rows)
+    # the degenerate level reports its one deviation, the Bessel ODE
+    # residual; a discretized spectrum its imaginary parts and notes
+    if rep.phase == "degenerate":
+        doc["bessel_ode_residual"] = rep.matches[0][2]
+    else:
+        doc.update(max_imag=rep.max_imag, notes=rep.notes)
+    _emit(args, doc, rows, ["index", "re_E", "im_E", "closed_form", "deviation"])
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -373,8 +360,9 @@ def cmd_scan(args) -> int:
     for lam2, rep in zip(grid, reps):
         notes = list(rep.notes)
         if rep.phase == "degenerate":
-            ok &= rep.params["bessel_ode_residual"] <= spectral.BESSEL_RESIDUAL_TOL
-        if rep.matches:
+            # the degenerate level's one deviation is its Bessel ODE residual
+            ok &= rep.matches[0][2] <= spectral.BESSEL_RESIDUAL_TOL
+        elif rep.matches:
             # the xi and chi levels against their closed forms
             worst = max(rel for *_, rel in rep.matches)
             ok &= worst <= tol_match

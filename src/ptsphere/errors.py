@@ -73,9 +73,5 @@ class MultiValuedConfiguration(PtsphereError):
     pass
 
 
-class ResidualTooLarge(PtsphereError):
-    pass
-
-
 class NoDefiniteParity(PtsphereError):
     pass

@@ -539,7 +539,7 @@ def verify_relation(masa: MasaSpec, key: str, seed: int = DEFAULT_SEED) -> Relat
     model = MODELS.get(masa.name)
     label = key.replace("_", " ")
     if key not in getattr(model, "relations", {}):
-        raise UnknownName(f"no {label} for {masa.name!r}")
+        raise UnknownName(f"no {label} for {masa.label!r}")
     lhs, rhs = _sides(masa, model, key)
     trials = max(20, _degree_bound(lhs, rhs) + 1)
     failure = f"{label} for {masa.label} fails at a sampled point"

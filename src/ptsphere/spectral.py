@@ -9,8 +9,10 @@ solver and one eigenfunction formula serve all three.  Beside them: the
 periodic circle spectrum read off its triangular momentum matrix (the dense
 matrix, its reference, is test code: tests/circle_reference.py), coupling
 reparametrizations, PT-parity checks, the phase scan over the deformation
-parameter, Bessel-series solutions of the degenerate model and the two
-coupling-constant-metamorphosis identities.
+parameter, Bessel-series solutions of the degenerate model, its one level
+(degenerate_level, shared by `spectrum --model degenerate` and the scan's
+lambda^2 = 1/2 point) and the two coupling-constant-metamorphosis
+identities, each a report that passes or fails.
 
 Inputs a routine cannot take raise ParamOutOfRange, a configuration error
 (exit 2) on the command line; e.g. a Bessel order with q + terms > 170.
@@ -39,7 +41,6 @@ from .errors import (
     NoDefiniteParity,
     ParamOutOfRange,
     PoleInC,
-    ResidualTooLarge,
     SingularPotential,
     UnknownName,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "solve_periodic_s1",
     "solve_poschl_teller",
     "solve_chi_equation",
+    "degenerate_level",
     "hyp2f1_terminating",
     "eigenfunction_eval",
     "pt_parity_check",
@@ -165,8 +167,6 @@ def closed_form_energies(
 @dataclass
 class SpectrumReport:
     model: str
-    params: dict
-    grid: int
     eigenvalues: list = field(default_factory=list)
     max_imag: float = 0.0
     # every solver here returns real levels, so no report is labelled broken
@@ -230,7 +230,7 @@ def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K) -> SpectrumReport
     _require_regular_circle(a, b)
     M = N // 2
     eig = [complex(m * m) for m in range(-M, M + 1)]
-    rep = SpectrumReport("s1", dict(a=a, b=b, k1=k1, k2=k2, K=K), N)
+    rep = SpectrumReport("s1")
     rep.notes.append(
         "one-sided potential: triangular momentum matrix, periodic spectrum"
         f" {{m^2 : |m| <= {M}}}, each m != 0 a double eigenvalue"
@@ -287,7 +287,7 @@ def solve_poschl_teller(gm, gp, N: int, K: int = LOWEST_K) -> SpectrumReport:
     if gm < 1 or gp < 1:
         raise BadCouplings("Dirichlet selection needs g_-, g_+ >= 1")
     eig = _dirichlet_pt(gm, gp, N, K, 0.0)
-    rep = SpectrumReport("poschl_teller", dict(g_minus=gm, g_plus=gp, K=K), N)
+    rep = SpectrumReport("poschl_teller")
     candidates = closed_form_energies(gm, gp, count=4 * K, branches=(1,))
     return _finish_report(rep, eig, K, candidates)
 
@@ -306,7 +306,7 @@ def solve_chi_equation(ell3, composite, N: int, K: int = LOWEST_K) -> SpectrumRe
     if l3 < 1:
         raise BadCouplings("Dirichlet selection needs ell3 >= 1")
     eig = _dirichlet_pt(comp + 0.5, l3, N, K, -0.25)
-    rep = SpectrumReport("chi", dict(ell3=l3, composite=comp, K=K), N)
+    rep = SpectrumReport("chi")
     levels = closed_form_energies(comp + 0.5, l3, count=4 * K, branches=(1,))
     return _finish_report(rep, eig, K, [e - 0.25 for e in levels])
 
@@ -504,44 +504,46 @@ def bessel_ode_residual(alpha, q: int, z, terms: int = 30) -> float:
     return float(abs(-d2 + E / complex(z) ** 2 * val - complex(alpha) ** 2 * val))
 
 
+def degenerate_level(alpha, q: int) -> SpectrumReport:
+    """The level E = q(q+1) of the degenerate model, matched by itself: the
+    match's deviation is the Bessel ODE residual at z = 1/2."""
+    E = q * (q + 1)
+    resid = bessel_ode_residual(alpha, q, 0.5)
+    return SpectrumReport(
+        "degenerate", [complex(E)], phase="degenerate",
+        matches=[(complex(E), float(E), resid, resid)],
+        notes=[f"bessel_ode_residual={resid:.3e}"],
+    )
+
+
 # -- phase scan -----------------------------------------------------------------
 
 
 def pt_phase_scan(lambda2_grid, ks, N: int = 1024, K: int = LOWEST_K) -> list[SpectrumReport]:
     """Label each lambda^2 grid point exact / complex-coupling / degenerate
     from its sphere couplings; an exact point carries its xi and chi levels and
-    their closed-form matches, the degenerate point its Bessel ODE residual
-    (params["bessel_ode_residual"])."""
+    their closed-form matches, the degenerate point degenerate_level(alpha, 1)."""
     k1, k2, k3 = ks
     out = []
     for lam2 in lambda2_grid:
         lam2f = float(lam2)
         if abs(lam2f - 0.5) <= 1e-12:
             alpha2 = 4 * complex(k1) ** 2 + 4 * complex(k2) ** 2 - 2 * complex(k3) ** 2
-            alpha = cmath.sqrt(alpha2)
-            resid = bessel_ode_residual(alpha, 1, 0.5)
-            rep = SpectrumReport(
-                "degenerate", dict(lambda2=lam2f, alpha=alpha, q=1, bessel_ode_residual=resid), 0
-            )
-            rep.phase = "degenerate"
-            rep.notes.append(f"bessel_ode_residual={resid:.3e}")
-            out.append(rep)
+            out.append(degenerate_level(cmath.sqrt(alpha2), 1))
             continue
         ell = sphere_couplings(lam2f, k1, k2, k3)
         if not _is_real(*ell):
-            rep = SpectrumReport("sphere", dict(lambda2=lam2f, ell=ell), N)
-            rep.phase = "complex-coupling"
-            out.append(rep)
+            out.append(SpectrumReport("sphere", phase="complex-coupling"))
             continue
         l1, l2, l3 = (v.real for v in ell)
         rep_xi = solve_poschl_teller(min(l1, l2), max(l1, l2), N, K)
         comp = l1 + l2  # separation index m = 0
         rep_chi = solve_chi_equation(l3, comp, N, K)
-        rep = SpectrumReport("sphere", dict(lambda2=lam2f, ell=(l1, l2, l3)), N)
-        rep.eigenvalues = rep_xi.lowest + rep_chi.lowest
-        rep.max_imag = max(rep_xi.max_imag, rep_chi.max_imag)
-        rep.matches = rep_xi.matches + rep_chi.matches
-        out.append(rep)
+        out.append(SpectrumReport(
+            "sphere", rep_xi.lowest + rep_chi.lowest,
+            max_imag=max(rep_xi.max_imag, rep_chi.max_imag),
+            matches=rep_xi.matches + rep_chi.matches,
+        ))
     return out
 
 
@@ -613,7 +615,8 @@ def _degenerate_residual(sign, alpha, q, th, ph, terms=30):
 
 
 def metamorphosis_check(case: str, **params) -> MetamorphosisReport:
-    """Verify the two displayed energy/coupling exchanges at sample points.
+    """Check the two displayed energy/coupling exchanges at sample points;
+    the report's ok is False when the worst residual exceeds METAMORPHOSIS_TOL.
 
     morse(a, k1, k2, E): the a = b circle Hamiltonian maps to the radial
     oscillator with swapped roles g = E - 1/4 and script-E = 2 k1 k2 / a.
@@ -630,16 +633,12 @@ def metamorphosis_check(case: str, **params) -> MetamorphosisReport:
         Gpp = lambda rho: 6 * rho + cmath.exp(rho / 2) / 4
         phis = [0.2, 0.9, 1.7, 2.6, 4.1, 5.3]
         worst = max(_morse_residual(a, k1, k2, E, p, G, Gpp) for p in phis)
-        rep = MetamorphosisReport("morse", worst, len(phis), worst <= METAMORPHOSIS_TOL)
-    elif case == "degenerate":
+        return MetamorphosisReport("morse", worst, len(phis), worst <= METAMORPHOSIS_TOL)
+    if case == "degenerate":
         sign = params.get("sign", 1)
         alpha = params["alpha"]
         q = params["q"]
         pts = [(1.2, 2.2), (1.5, 2.5), (1.8, 2.1), (1.35, 2.7)]
         worst = max(_degenerate_residual(sign, alpha, q, th, ph) for th, ph in pts)
-        rep = MetamorphosisReport("degenerate", worst, len(pts), worst <= METAMORPHOSIS_TOL)
-    else:
-        raise UnknownName(f"unknown metamorphosis case {case!r}")
-    if not rep.ok:
-        raise ResidualTooLarge(f"{case} residual {rep.residual:.3e} > {METAMORPHOSIS_TOL}")
-    return rep
+        return MetamorphosisReport("degenerate", worst, len(pts), worst <= METAMORPHOSIS_TOL)
+    raise UnknownName(f"unknown metamorphosis case {case!r}")

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ptsphere
+from ptsphere import cli
 
 MODULES = [m.name for m in pkgutil.iter_modules(ptsphere.__path__)]
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -111,3 +112,20 @@ def test_int_parts_stay_in_their_kernels():
                if uses and name not in ("exact.py", "phase.py", "matrices.py")}
     assert not outside, outside
     assert {where for where, use in found["matrices.py"] if use == "int_parts"} == {"row_reduce"}
+
+
+def test_every_spectrum_model_is_one_row():
+    # cmd_spectrum reads a model's flags, tolerance and solver off its
+    # SPECTRUM_MODELS row: it compares args.model with no model name
+    tree = ast.parse((SRC / "cli.py").read_text())
+    (cmd,) = [node for node in tree.body if getattr(node, "name", None) == "cmd_spectrum"]
+    named = [
+        ast.unparse(node) for node in ast.walk(cmd) if isinstance(node, ast.Compare)
+        and "args.model" in map(ast.unparse, [node.left, *node.comparators])
+        and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                for side in [node.left, *node.comparators] for c in ast.walk(side))
+    ]
+    assert not named, named
+    flags = set(cli.SPECTRUM_FLAGS.split())
+    for model, (reads, needs, _, _) in cli.SPECTRUM_MODELS.items():
+        assert set(needs.split()) <= set(reads.split()) <= flags, model

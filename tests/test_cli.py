@@ -1,6 +1,8 @@
+import cmath
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -335,7 +337,7 @@ def test_an_invalid_masa_runs_no_check(tmp_path, capsys, monkeypatch, command):
     path.write_text(NONCOMMUTING_U3)
     code, out = _run(["validate", "--masa", str(path)], capsys)
     failures = json.loads(out)["failures"]
-    assert code == 1 and failures == [["commutativity", "(1, 2)"]]
+    assert code == 1 and failures == [["commutativity", [1, 2]]]
 
     def no_check(*args, **kwargs):
         raise AssertionError("a check ran on an invalid MASA")
@@ -349,6 +351,16 @@ def test_an_invalid_masa_runs_no_check(tmp_path, capsys, monkeypatch, command):
     assert set(doc) == {"version", "masa_valid", "failures"} | (
         {"seed"} if command == "verify" else set())
     assert doc["masa_valid"] is False and doc["failures"] == failures
+
+
+def test_a_dependent_masa_prints_a_json_witness(tmp_path, capsys):
+    # the second row twice the first: independence fails, with no witness
+    rows = SU2AB_MASA["generators"]
+    double = [{"re": str(2 * int(c["re"])), "im": "0"} for c in rows[0]]
+    path = tmp_path / "dependent.json"
+    path.write_text(json.dumps({"n": 2, "basis": "u2", "generators": [rows[0], double]}))
+    code, out = _run(["validate", "--masa", str(path)], capsys)
+    assert code == 1 and json.loads(out)["failures"] == [["independence", None]]
 
 
 @pytest.mark.parametrize("command", ["validate", "reduce", "verify"])
@@ -475,6 +487,13 @@ def test_grid_size_out_of_range_exits_2(capsys, argv, N):
         ("spectrum --model poschl_teller --gminus 1/2 --gplus 2", "--gminus 1/2"),
         ("spectrum --model chi --ell3 1/2 --composite 2", "--ell3 1/2"),
         ("spectrum --model s1 --a 1 --b 1 --gminus 2 --gplus 3", "--a 1, --b 1"),
+        # a solver's error names every model flag given
+        ("spectrum --model chi --ell3 1/3 --composite 4", "--ell3 1/3, --composite 4: Dirichlet"),
+        ("spectrum --model s1 --a 3 --b 3 --gminus 2 --gplus 3",
+         "--a 3, --b 3, --gminus 2, --gplus 3: needs a^2 != b^2"),
+        ("spectrum --model degenerate --alpha 3/2 --q 150", "--alpha 3/2, --q 150: q + terms"),
+        ("spectrum --model s1 --a 0 --gminus 2 --gplus 3 --N 64",
+         "--a 0, --gminus 2, --gplus 3, --N 64: the denominator vanishes"),
     ],
 )
 def test_spectral_input_out_of_range_exits_2(capsys, argv, text):
@@ -559,6 +578,25 @@ UNREAD_SPECTRUM_FLAGS = [
 ]
 
 
+NEEDED_SPECTRUM_FLAGS = [(model, flag) for model, (_, needs, _, _) in cli.SPECTRUM_MODELS.items()
+                         for flag in needs.split()]
+
+
+@pytest.mark.parametrize("model, flag", NEEDED_SPECTRUM_FLAGS)
+def test_a_needed_spectrum_flag_left_out_exits_2(capsys, model, flag):
+    # s1 needs one of two coupling pairs, which its solver checks itself
+    argv = SPECTRUM_ARGV[model].split()
+    i = argv.index(flag)
+    assert main(["spectrum", "--model", model, *argv[:i], *argv[i + 2:]]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {model} needs " in captured.err and flag in captured.err
+    assert captured.out == ""
+
+
+def test_needed_spectrum_flags_are_counted():
+    assert len(NEEDED_SPECTRUM_FLAGS) == 6
+
+
 def test_unread_spectrum_flags_are_counted():
     assert len(UNREAD_SPECTRUM_FLAGS) == 30
 
@@ -599,6 +637,14 @@ def test_scan_keeps_the_degenerate_note(capsys):
     assert phase == "degenerate" and float(note.split("bessel_ode_residual=")[1]) <= 1e-10
 
 
+def test_scan_shares_the_degenerate_level(capsys):
+    # lambda^2 = 1/2 with the default k = (1, 3/2, 1/2): alpha^2 = 4 + 9 - 1/2
+    code, out = _run(["scan", "--model", "lambda", "--lambda2", "0.5:0.5:0.1"], capsys)
+    (row,) = json.loads(out)["rows"]
+    resid = spectral.degenerate_level(cmath.sqrt(12.5), 1).matches[0][2]
+    assert code == 0 and row == [0.5, "degenerate", 0.0, f"bessel_ode_residual={resid:.3e}"]
+
+
 def test_scan_fails_on_the_degenerate_residual(capsys, monkeypatch):
     argv = ["scan", "--model", "lambda", "--lambda2", "0.5:0.5:0.1"]
     code, out = _run(argv, capsys)
@@ -615,6 +661,16 @@ def test_spectrum_degenerate_residual_is_judged_against_tol_match(capsys):
     assert code == 0 and json.loads(out)["tol_match"] == 1e-10
     code, out = _run([*argv, "--tol-match", "0"], capsys)
     assert code == 1 and json.loads(out)["tol_match"] == 0.0
+
+
+def test_a_nan_degenerate_residual_fails(capsys, monkeypatch):
+    # at alpha = 1e6 the Bessel series overflows and its residual is NaN
+    argv = ["spectrum", "--model", "degenerate", "--alpha", "1000000", "--q", "1"]
+    code, out = _run(argv, capsys)
+    assert code == 1 and math.isnan(json.loads(out)["bessel_ode_residual"])
+    monkeypatch.setattr(spectral, "bessel_ode_residual", lambda *args: float("nan"))
+    code, out = _run(["spectrum", "--model", "degenerate", "--alpha", "2", "--q", "1"], capsys)
+    assert code == 1 and math.isnan(json.loads(out)["bessel_ode_residual"])
 
 
 # the flags each subcommand's cmd_* reads, and no others

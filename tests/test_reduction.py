@@ -115,6 +115,12 @@ def test_an_unnamed_masa_is_labelled_masa():
     assert failing.detail == "bracket image mismatch for pair (1,2) in masa"
 
 
+def test_a_missing_relation_labels_an_unnamed_masa():
+    custom = dataclasses.replace(build_masa("su2ab"), name=None)
+    with pytest.raises(UnknownName, match="^no sum relation for 'masa'$"):
+        verify_relation(custom, "sum_relation")
+
+
 @pytest.mark.parametrize("name", list(PARAMS))
 def test_correction_coefficients_match_commutator_expansion(name):
     # [X_i, Z_mu] read off the structure constants, as verify_homomorphism
@@ -306,6 +312,22 @@ def test_racah_fits_cartan_od():
     for fit in rep.bracket_fits.values():
         assert set(fit) == set(rep.basis_names)
         assert all(c.is_zero() for c in fit.values()), fit
+
+
+def test_racah_fits_lambda():
+    # lambda^2 = 1/4 at the fixed couplings k = (1/2, 1/3, 1/5); every
+    # basis term not listed has coefficient 0
+    rep = racah_structure_report(build_masa("lambda"), with_fits=True, npoints=12)
+    want = {
+        "[T12,T1]": {"T1*T2": 4, "T1*T3": -4, "T1": Fraction(8, 15), "T2": Fraction(64, 45),
+                     "T3": Fraction(-64, 75)},
+        "[T12,T2]": {"T1*T2": -4, "T2*T3": 4, "T1": Fraction(-6, 5), "T2": Fraction(-28, 15),
+                     "T3": Fraction(-12, 25)},
+    }
+    assert rep.bracket_fits == {
+        key: {name: rat(fit.get(name, 0)) for name in rep.basis_names}
+        for key, fit in want.items()
+    }
 
 
 def test_racah_fit_rows_are_read_at_the_fixed_couplings(monkeypatch):
