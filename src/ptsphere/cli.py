@@ -4,8 +4,9 @@ Subcommands: validate | reduce | verify | spectrum | scan.  Exact model
 parameters are parsed from "p/q" text so the algebraic pipeline stays exact;
 grid bounds and tolerances are floats.  reduce and verify each list their
 identity checks, and _run_identity makes each report one row.  spectrum reads
-a model's flags, needed flags, --tol-match default and solver off its
-SPECTRUM_MODELS row, and prints every model's report through _spectrum_rows.
+a model's flags, needed flags and solver off its SPECTRUM_MODELS row.
+spectrum and scan judge every report through _spectrum_rows: at --tol-match
+when it is given, else at the report's own tol, which its solver sets.
 Exit status: 0 all requested checks pass, 1 any check fails, 2 configuration
 error.
 """
@@ -58,20 +59,33 @@ def _frac(text: str) -> Fraction:
 
 
 def _read_grid(args):
-    # fills in --N and --K (default 512 and 8) where a command reads them, and checks them
+    # fills in --N and --K (default 512 and LOWEST_K) where a command reads them, and checks them
     args.N = 512 if args.N is None else args.N
-    args.K = 8 if args.K is None else args.K
+    args.K = spectral.LOWEST_K if args.K is None else args.K
     for flag, value, low in (("--N", args.N, 2), ("--K", args.K, 1)):
         if not low <= value <= MAX_GRID_N:
             raise ConfigError(f"{flag} must be between {low} and {MAX_GRID_N}, got {value}")
 
 
-def _tol_match(args, default: float) -> float:
-    if args.tol_match is None:
-        return default
-    if not (math.isfinite(args.tol_match) and args.tol_match >= 0):
+def _tol_match(args) -> float | None:
+    # the --tol-match given, checked; None judges each report at its own tol
+    if args.tol_match is not None and not (math.isfinite(args.tol_match) and args.tol_match >= 0):
         raise ConfigError(f"--tol-match must be finite and non-negative, got {args.tol_match}")
     return args.tol_match
+
+
+def _given(args, flags: str) -> dict:
+    # each flag of flags given on the command line, with its value
+    return {f: getattr(args, f[2:]) for f in flags.split() if getattr(args, f[2:]) is not None}
+
+
+def _solved(solve, given: dict):
+    # a solver's refusal of its input is a configuration error naming the flags given
+    try:
+        return solve()
+    except (BadCouplings, ParamOutOfRange, SingularPotential) as exc:
+        named = ", ".join(f"{flag} {value}" for flag, value in given.items())
+        raise ConfigError(f"{named}: {exc}") from exc
 
 
 def _build_masa(args):
@@ -229,11 +243,13 @@ def cmd_verify(args) -> int:
 
 
 def _spectrum_rows(rep, tol_match):
-    # the matches are those of the lowest eigenvalues, in order; a row past
+    # the one judge of spectrum and scan: rep's rows, tol (tol_match, else
+    # rep.tol), and whether every match is within tol, which a NaN is not.
+    # The matches are those of the lowest eigenvalues, in order; a row past
     # them that repeats the last matched value (a double eigenvalue cut by
     # --K) shares its match
-    rows, ok, matches = [], True, rep.matches
-    for i, z in enumerate(rep.eigenvalues[: max(len(matches), 8)]):
+    rows, matches = [], rep.matches
+    for i, z in enumerate(rep.eigenvalues[: max(len(matches), spectral.LOWEST_K)]):
         if i < len(matches):
             m = matches[i]
         elif matches and matches[-1][0] == z:
@@ -241,12 +257,9 @@ def _spectrum_rows(rep, tol_match):
         else:
             rows.append([i, z.real, z.imag, "", ""])
             continue
-        _, c, d, r = m
-        rows.append([i, z.real, z.imag, c, d])
-        # a NaN residual (the Bessel series overflows at large alpha) fails
-        if not r <= tol_match:
-            ok = False
-    return rows, ok
+        rows.append([i, z.real, z.imag, m[1], m[2]])
+    tol = rep.tol if tol_match is None else tol_match
+    return rows, tol, all(rel <= tol for *_, rel in matches)
 
 
 def _solve_s1(args):
@@ -265,24 +278,21 @@ def _solve_s1(args):
 
 
 # per spectrum model: the flags of SPECTRUM_FLAGS it reads, those it needs,
-# its --tol-match default, and solve(args) -> spectral.SpectrumReport.  The
-# s1 levels are exact squares, the finite-difference levels carry an O(h^2)
-# error, and the degenerate level's deviation is its Bessel ODE residual,
-# which reads no grid
+# and solve(args) -> spectral.SpectrumReport, whose tol its solver sets
 SPECTRUM_MODELS = {
-    "s1": ("--a --b --k1 --k2 --gminus --gplus --N --K", "", 1e-6, _solve_s1),
+    "s1": ("--a --b --k1 --k2 --gminus --gplus --N --K", "", _solve_s1),
     "poschl_teller": (
-        "--gminus --gplus --N --K", "--gminus --gplus", 1e-3,
+        "--gminus --gplus --N --K", "--gminus --gplus",
         lambda args: spectral.solve_poschl_teller(
             float(_frac(args.gminus)), float(_frac(args.gplus)), args.N, args.K),
     ),
     "chi": (
-        "--ell3 --composite --N --K", "--ell3 --composite", 1e-3,
+        "--ell3 --composite --N --K", "--ell3 --composite",
         lambda args: spectral.solve_chi_equation(
             float(_frac(args.ell3)), float(_frac(args.composite)), args.N, args.K),
     ),
     "degenerate": (
-        "--alpha --q", "--alpha --q", spectral.BESSEL_RESIDUAL_TOL,
+        "--alpha --q", "--alpha --q",
         lambda args: spectral.degenerate_level(float(_frac(args.alpha)), args.q),
     ),
 }
@@ -291,9 +301,8 @@ SPECTRUM_MODELS = {
 def cmd_spectrum(args) -> int:
     if args.model not in SPECTRUM_MODELS:
         raise ConfigError(f"unknown spectrum model {args.model!r}")
-    reads, needs, default_tol, solve = SPECTRUM_MODELS[args.model]
-    given = {flag: getattr(args, flag[2:]) for flag in SPECTRUM_FLAGS.split()
-             if getattr(args, flag[2:]) is not None}
+    reads, needs, solve = SPECTRUM_MODELS[args.model]
+    given = _given(args, SPECTRUM_FLAGS)
     unread = [flag for flag in given if flag not in reads.split()]
     if unread:
         raise ConfigError(f"spectrum --model {args.model} does not take {' '.join(unread)}")
@@ -301,21 +310,12 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"{args.model} needs {' and '.join(needs.split())}")
     if "--N" in reads:
         _read_grid(args)
-    tol_match = _tol_match(args, default_tol)
-    try:
-        rep = solve(args)
-    except (BadCouplings, ParamOutOfRange, SingularPotential) as exc:
-        named = ", ".join(f"{flag} {value}" for flag, value in given.items())
-        raise ConfigError(f"{named}: {exc}") from exc
-    rows, ok = _spectrum_rows(rep, tol_match)
+    tol_match = _tol_match(args)
+    rep = _solved(lambda: solve(args), given)
+    rows, tol, ok = _spectrum_rows(rep, tol_match)
     doc = _base_report(args)
-    doc.update(tol_match=tol_match, model=rep.model, phase=rep.phase, rows=rows)
-    # the degenerate level reports its one deviation, the Bessel ODE
-    # residual; a discretized spectrum its imaginary parts and notes
-    if rep.phase == "degenerate":
-        doc["bessel_ode_residual"] = rep.matches[0][2]
-    else:
-        doc.update(max_imag=rep.max_imag, notes=rep.notes)
+    doc.update(tol_match=tol, model=rep.model, phase=rep.phase, rows=rows,
+               max_imag=rep.max_imag, notes=rep.notes)
     _emit(args, doc, rows, ["index", "re_E", "im_E", "closed_form", "deviation"])
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -344,32 +344,23 @@ def _parse_grid(text: str):
 def cmd_scan(args) -> int:
     if args.model != "lambda":
         raise ConfigError("scan currently supports --model lambda")
+    given = _given(args, "--lambda2 --k1 --k2 --k3 --N --K")
     _read_grid(args)
-    tol_match = _tol_match(args, 1e-3)
+    tol_match = _tol_match(args)
     grid = _parse_grid(args.lambda2 or "0.05:0.7:0.05")
     ks = (
         float(_frac(args.k1 or "1")),
         float(_frac(args.k2 or "3/2")),
         float(_frac(args.k3 or "1/2")),
     )
-    reps = spectral.pt_phase_scan(grid, ks, N=args.N, K=args.K)
+    reps = _solved(lambda: spectral.pt_phase_scan(grid, ks, N=args.N, K=args.K), given)
     doc = _base_report(args)
-    doc["tol_match"] = tol_match
-    doc["k"] = list(ks)
-    rows, ok = [], True
-    for lam2, rep in zip(grid, reps):
-        notes = list(rep.notes)
-        if rep.phase == "degenerate":
-            # the degenerate level's one deviation is its Bessel ODE residual
-            ok &= rep.matches[0][2] <= spectral.BESSEL_RESIDUAL_TOL
-        elif rep.matches:
-            # the xi and chi levels against their closed forms
-            worst = max(rel for *_, rel in rep.matches)
-            ok &= worst <= tol_match
-            notes.append(f"max_rel_deviation={worst:.3e}")
-        rows.append([lam2, rep.phase, rep.max_imag, "; ".join(notes)])
-    doc["rows"] = rows
+    # without --tol-match the sphere points' tol; lambda^2 = 1/2 keeps its own
+    doc["tol_match"] = spectral.FD_LEVEL_TOL if tol_match is None else tol_match
+    rows = [[lam2, rep.phase, rep.max_imag, "; ".join(rep.notes)] for lam2, rep in zip(grid, reps)]
+    doc.update(k=list(ks), rows=rows)
     _emit(args, doc, rows, ["lambda2", "phase", "max_imag", "note"])
+    ok = all(_spectrum_rows(rep, tol_match)[2] for rep in reps)
     return EXIT_OK if ok else EXIT_FAIL
 
 

@@ -21,9 +21,9 @@ denominator, the sums brought over the lcm of those, and the result reduced
 once, with one gcd, instead of once per product and once per partial sum.
 keyed_sum_of_products does so per key over (key, x, y) triples: every sum
 of products keyed by a monomial or a word (PhasePoly combinations,
-enveloping-algebra products and PBW rewriting, brackets in the u(n) basis)
-is one call.  Outside this module only phase.py's point sweeps, products
-and derivatives and matrices.row_reduce read int parts.
+enveloping-algebra products and PBW rewriting) is one call.  Outside this
+module only phase.py's point sweeps, products and derivatives and
+matrices.row_reduce read int parts.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ from itertools import islice
 from math import prod
 from typing import Callable, Sequence
 
-from .exact import Exact, I, ONE, keyed_sum_of_products, rat, sum_of_products
+from .exact import Exact, I, ONE, rat, sum_of_products
 from .errors import DegenerateMasa, FitUnderdetermined, UnknownName
 from .lie import EnvElement, build_generators, casimir_element
 from .masa import MasaSpec, lambda_frame
@@ -638,20 +638,12 @@ def verify_conservation(
     return _sampled_report(f"conservation[{masa.label}]", residuals, masa.n, used, seed)
 
 
-def _bracket_with(basis, i: int, z: dict[int, Exact]) -> dict[int, Exact]:
-    """The basis coefficients of [X_i, sum_k z_k X_k], nonzero ones only:
-    sum_k z_k times the structure constants of [X_i, X_k]."""
-    return keyed_sum_of_products(
-        (l, zk, c) for k, zk in z.items() for l, c in basis.bracket_coeffs(i, k).items()
-    )
-
-
 @_kept
 def _corrections(masa: MasaSpec) -> tuple[tuple[dict[int, Exact], ...], ...]:
     """[X_i, Z_mu] in the basis, for every generator i and MASA element mu."""
     basis = build_generators(masa.n)
-    zs = [basis.expand_in_basis(Z) for Z in masa.matrices]
-    return tuple(tuple(_bracket_with(basis, i, z) for z in zs) for i in range(basis.size))
+    return tuple(tuple(basis.expand_in_basis(X.commutator(Z)) for Z in masa.matrices)
+                 for X in basis.generators)
 
 
 def verify_homomorphism(
@@ -673,10 +665,10 @@ def verify_homomorphism(
     the gradient carries dXhat/dk_mu beside the (s, p) partials.  The map is
     linear, so at each point the image of [X_i, X_j] and of [X_i, Z_mu] is
     the combination of the generator values with the coefficients of that
-    matrix in the basis, read off the structure constants (and, for Z_mu,
-    its expansion in the basis).  Each pair's residual, bracket plus
-    k-correction minus image, is one exact.sum_of_products over its pairs
-    of values.
+    matrix in the basis: the structure constants for [X_i, X_j], the
+    commutator's expansion for [X_i, Z_mu].  Each pair's residual, bracket
+    plus k-correction minus image, is one exact.sum_of_products over its
+    pairs of values.
     """
     n = masa.n
     basis = build_generators(n)

@@ -12,10 +12,12 @@ reparametrizations, PT-parity checks, the phase scan over the deformation
 parameter, Bessel-series solutions of the degenerate model, its one level
 (degenerate_level, shared by `spectrum --model degenerate` and the scan's
 lambda^2 = 1/2 point) and the two coupling-constant-metamorphosis
-identities, each a report that passes or fails.
+identities, each a report that passes or fails.  Every SpectrumReport
+carries the tol its solver's error model gives the matches' deviations.
 
 Inputs a routine cannot take raise ParamOutOfRange, a configuration error
-(exit 2) on the command line; e.g. a Bessel order with q + terms > 170.
+(exit 2) on the command line; e.g. a Bessel order with q + terms > 170, or
+a degenerate level whose residual floats cannot decide.
 
 numpy and scipy are imported only inside the array routines: the
 finite-difference solver _dirichlet_pt and _cauchy_derivative.  The periodic
@@ -31,6 +33,7 @@ import bisect
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -69,8 +72,13 @@ REAL_TOL = 1e-12
 LOWEST_K = 8
 # pt_parity_check: sample points, and relative bound on |ratio -+ 1|
 PARITY_POINTS, PARITY_TOL = 12, 1e-10
-# largest passing Bessel ODE residual (degenerate point), metamorphosis residual
-BESSEL_RESIDUAL_TOL, METAMORPHOSIS_TOL = 1e-10, 1e-9
+# the tol of each solver's reports, by its error model: s1 levels are exact
+# squares, finite-difference levels (poschl_teller, chi, the scan's sphere
+# points) carry an O(h^2) error, and the degenerate level's one deviation is
+# its Bessel ODE residual; and the largest passing metamorphosis residual
+EXACT_LEVEL_TOL, FD_LEVEL_TOL, BESSEL_RESIDUAL_TOL, METAMORPHOSIS_TOL = 1e-6, 1e-3, 1e-10, 1e-9
+# the contour radius and node count of _cauchy_derivative
+CAUCHY_RADIUS, CAUCHY_NODES = 0.2, 64
 
 
 # -- coupling reparametrizations ------------------------------------------------
@@ -167,16 +175,13 @@ def closed_form_energies(
 @dataclass
 class SpectrumReport:
     model: str
+    tol: float  # the largest relative deviation a match passes with
     eigenvalues: list = field(default_factory=list)
     max_imag: float = 0.0
     # every solver here returns real levels, so no report is labelled broken
     phase: str = "exact"
     matches: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-
-    @property
-    def lowest(self):
-        return self.eigenvalues[: min(LOWEST_K, len(self.eigenvalues))]
 
 
 def _nearest(candidates, x: float) -> float:
@@ -230,7 +235,7 @@ def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K) -> SpectrumReport
     _require_regular_circle(a, b)
     M = N // 2
     eig = [complex(m * m) for m in range(-M, M + 1)]
-    rep = SpectrumReport("s1")
+    rep = SpectrumReport("s1", EXACT_LEVEL_TOL)
     rep.notes.append(
         "one-sided potential: triangular momentum matrix, periodic spectrum"
         f" {{m^2 : |m| <= {M}}}, each m != 0 a double eigenvalue"
@@ -287,7 +292,7 @@ def solve_poschl_teller(gm, gp, N: int, K: int = LOWEST_K) -> SpectrumReport:
     if gm < 1 or gp < 1:
         raise BadCouplings("Dirichlet selection needs g_-, g_+ >= 1")
     eig = _dirichlet_pt(gm, gp, N, K, 0.0)
-    rep = SpectrumReport("poschl_teller")
+    rep = SpectrumReport("poschl_teller", FD_LEVEL_TOL)
     candidates = closed_form_energies(gm, gp, count=4 * K, branches=(1,))
     return _finish_report(rep, eig, K, candidates)
 
@@ -306,7 +311,7 @@ def solve_chi_equation(ell3, composite, N: int, K: int = LOWEST_K) -> SpectrumRe
     if l3 < 1:
         raise BadCouplings("Dirichlet selection needs ell3 >= 1")
     eig = _dirichlet_pt(comp + 0.5, l3, N, K, -0.25)
-    rep = SpectrumReport("chi")
+    rep = SpectrumReport("chi", FD_LEVEL_TOL)
     levels = closed_form_energies(comp + 0.5, l3, count=4 * K, branches=(1,))
     return _finish_report(rep, eig, K, [e - 0.25 for e in levels])
 
@@ -484,7 +489,8 @@ def bessel_series_psi(alpha, q: int, z, terms: int = 30):
     return total, abs(term_pow) / tail_den
 
 
-def _cauchy_derivative(f, t0, order: int, radius: float = 0.2, nodes: int = 64):
+def _cauchy_derivative(f, t0, order: int, radius: float = CAUCHY_RADIUS,
+                       nodes: int = CAUCHY_NODES):
     """order-th derivative of an analytic function by contour quadrature."""
     import numpy as np
 
@@ -506,11 +512,46 @@ def bessel_ode_residual(alpha, q: int, z, terms: int = 30) -> float:
 
 def degenerate_level(alpha, q: int) -> SpectrumReport:
     """The level E = q(q+1) of the degenerate model, matched by itself: the
-    match's deviation is the Bessel ODE residual at z = 1/2."""
+    match's deviation is the Bessel ODE residual at z = 1/2.
+
+    ParamOutOfRange where floats cannot decide that residual against
+    BESSEL_RESIDUAL_TOL.  If the series vanishes (alpha = 0, or
+    (alpha z/2)^(q+1) underflows), every residual is 0 and checks nothing.
+    Otherwise the residual's error is bounded by the sum of three terms:
+
+    - rounding: each series value the residual reads, on the contour of
+      radius r about z, is off by up to eps * S(z + r), where S(t) is the
+      sum of the terms' moduli at |t|: the terms alternate and cancel.  The
+      series at i|alpha| has every term in phase, so S is its modulus, and
+      the residual's rounding is at most eps * S(z + r) * (2/r^2 + E/z^2 +
+      |alpha|^2);
+    - truncation: alpha^2 times the series' tail estimate;
+    - aliasing: the contour's n-node sum adds the Taylor coefficients
+      n + 2, 2n + 2, ... of psi about z to its second, each bounded by
+      Cauchy's estimate on the circle of radius z about z.
+
+    A bound above the tolerance, or one that overflows, is refused.  At
+    q = 1 this refuses from alpha ~ 12.9; the residual itself stays below
+    the tolerance up to alpha ~ 20, and more terms do not lower it.
+    """
     E = q * (q + 1)
-    resid = bessel_ode_residual(alpha, q, 0.5)
+    z, r, a = 0.5, CAUCHY_RADIUS, abs(complex(alpha))
+    value, tail = bessel_series_psi(1j * a, q, z + r)
+    if value == 0:
+        raise ParamOutOfRange(f"the Bessel series vanishes at |alpha| = {a:.6g}:"
+                              " its residual checks nothing")
+    rho = (r / z) ** CAUCHY_NODES
+    far = abs(bessel_series_psi(1j * a, q, 2 * z)[0])
+    bound = (sys.float_info.epsilon * abs(value) * (2 / r**2 + E / z**2 + a * a)
+             + a * a * tail + 2 * far * rho / ((1 - rho) * (r * z) ** 2))
+    if not bound <= BESSEL_RESIDUAL_TOL:
+        reach = (f"{bound:.1e} exceeds {BESSEL_RESIDUAL_TOL}" if math.isfinite(bound)
+                 else "overflows")
+        raise ParamOutOfRange(f"floats cannot decide the Bessel ODE residual at |alpha| ="
+                              f" {a:.6g}: its error bound {reach}")
+    resid = bessel_ode_residual(alpha, q, z)
     return SpectrumReport(
-        "degenerate", [complex(E)], phase="degenerate",
+        "degenerate", BESSEL_RESIDUAL_TOL, [complex(E)], phase="degenerate",
         matches=[(complex(E), float(E), resid, resid)],
         notes=[f"bessel_ode_residual={resid:.3e}"],
     )
@@ -521,8 +562,9 @@ def degenerate_level(alpha, q: int) -> SpectrumReport:
 
 def pt_phase_scan(lambda2_grid, ks, N: int = 1024, K: int = LOWEST_K) -> list[SpectrumReport]:
     """Label each lambda^2 grid point exact / complex-coupling / degenerate
-    from its sphere couplings; an exact point carries its xi and chi levels and
-    their closed-form matches, the degenerate point degenerate_level(alpha, 1)."""
+    from its sphere couplings; an exact point carries its K xi and K chi levels,
+    their matches and their largest relative deviation, the degenerate point
+    degenerate_level(alpha, 1)."""
     k1, k2, k3 = ks
     out = []
     for lam2 in lambda2_grid:
@@ -533,16 +575,18 @@ def pt_phase_scan(lambda2_grid, ks, N: int = 1024, K: int = LOWEST_K) -> list[Sp
             continue
         ell = sphere_couplings(lam2f, k1, k2, k3)
         if not _is_real(*ell):
-            out.append(SpectrumReport("sphere", phase="complex-coupling"))
+            out.append(SpectrumReport("sphere", FD_LEVEL_TOL, phase="complex-coupling"))
             continue
         l1, l2, l3 = (v.real for v in ell)
         rep_xi = solve_poschl_teller(min(l1, l2), max(l1, l2), N, K)
         comp = l1 + l2  # separation index m = 0
         rep_chi = solve_chi_equation(l3, comp, N, K)
+        matches = rep_xi.matches + rep_chi.matches
+        worst = max(rel for *_, rel in matches)
         out.append(SpectrumReport(
-            "sphere", rep_xi.lowest + rep_chi.lowest,
-            max_imag=max(rep_xi.max_imag, rep_chi.max_imag),
-            matches=rep_xi.matches + rep_chi.matches,
+            "sphere", FD_LEVEL_TOL, rep_xi.eigenvalues + rep_chi.eigenvalues,
+            max_imag=max(rep_xi.max_imag, rep_chi.max_imag), matches=matches,
+            notes=[f"max_rel_deviation={worst:.3e}"],
         ))
     return out
 

@@ -155,8 +155,8 @@ def test_criterion_10_sphere_finite_differences():
         ok = ok and rel <= 1e-3
     # O(h^2): halving the step divides the ground level error by about 4
     e0 = 25.0
-    err_c = abs(solve_poschl_teller(2, 3, 2048).lowest[0].real - e0)
-    err_f = abs(rep.lowest[0].real - e0)
+    err_c = abs(solve_poschl_teller(2, 3, 2048).eigenvalues[0].real - e0)
+    err_f = abs(rep.eigenvalues[0].real - e0)
     ratio = err_c / err_f
     ok = ok and 3.5 < ratio < 4.5
     _report(

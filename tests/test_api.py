@@ -114,10 +114,22 @@ def test_int_parts_stay_in_their_kernels():
     assert {where for where, use in found["matrices.py"] if use == "int_parts"} == {"row_reduce"}
 
 
+def _names_a_phase(node) -> bool:
+    # a comparison of a .phase attribute with a string constant
+    sides = [node.left, *node.comparators]
+    return (any(isinstance(side, ast.Attribute) and side.attr == "phase" for side in sides)
+            and any(isinstance(side, ast.Constant) and isinstance(side.value, str)
+                    for side in sides))
+
+
 def test_every_spectrum_model_is_one_row():
-    # cmd_spectrum reads a model's flags, tolerance and solver off its
-    # SPECTRUM_MODELS row: it compares args.model with no model name
+    # cmd_spectrum reads a model's flags and solver off its SPECTRUM_MODELS
+    # row: it compares args.model with no model name; spectrum and scan judge
+    # every report alike: no comparison in cli.py names a report's phase
     tree = ast.parse((SRC / "cli.py").read_text())
+    phased = [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.Compare) and _names_a_phase(node)]
+    assert not phased, phased
     (cmd,) = [node for node in tree.body if getattr(node, "name", None) == "cmd_spectrum"]
     named = [
         ast.unparse(node) for node in ast.walk(cmd) if isinstance(node, ast.Compare)
@@ -127,5 +139,5 @@ def test_every_spectrum_model_is_one_row():
     ]
     assert not named, named
     flags = set(cli.SPECTRUM_FLAGS.split())
-    for model, (reads, needs, _, _) in cli.SPECTRUM_MODELS.items():
+    for model, (reads, needs, _) in cli.SPECTRUM_MODELS.items():
         assert set(needs.split()) <= set(reads.split()) <= flags, model

@@ -37,6 +37,9 @@ BAD_MASA = {
 }
 
 
+# cartan_od (a, b) off a^2 = 4b^2, where its catalog default (1, 1/2) sits
+CARTAN_OD_GENERIC = [("6/5", "1"), ("3", "2/7")]
+
 # su2ab with a = 2, b = 1, as save_masa_file writes it: a valid MASA
 SU2AB_MASA = {
     "n": 2,
@@ -169,6 +172,14 @@ def test_reduce_reports_identities(capsys):
     assert doc["identities"]["casimir_projection"]["passed"] is True
     assert doc["identities"]["sum_relation"]["passed"] is True
     assert "potential" in doc and "integrals" in doc
+    # two generic points, off the boundary a^2 = 4b^2 of the default (1, 1/2)
+    for a, b in CARTAN_OD_GENERIC:
+        code, out = _run(["reduce", "--model", "cartan_od", "--a", a, "--b", b], capsys)
+        identities = json.loads(out)["identities"]
+        assert code == 0 and all(check["passed"] for check in identities.values())
+        assert identities["casimir_projection"]["detail"] == (
+            "(3) H + (1) k1k1 + (2) k1k3 + (1) k3k3")
+        assert identities["sum_relation"]["trials"] == 35
     # a model without a sum relation gets neither it nor the Casimir fit
     code, out = _run(["reduce", "--model", "degenerate_plus"], capsys)
     assert code == 0 and list(json.loads(out)["identities"]) == ["zhat_eq_k"]
@@ -391,6 +402,13 @@ def test_verify_command(capsys):
     assert doc["conservation"]["passed"] is True
     assert doc["bracket_preservation"]["passed"] is True
     assert doc["pt_invariance"]["passed"] is True
+    for a, b in CARTAN_OD_GENERIC:
+        code, out = _run(["verify", "--model", "cartan_od", "--a", a, "--b", b], capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["masa_valid"] is True
+        assert all(doc[key]["passed"] for key in ("conservation", "bracket_preservation",
+                                                  "pt_invariance"))
+        assert doc["bracket_preservation"]["trials"] == 30
 
 
 def test_spectrum_s1_from_g_parameters(capsys):
@@ -494,6 +512,20 @@ def test_grid_size_out_of_range_exits_2(capsys, argv, N):
         ("spectrum --model degenerate --alpha 3/2 --q 150", "--alpha 3/2, --q 150: q + terms"),
         ("spectrum --model s1 --a 0 --gminus 2 --gplus 3 --N 64",
          "--a 0, --gminus 2, --gplus 3, --N 64: the denominator vanishes"),
+        # the float Bessel series cannot decide the degenerate residual: it
+        # cancels (residual 0.12 at alpha 40, 9.9e-9 at alpha 28.2), or it
+        # vanishes and any residual is 0
+        ("spectrum --model degenerate --alpha 40 --q 1",
+         "--alpha 40, --q 1: floats cannot decide the Bessel ODE residual at |alpha| = 40"),
+        ("spectrum --model degenerate --alpha 0 --q 1",
+         "--alpha 0, --q 1: the Bessel series vanishes"),
+        ("scan --model lambda --lambda2 0.5:0.5:1 --k1 10 --k2 10 --k3 1",
+         "--lambda2 0.5:0.5:1, --k1 10, --k2 10, --k3 1: floats cannot decide"),
+        ("scan --model lambda --lambda2 0.5:0.5:1 --k1 1 --k2 1 --k3 2",
+         "--k1 1, --k2 1, --k3 2: the Bessel series vanishes"),
+        # a scan's solver error names the flags given, as spectrum's does
+        ("scan --model lambda --lambda2 0.6:0.6:1 --k1 1/5 --k2 1/5 --k3 1/5",
+         "--lambda2 0.6:0.6:1, --k1 1/5, --k2 1/5, --k3 1/5: Dirichlet selection"),
     ],
 )
 def test_spectral_input_out_of_range_exits_2(capsys, argv, text):
@@ -546,10 +578,12 @@ def test_spectrum_degenerate_bessel(capsys):
     code, out = _run(argv, capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["bessel_ode_residual"] <= 1e-10
-    # a Python float, which the JSON text writes as its repr
+    # the row's deviation is the Bessel ODE residual, a Python float, which
+    # the JSON text writes as its repr
     resid = spectral.bessel_ode_residual(2.0, 1, 0.5)
-    assert type(resid) is float and f'"bessel_ode_residual": {resid!r},' in out
+    assert type(resid) is float and resid <= 1e-10
+    assert doc["rows"] == [[0, 2.0, 0.0, 2.0, resid]] and f"      {resid!r}\n" in out
+    assert doc["notes"] == [f"bessel_ode_residual={resid:.3e}"] and doc["max_imag"] == 0.0
     # the Bessel residual reads no grid: none is echoed, and --N or --K exits 2
     assert "grid_N" not in doc and "grid_K" not in doc
     for flag in ("--N", "--K"):
@@ -578,7 +612,7 @@ UNREAD_SPECTRUM_FLAGS = [
 ]
 
 
-NEEDED_SPECTRUM_FLAGS = [(model, flag) for model, (_, needs, _, _) in cli.SPECTRUM_MODELS.items()
+NEEDED_SPECTRUM_FLAGS = [(model, flag) for model, (_, needs, _) in cli.SPECTRUM_MODELS.items()
                          for flag in needs.split()]
 
 
@@ -655,6 +689,36 @@ def test_scan_fails_on_the_degenerate_residual(capsys, monkeypatch):
     assert json.loads(out)["rows"][0][3] == "bessel_ode_residual=1.000e+00"
 
 
+@pytest.mark.parametrize("tol, want", [("1e-18", 1), ("1", 0)])
+def test_spectrum_and_scan_judge_the_degenerate_level_alike(capsys, tol, want):
+    # k = (1, 0, 0) puts alpha^2 = 4 at lambda^2 = 1/2: the level of
+    # spectrum --alpha 2 --q 1, residual 7.8e-16, judged at the one --tol-match
+    spectrum = ["spectrum", "--model", "degenerate", "--alpha", "2", "--q", "1"]
+    scan = ["scan", "--model", "lambda", "--lambda2", "0.5:0.5:1", "--k1", "1", "--k2", "0",
+            "--k3", "0"]
+    codes = [_run([*argv, "--tol-match", tol], capsys) for argv in (spectrum, scan)]
+    assert [code for code, _ in codes] == [want, want]
+    assert [json.loads(out)["tol_match"] for _, out in codes] == [float(tol)] * 2
+
+
+def test_scan_judges_every_sphere_match(capsys, monkeypatch):
+    # --K 20 gives each point 20 xi and 20 chi matches; the 13th chi match,
+    # past the 8 a spectrum prints, fails the scan when it misses
+    argv = ["scan", "--model", "lambda", "--lambda2", "0.1:0.1:1", "--N", "2048", "--K", "20"]
+    assert _run(argv, capsys)[0] == 0
+    real = spectral.solve_chi_equation
+
+    def perturbed(*args):
+        rep = real(*args)
+        z, cand, dev, _ = rep.matches[12]
+        rep.matches[12] = (z, cand, dev, 1.0)
+        return rep
+
+    monkeypatch.setattr(spectral, "solve_chi_equation", perturbed)
+    code, out = _run(argv, capsys)
+    assert code == 1 and json.loads(out)["rows"][0][3] == "max_rel_deviation=1.000e+00"
+
+
 def test_spectrum_degenerate_residual_is_judged_against_tol_match(capsys):
     argv = ["spectrum", "--model", "degenerate", "--alpha", "2", "--q", "1"]
     code, out = _run(argv, capsys)
@@ -664,13 +728,15 @@ def test_spectrum_degenerate_residual_is_judged_against_tol_match(capsys):
 
 
 def test_a_nan_degenerate_residual_fails(capsys, monkeypatch):
-    # at alpha = 1e6 the Bessel series overflows and its residual is NaN
+    # at alpha = 1e6 the Bessel series overflows: refused before any residual
     argv = ["spectrum", "--model", "degenerate", "--alpha", "1000000", "--q", "1"]
-    code, out = _run(argv, capsys)
-    assert code == 1 and math.isnan(json.loads(out)["bessel_ode_residual"])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--alpha 1000000, --q 1: floats cannot decide" in captured.err
+    assert "overflows" in captured.err and captured.out == ""
     monkeypatch.setattr(spectral, "bessel_ode_residual", lambda *args: float("nan"))
     code, out = _run(["spectrum", "--model", "degenerate", "--alpha", "2", "--q", "1"], capsys)
-    assert code == 1 and math.isnan(json.loads(out)["bessel_ode_residual"])
+    assert code == 1 and math.isnan(json.loads(out)["rows"][0][4])
 
 
 # the flags each subcommand's cmd_* reads, and no others

@@ -226,8 +226,8 @@ def test_fd_second_order_convergence():
     coarse = solve_poschl_teller(2, 3, 512)
     fine = solve_poschl_teller(2, 3, 1024)
     e0 = 25.0
-    err_c = abs(coarse.lowest[0].real - e0)
-    err_f = abs(fine.lowest[0].real - e0)
+    err_c = abs(coarse.eigenvalues[0].real - e0)
+    err_f = abs(fine.eigenvalues[0].real - e0)
     assert 3.5 < err_c / err_f < 4.5
 
 
@@ -391,6 +391,25 @@ def test_degenerate_level_is_matched_by_itself():
     assert (rep.model, rep.phase, rep.eigenvalues) == ("degenerate", "degenerate", [2])
     assert rep.matches == [(2, 2.0, resid, resid)]
     assert rep.notes == [f"bessel_ode_residual={resid:.3e}"]
+
+
+@pytest.mark.parametrize("q", [0, 1, 5, 126])
+def test_degenerate_level_passes_or_is_refused(q):
+    # the error bound stays above the measured residual: each level up to
+    # alpha = 120 either passes or is refused, none fails.  The refusals are
+    # needed: at (40, 1) the alternating series cancels, and at (115, 126)
+    # the contour sum aliases, past the tolerance
+    assert bessel_ode_residual(40, 1, 0.5) > spectral.BESSEL_RESIDUAL_TOL
+    assert bessel_ode_residual(115, 126, 0.5) > spectral.BESSEL_RESIDUAL_TOL
+    passed = 0
+    for i in range(1, 81):
+        try:
+            rep = spectral.degenerate_level(1.5 * i, q)
+        except ParamOutOfRange:
+            continue
+        assert rep.matches[0][3] <= spectral.BESSEL_RESIDUAL_TOL, 1.5 * i
+        passed += 1
+    assert passed >= 8  # alpha = 1.5 ... 12 passes at every q here
 
 
 def test_phase_scan_labels():
