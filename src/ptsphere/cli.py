@@ -139,8 +139,11 @@ def _emit(args, doc, csv_rows=None, csv_header=None):
     else:
         text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -265,19 +265,6 @@ class Exact:
     def is_rational(self) -> bool:
         return set(self._num) <= {1}
 
-    @property
-    def re(self) -> Fraction:
-        """Rational real part; raises if the value carries radicals."""
-        if not self.is_rational():
-            raise ValueError("value is not rational")
-        return Fraction(self._num.get(1, (0, 0))[0], self._den)
-
-    @property
-    def im(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("value is not rational")
-        return Fraction(self._num.get(1, (0, 0))[1], self._den)
-
     def real_rational(self) -> tuple[int, int]:
         """The int parts (a, b) of the value a/b; TypeError unless real rational."""
         if not self._num:

@@ -8,6 +8,8 @@ printed Pauli order i*sigma_1, i*sigma_2, i*sigma_3 by the one permutation
 (0, 3, 2, 1) of the generated list.  Which generators are symmetric is read
 off the matrices.  Enveloping-algebra elements are kept in PBW normal form
 (words with non-decreasing indices); the Casimirs are Gelfand invariants.
+The structure constants are derived from the matrices; the paper's printed
+commutator tables are the tests' reference data.
 """
 
 from __future__ import annotations
@@ -24,12 +26,9 @@ __all__ = [
     "GeneratorBasis",
     "EnvElement",
     "build_generators",
-    "verify_structure_constants",
     "pbw_normal_form",
     "env_commutator",
     "casimir_element",
-    "U2_TABLE",
-    "U3_TABLE",
 ]
 
 MAX_WORD_LEN = 6  # internal rewriting headroom; public contract is degree <= 3
@@ -50,26 +49,6 @@ def _generated_matrices(n: int) -> list[ExactMatrix]:
         mats = [mats[k] for k in (0, 3, 2, 1)]
     return mats
 
-
-# printed commutator tables; entries map (i, j) -> {k: coefficient} meaning
-# [X_i, X_j] = sum_k coeff * X_k
-U2_TABLE: dict[tuple[int, int], dict[int, int]] = {
-    (3, 2): {1: 2},
-    (2, 1): {3: 2},
-    (1, 3): {2: 2},
-}
-
-U3_TABLE: dict[tuple[int, int], dict[int, int]] = {
-    (1, 3): {4: 2}, (1, 4): {3: -2}, (1, 5): {6: 1},
-    (1, 6): {5: -1}, (1, 7): {8: -1}, (1, 8): {7: 1},
-    (2, 3): {4: -1}, (2, 4): {3: 1}, (2, 5): {6: 1},
-    (2, 6): {5: -1}, (2, 7): {8: 2}, (2, 8): {7: -2},
-    (3, 4): {1: 2}, (3, 5): {7: -1}, (3, 6): {8: -1},
-    (3, 7): {5: 1}, (3, 8): {6: 1}, (4, 5): {8: 1},
-    (4, 6): {7: -1}, (4, 7): {6: 1}, (4, 8): {5: -1},
-    (5, 6): {1: 2, 2: 2}, (5, 7): {3: -1}, (5, 8): {4: 1},
-    (6, 7): {4: -1}, (6, 8): {3: -1}, (7, 8): {2: 2},
-}
 
 @dataclass(frozen=True)
 class GeneratorBasis:
@@ -150,34 +129,6 @@ def build_generators(n: int) -> GeneratorBasis:
     return basis
 
 
-@dataclass
-class StructureReport:
-    checked: int
-    mismatches: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-
-def verify_structure_constants(basis: GeneratorBasis) -> StructureReport:
-    """Check every printed commutator-table entry against direct recomputation."""
-    table = U2_TABLE if basis.n == 2 else U3_TABLE
-    mismatches = []
-    for (i, j), coeffs in table.items():
-        lhs = basis.generators[i].commutator(basis.generators[j])
-        rhs = ExactMatrix.zero(basis.n, basis.n)
-        for k, c in coeffs.items():
-            rhs = rhs + basis.generators[k].scale(c)
-        if lhs != rhs:
-            mismatches.append((i, j))
-    # central element and Cartan pairs commute even though absent from the table
-    for i in range(basis.size):
-        if not basis.generators[0].commutator(basis.generators[i]).is_zero():
-            mismatches.append((0, i))
-    return StructureReport(checked=len(table) + basis.size, mismatches=mismatches)
-
-
 class EnvElement:
     """Enveloping-algebra element: map from index words to Exact coefficients."""
 
@@ -189,10 +140,6 @@ class EnvElement:
     @classmethod
     def gen(cls, i: int, coeff=1) -> "EnvElement":
         return cls({(i,): Exact.coerce(coeff)})
-
-    @classmethod
-    def const(cls, c) -> "EnvElement":
-        return cls({(): Exact.coerce(c)})
 
     @classmethod
     def linear(cls, coeffs: dict[int, Exact]) -> "EnvElement":

@@ -3,8 +3,10 @@
 A MASA here is an ordered set of n mutually commuting, symmetric, linearly
 independent complex matrices spanned by the symmetric generators of u(n).
 The module provides the named families used by the reduction engine, a
-validator, the PT-parity classifier, and the JSON file format used by the
-command line tool.
+validator, the PT-parity classifier, and the reader of the JSON file format
+used by the command line tool.  A MASA is its matrices: coefficient rows,
+as the catalog and the file format write them, are read into matrices and
+not kept.
 
 The lambda family and its lambda^2 = 1/2 limits come from one frame,
 lambda_frame: the orthogonal rows r_-, r_+, r_3, each of square
@@ -35,6 +37,7 @@ from .errors import (
     NotPTCompatible,
     ParamOutOfRange,
     UnknownName,
+    UnsupportedRank,
 )
 from .lie import build_generators
 from .matrices import ExactMatrix
@@ -50,7 +53,6 @@ __all__ = [
     "catalog_masa",
     "lambda_frame",
     "load_masa_file",
-    "save_masa_file",
     "CATALOG_NAMES",
     "MAX_PARAM_INT",
     "bounded_rational",
@@ -87,7 +89,6 @@ class MasaSpec:
     """n commuting symmetric generators plus optional parity data."""
 
     n: int
-    coeffs: tuple[tuple[Exact, ...], ...]
     matrices: tuple[ExactMatrix, ...]
     name: str | None = None
     params: tuple = ()
@@ -107,7 +108,7 @@ class MasaSpec:
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.n, self.coeffs, self.matrices, self.name, self.params, self.parity))
+            h = hash((self.n, self.matrices, self.name, self.params, self.parity))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -135,14 +136,17 @@ def masa_from_coeffs(
 
     Entry k of a row multiplies the k-th symmetric generator
     (symmetric_basis_indices); no validation is implied (call validate_masa
-    separately).  A row count other than n raises DimensionMismatch: fewer
-    elements than n cannot be maximal, and more cannot be independent.
+    separately); only the matrices are kept.  A row count other than n
+    raises DimensionMismatch: fewer elements than n cannot be maximal, and
+    more cannot be independent.  So does a parity that does not permute n
+    coordinates.
     """
     idx = symmetric_basis_indices(n)
     if len(coeffs) != n:
         raise DimensionMismatch(f"a MASA of u({n}) has {n} generators, got {len(coeffs)}")
+    if parity is not None and len(parity.image) != n:
+        raise DimensionMismatch(f"a parity of u({n}) has {n} entries, got {len(parity.image)}")
     gens = build_generators(n).generators
-    rows = []
     mats = []
     for row in coeffs:
         row = tuple(Exact.coerce(c) for c in row)
@@ -154,9 +158,8 @@ def masa_from_coeffs(
         for c, gi in zip(row, idx):
             if not c.is_zero():
                 m = m + gens[gi].scale(c)
-        rows.append(row)
         mats.append(m)
-    return MasaSpec(n, tuple(rows), tuple(mats), name, params, parity)
+    return MasaSpec(n, tuple(mats), name, params, parity)
 
 
 def validate_masa(m: MasaSpec) -> MasaReport:
@@ -225,7 +228,7 @@ def lambda_frame(lam2: Fraction, sign: int) -> tuple[tuple[Exact, ...], ...]:
 
 def _lambda_masa(name: str, lam2: Fraction, sign: int, params: tuple) -> MasaSpec:
     """The lambda family's MASA at (lam2, sign), its matrices built from the
-    frame as the module docstring says and its coefficient rows read off them."""
+    frame as the module docstring says."""
 
     def outer(u, v, c):  # c u v^T
         return ExactMatrix([[c * x * y for y in v] for x in u])
@@ -238,10 +241,7 @@ def _lambda_masa(name: str, lam2: Fraction, sign: int, params: tuple) -> MasaSpe
                 ExactMatrix.identity(3).scale(I)]
     else:
         mats = [outer(r, r, I / e * rat(s)) for r, s in zip(rows, (1, 1, -1))]
-    basis, idx = build_generators(3), symmetric_basis_indices(3)
-    expanded = [basis.expand_in_basis(Z) for Z in mats]
-    coeffs = tuple(tuple(c.get(gi, ZERO) for gi in idx) for c in expanded)
-    return MasaSpec(3, coeffs, tuple(mats), name, params, _U3_PARITY)
+    return MasaSpec(3, tuple(mats), name, params, _U3_PARITY)
 
 
 def _out_of_range(what: str) -> ParamOutOfRange:
@@ -340,37 +340,19 @@ def catalog_masa(name: str, **params) -> MasaSpec:
 # -- JSON file format -----------------------------------------------------------
 
 
-def _frac_to_text(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
-def _coeff_to_json(c: Exact) -> dict:
-    if not c.is_rational():
-        raise ValueError("file format stores rational coefficients only")
-    return {"re": _frac_to_text(c.re), "im": _frac_to_text(c.im)}
-
-
-def save_masa_file(m: MasaSpec, path: str) -> None:
-    doc = {
-        "n": m.n,
-        "basis": f"u{m.n}",
-        "generators": [[_coeff_to_json(c) for c in row] for row in m.coeffs],
-    }
-    if m.parity is not None:
-        doc["parity"] = [
-            (i + 1) * s for i, s in zip(m.parity.image, m.parity.sign)
-        ]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def load_masa_file(path: str) -> MasaSpec:
-    """Read a MASA written by save_masa_file; a catalog model's name is
-    refused, because the catalog models carry parameters a file does not."""
+    """Read a MASA from a JSON file: n, the integer 2 or 3; an optional
+    basis "u<n>"; generators, n coefficient rows of {"re": "p/q", "im":
+    "p/q"} entries (masa_from_coeffs); an optional parity, n signed 1-based
+    integers (SignedPermutation.from_signed_indices); an optional name.  An
+    n that is not a JSON integer raises UnsupportedRank, as one other than
+    2 or 3 does; a catalog model's name is refused, because the catalog
+    models carry parameters a file does not."""
     with open(path) as fh:
         doc = json.load(fh)
-    n = int(doc["n"])
+    n = doc["n"]
+    if type(n) is not int:  # bool is an int subclass, and JSON true is not a rank
+        raise UnsupportedRank(f"n must be the integer 2 or 3, got {n!r}")
     if doc.get("name") in CATALOG_NAMES:
         raise ValueError(
             f"name {doc['name']!r} belongs to a catalog model; use --model {doc['name']}"
@@ -384,5 +366,8 @@ def load_masa_file(path: str) -> MasaSpec:
     ]
     parity = None
     if "parity" in doc:
+        # 1.0 would index a tuple, and true be read as 1
+        if any(type(x) is not int for x in doc["parity"]):
+            raise ValueError(f"parity entries must be JSON integers, got {doc['parity']!r}")
         parity = SignedPermutation.from_signed_indices(doc["parity"])
     return masa_from_coeffs(n, rows, doc.get("name"), (), parity)

@@ -5,8 +5,9 @@ engine produces the reduced potential V = k^T (-A^T A)^{-1} k, the momentum
 map X -> Xhat on the constrained phase space, the named models' integrals
 of motion, and their identity verdicts.  A model's relations are one table
 in its MODELS entry, checked by verify_relation.  Every verdict returns one
-RelationReport, passed or failed: trials is the count it was set to run (0
-for a symbolic one), and a failure's detail names what failed.  Every
+RelationReport (passed, trials, detail), passed or failed: trials is the
+count it was set to run (0 for a symbolic one), a failure's detail names
+what failed, and the caller keys the report.  Every
 sampled verdict runs through _sampled_report, which reads each point into
 one phase._Point for the verdict's residuals and fails with the name of the
 first nonzero one.  The one float verdict, appendix_report on the
@@ -508,7 +509,6 @@ class RelationReport:
     """One identity verdict, passed or failed: trials is the count the check
     was set to run, and a failure's detail names what failed."""
 
-    name: str
     passed: bool
     trials: int
     detail: str = ""
@@ -518,12 +518,12 @@ def _degree_bound(*fs: PhaseRational) -> int:
     return sum(f.num.total_degree() + f.den.total_degree() for f in fs)
 
 
-def _sampled_report(name: str, residuals: Callable[[_Point], list], n: int, trials: int, seed):
+def _sampled_report(residuals: Callable[[_Point], list], n: int, trials: int, seed):
     """The one runner of every sampled zero verdict: residuals(point) lists
     the verdict's (name, value) pairs at each of trials sampled points, each
     read once into a _Point.  A failure's detail is the first nonzero name."""
     failed = first_nonzero_residual(lambda vals: residuals(_Point(vals, n)), n, trials, seed)
-    return RelationReport(name, failed is None, trials, failed or "")
+    return RelationReport(failed is None, trials, failed or "")
 
 
 @_kept
@@ -544,8 +544,7 @@ def verify_relation(masa: MasaSpec, key: str, seed: int = DEFAULT_SEED) -> Relat
     trials = max(20, _degree_bound(lhs, rhs) + 1)
     failure = f"{label} for {masa.label} fails at a sampled point"
     return _sampled_report(
-        f"{key}[{masa.label}]", lambda point: [(failure, lhs.eval(point) - rhs.eval(point))],
-        masa.n, trials, seed,
+        lambda point: [(failure, lhs.eval(point) - rhs.eval(point))], masa.n, trials, seed
     )
 
 
@@ -560,7 +559,7 @@ def verify_masa_reduction(masa: MasaSpec) -> RelationReport:
     bad = next((rho + 1 for rho, Z in enumerate(masa.matrices)
                 if not momentum_map(Z, masa).agrees_with(PhasePoly.k(masa.n, rho))), None)
     detail = f"Zhat_{bad} != k_{bad} for {masa.label}" if bad else "rational identity"
-    return RelationReport(f"zhat_eq_k[{masa.label}]", bad is None, 0, detail)
+    return RelationReport(bad is None, 0, detail)
 
 
 def verify_pt_invariance(masa: MasaSpec) -> RelationReport:
@@ -568,7 +567,7 @@ def verify_pt_invariance(masa: MasaSpec) -> RelationReport:
     V = _potential(masa)[0]
     ok = V.agrees_with(V.apply_pt(masa.parity))
     detail = "rational identity" if ok else f"V != PT(V) for {masa.label}"
-    return RelationReport(f"pt_invariance[{masa.label}]", ok, 0, detail)
+    return RelationReport(ok, 0, detail)
 
 
 def casimir_projection_report(
@@ -604,7 +603,7 @@ def casimir_projection_report(
     else:
         passed = True
         detail = " + ".join(f"({c}) {name}" for name, c in coeffs.items() if not c.is_zero())
-    return RelationReport(f"casimir_projection[{masa.label}]", passed, npts, detail)
+    return RelationReport(passed, npts, detail)
 
 
 def verify_conservation(
@@ -617,10 +616,7 @@ def verify_conservation(
     sysr = build_hamiltonian(masa)
     H, integrals = sysr.hamiltonian, sysr.integrals
     if not integrals:
-        return RelationReport(
-            f"conservation[{masa.label}]", True, 0,
-            "no integral checked: the MASA has no catalog integrals",
-        )
+        return RelationReport(True, 0, "no integral checked: the MASA has no catalog integrals")
     # every integral at the same points, as many as the most demanding needs
     used = trials if trials is not None else max(
         max(20, (_degree_bound(H, T) + 1) // 2) for _, T in integrals
@@ -635,7 +631,7 @@ def verify_conservation(
             for failure, T in named
         ]
 
-    return _sampled_report(f"conservation[{masa.label}]", residuals, masa.n, used, seed)
+    return _sampled_report(residuals, masa.n, used, seed)
 
 
 @_kept
@@ -696,17 +692,15 @@ def verify_homomorphism(
             out.append((failure, sum_of_products(terms)))
         return out
 
-    return _sampled_report(f"homomorphism[{masa.label}]", residuals, n, npoints, seed)
+    return _sampled_report(residuals, n, npoints, seed)
 
 
 @dataclass
 class RacahReport(RelationReport):
     """passed: T12 = -T13 = T23 at every sampled point; bracket_fits: {T12, T1}
-    and {T12, T2} over basis_names at the couplings k_values, if fitted."""
+    and {T12, T2} over products of integrals, name to coefficient, if fitted."""
 
     bracket_fits: dict = field(default_factory=dict)
-    k_values: tuple = ()
-    basis_names: tuple = ()
 
     @property
     def antisymmetry_ok(self) -> bool:
@@ -756,17 +750,15 @@ def racah_structure_report(
         t12 = pb(g1, g2)
         return [(plus, t12 + pb(g1, g3)), (minus, t12 - pb(g2, g3))]
 
-    rep = _sampled_report(f"racah[{masa.label}]", residuals, n, trials, seed)
-    kfix = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
-    names = ("T1*T2", "T1*T3", "T2*T3", "T1^2", "T2^2", "T3^2", "T1", "T2", "T3", "1")
-    report = RacahReport(rep.name, rep.passed, trials, rep.detail or "T12 = -T13 = T23",
-                         {}, kfix, names)
+    rep = _sampled_report(residuals, n, trials, seed)
+    report = RacahReport(rep.passed, trials, rep.detail or "T12 = -T13 = T23")
     if not with_fits:
         return report
 
     # nested brackets at fixed couplings; T12 assembled once symbolically
     T12 = poisson_bracket(T1, T2)
-    kvals = [Exact.from_rational(kv) for kv in kfix]
+    kvals = [Exact.from_rational(kv) for kv in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))]
+    names = ("T1*T2", "T1*T3", "T2*T3", "T1^2", "T2^2", "T3^2", "T1", "T2", "T3", "1")
 
     def fit_sample(vals, target):
         vals[2 * n :] = kvals
@@ -787,9 +779,6 @@ def racah_structure_report(
 
 @dataclass
 class JacobianCheck:
-    masa_name: str
-    x: tuple
-    s: tuple
     residuals: dict
 
 
@@ -835,7 +824,7 @@ def jacobian_check(masa: MasaSpec, x: Sequence[float], s: Sequence[float]) -> Ja
         "x_indep": float(np.max(np.abs(-A.T @ Binv @ Binv @ A - Vm))),
         "v_def": float(np.max(np.abs(Vm + Aex.T @ Aex))),
     }
-    return JacobianCheck(masa.label, tuple(x), tuple(map(complex, sv)), res)
+    return JacobianCheck(res)
 
 
 def appendix_report(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationReport:
@@ -848,4 +837,4 @@ def appendix_report(masa: MasaSpec, seed: int = DEFAULT_SEED) -> RelationReport:
         res += jacobian_check(masa, x, s).residuals.items()
     which, worst = max(res, key=lambda item: item[1])
     detail = f"worst residual {worst:.3e} ({which}) for {masa.label}"
-    return RelationReport(f"appendix[{masa.label}]", all(r <= 1e-9 for _, r in res), 10, detail)
+    return RelationReport(all(r <= 1e-9 for _, r in res), 10, detail)

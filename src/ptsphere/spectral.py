@@ -596,9 +596,7 @@ def pt_phase_scan(lambda2_grid, ks, N: int = 1024, K: int = LOWEST_K) -> list[Sp
 
 @dataclass
 class MetamorphosisReport:
-    case: str
     residual: float
-    points: int
     ok: bool
 
 
@@ -677,12 +675,12 @@ def metamorphosis_check(case: str, **params) -> MetamorphosisReport:
         Gpp = lambda rho: 6 * rho + cmath.exp(rho / 2) / 4
         phis = [0.2, 0.9, 1.7, 2.6, 4.1, 5.3]
         worst = max(_morse_residual(a, k1, k2, E, p, G, Gpp) for p in phis)
-        return MetamorphosisReport("morse", worst, len(phis), worst <= METAMORPHOSIS_TOL)
+        return MetamorphosisReport(worst, worst <= METAMORPHOSIS_TOL)
     if case == "degenerate":
         sign = params.get("sign", 1)
         alpha = params["alpha"]
         q = params["q"]
         pts = [(1.2, 2.2), (1.5, 2.5), (1.8, 2.1), (1.35, 2.7)]
         worst = max(_degenerate_residual(sign, alpha, q, th, ph) for th, ph in pts)
-        return MetamorphosisReport("degenerate", worst, len(pts), worst <= METAMORPHOSIS_TOL)
+        return MetamorphosisReport(worst, worst <= METAMORPHOSIS_TOL)
     raise UnknownName(f"unknown metamorphosis case {case!r}")

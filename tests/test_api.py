@@ -1,6 +1,7 @@
 """The public names of the package resolve, including every one the
-benchmark workloads call, so a deletion cannot silently break them; and the
-int parts of Exact are read only where the layering allows."""
+benchmark workloads call, so a deletion cannot silently break them; every
+public name has a reader outside the tests; and the int parts of Exact are
+read only where the layering allows."""
 
 import ast
 import importlib
@@ -58,6 +59,38 @@ def test_workload_references_exist():
         if not hasattr(importlib.import_module(mod), attr)
     ]
     assert not missing, missing
+
+
+def _src_loads():
+    """(name, module file, top-level def) for every name read in src/ptsphere:
+    each loaded Name, and the attribute of each loaded Attribute; the def is
+    None at module level."""
+    loads = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            where = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loads.add((node.id, path.name, where))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loads.add((node.attr, path.name, where))
+    return loads
+
+
+def test_every_public_name_has_a_reader():
+    # a name in __all__ is read in src/ptsphere outside its own definition,
+    # or by the benchmark workloads; one that only the tests read belongs in
+    # the tests
+    loads = _src_loads()
+    workloads = {(mod.split(".")[-1], attr) for mod, attr in _workload_references()}
+    unread = []
+    for name in MODULES:
+        mod = importlib.import_module(f"ptsphere.{name}")
+        for attr in getattr(mod, "__all__", ()):
+            readers = {(file, where) for read, file, where in loads if read == attr}
+            if not readers - {(f"{name}.py", attr)} and (name, attr) not in workloads:
+                unread.append(f"{name}.{attr}")
+    assert not unread, unread
 
 
 def _tracing_aliases():

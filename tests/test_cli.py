@@ -40,7 +40,7 @@ BAD_MASA = {
 # cartan_od (a, b) off a^2 = 4b^2, where its catalog default (1, 1/2) sits
 CARTAN_OD_GENERIC = [("6/5", "1"), ("3", "2/7")]
 
-# su2ab with a = 2, b = 1, as save_masa_file writes it: a valid MASA
+# su2ab with a = 2, b = 1 in the MASA file format: a valid MASA
 SU2AB_MASA = {
     "n": 2,
     "basis": "u2",
@@ -52,7 +52,7 @@ SU2AB_MASA = {
 }
 
 
-# the nilpotent model's rows, as save_masa_file writes them: a MASA of u(3)
+# the nilpotent model's rows in the MASA file format: a MASA of u(3)
 U3_ROWS = [
     [{"re": re, "im": im} for re, im in row]
     for row in (
@@ -71,8 +71,10 @@ def _with_coefficient(re):
     return json.dumps(dict(SU2AB_MASA, generators=rows))
 
 
-def _u3_file(rows):
-    return json.dumps({"n": 3, "basis": "u3", "generators": U3_ROWS[:rows], "parity": [1, 2, -3]})
+def _u3_file(rows=3, **fields):
+    """The first rows of U3_ROWS as a u(3) MASA file, fields replacing its own."""
+    doc = {"n": 3, "basis": "u3", "generators": U3_ROWS[:rows], "parity": [1, 2, -3]}
+    return json.dumps({**doc, **fields})
 
 
 def _run(argv, capsys):
@@ -119,11 +121,22 @@ def test_validate_bad_masa_file_exits_1(tmp_path, capsys):
         # two elements of u(3) are not maximal, and four not independent;
         # two rows used to pass validate and crash reduce and verify
         *((command, _u3_file(rows)) for rows in (2, 4) for command in ("validate", "reduce", "verify")),
+        # a parity must permute the n coordinates: [1, -2] used to crash
+        # verify, [1, 2, -3, 4] to pass, and [4, 1, 2, 3] to send s1 to p1
+        *((command, _u3_file(parity=parity)) for parity in ([1, -2], [1, 2, -3, 4], [4, 1, 2, 3])
+          for command in ("validate", "reduce", "verify")),
+        # in integers: 1.0 used to crash validate, and true to be read as 1
+        *(("validate", _u3_file(parity=[first, 2, -3])) for first in (1.0, True)),
+        # n is a JSON integer: 3.5 used to be read as 3
+        *(("validate", _u3_file(n=n)) for n in (3.5, 3.0, True, "3")),
     ],
     ids=["missing", "not_json", "no_generators", "catalog_name", "n_1", "n_4", "n_10^6",
          "zero_denominator", "exponent-validate", "exponent-reduce",
          *(f"u3_{rows}_rows-{command}" for rows in (2, 4)
-           for command in ("validate", "reduce", "verify"))],
+           for command in ("validate", "reduce", "verify")),
+         *(f"parity_{parity}-{command}" for parity in ("1,-2", "1,2,-3,4", "4,1,2,3")
+           for command in ("validate", "reduce", "verify")),
+         "parity_1.0,2,-3", "parity_true,2,-3", "n_3.5", "n_3.0", "n_true", "n_string"],
 )
 def test_bad_masa_file_exits_2(tmp_path, capsys, command, content):
     path = tmp_path / "masa.json"
@@ -137,6 +150,22 @@ def test_bad_masa_file_exits_2(tmp_path, capsys, command, content):
     assert "config error" in captured.err
     assert captured.out == ""
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "--model", "su2ab"],
+     ["spectrum", "--model", "s1", "--gminus", "2", "--gplus", "3"]],
+    ids=["validate", "spectrum"],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    # a missing directory, and a directory: both used to raise OSError after
+    # the work was done (exit 1)
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: cannot write --out {str(out)!r}" in captured.err
 
 
 def test_unknown_model_exits_2(capsys):
@@ -220,7 +249,7 @@ def test_reduce_runs_the_checks_the_model_table_picks(capsys, model):
 def test_verify_always_echoes_its_seed(capsys, monkeypatch, model):
     # the homomorphism check samples on every model, a --masa file included
     def sampled(masa, seed):
-        return reduction.RelationReport("stub", True, 1, "")
+        return reduction.RelationReport(True, 1, "")
 
     monkeypatch.setattr(reduction, "verify_conservation", sampled)
     monkeypatch.setattr(reduction, "verify_homomorphism", sampled)

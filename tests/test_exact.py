@@ -39,8 +39,8 @@ def test_sqrt_radicals():
 def test_conjugate_and_parts():
     z = rat(Fraction(1, 3), Fraction(-2, 5))
     assert z.conjugate() == rat(Fraction(1, 3), Fraction(2, 5))
-    assert z.re == Fraction(1, 3)
-    assert z.im == Fraction(-2, 5)
+    assert z + z.conjugate() == rat(Fraction(2, 3))
+    assert z - z.conjugate() == rat(0, Fraction(-4, 5))
     assert complex(z.to_complex()) == pytest.approx(1 / 3 - 0.4j)
 
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from ptsphere.errors import (
     UnknownName,
     UnsupportedRank,
 )
-from ptsphere.exact import I, ZERO, Exact
+from ptsphere.exact import I, ZERO
 from ptsphere.matrices import ExactMatrix
 from ptsphere.phase import SignedPermutation
 from ptsphere.masa import (
@@ -19,7 +20,6 @@ from ptsphere.masa import (
     lambda_frame,
     load_masa_file,
     masa_from_coeffs,
-    save_masa_file,
     symmetric_basis_indices,
     validate_masa,
 )
@@ -106,13 +106,29 @@ def test_noncommuting_rows_fail_validation():
     assert not rep.commuting_ok
 
 
+def _entries(*row):
+    # a coefficient row of the MASA file format from (re, im) text pairs
+    return [{"re": re, "im": im} for re, im in row]
+
+
 def test_file_roundtrip(tmp_path):
     m = catalog_masa("cartan_od", a=Fraction(1), b=Fraction(1, 2))
     path = tmp_path / "cartan.json"
-    save_masa_file(m, str(path))
+    zero = ("0", "0")
+    path.write_text(json.dumps({
+        "n": 3,
+        "basis": "u3",
+        "generators": [
+            _entries(("1/3", "0"), ("2/3", "0"), ("1/3", "0"), zero, zero, zero),
+            _entries(zero, zero, ("1", "0"), zero, zero, ("0", "1")),
+            _entries(("2/3", "0"), ("-2/3", "0"), ("-1/3", "0"), zero, zero, zero),
+        ],
+        "parity": [1, 2, -3],
+    }))
     m2 = load_masa_file(str(path))
     assert m2.n == m.n
     assert m2.size == m.size
+    assert m2.parity == m.parity
     for a, b in zip(m.matrices, m2.matrices):
         assert (a - b).is_zero()
     assert validate_masa(m2).passed
@@ -133,7 +149,6 @@ LAMBDA2_PINS = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(2, 7), Fra
 def test_lambda_frame_gives_the_printed_rows(lam2):
     m = catalog_masa("lambda", lambda2=lam2)
     ref = masa_from_coeffs(3, lambda_rows(lam2))
-    assert m.coeffs == ref.coeffs
     assert m.matrices == ref.matrices
 
 
@@ -142,7 +157,6 @@ def test_degenerate_frame_gives_the_rescaled_rows(name, sign):
     m = catalog_masa(name)
     ref = masa_from_coeffs(3, degenerate_rows(sign))
     assert m.params == (sign,)
-    assert m.coeffs == ref.coeffs
     assert m.matrices == ref.matrices
 
 
@@ -175,10 +189,14 @@ def test_pt_signs_match_the_matrix_products(name, kw):
 
 def test_a_generator_neither_even_nor_odd_is_refused(tmp_path):
     # su2ab's file with its second generator mixed, as the CLI tests write it
-    i = Exact.from_rational(0, 1)
-    m = masa_from_coeffs(2, [[1, 0, 0], [0, 1 - i, 1]], parity=SignedPermutation((0, 1), (1, -1)))
     path = tmp_path / "mixed.json"
-    save_masa_file(m, str(path))
+    path.write_text(json.dumps({
+        "n": 2,
+        "basis": "u2",
+        "generators": [_entries(("1", "0"), ("0", "0"), ("0", "0")),
+                       _entries(("0", "0"), ("1", "-1"), ("1", "0"))],
+        "parity": [1, -2],
+    }))
     m = load_masa_file(str(path))
     for classify in (classify_pt, exact_products_reference.classify_pt):
         with pytest.raises(NotPTCompatible, match="generator 1 is neither even nor odd"):
@@ -192,6 +210,6 @@ def test_pt_signs_under_a_three_cycle():
     # = conj(Z)[a - 1][b + 1] (mod 3), so a real Z whose entries depend on
     # a + b only is even, and i times it odd
     Z = ExactMatrix([[(a + b) % 3 + 1 for b in range(3)] for a in range(3)])
-    m = MasaSpec(3, (), (Z, Z.scale(I)))
+    m = MasaSpec(3, (Z, Z.scale(I)))
     cycle = SignedPermutation.from_signed_indices([2, 3, 1])
     assert classify_pt(m, cycle) == exact_products_reference.classify_pt(m, cycle) == (1, -1)
