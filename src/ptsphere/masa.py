@@ -344,15 +344,17 @@ def load_masa_file(path: str) -> MasaSpec:
     """Read a MASA from a JSON file: n, the integer 2 or 3; an optional
     basis "u<n>"; generators, n coefficient rows of {"re": "p/q", "im":
     "p/q"} entries (masa_from_coeffs); an optional parity, n signed 1-based
-    integers (SignedPermutation.from_signed_indices); an optional name.  An
-    n that is not a JSON integer raises UnsupportedRank, as one other than
-    2 or 3 does; a catalog model's name is refused, because the catalog
-    models carry parameters a file does not."""
+    integers (SignedPermutation.from_signed_indices); an optional name, a
+    JSON string.  An n that is not a JSON integer raises UnsupportedRank, as
+    one other than 2 or 3 does; a catalog model's name is refused, because
+    the catalog models carry parameters a file does not."""
     with open(path) as fh:
         doc = json.load(fh)
     n = doc["n"]
     if type(n) is not int:  # bool is an int subclass, and JSON true is not a rank
         raise UnsupportedRank(f"n must be the integer 2 or 3, got {n!r}")
+    if not isinstance(doc.get("name", ""), str):  # a list would not hash in the build cache
+        raise ValueError(f"name must be a JSON string, got {doc['name']!r}")
     if doc.get("name") in CATALOG_NAMES:
         raise ValueError(
             f"name {doc['name']!r} belongs to a catalog model; use --model {doc['name']}"

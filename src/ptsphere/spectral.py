@@ -77,8 +77,8 @@ PARITY_POINTS, PARITY_TOL = 12, 1e-10
 # points) carry an O(h^2) error, and the degenerate level's one deviation is
 # its Bessel ODE residual; and the largest passing metamorphosis residual
 EXACT_LEVEL_TOL, FD_LEVEL_TOL, BESSEL_RESIDUAL_TOL, METAMORPHOSIS_TOL = 1e-6, 1e-3, 1e-10, 1e-9
-# the contour radius and node count of _cauchy_derivative
-CAUCHY_RADIUS, CAUCHY_NODES = 0.2, 64
+# _cauchy_derivative's contour radius and node count; every Bessel series' terms
+CAUCHY_RADIUS, CAUCHY_NODES, BESSEL_TERMS = 0.2, 64, 30
 
 
 # -- coupling reparametrizations ------------------------------------------------
@@ -190,14 +190,15 @@ def _nearest(candidates, x: float) -> float:
     return min(candidates[max(i - 1, 0) : i + 1], key=lambda e: abs(x - e))
 
 
-def _finish_report(rep: SpectrumReport, eig, K: int, candidates):
+def _finish_report(rep: SpectrumReport, eig, K: int, closed_form=None):
+    # closed_form(n, z) is the closed form of level n, of value z; None matches none
     eig = sorted(eig, key=lambda z: (complex(z).real, complex(z).imag))
     rep.eigenvalues = [complex(z) for z in eig]
     low = rep.eigenvalues[: min(K, len(rep.eigenvalues))]
     rep.max_imag = max((abs(z.imag) for z in low), default=0.0)
-    if candidates:
-        for z in low:
-            cand = _nearest(candidates, z.real)
+    if closed_form:
+        for n, z in enumerate(low):
+            cand = closed_form(n, z)
             dev = abs(z - cand)
             rel = dev / max(abs(cand), 1.0)
             rep.matches.append((z, cand, dev, rel))
@@ -244,18 +245,17 @@ def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K) -> SpectrumReport
         "closed-form matches refer to the periodic operator:"
         " only branch energies that are integer squares can match"
     )
-    candidates = []
     if abs(a * a - b * b) < REAL_TOL:
         candidates = sorted({float(m * m) for m in range(M + 1)})
         rep.notes.append("Morse case a^2 = b^2: the candidates are {m^2}")
     else:
         gm, gp = circle_couplings(a, b, k1, k2)
-        if _is_real(gm, gp):
-            candidates = closed_form_energies(gm.real, gp.real, count=2 * K, half_integer=True)
-        else:
+        if not _is_real(gm, gp):
             rep.phase = "complex-coupling"
             rep.notes.append(f"g_- = {gm}, g_+ = {gp}")
-    return _finish_report(rep, eig, K, candidates)
+            return _finish_report(rep, eig, K)
+        candidates = closed_form_energies(gm.real, gp.real, count=2 * K, half_integer=True)
+    return _finish_report(rep, eig, K, lambda n, z: _nearest(candidates, z.real))
 
 
 # -- finite-difference solvers on (0, pi/2) -------------------------------------
@@ -285,16 +285,21 @@ def _dirichlet_pt(gm: float, gp: float, N: int, K: int, shift: float) -> np.ndar
     return vals.astype(complex)
 
 
+def _fd_report(model: str, gm: float, gp: float, shift: float, N: int, K: int) -> SpectrumReport:
+    """The Poschl-Teller operator at (g_-, g_+) plus shift, level n matched with
+    (2n + g_- + g_+)^2 + shift; below g = 1 levels converge slower than h^2."""
+    if gm < 1 or gp < 1:
+        raise BadCouplings(f"Dirichlet selection needs g_-, g_+ >= 1, got {gm:.6g}, {gp:.6g}")
+    eig = _dirichlet_pt(gm, gp, N, K, shift)
+    levels = closed_form_energies(gm, gp, count=K, branches=(1,))
+    return _finish_report(SpectrumReport(model, FD_LEVEL_TOL), eig, K,
+                          lambda n, z: levels[n] + shift)
+
+
 def solve_poschl_teller(gm, gp, N: int, K: int = LOWEST_K) -> SpectrumReport:
     """Dirichlet finite differences for g_-(g_- - 1)/sin^2 + g_+(g_+ - 1)/cos^2
     on (0, pi/2); Dirichlet ends select the xi^g branch, which needs g >= 1."""
-    gm, gp = float(gm), float(gp)
-    if gm < 1 or gp < 1:
-        raise BadCouplings("Dirichlet selection needs g_-, g_+ >= 1")
-    eig = _dirichlet_pt(gm, gp, N, K, 0.0)
-    rep = SpectrumReport("poschl_teller", FD_LEVEL_TOL)
-    candidates = closed_form_energies(gm, gp, count=4 * K, branches=(1,))
-    return _finish_report(rep, eig, K, candidates)
+    return _fd_report("poschl_teller", float(gm), float(gp), 0.0, N, K)
 
 
 def solve_chi_equation(ell3, composite, N: int, K: int = LOWEST_K) -> SpectrumReport:
@@ -305,15 +310,9 @@ def solve_chi_equation(ell3, composite, N: int, K: int = LOWEST_K) -> SpectrumRe
     -PsiTilde'' + [l3(l3-1)/cos^2 + (M^2 - 1/4)/sin^2 - 1/4] PsiTilde
     = E PsiTilde, the Poschl-Teller operator at (g_-, g_+) = (M + 1/2, l3)
     shifted by -1/4, discretized with Dirichlet ends on (0, pi/2); the
-    interior cos^2 singularity at pi/2 bounds the domain.  M < 1/2 is allowed.
+    interior cos^2 singularity at pi/2 bounds the domain.
     """
-    l3, comp = float(ell3), float(composite)
-    if l3 < 1:
-        raise BadCouplings("Dirichlet selection needs ell3 >= 1")
-    eig = _dirichlet_pt(comp + 0.5, l3, N, K, -0.25)
-    rep = SpectrumReport("chi", FD_LEVEL_TOL)
-    levels = closed_form_energies(comp + 0.5, l3, count=4 * K, branches=(1,))
-    return _finish_report(rep, eig, K, [e - 0.25 for e in levels])
+    return _fd_report("chi", float(composite) + 0.5, float(ell3), -0.25, N, K)
 
 
 # -- eigenfunctions -------------------------------------------------------------
@@ -457,29 +456,27 @@ def pt_parity_check(model: str, branch: int = 1, qn=0, **params) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _bessel_coefficients(q: int, terms: int) -> tuple[tuple[float, ...], float]:
-    """(-1)^j / (j! Gamma(j+q+3/2)) for j < terms, and the tail denominator
-    terms! Gamma(terms+q+3/2); bessel_series_psi checks q + terms <= 170."""
+def _bessel_coefficients(q: int) -> tuple[tuple[float, ...], float]:
+    """(-1)^j / (j! Gamma(j+q+3/2)) for j < T = BESSEL_TERMS, and the tail
+    denominator T! Gamma(T+q+3/2); bessel_series_psi checks q + T <= 170."""
     coeffs = tuple(
-        (-1) ** j / (math.factorial(j) * math.gamma(j + q + 1.5)) for j in range(terms)
+        (-1) ** j / (math.factorial(j) * math.gamma(j + q + 1.5)) for j in range(BESSEL_TERMS)
     )
-    return coeffs, math.factorial(terms) * math.gamma(terms + q + 1.5)
+    return coeffs, math.factorial(BESSEL_TERMS) * math.gamma(BESSEL_TERMS + q + 1.5)
 
 
-def bessel_series_psi(alpha, q: int, z, terms: int = 30):
+def bessel_series_psi(alpha, q: int, z):
     """Truncated series sum_j (-1)^j / (j! Gamma(j+q+3/2)) (alpha z / 2)^(2j+q+1).
 
     Returns (value, tail_bound) where the bound is the first dropped term
     estimated through the ratio test.  math.gamma overflows past
-    q + terms = 170.  The coefficients are built once per (q, terms).
+    q + BESSEL_TERMS = 170.  The coefficients are built once per q.
     """
-    if terms < 1:
-        raise ParamOutOfRange("terms must be >= 1")
     if q < 0 or q != int(q):
         raise ParamOutOfRange("q must be a non-negative integer")
-    if q + terms > 170:
-        raise ParamOutOfRange(f"q + terms = {q + terms} > 170 overflows math.gamma")
-    coeffs, tail_den = _bessel_coefficients(int(q), terms)
+    if q + BESSEL_TERMS > 170:
+        raise ParamOutOfRange(f"q + terms = {q + BESSEL_TERMS} > 170 overflows math.gamma")
+    coeffs, tail_den = _bessel_coefficients(int(q))
     w = complex(alpha) * complex(z) / 2
     total = 0j
     term_pow = w ** (q + 1)
@@ -489,22 +486,21 @@ def bessel_series_psi(alpha, q: int, z, terms: int = 30):
     return total, abs(term_pow) / tail_den
 
 
-def _cauchy_derivative(f, t0, order: int, radius: float = CAUCHY_RADIUS,
-                       nodes: int = CAUCHY_NODES):
+def _cauchy_derivative(f, t0, order: int):
     """order-th derivative of an analytic function by contour quadrature."""
     import numpy as np
 
-    ks = np.arange(nodes)
-    ts = t0 + radius * np.exp(2j * np.pi * ks / nodes)
+    ks = np.arange(CAUCHY_NODES)
+    ts = t0 + CAUCHY_RADIUS * np.exp(2j * np.pi * ks / CAUCHY_NODES)
     vals = np.array([f(t) for t in ts])
-    coeff = np.mean(vals * np.exp(-2j * np.pi * ks * order / nodes))
-    return coeff * math.factorial(order) / radius**order
+    coeff = np.mean(vals * np.exp(-2j * np.pi * ks * order / CAUCHY_NODES))
+    return coeff * math.factorial(order) / CAUCHY_RADIUS**order
 
 
-def bessel_ode_residual(alpha, q: int, z, terms: int = 30) -> float:
+def bessel_ode_residual(alpha, q: int, z) -> float:
     """Residual of -psi'' + (E/z^2) psi - alpha^2 psi with E = q(q+1)."""
     E = q * (q + 1)
-    f = lambda t: bessel_series_psi(alpha, q, t, terms)[0]
+    f = lambda t: bessel_series_psi(alpha, q, t)[0]
     d2 = _cauchy_derivative(f, complex(z), 2)
     val = f(complex(z))
     return float(abs(-d2 + E / complex(z) ** 2 * val - complex(alpha) ** 2 * val))
@@ -630,7 +626,7 @@ def _morse_residual(a, k1, k2, E, phi0, G, Gpp):
     return float(abs(lhs + mult * osc))
 
 
-def _degenerate_residual(sign, alpha, q, th, ph, terms=30):
+def _degenerate_residual(sign, alpha, q, th, ph):
     # psi(s) = F(z), z = 1/(s1 - s2 + sign i sqrt2 s3); the isotropy of the
     # direction vector makes -Laplacian_{S^2} F(z) = z^2 F''(z), so the
     # Schrodinger equation collapses to -F'' + (E/z^2) F = alpha^2 F
@@ -641,7 +637,7 @@ def _degenerate_residual(sign, alpha, q, th, ph, terms=30):
         s2 = cmath.sin(theta) * cmath.sin(phi)
         s3 = cmath.cos(theta)
         w = s1 - s2 + sign * 1j * math.sqrt(2) * s3
-        return bessel_series_psi(alpha, q, 1 / w, terms)[0]
+        return bessel_series_psi(alpha, q, 1 / w)[0]
 
     d2th = _cauchy_derivative(lambda t: psi(t, ph), th, 2)
     dth = _cauchy_derivative(lambda t: psi(t, ph), th, 1)

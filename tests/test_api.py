@@ -147,6 +147,22 @@ def test_int_parts_stay_in_their_kernels():
     assert {where for where, use in found["matrices.py"] if use == "int_parts"} == {"row_reduce"}
 
 
+def test_one_finite_difference_path():
+    # one function of src/ptsphere calls _dirichlet_pt, and one raise refuses
+    # the couplings Dirichlet ends cannot select (BadCouplings):
+    # solve_poschl_teller and solve_chi_equation share both
+    callers, guards = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "_dirichlet_pt":
+                    callers.add((path.name, getattr(top, "name", None)))
+                elif isinstance(node, ast.Raise) and "BadCouplings" in ast.unparse(node):
+                    guards.append((path.name, getattr(top, "name", None)))
+    assert len(callers) == 1, callers
+    assert len(guards) == 1, guards
+
+
 def _names_a_phase(node) -> bool:
     # a comparison of a .phase attribute with a string constant
     sides = [node.left, *node.comparators]

@@ -129,6 +129,11 @@ def test_validate_bad_masa_file_exits_1(tmp_path, capsys):
         *(("validate", _u3_file(parity=[first, 2, -3])) for first in (1.0, True)),
         # n is a JSON integer: 3.5 used to be read as 3
         *(("validate", _u3_file(n=n)) for n in (3.5, 3.0, True, "3")),
+        # name is a JSON string: a list used to pass validate and crash reduce
+        # and verify in the build cache, and 5 to be taken as a name
+        *((command, _u3_file(name=name)) for name in (["x"], 5)
+          for command in ("validate", "reduce", "verify")),
+        *(("validate", _u3_file(name=name)) for name in (True, None)),
     ],
     ids=["missing", "not_json", "no_generators", "catalog_name", "n_1", "n_4", "n_10^6",
          "zero_denominator", "exponent-validate", "exponent-reduce",
@@ -136,7 +141,10 @@ def test_validate_bad_masa_file_exits_1(tmp_path, capsys):
            for command in ("validate", "reduce", "verify")),
          *(f"parity_{parity}-{command}" for parity in ("1,-2", "1,2,-3,4", "4,1,2,3")
            for command in ("validate", "reduce", "verify")),
-         "parity_1.0,2,-3", "parity_true,2,-3", "n_3.5", "n_3.0", "n_true", "n_string"],
+         "parity_1.0,2,-3", "parity_true,2,-3", "n_3.5", "n_3.0", "n_true", "n_string",
+         *(f"name_{name}-{command}" for name in ("list", "5")
+           for command in ("validate", "reduce", "verify")),
+         "name_true", "name_null"],
 )
 def test_bad_masa_file_exits_2(tmp_path, capsys, command, content):
     path = tmp_path / "masa.json"
@@ -536,6 +544,10 @@ def test_grid_size_out_of_range_exits_2(capsys, argv, N):
         ("spectrum --model s1 --a 1 --b 1 --gminus 2 --gplus 3", "--a 1, --b 1"),
         # a solver's error names every model flag given
         ("spectrum --model chi --ell3 1/3 --composite 4", "--ell3 1/3, --composite 4: Dirichlet"),
+        # chi at M < 1/2 has g_- = M + 1/2 < 1: its levels converge as h^(2M),
+        # and the level-0 deviation at --composite 1/4 used to fail (exit 1)
+        ("spectrum --model chi --ell3 1 --composite 1/4", "--ell3 1, --composite 1/4: Dirichlet"),
+        ("spectrum --model chi --ell3 1 --composite 0", "--ell3 1, --composite 0: Dirichlet"),
         ("spectrum --model s1 --a 3 --b 3 --gminus 2 --gplus 3",
          "--a 3, --b 3, --gminus 2, --gplus 3: needs a^2 != b^2"),
         ("spectrum --model degenerate --alpha 3/2 --q 150", "--alpha 3/2, --q 150: q + terms"),

@@ -199,6 +199,49 @@ def test_dirichlet_pt_bisects_for_the_lowest_K_levels_only(gm, gp, N, K, shift):
     assert np.all(np.abs(got - ref) <= np.maximum(eps * norm1, 2 * eps * np.abs(ref)))
 
 
+@pytest.mark.parametrize(
+    "solve, gm, gp, shift",
+    [(lambda N, K: solve_poschl_teller(2, 3, N, K), 2, 3, 0.0),
+     (lambda N, K: solve_poschl_teller(1.5, 2.5, N, K), 1.5, 2.5, 0.0),
+     (lambda N, K: solve_chi_equation(2, 5, N, K), 5.5, 2, -0.25),
+     (lambda N, K: solve_chi_equation(1, 0.5, N, K), 1.0, 1, -0.25)],
+    ids=["pt-2-3", "pt-1.5-2.5", "chi-2-5", "chi-1-0.5"],
+)
+def test_fd_match_n_carries_closed_form_n(solve, gm, gp, shift):
+    # level n of a finite-difference report is matched with (2n + g_- + g_+)^2
+    # + shift, not with the nearest closed form: at N = 16, level 6 of (2, 3)
+    # lies nearer closed form 5 (225) than its own (289)
+    for N, K in ((256, 20), (512, 8), (16, 20)):
+        rep = solve(N, K)
+        assert len(rep.matches) == min(N, K)
+        assert [m[1] for m in rep.matches] == [
+            (2 * n + gm + gp) ** 2 + shift for n in range(min(N, K))]
+
+
+def _neighbour_shifted(level):
+    # _dirichlet_pt with the given level reading the value of the one above it
+    real = spectral._dirichlet_pt
+
+    def shifted(gm, gp, N, K, shift):
+        vals = real(gm, gp, N, K + 1, shift)
+        vals[level] = vals[level + 1]
+        return vals[:K]
+
+    return shifted
+
+
+def test_a_level_shifted_to_its_neighbour_fails(monkeypatch):
+    # the nearest closed form of level 4's value is closed form 4, so a
+    # nearest-candidate match passed level 3 reading it (2.1e-4 < 1e-3 for
+    # Poschl-Teller); matched by n, it misses by about 0.4
+    monkeypatch.setattr(spectral, "_dirichlet_pt", _neighbour_shifted(3))
+    reports = [solve_poschl_teller(2, 3, 512), solve_chi_equation(2, 5, 512),
+               pt_phase_scan([0.1], (1.0, 1.5, 0.5), N=512)[0]]
+    assert reports[2].phase == "exact"
+    for rep in reports:
+        assert max(rel for *_, rel in rep.matches) > 0.2 > rep.tol, rep.model
+
+
 def test_poschl_teller_bad_couplings():
     with pytest.raises(BadCouplings):
         solve_poschl_teller(0.5, 3, 256)
@@ -360,29 +403,29 @@ def _bessel_series_per_term(alpha, q, z, terms):
     return total, tail
 
 
+_BESSEL_CASES = [(1.3, 1, 0.5), (2.0, 1.0, 0.8), (2.7, 4, 1.1), (1.0, 140, 0.5)]
+
+
 @pytest.mark.parametrize(
-    "alpha, q, z, terms",
-    [(1.3, 1, 0.5, 30), (2.0, 1.0, 0.8, 30), (1.3 + 0.4j, 0, 0.3 - 0.2j, 1),
-     (2.7, 4, 1.1, 30), (1.0, 140, 0.5, 30), (1.0, 165, 0.5, 5), (0.9, 0, 0.7, 170)],
+    "alpha, q, z", _BESSEL_CASES,
+    ids=[f"{alpha}-{q}-{z}-{spectral.BESSEL_TERMS}" for alpha, q, z in _BESSEL_CASES],
 )
-def test_bessel_series_is_bit_identical_to_the_per_term_formula(alpha, q, z, terms):
+def test_bessel_series_is_bit_identical_to_the_per_term_formula(alpha, q, z):
     # the cached coefficients go through the same float operations in the
-    # same order, up to q + terms = 170; a second call reads the cache
+    # same order, up to q = 170 - BESSEL_TERMS; a second call reads the cache
+    terms = spectral.BESSEL_TERMS
     ref = _bessel_series_per_term(alpha, q, z, terms)
-    assert bessel_series_psi(alpha, q, z, terms) == ref
-    assert bessel_series_psi(alpha, q, z, terms) == ref
+    assert bessel_series_psi(alpha, q, z) == ref
+    assert bessel_series_psi(alpha, q, z) == ref
     for zz in (z + 0.25, 1j * z):
-        assert bessel_series_psi(alpha, q, zz, terms) == _bessel_series_per_term(alpha, q, zz, terms)
+        assert bessel_series_psi(alpha, q, zz) == _bessel_series_per_term(alpha, q, zz, terms)
 
 
 def test_bessel_series_refuses_gamma_overflow():
     # math.gamma(j + q + 3/2) overflows past q + terms = 170
     assert math.isfinite(abs(bessel_series_psi(1.0, 140, 0.5)[0]))
-    assert math.isfinite(abs(bessel_series_psi(1.0, 165, 0.5, terms=5)[0]))
     with pytest.raises(ParamOutOfRange):
         bessel_series_psi(1.0, 141, 0.5)
-    with pytest.raises(ParamOutOfRange):
-        bessel_ode_residual(1.0, 166, 0.5, terms=5)
 
 
 def test_degenerate_level_is_matched_by_itself():
@@ -446,7 +489,7 @@ def test_metamorphosis_fails_on_a_wrong_bessel_order(monkeypatch):
     # psi of order q + 1 against the equation of order q
     real = spectral.bessel_series_psi
     monkeypatch.setattr(spectral, "bessel_series_psi",
-                        lambda alpha, q, z, terms=30: real(alpha, q + 1, z, terms))
+                        lambda alpha, q, z: real(alpha, q + 1, z))
     rep = metamorphosis_check("degenerate", sign=1, alpha=2, q=1)
     assert rep.ok is False and rep.residual > spectral.METAMORPHOSIS_TOL
 
