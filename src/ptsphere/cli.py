@@ -246,23 +246,14 @@ def cmd_verify(args) -> int:
 
 
 def _spectrum_rows(rep, tol_match):
-    # the one judge of spectrum and scan: rep's rows, tol (tol_match, else
-    # rep.tol), and whether every match is within tol, which a NaN is not.
-    # The matches are those of the lowest eigenvalues, in order; a row past
-    # them that repeats the last matched value (a double eigenvalue cut by
-    # --K) shares its match
-    rows, matches = [], rep.matches
-    for i, z in enumerate(rep.eigenvalues[: max(len(matches), spectral.LOWEST_K)]):
-        if i < len(matches):
-            m = matches[i]
-        elif matches and matches[-1][0] == z:
-            m = matches[-1]
-        else:
-            rows.append([i, z.real, z.imag, "", ""])
-            continue
-        rows.append([i, z.real, z.imag, m[1], m[2]])
+    # the one judge of spectrum and scan: one row per eigenvalue of rep, beside
+    # its match or blank when rep has none; tol (tol_match, else rep.tol); and
+    # whether every match is within tol, which a NaN is not
+    rows = [[i, z.real, z.imag, "", ""] for i, z in enumerate(rep.eigenvalues)]
+    for row, (cand, dev, _) in zip(rows, rep.matches):
+        row[3:] = [cand, dev]
     tol = rep.tol if tol_match is None else tol_match
-    return rows, tol, all(rel <= tol for *_, rel in matches)
+    return rows, tol, all(rel <= tol for *_, rel in rep.matches)
 
 
 def _solve_s1(args):

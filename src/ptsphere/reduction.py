@@ -11,7 +11,8 @@ what failed, and the caller keys the report.  Every
 sampled verdict runs through _sampled_report, which reads each point into
 one phase._Point for the verdict's residuals and fails with the name of the
 first nonzero one.  The one float verdict, appendix_report on the
-Appendix's Jacobian block identities, imports numpy in its body.
+Appendix's Jacobian block identities, runs jacobian_check, which imports
+numpy in its body.
 
 One matrix carries the reduction: A(s), with A_{mu nu} = (Z_nu s)_mu.
 _cofactors gives det A and adj A by one Laplace expansion, and _det_and_y

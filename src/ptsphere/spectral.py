@@ -174,14 +174,20 @@ def closed_form_energies(
 
 @dataclass
 class SpectrumReport:
+    """The levels a solver judges, lowest first; matches is empty or holds
+    (closed form, deviation, relative deviation) of the eigenvalue at its index."""
+
     model: str
     tol: float  # the largest relative deviation a match passes with
     eigenvalues: list = field(default_factory=list)
-    max_imag: float = 0.0
     # every solver here returns real levels, so no report is labelled broken
     phase: str = "exact"
     matches: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+
+    @property
+    def max_imag(self) -> float:
+        return max((abs(z.imag) for z in self.eigenvalues), default=0.0)
 
 
 def _nearest(candidates, x: float) -> float:
@@ -190,18 +196,15 @@ def _nearest(candidates, x: float) -> float:
     return min(candidates[max(i - 1, 0) : i + 1], key=lambda e: abs(x - e))
 
 
-def _finish_report(rep: SpectrumReport, eig, K: int, closed_form=None):
-    # closed_form(n, z) is the closed form of level n, of value z; None matches none
-    eig = sorted(eig, key=lambda z: (complex(z).real, complex(z).imag))
+def _finish_report(rep: SpectrumReport, eig, closed_form=None):
+    # eig: the levels rep judges, lowest first; closed_form(n, z) is the
+    # closed form of level n, of value z; None matches none
     rep.eigenvalues = [complex(z) for z in eig]
-    low = rep.eigenvalues[: min(K, len(rep.eigenvalues))]
-    rep.max_imag = max((abs(z.imag) for z in low), default=0.0)
     if closed_form:
-        for n, z in enumerate(low):
+        for n, z in enumerate(rep.eigenvalues):
             cand = closed_form(n, z)
             dev = abs(z - cand)
-            rel = dev / max(abs(cand), 1.0)
-            rep.matches.append((z, cand, dev, rel))
+            rep.matches.append((cand, dev, dev / max(abs(cand), 1.0)))
     return rep
 
 
@@ -228,14 +231,15 @@ def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K) -> SpectrumReport
     modes of one sign only and no constant mode.  Its momentum matrix is
     then triangular with diagonal m^2, and the periodic
     spectrum is exactly {m^2 : |m| <= N // 2}, each m != 0 a double
-    eigenvalue (Gasymov, Funct. Anal. Appl. 14 (1980) 11).  The closed-form
-    matches therefore refer to this periodic operator; for a^2 = b^2 (Morse)
-    the candidates are the squares themselves.
+    eigenvalue (Gasymov, Funct. Anal. Appl. 14 (1980) 11).  The report holds
+    its lowest min(K, 2M + 1) levels 0, 1, 1, 4, 4, ..., built directly.  The
+    closed-form matches refer to this periodic operator; for a^2 = b^2
+    (Morse) the candidates are the squares themselves.
     """
     a, b = complex(a), complex(b)
     _require_regular_circle(a, b)
     M = N // 2
-    eig = [complex(m * m) for m in range(-M, M + 1)]
+    eig = [complex(((i + 1) // 2) ** 2) for i in range(min(K, 2 * M + 1))]
     rep = SpectrumReport("s1", EXACT_LEVEL_TOL)
     rep.notes.append(
         "one-sided potential: triangular momentum matrix, periodic spectrum"
@@ -246,16 +250,16 @@ def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K) -> SpectrumReport
         " only branch energies that are integer squares can match"
     )
     if abs(a * a - b * b) < REAL_TOL:
-        candidates = sorted({float(m * m) for m in range(M + 1)})
+        candidates = [z.real for z in eig]
         rep.notes.append("Morse case a^2 = b^2: the candidates are {m^2}")
     else:
         gm, gp = circle_couplings(a, b, k1, k2)
         if not _is_real(gm, gp):
             rep.phase = "complex-coupling"
             rep.notes.append(f"g_- = {gm}, g_+ = {gp}")
-            return _finish_report(rep, eig, K)
+            return _finish_report(rep, eig)
         candidates = closed_form_energies(gm.real, gp.real, count=2 * K, half_integer=True)
-    return _finish_report(rep, eig, K, lambda n, z: _nearest(candidates, z.real))
+    return _finish_report(rep, eig, lambda n, z: _nearest(candidates, z.real))
 
 
 # -- finite-difference solvers on (0, pi/2) -------------------------------------
@@ -290,9 +294,9 @@ def _fd_report(model: str, gm: float, gp: float, shift: float, N: int, K: int) -
     (2n + g_- + g_+)^2 + shift; below g = 1 levels converge slower than h^2."""
     if gm < 1 or gp < 1:
         raise BadCouplings(f"Dirichlet selection needs g_-, g_+ >= 1, got {gm:.6g}, {gp:.6g}")
-    eig = _dirichlet_pt(gm, gp, N, K, shift)
+    eig = _dirichlet_pt(gm, gp, N, K, shift)  # ascending, as eigh_tridiagonal returns them
     levels = closed_form_energies(gm, gp, count=K, branches=(1,))
-    return _finish_report(SpectrumReport(model, FD_LEVEL_TOL), eig, K,
+    return _finish_report(SpectrumReport(model, FD_LEVEL_TOL), eig,
                           lambda n, z: levels[n] + shift)
 
 
@@ -548,7 +552,7 @@ def degenerate_level(alpha, q: int) -> SpectrumReport:
     resid = bessel_ode_residual(alpha, q, z)
     return SpectrumReport(
         "degenerate", BESSEL_RESIDUAL_TOL, [complex(E)], phase="degenerate",
-        matches=[(complex(E), float(E), resid, resid)],
+        matches=[(float(E), resid, resid)],
         notes=[f"bessel_ode_residual={resid:.3e}"],
     )
 
@@ -558,9 +562,9 @@ def degenerate_level(alpha, q: int) -> SpectrumReport:
 
 def pt_phase_scan(lambda2_grid, ks, N: int = 1024, K: int = LOWEST_K) -> list[SpectrumReport]:
     """Label each lambda^2 grid point exact / complex-coupling / degenerate
-    from its sphere couplings; an exact point carries its K xi and K chi levels,
-    their matches and their largest relative deviation, the degenerate point
-    degenerate_level(alpha, 1)."""
+    from its sphere couplings; an exact point carries its K xi and K chi levels
+    together, lowest first, each beside its match, and their largest relative
+    deviation, the degenerate point degenerate_level(alpha, 1)."""
     k1, k2, k3 = ks
     out = []
     for lam2 in lambda2_grid:
@@ -577,11 +581,12 @@ def pt_phase_scan(lambda2_grid, ks, N: int = 1024, K: int = LOWEST_K) -> list[Sp
         rep_xi = solve_poschl_teller(min(l1, l2), max(l1, l2), N, K)
         comp = l1 + l2  # separation index m = 0
         rep_chi = solve_chi_equation(l3, comp, N, K)
-        matches = rep_xi.matches + rep_chi.matches
+        levels = sorted(zip(rep_xi.eigenvalues + rep_chi.eigenvalues,
+                            rep_xi.matches + rep_chi.matches), key=lambda p: p[0].real)
+        matches = [m for _, m in levels]
         worst = max(rel for *_, rel in matches)
         out.append(SpectrumReport(
-            "sphere", FD_LEVEL_TOL, rep_xi.eigenvalues + rep_chi.eigenvalues,
-            max_imag=max(rep_xi.max_imag, rep_chi.max_imag), matches=matches,
+            "sphere", FD_LEVEL_TOL, [z for z, _ in levels], matches=matches,
             notes=[f"max_rel_deviation={worst:.3e}"],
         ))
     return out

@@ -120,7 +120,7 @@ def test_criterion_08_circle_spectrum():
     k1, k2 = invert_circle_couplings(2, 1, 2, 3)
     rep = solve_periodic_s1(2, 1, k1, k2, 512)
     ok = rep.max_imag == 0.0
-    for z, cand, dev, rel in rep.matches:
+    for cand, dev, rel in rep.matches:
         ok = ok and rel <= 1e-6
     _report(
         f"criterion 08 circle spectrum N=512, max|Im| {rep.max_imag:.1e}",
@@ -136,7 +136,7 @@ def test_criterion_09_morse_triangular_tower():
     triangular = np.max(np.abs(np.tril(H, -1))) == 0.0
     rep = solve_periodic_s1(1, 1, 1, 1, 512)
     ok = triangular
-    for z, cand, dev, rel in rep.matches[:8]:
+    for cand, dev, rel in rep.matches[:8]:
         n = round(math.sqrt(abs(cand)))
         ok = ok and abs(cand - n * n) < 1e-9 and rel <= 1e-8
     _report("criterion 09 Morse case triangular with squares tower", ok, t0, 5)
@@ -147,11 +147,11 @@ def test_criterion_10_sphere_finite_differences():
     ok = True
     # separated xi equation at l1=2, l2=3: (2m+5)^2
     rep = solve_poschl_teller(2, 3, 4096)
-    for j, (z, cand, dev, rel) in enumerate(rep.matches[:6]):
+    for j, (cand, dev, rel) in enumerate(rep.matches[:6]):
         ok = ok and abs(cand - (2 * j + 5) ** 2) < 1e-9 and rel <= 1e-3
     # chi equation tower at the same quantum numbers
     repc = solve_chi_equation(2, 5, 4096)
-    for z, cand, dev, rel in repc.matches[:6]:
+    for cand, dev, rel in repc.matches[:6]:
         ok = ok and rel <= 1e-3
     # O(h^2): halving the step divides the ground level error by about 4
     e0 = 25.0

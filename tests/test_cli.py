@@ -463,16 +463,26 @@ def test_spectrum_s1_from_g_parameters(capsys):
         assert row[4] <= 1e-6
 
 
-def test_rows_past_the_matches_share_a_double_eigenvalue_match(capsys):
-    # --K 2 matches 0 and the first 1; the second 1 is the same double
-    # eigenvalue and carries the match, the 4 after it does not
-    argv = ["spectrum", "--model", "s1", "--a", "2", "--b", "1",
-            "--gminus", "2", "--gplus", "3", "--K", "2", "--N", "64"]
-    code, out = _run(argv, capsys)
-    assert code == 0
-    rows = json.loads(out)["rows"]
-    assert [row[1] for row in rows[:4]] == [0.0, 1.0, 1.0, 4.0]
-    assert [row[3] for row in rows[:4]] == [0.0, 1.0, 1.0, ""]
+def test_spectrum_prints_one_row_per_judged_level(capsys):
+    # a report holds the levels it judges and prints one row each: s1 at
+    # --K 2 prints 0 and 1, and complex couplings, which match nothing, print
+    # all 20 levels of --K 20 with blank closed forms
+    for argv, count in (("s1 --a 2 --b 1 --gminus 2 --gplus 3 --K 2 --N 64", 2),
+                        ("s1 --a 1 --b 2 --k1 1 --k2 1/2 --K 20", 20),
+                        ("poschl_teller --gminus 2 --gplus 3 --K 3", 3),
+                        ("degenerate --alpha 2 --q 1", 1)):
+        argv = ["spectrum", "--model", *argv.split()]
+        code, out = _run(argv, capsys)
+        rows = json.loads(out)["rows"]
+        assert code == 0 and [row[0] for row in rows] == list(range(count)), argv
+        code, out = _run([*argv, "--format", "csv"], capsys)
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "index,re_E,im_E,closed_form,deviation"
+        assert [line.split(",")[0] for line in lines[1:]] == [str(i) for i in range(count)]
+        if count == 2:
+            assert [row[1] for row in rows] == [row[3] for row in rows] == [0.0, 1.0]
+        if count == 20:
+            assert all(row[3:] == ["", ""] for row in rows)
 
 
 @pytest.mark.parametrize("gminus, gplus", [("3", "2"), ("4", "3")])
@@ -716,7 +726,7 @@ def test_scan_shares_the_degenerate_level(capsys):
     # lambda^2 = 1/2 with the default k = (1, 3/2, 1/2): alpha^2 = 4 + 9 - 1/2
     code, out = _run(["scan", "--model", "lambda", "--lambda2", "0.5:0.5:0.1"], capsys)
     (row,) = json.loads(out)["rows"]
-    resid = spectral.degenerate_level(cmath.sqrt(12.5), 1).matches[0][2]
+    resid = spectral.degenerate_level(cmath.sqrt(12.5), 1).matches[0][1]
     assert code == 0 and row == [0.5, "degenerate", 0.0, f"bessel_ode_residual={resid:.3e}"]
 
 
@@ -744,15 +754,15 @@ def test_spectrum_and_scan_judge_the_degenerate_level_alike(capsys, tol, want):
 
 def test_scan_judges_every_sphere_match(capsys, monkeypatch):
     # --K 20 gives each point 20 xi and 20 chi matches; the 13th chi match,
-    # past the 8 a spectrum prints, fails the scan when it misses
+    # past the default --K 8, fails the scan when it misses
     argv = ["scan", "--model", "lambda", "--lambda2", "0.1:0.1:1", "--N", "2048", "--K", "20"]
     assert _run(argv, capsys)[0] == 0
     real = spectral.solve_chi_equation
 
     def perturbed(*args):
         rep = real(*args)
-        z, cand, dev, _ = rep.matches[12]
-        rep.matches[12] = (z, cand, dev, 1.0)
+        cand, dev, _ = rep.matches[12]
+        rep.matches[12] = (cand, dev, 1.0)
         return rep
 
     monkeypatch.setattr(spectral, "solve_chi_equation", perturbed)

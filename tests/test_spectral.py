@@ -90,7 +90,7 @@ def test_morse_matrix_matches_the_fft_construction(a, b, k1, k2, N):
 
 def test_solve_periodic_morse_spectrum():
     rep = solve_periodic_s1(1, 1, 1, 1, 128)
-    for z, cand, dev, rel in rep.matches[:6]:
+    for cand, dev, rel in rep.matches[:6]:
         assert rel < 1e-10
         assert abs(round(math.sqrt(abs(cand))) ** 2 - cand) < 1e-9
 
@@ -118,12 +118,36 @@ def test_periodic_spectrum_is_the_triangular_diagonal(a, b):
     H, _ = fourier_matrix(a, b, 1.3, 0.7, 64)
     scale = np.abs(H).max()
     assert min(np.abs(np.triu(H, 1)).max(), np.abs(np.tril(H, -1)).max()) <= 1e-12 * scale
-    rep = solve_periodic_s1(a, b, 1.3, 0.7, 64)
-    assert rep.eigenvalues == sorted(np.diag(H).real)
+    # K = N + 1 asks for every level; a smaller K for the lowest K of them
+    levels = sorted(np.diag(H).real)
+    rep = solve_periodic_s1(a, b, 1.3, 0.7, 64, K=65)
+    assert rep.eigenvalues == levels
+    for K in (1, 2, 3):
+        assert solve_periodic_s1(a, b, 1.3, 0.7, 64, K=K).eigenvalues == levels[:K]
     # the couplings g_-, g_+ of these circles are real exactly when |a| >= |b|
     assert rep.max_imag == 0.0
     assert rep.phase == ("exact" if abs(a) >= abs(b) else "complex-coupling")
     assert any("triangular" in n for n in rep.notes)
+
+
+@pytest.mark.parametrize(
+    "produce, phase, count",
+    [(lambda: solve_periodic_s1(2, 1, *invert_circle_couplings(2, 1, 2, 3), 64, K=5), "exact", 5),
+     (lambda: solve_periodic_s1(1, 1, 1, 1, 64, K=20), "exact", 20),
+     (lambda: solve_periodic_s1(1, 2, 1.0, 0.5, 64, K=20), "complex-coupling", 20),
+     (lambda: solve_poschl_teller(2, 3, 256, K=12), "exact", 12),
+     (lambda: solve_chi_equation(2, 5, 256, K=12), "exact", 12),
+     (lambda: spectral.degenerate_level(2, 1), "degenerate", 1),
+     (lambda: pt_phase_scan([0.1], (1.0, 1.5, 0.5), N=256, K=12)[0], "exact", 24)],
+    ids=["s1", "morse", "s1-complex", "poschl_teller", "chi", "degenerate", "scan-exact"],
+)
+def test_a_report_holds_its_levels_lowest_first_each_with_its_match(produce, phase, count):
+    # a report's eigenvalues are the levels it judges, and its matches are
+    # empty or one per level, at the level's index
+    rep = produce()
+    assert (rep.phase, len(rep.eigenvalues)) == (phase, count)
+    assert rep.eigenvalues == sorted(rep.eigenvalues, key=lambda z: z.real)
+    assert len(rep.matches) == (0 if phase == "complex-coupling" else count)
 
 
 def test_s1_mirror_branch():
@@ -152,9 +176,9 @@ def test_solve_periodic_complex_coupling_phase():
 
 def test_poschl_teller_fd():
     rep = solve_poschl_teller(2, 3, 1024)
-    for z, cand, dev, rel in rep.matches[:4]:
+    for cand, dev, rel in rep.matches[:4]:
         assert rel < 1e-3
-    assert rep.matches[0][1] == 25.0
+    assert rep.matches[0][0] == 25.0
 
 
 def _pt_tridiagonal(gm, gp, N, shift):
@@ -214,7 +238,7 @@ def test_fd_match_n_carries_closed_form_n(solve, gm, gp, shift):
     for N, K in ((256, 20), (512, 8), (16, 20)):
         rep = solve(N, K)
         assert len(rep.matches) == min(N, K)
-        assert [m[1] for m in rep.matches] == [
+        assert [m[0] for m in rep.matches] == [
             (2 * n + gm + gp) ** 2 + shift for n in range(min(N, K))]
 
 
@@ -250,7 +274,7 @@ def test_poschl_teller_bad_couplings():
 def test_chi_equation_fd():
     rep = solve_chi_equation(2, 5, 2048)
     expected = [(7 + 2 * j) * (8 + 2 * j) for j in range(4)]
-    got = [m[1] for m in rep.matches[: len(expected)]]
+    got = [m[0] for m in rep.matches[: len(expected)]]
     for g, e in zip(got, expected):
         assert abs(g - e) < 1e-9
 
@@ -432,7 +456,7 @@ def test_degenerate_level_is_matched_by_itself():
     rep = spectral.degenerate_level(2, 1)
     resid = bessel_ode_residual(2, 1, 0.5)
     assert (rep.model, rep.phase, rep.eigenvalues) == ("degenerate", "degenerate", [2])
-    assert rep.matches == [(2, 2.0, resid, resid)]
+    assert rep.matches == [(2.0, resid, resid)]
     assert rep.notes == [f"bessel_ode_residual={resid:.3e}"]
 
 
@@ -450,7 +474,7 @@ def test_degenerate_level_passes_or_is_refused(q):
             rep = spectral.degenerate_level(1.5 * i, q)
         except ParamOutOfRange:
             continue
-        assert rep.matches[0][3] <= spectral.BESSEL_RESIDUAL_TOL, 1.5 * i
+        assert rep.matches[0][2] <= spectral.BESSEL_RESIDUAL_TOL, 1.5 * i
         passed += 1
     assert passed >= 8  # alpha = 1.5 ... 12 passes at every q here
 
