@@ -5,26 +5,30 @@ The circle, the sphere xi equation and the chi equation are each, on
 g_+(g_+ - 1)/cos^2: xi at (g_-, g_+) = (l2, l1), chi at (M + 1/2, l3) less
 1/4 after its (sin chi)^(-1/2) similarity, M = l1 + l2 + 2m (Levai & Znojil,
 J. Phys. A 33 (2000) 7165).  One level list, one Dirichlet finite-difference
-solver and one eigenfunction formula serve all three.  Beside them: the
-periodic circle spectrum read off its triangular momentum matrix (the dense
-matrix, its reference, is test code: tests/circle_reference.py), coupling
-reparametrizations, PT-parity checks, the phase scan over the deformation
-parameter, Bessel-series solutions of the degenerate model, its one level
-(degenerate_level, shared by `spectrum --model degenerate` and the scan's
-lambda^2 = 1/2 point) and the two coupling-constant-metamorphosis
-identities, each a report that passes or fails.  Every SpectrumReport
-carries the tol its solver's error model gives the matches' deviations.
+solver and one eigenfunction formula serve all three.  The solver finds the
+lowest K levels by shift-invert Lanczos, certified by a Sturm count, where
+that measured cheaper than LAPACK bisection, and by bisection elsewhere;
+either way each level is within eps * |T|_1 of an eigenvalue of its matrix
+T.  Beside them: the periodic circle spectrum read off its triangular
+momentum matrix (the dense matrix, its reference, is test code:
+tests/circle_reference.py), coupling reparametrizations, PT-parity checks,
+the phase scan over the deformation parameter, Bessel-series solutions of
+the degenerate model, its one level (degenerate_level, shared by `spectrum
+--model degenerate` and the scan's lambda^2 = 1/2 point) and the two
+coupling-constant-metamorphosis identities, each a report that passes or
+fails.  Every SpectrumReport carries the tol its solver's error model gives
+the matches' deviations.
 
 Inputs a routine cannot take raise ParamOutOfRange, a configuration error
 (exit 2) on the command line; e.g. a Bessel order with q + terms > 170, or
 a degenerate level whose residual floats cannot decide.
 
 numpy and scipy are imported only inside the array routines: the
-finite-difference solver _dirichlet_pt and _cauchy_derivative.  The periodic
-circle spectrum, the closed forms, the eigenfunctions and the coupling maps
-are scalar code, so `spectrum --model s1` and the reduction layer, which
-imports this module, start without paying for that import; a float solve
-pays it once, on its first call.
+finite-difference solver (_dirichlet_pt and its _lanczos_lowest) and
+_cauchy_derivative.  The periodic circle spectrum, the closed forms, the
+eigenfunctions and the coupling maps are scalar code, so `spectrum --model
+s1` and the reduction layer, which imports this module, start without paying
+for that import; a float solve pays it once, on its first call.
 """
 
 from __future__ import annotations
@@ -79,6 +83,9 @@ PARITY_POINTS, PARITY_TOL = 12, 1e-10
 EXACT_LEVEL_TOL, FD_LEVEL_TOL, BESSEL_RESIDUAL_TOL, METAMORPHOSIS_TOL = 1e-6, 1e-3, 1e-10, 1e-9
 # _cauchy_derivative's contour radius and node count; every Bessel series' terms
 CAUCHY_RADIUS, CAUCHY_NODES, BESSEL_TERMS = 0.2, 64, 30
+# _lanczos_pays: where Lanczos took less CPU than bisection in every
+# measured (N, K, g_- + g_+) cell, N up to 65536 (BENCH_fd_lanczos.json)
+LANCZOS_MIN_N, LANCZOS_MIN_NK, LANCZOS_MAX_K, LANCZOS_G_OVER_K = 512, 2048, 16, 8
 
 
 # -- coupling reparametrizations ------------------------------------------------
@@ -267,10 +274,15 @@ def solve_periodic_s1(a, b, k1, k2, N: int, K: int = LOWEST_K) -> SpectrumReport
 
 def _dirichlet_pt(gm: float, gp: float, N: int, K: int, shift: float) -> np.ndarray:
     """Lowest min(K, N) eigenvalues of the Poschl-Teller operator plus shift,
-    Dirichlet finite differences on N interior points of (0, pi/2).
+    Dirichlet finite differences on N interior points of (0, pi/2), ascending.
 
-    Every caller reads the lowest K levels only, so no more are bisected for;
-    each is found to stebz's absolute tolerance eps * |T|_1.
+    Every caller reads the lowest K levels only, and each is found to within
+    eps * |T|_1 of an eigenvalue of the matrix T.  Where _lanczos_pays, by
+    _lanczos_lowest; elsewhere, or where Lanczos certifies no list, by
+    LAPACK bisection for those levels only.  T is positive definite for
+    every caller: _fd_report's guard gives g_-, g_+ >= 1, so V >= shift, and
+    the discrete Laplacian's lowest eigenvalue, above 3.6 for every N >= 2,
+    exceeds the shifts' 1/4.
     """
     import numpy as np
     import scipy.linalg
@@ -278,15 +290,98 @@ def _dirichlet_pt(gm: float, gp: float, N: int, K: int, shift: float) -> np.ndar
     h = (np.pi / 2) / (N + 1)
     x = h * np.arange(1, N + 1)
     V = gm * (gm - 1) / np.sin(x) ** 2 + gp * (gp - 1) / np.cos(x) ** 2 + shift
+    d, e = 2.0 / h**2 + V, np.full(N - 1, -1.0 / h**2)
     count = min(K, N)
-    # index selection bisects for each eigenvalue, quadratic when all N are
-    # asked for; the full-spectrum driver returns the same sorted list, equal
-    # to about 1e-12 relative
-    select = {"select": "a"} if count == N else {"select": "i", "select_range": (0, count - 1)}
-    vals = scipy.linalg.eigh_tridiagonal(
-        2.0 / h**2 + V, np.full(N - 1, -1.0 / h**2), eigvals_only=True, **select
-    )
+    vals = _lanczos_lowest(d, e, count) if _lanczos_pays(N, count, gm + gp) else None
+    if vals is None:
+        # index selection bisects for each eigenvalue, quadratic when all N
+        # are asked for; the full-spectrum driver returns the same sorted
+        # list, equal to about 1e-12 relative
+        select = ({"select": "a"} if count == N
+                  else {"select": "i", "select_range": (0, count - 1)})
+        vals = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, **select)
     return vals.astype(complex)
+
+
+def _lanczos_pays(N: int, K: int, G: float) -> bool:
+    """Whether _lanczos_lowest takes less CPU than bisection for the lowest K
+    of N levels at couplings g_- + g_+ = G.  Bisection costs about 52 O(N)
+    Sturm sweeps per level.  Lanczos takes about 2K + 12 steps while the
+    levels (2n + G)^2 spread fast, each one O(N) solve, a fixed overhead
+    that small N does not repay, and an orthogonalisation against the basis
+    so far, O(N K) a step, which no longer pays above K = 16 at N = 65536;
+    as G grows past K their ratios near 1, and the steps grow like sqrt(G)."""
+    return (N >= LANCZOS_MIN_N and N * K >= LANCZOS_MIN_NK and K <= LANCZOS_MAX_K
+            and G <= K + LANCZOS_G_OVER_K)
+
+
+def _lanczos_lowest(d, e, K: int):
+    """The lowest K eigenvalues of the positive definite tridiagonal T with
+    diagonal d and off-diagonal e, ascending, by shift-invert Lanczos on T^-1
+    (Ericsson & Ruhe, Math. Comp. 35 (1980) 1251); None where no list is
+    certified within min(N, 4K + 32) steps.
+
+    T is factored once (dpttrf: T not positive definite raises); each step
+    is one dpttrs solve, orthogonalised twice against the whole basis.  The
+    Ritz values are checked first at 2K + 12 steps, where the measured
+    solves _lanczos_pays admits had converged, then every 4 steps.  A Ritz
+    value theta of T^-1 with residual r = beta |s_m| lies within r of an
+    eigenvalue of T^-1, so 1/theta lies within r / (theta (theta - r)) of
+    one of T.  The lowest K are accepted
+    when each such bound is at most eps * |T|_1, the bounds keep them apart,
+    and one Sturm count (dstebz by value, with a huge tolerance: one count at
+    each end) finds exactly K eigenvalues of T in (0, cut], cut = the highest
+    level plus 4 eps * |T|_1 (its bound and the count's rounding).  A level
+    the Krylov space missed makes that count exceed K, and the space grows.
+    Rounding in the steps moves a level by about eps lambda_K^2 / lambda_1
+    times a small constant; where _lanczos_pays, the measured errors against
+    bisection run to tol 1e-300 were at most 0.14 eps * |T|_1, bisection's
+    own up to 0.38.
+    """
+    import numpy as np
+    from scipy.linalg import eigh_tridiagonal, lapack
+
+    N, eps = len(d), np.finfo(float).eps
+    floor = eps * np.max(np.abs(d) + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]))  # eps |T|_1
+    df, ef, info = lapack.dpttrf(d, e)
+    if info:
+        raise ArithmeticError(f"dpttrf info {info}: the matrix is not positive definite")
+    cap, check = min(N, 4 * K + 32), min(N, 2 * K + 12)
+    Q = np.empty((check, N))  # the basis, one row a step, grown as steps are added
+    q = np.linspace(1.0, 2.0, N)  # even and odd parts, should T be persymmetric
+    q /= math.sqrt(q @ q)
+    alpha, beta = [], []
+    for m in range(1, cap + 1):
+        if m > len(Q):
+            Q = np.concatenate([Q, np.empty((min(cap, 2 * len(Q)) - len(Q), N))])
+        Q[m - 1] = q
+        basis = Q[:m]
+        w = lapack.dpttrs(df, ef, q)[0]
+        norm = math.sqrt(w @ w)
+        # twice is enough: one pass cancels over half of w's norm, and
+        # leaves it far from orthogonal to the basis
+        c = basis @ w
+        w -= c @ basis
+        c2 = basis @ w
+        w -= c2 @ basis
+        b = math.sqrt(w @ w)
+        alpha.append(c[-1] + c2[-1])
+        exhausted = b <= eps * norm  # the basis spans an invariant subspace
+        if m >= K and (m >= check or m == cap or exhausted):
+            theta, S = eigh_tridiagonal(alpha, beta)
+            theta, r = theta[::-1][:K], np.abs(b * S[-1, ::-1][:K])
+            lam, bound = 1 / theta, r / (theta * (theta - r))
+            if (np.all((theta > r) & (bound <= floor))
+                    and np.all(np.diff(lam) > bound[1:] + bound[:-1])
+                    and lapack.dstebz(d, e, 1, 0.0, lam[-1] + 4 * floor, 0, 0,
+                                      np.finfo(float).max, b"E")[0] == K):
+                return lam
+            check = m + 4
+        if exhausted:
+            return None
+        beta.append(b)
+        q = w / b
+    return None
 
 
 def _fd_report(model: str, gm: float, gp: float, shift: float, N: int, K: int) -> SpectrumReport:
@@ -294,7 +389,7 @@ def _fd_report(model: str, gm: float, gp: float, shift: float, N: int, K: int) -
     (2n + g_- + g_+)^2 + shift; below g = 1 levels converge slower than h^2."""
     if gm < 1 or gp < 1:
         raise BadCouplings(f"Dirichlet selection needs g_-, g_+ >= 1, got {gm:.6g}, {gp:.6g}")
-    eig = _dirichlet_pt(gm, gp, N, K, shift)  # ascending, as eigh_tridiagonal returns them
+    eig = _dirichlet_pt(gm, gp, N, K, shift)  # ascending
     levels = closed_form_energies(gm, gp, count=K, branches=(1,))
     return _finish_report(SpectrumReport(model, FD_LEVEL_TOL), eig,
                           lambda n, z: levels[n] + shift)

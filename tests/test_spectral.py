@@ -203,24 +203,69 @@ def test_full_spectrum_driver_matches_index_bisection():
     assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref))
 
 
+def _stebz_bound(diag, off, ref):
+    # stebz's tolerance around an eigenvalue: eps * |T|_1 (scipy's default
+    # for tol = 0), or 2 eps |E| where that is larger, near the top
+    eps = np.finfo(float).eps
+    norm1 = np.max(np.abs(diag) + np.abs(np.r_[0.0, off]) + np.abs(np.r_[off, 0.0]))
+    return np.maximum(eps * norm1, 2 * eps * np.abs(ref))
+
+
 @pytest.mark.parametrize(
     "gm, gp, N, K, shift",
     [(2.0, 3.0, 4096, 8, 0.0), (5.5, 2.0, 4096, 8, -0.25), (2.0, 3.0, 1024, 8, 0.0),
-     (1.0, 1.5, 512, 3, 0.0), (3.5, 2.3, 1024, 1, -0.25), (2.0, 3.0, 48, 40, 0.0)],
+     (1.0, 1.5, 512, 3, 0.0), (3.5, 2.3, 1024, 1, -0.25), (2.0, 3.0, 48, 40, 0.0),
+     # g_- = g_+: T is persymmetric, its levels alternately even and odd
+     (1.0, 1.0, 4096, 8, 0.0), (2.0, 2.0, 1024, 8, 0.0),
+     # the smallest grids
+     (2.0, 3.0, 2, 1, 0.0), (2.0, 2.0, 3, 2, -0.25), (2.0, 3.0, 16, 8, 0.0),
+     # K, and g_- + g_+, on both sides of the crossover from Lanczos to
+     # bisection
+     (2.0, 3.0, 512, 2, 0.0), (2.0, 3.0, 512, 16, 0.0), (2.0, 3.0, 512, 24, 0.0),
+     (2.0, 3.0, 4096, 16, 0.0), (2.0, 3.0, 4096, 40, 0.0), (12.0, 13.0, 4096, 8, 0.0)],
 )
 def test_dirichlet_pt_bisects_for_the_lowest_K_levels_only(gm, gp, N, K, shift):
     # bisection for K levels and for 2K each stop on an interval narrower
-    # than stebz's tolerance around the same eigenvalue: eps * |T|_1 (scipy's
-    # default for tol = 0), or 2 eps |E| where that is larger, near the top
+    # than stebz's tolerance around the same eigenvalue; _dirichlet_pt, by
+    # whichever solver (N, K, g_- + g_+) picks, stays within that tolerance of
+    # bisection, and so does Lanczos at every N for the K and couplings it
+    # may serve
     got = _dirichlet_pt(gm, gp, N, K, shift)
     assert len(got) == K
     diag, off = _pt_tridiagonal(gm, gp, N, shift)
     ref = scipy.linalg.eigh_tridiagonal(
         diag, off, select="i", select_range=(0, min(2 * K, N) - 1), eigvals_only=True
     )[:K]
-    eps = np.finfo(float).eps
-    norm1 = np.max(np.abs(diag) + np.abs(np.r_[0.0, off]) + np.abs(np.r_[off, 0.0]))
-    assert np.all(np.abs(got - ref) <= np.maximum(eps * norm1, 2 * eps * np.abs(ref)))
+    bound = _stebz_bound(diag, off, ref)
+    assert np.all(np.abs(got - ref) <= bound)
+    if K <= spectral.LANCZOS_MAX_K and gm + gp <= K + spectral.LANCZOS_G_OVER_K:
+        assert np.all(np.abs(spectral._lanczos_lowest(diag, off, K) - ref) <= bound)
+
+
+def test_a_level_the_krylov_space_misses_is_never_returned(monkeypatch):
+    # every Lanczos solve has level 2's eigenvector projected out, so the
+    # Ritz values converge to the other levels, within their bounds; the
+    # Sturm count then finds one level more below the highest, Lanczos
+    # certifies no list, and _dirichlet_pt returns bisection's levels
+    gm, gp, N, K = 2.0, 3.0, 1024, 8
+    assert spectral._lanczos_pays(N, K, gm + gp)
+    diag, off = _pt_tridiagonal(gm, gp, N, 0.0)
+    ref, vecs = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, K - 1))
+    v = vecs[:, 2]
+    solve, solves = scipy.linalg.lapack.dpttrs, []
+
+    def without_level_2(df, ef, b):
+        solves.append(b)
+        x, info = solve(df, ef, b - v * (v @ b))
+        return x - v * (v @ x), info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", without_level_2)
+    assert spectral._lanczos_lowest(diag, off, K) is None
+    solves.clear()
+    got = _dirichlet_pt(gm, gp, N, K, 0.0)
+    assert solves  # through Lanczos
+    assert len(got) == K
+    assert np.all(np.abs(got - ref) <= _stebz_bound(diag, off, ref))
 
 
 @pytest.mark.parametrize(
